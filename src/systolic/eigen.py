@@ -311,38 +311,55 @@ def _assembly_sources(size: int):
 
 
 _ENTRY_NAMES = {(0, 0): "b00", (0, 1): "b01", (1, 0): "b10", (1, 1): "b11"}
+_BLOCK_OUTS = tuple(tuple(f"{name}_{par}" for name in ("b00", "b01", "b10", "b11"))
+                    for par in (0, 1))
 
 
-def delayed_activation(h: int, total_steps: int):
-    def active(cell, t):
-        d = abs(cell.row - cell.col)
-        if t < d or (t - d) % 3:
-            return False
-        return (t - d) // 3 < total_steps
+def _block_sources(entries) -> tuple:
+    """Per previous-step parity, where a cell reads b00..b11: for each entry
+    (True, register name) for its own register, or (False, input port)."""
+    by_par = []
+    for prev_par in (0, 1):
+        srcs = []
+        for (dr, dc, (er, ec)) in entries:
+            name = _ENTRY_NAMES[(er, ec)]
+            if dr == 0 and dc == 0:
+                srcs.append((True, name))
+            else:
+                srcs.append((False, f"in{dr + 1}{dc + 1}_{name}_{prev_par}"))
+        by_par.append(tuple(srcs))
+    return tuple(by_par)
 
-    return active
 
+def _make_delayed_step(i: int, j: int, entries, thresholds: Sequence[float],
+                       steps_per_sweep: int):
+    """Program of cell (i, j), clocked at ticks 3s + |i - j| for step s.
 
-def _make_delayed_step(h: int, plan, thresholds: Sequence[float], steps_per_sweep: int):
+    Every port name it reads or writes is fixed here, at build time.
+    """
+    d = abs(i - j)
+    sources = _block_sources(entries)
+    last_thr = len(thresholds) - 1
+    # an off-diagonal cell passes rotations on away from the diagonal; a
+    # diagonal cell sends them in all four directions (below)
+    if j > i:
+        rot_row, rot_col = ("rowc_R", "rows_R"), ("colc_U", "cols_U")
+    else:
+        rot_row, rot_col = ("rowc_L", "rows_L"), ("colc_D", "cols_D")
+
     def step(state, ins, ctx):
-        i, j = ctx.cell.row, ctx.cell.col
-        s = (ctx.tick - abs(i - j)) // 3
+        s = (ctx.tick - d) // 3
         par = s & 1
-        prev_par = (s - 1) & 1
         if s == 0:
             b00, b01, b10, b11 = state["b00"], state["b01"], state["b10"], state["b11"]
         else:
-            own = state
-            got = []
-            for (dr, dc, (er, ec)) in plan[(i, j)]:
-                name = _ENTRY_NAMES[(er, ec)]
-                if dr == 0 and dc == 0:
-                    got.append(own[name])
-                else:
-                    got.append(ins[f"in{dr + 1}{dc + 1}_{name}_{prev_par}"])
-            b00, b01, b10, b11 = got
-        if i == j:
-            thr = thresholds[min(s // steps_per_sweep, len(thresholds) - 1)]
+            (o0, n0), (o1, n1), (o2, n2), (o3, n3) = sources[(s - 1) & 1]
+            b00 = state[n0] if o0 else ins[n0]
+            b01 = state[n1] if o1 else ins[n1]
+            b10 = state[n2] if o2 else ins[n2]
+            b11 = state[n3] if o3 else ins[n3]
+        if d == 0:
+            thr = thresholds[min(s // steps_per_sweep, last_thr)]
             if b01 != 0.0 and abs(b01) < thr:
                 ci, si = IDENTITY_ROTATION
             else:
@@ -352,23 +369,14 @@ def _make_delayed_step(h: int, plan, thresholds: Sequence[float], steps_per_swee
             ci, si = ins["rowc_in"], ins["rows_in"]
             cj, sj = ins["colc_in"], ins["cols_in"]
         n00, n01, n10, n11 = rotate_block(b00, b01, b10, b11, ci, si, cj, sj)
-        outs = {}
-        if j >= i:
-            outs["rowc_R"] = ci
-            outs["rows_R"] = si
-        if j <= i:
-            outs["rowc_L"] = ci
-            outs["rows_L"] = si
-        if i >= j:
-            outs["colc_D"] = cj
-            outs["cols_D"] = sj
-        if i <= j:
-            outs["colc_U"] = cj
-            outs["cols_U"] = sj
-        outs[f"b00_{par}"] = n00
-        outs[f"b01_{par}"] = n01
-        outs[f"b10_{par}"] = n10
-        outs[f"b11_{par}"] = n11
+        o00, o01, o10, o11 = _BLOCK_OUTS[par]
+        if d == 0:
+            outs = {"rowc_R": ci, "rows_R": si, "rowc_L": ci, "rows_L": si,
+                    "colc_D": cj, "cols_D": sj, "colc_U": cj, "cols_U": sj,
+                    o00: n00, o01: n01, o10: n10, o11: n11}
+        else:
+            outs = {rot_row[0]: ci, rot_row[1]: si, rot_col[0]: cj, rot_col[1]: sj,
+                    o00: n00, o01: n01, o10: n10, o11: n11}
         return {"b00": n00, "b01": n01, "b10": n10, "b11": n11}, outs
 
     return step
@@ -401,12 +409,17 @@ def build_delayed_array(grid: BlockGrid, thresholds: Sequence[float],
                 for par in (0, 1):
                     wiring.append(Wire(CellId(i + dr, j + dc), f"{name}_{par}",
                                        CellId(i, j), f"in{dr + 1}{dc + 1}_{name}_{par}"))
-    spec = engine.grid(h, h, wiring, activation=delayed_activation(h, total_steps))
-    step = _make_delayed_step(h, plan, thresholds, steps_per_sweep)
+
+    def windows(cell):
+        d = abs(cell.row - cell.col)
+        return (range(d, d + 3 * total_steps, 3),)
+
+    spec = engine.grid(h, h, wiring, activation=windows)
     progs = {}
     for i in range(h):
         for j in range(h):
             blk = grid.block(i, j)
+            step = _make_delayed_step(i, j, plan[(i, j)], thresholds, steps_per_sweep)
             progs[CellId(i, j)] = CellProgram(step, {
                 "b00": float(blk[0, 0]), "b01": float(blk[0, 1]),
                 "b10": float(blk[1, 0]), "b11": float(blk[1, 1]),

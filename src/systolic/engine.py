@@ -7,6 +7,11 @@ outputs), so permuting the evaluation order of cells within one tick can
 never change the result.  Unwired input ports are boundary ports and must be
 fed through ``tick``/``run``; unwired output ports are collected as boundary
 outputs.
+
+A spec may declare each cell's activity windows: tick ranges outside which
+the cell is not clocked (its state stays as it is and it leaves no trace
+record).  The windows are read once, when the array is built, so a tick
+visits only the cells that run on it.
 """
 
 from __future__ import annotations
@@ -55,19 +60,29 @@ class CellProgram:
     init: Mapping[str, Any] = field(default_factory=dict)
 
 
+# activation: cell -> the tick ranges in which that cell is clocked
+WindowFn = Callable[[CellId], tuple[range, ...]]
+
+
 @dataclass(frozen=True)
 class ArraySpec:
-    """Topology plus wiring plus activation predicate.
+    """Topology plus wiring plus activity windows.
 
     topology is ("linear", length) or ("grid", rows, cols).  Wiring must be
     nearest-neighbour: |dcol| <= 1 for linear arrays, |drow| <= 1 and
     |dcol| <= 1 for grids (diagonal links allowed).  Each destination port
     has exactly one source; one source port may fan out.
+
+    activation maps a cell to a tuple of ``range`` windows of non-negative
+    ticks; the cell is clocked on every tick that lies in one of them, and
+    on no other.  It is called once per cell when the array is built, so
+    building costs time and memory in proportion to the declared active
+    ticks.  None clocks every cell on every tick.
     """
 
     topology: tuple
     wiring: tuple[Wire, ...] = ()
-    activation: Callable[[CellId, int], bool] | None = None
+    activation: WindowFn | None = None
 
     def cells(self) -> list[CellId]:
         kind = self.topology[0]
@@ -123,8 +138,8 @@ class Trace:
     def __init__(self):
         self.records: list[TraceRecord] = []
 
-    def append(self, rec: TraceRecord):
-        self.records.append(rec)
+    def extend(self, recs: Iterable[TraceRecord]):
+        self.records.extend(recs)
 
     def __len__(self):
         return len(self.records)
@@ -167,6 +182,27 @@ def _check_wire_geometry(spec: ArraySpec, w: Wire):
 _EMPTY = object()  # port value before the first write
 
 
+def _window_schedule(activation: WindowFn, cells: list[CellId]) -> list[tuple[int, ...]]:
+    """Per tick, the indices of the cells clocked on it, in cell order."""
+    by_tick: list[list[int]] = []
+    for i, cell in enumerate(cells):
+        for w in activation(cell):
+            if not isinstance(w, range):
+                raise ConstructionError(f"cell {tuple(cell)}: window {w!r} is not a range")
+            if not w:
+                continue
+            if min(w) < 0:
+                raise ConstructionError(f"cell {tuple(cell)}: window {w!r} has negative ticks")
+            top = max(w)
+            if top >= len(by_tick):
+                by_tick.extend([] for _ in range(top + 1 - len(by_tick)))
+            for t in w:
+                on = by_tick[t]
+                if not on or on[-1] != i:  # overlapping windows clock a cell once
+                    on.append(i)
+    return [tuple(on) for on in by_tick]
+
+
 class Array:
     """A built synchronous array; see :func:`build_array`."""
 
@@ -194,7 +230,8 @@ class Array:
         self._cells = cells
         self._idx = {c: i for i, c in enumerate(cells)}
         self._eval_order = eval_order
-        self._activation = spec.activation
+        self._schedule = (None if spec.activation is None
+                          else _window_schedule(spec.activation, cells))
         self._states = [dict(programs[c].init) for c in cells]
         self._steps = [programs[c].step for c in cells]
         # slot-indexed latches for every port that feeds a wire
@@ -213,7 +250,9 @@ class Array:
         for (cell, port), slot in slot_of.items():
             self._out_slots[self._idx[cell]][port] = slot
         self._latch: list[Any] = [_EMPTY] * len(slot_of)
+        # a slot's payload kind is fixed by its first write
         self._kinds: list[type | None] = [None] * len(slot_of)
+        self._unwritten = len(slot_of)
         self._bkinds: dict[tuple[CellId, str], type] = {}
 
     # -- public ----------------------------------------------------------
@@ -230,14 +269,21 @@ class Array:
         holds its value until overwritten.
         """
         t = self.tick_count
-        act = self._activation
         cells = self._cells
-        if self._eval_order is None:
+        schedule = self._schedule
+        if schedule is None:
             order = range(len(cells))
         else:
+            order = schedule[t] if t < len(schedule) else ()
+        eval_order = self._eval_order
+        if eval_order is not None:
             idx = self._idx
-            order = [idx[c] for c in self._eval_order(list(cells), t)]
+            order = [idx[c] for c in eval_order([cells[i] for i in order], t)]
         latch = self._latch
+        kinds = self._kinds
+        bkinds = self._bkinds
+        unwritten = self._unwritten
+        filled = not unwritten  # every latch was written on an earlier tick
         states = self._states
         steps = self._steps
         in_specs = self._in_specs
@@ -245,21 +291,26 @@ class Array:
         pending: list[tuple[int, Any]] = []
         boundary_out: dict[tuple[CellId, str], Any] = {}
         tick_records: list[TraceRecord] | None = [] if trace is not None else None
+        # builds a CellContext or TraceRecord without the NamedTuple's
+        # Python-level __new__, which would cost a frame per activation
+        new_tuple = tuple.__new__
         for i in order:
             cell = cells[i]
-            if act is not None and not act(cell, t):
-                continue
             vals = {}
-            for port, slot in in_specs[i]:
-                v = latch[slot]
-                if v is not _EMPTY:
-                    vals[port] = v
+            if filled:
+                for port, slot in in_specs[i]:
+                    vals[port] = latch[slot]
+            else:
+                for port, slot in in_specs[i]:
+                    v = latch[slot]
+                    if v is not _EMPTY:
+                        vals[port] = v
             if boundary_inputs:
                 binj = boundary_inputs.get(cell)
                 if binj:
                     vals.update(binj)
             try:
-                new_state, outs = steps[i](states[i], vals, CellContext(cell, t))
+                new_state, outs = steps[i](states[i], vals, new_tuple(CellContext, (cell, t)))
             except KeyError as exc:
                 raise SimulationError(
                     f"cell {tuple(cell)} tick {t}: no value on input port {exc.args[0]!r}"
@@ -269,42 +320,48 @@ class Array:
             for port, v in outs.items():
                 slot = ow.get(port)
                 if slot is None:
-                    boundary_out[(cell, port)] = v
+                    key = (cell, port)
+                    k = bkinds.get(key)
+                    if k is None:
+                        bkinds[key] = type(v)
+                    elif type(v) is not k:
+                        raise SimulationError(
+                            f"port {key} changed payload kind {k.__name__} -> {type(v).__name__}"
+                        )
+                    boundary_out[key] = v
                 else:
+                    k = kinds[slot]
+                    if k is None:
+                        kinds[slot] = type(v)
+                        unwritten -= 1
+                    elif type(v) is not k:
+                        raise SimulationError(
+                            f"a port changed payload kind {k.__name__} -> {type(v).__name__}"
+                        )
                     pending.append((slot, v))
             if tick_records is not None:
-                tick_records.append(TraceRecord(t, cell, dict(new_state), vals, dict(outs)))
+                tick_records.append(
+                    new_tuple(TraceRecord, (t, cell, dict(new_state), vals, dict(outs))))
         if tick_records is not None:
-            # canonical record order: the trace must not expose the (free)
-            # evaluation order of cells within a tick
-            tick_records.sort(key=lambda r: r.cell)
-            for rec in tick_records:
-                trace.append(rec)
-        kinds = self._kinds
+            if eval_order is not None:
+                # canonical record order: the trace must not expose the (free)
+                # evaluation order of cells within a tick
+                tick_records.sort(key=lambda r: r.cell)
+            trace.extend(tick_records)
         for slot, v in pending:
-            k = kinds[slot]
-            if k is None:
-                kinds[slot] = type(v)
-            elif type(v) is not k:
-                raise SimulationError(
-                    f"a port changed payload kind {k.__name__} -> {type(v).__name__}"
-                )
             latch[slot] = v
-        bkinds = self._bkinds
-        for key, v in boundary_out.items():
-            k = bkinds.get(key)
-            if k is None:
-                bkinds[key] = type(v)
-            elif type(v) is not k:
-                raise SimulationError(
-                    f"port {key} changed payload kind {k.__name__} -> {type(v).__name__}"
-                )
+        self._unwritten = unwritten
         self.tick_count = t + 1
         return boundary_out
 
 
 def build_array(spec: ArraySpec, cell_programs: Mapping, eval_order=None) -> Array:
-    """Validate the spec and return an array in reset state (tick 0, ports empty)."""
+    """Validate the spec and return an array in reset state (tick 0, ports empty).
+
+    ``eval_order(cells, t)``, if given, returns the cells clocked on tick t
+    in the order they are to be evaluated; results and traces never depend
+    on it.
+    """
     programs = {}
     for cell, prog in cell_programs.items():
         cid = CellId(*cell)

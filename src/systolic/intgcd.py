@@ -216,7 +216,7 @@ class IntGcdRun:
     trace: engine.Trace
 
 
-def _gcd_pipeline(n_cells: int, frame_len: int | None = None, eval_order=None):
+def _gcd_pipeline(n_cells: int, frame_len: int | None = None):
     """Pipeline of Appendix-B cells.
 
     With ``frame_len`` given, cell k is only clocked during [k, 2k+L+8]: the
@@ -228,12 +228,12 @@ def _gcd_pipeline(n_cells: int, frame_len: int | None = None, eval_order=None):
     ports = ("a", "b", "start", "startodd", "eps", "neg")
     activation = None
     if frame_len is not None:
-        def activation(cell, t, _L=frame_len):
-            return cell.col <= t <= 2 * cell.col + _L + 8
+        def activation(cell, _L=frame_len):
+            return (range(cell.col, 2 * cell.col + _L + 9),)
     spec = engine.linear(n_cells, chain_wires(n_cells, ports), activation=activation)
     progs = {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
              for k in range(n_cells)}
-    return build_array(spec, progs, eval_order=eval_order)
+    return build_array(spec, progs)
 
 
 def systolic_int_gcd(a: int, b: int, n: int, conservative_cells: bool = False,

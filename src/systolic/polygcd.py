@@ -80,19 +80,19 @@ def make_fig4_step(field: Field):
                     a = ain
                     d = din + 1
         elif st == S_REDUCE_A:
-            if startin:
-                st = S_INITIAL
             aout = (ain - q * bin_) % p
             bout = b
             b = bin_
             d = din
         else:  # S_REDUCE_B
-            if startin:
-                st = S_INITIAL
             aout = a
             a = ain
             bout = (bin_ - q * ain) % p
             d = din
+        if startin:
+            # the next frame's start bit rides in this frame's last slot; a
+            # one-slot frame ends on the very tick it began
+            st = S_INITIAL
         start = startin
         new_state = {"state": st, "a": a, "b": b, "q": q, "d": d, "start": start}
         outs = {"aout": aout, "bout": bout, "startout": startout, "dout": dout}
@@ -264,13 +264,13 @@ def _build_schedule(frames: list[PolyStreamFrame], variant: str, n_ticks: int):
     return schedule
 
 
-def _poly_array(field: Field, n_cells: int, variant: str, eval_order=None):
+def _poly_array(field: Field, n_cells: int, variant: str):
     ports = ("a", "b", "start", "d") if variant == "fig4" else ("a", "b", "start", "stop", "sig")
     spec = engine.linear(n_cells, chain_wires(n_cells, ports))
     step = make_fig4_step(field) if variant == "fig4" else make_appA_step(field)
     init = fig4_initial_state() if variant == "fig4" else appA_initial_state()
     progs = {CellId(0, k): CellProgram(step, dict(init)) for k in range(n_cells)}
-    return build_array(spec, progs, eval_order=eval_order)
+    return build_array(spec, progs)
 
 
 @dataclass(frozen=True)

@@ -243,18 +243,7 @@ def make_toeplitz_step(n: int, tol: float):
     return step
 
 
-def toeplitz_activation(n: int):
-    def active(cell, t):
-        k = cell.col
-        if (t + k) % 2:
-            return False
-        return (k <= t < 2 * n - k) or (2 * n + k <= t <= 4 * n - k)
-
-    return active
-
-
-def build_toeplitz_array(bands: ToeplitzBands, tol: float | None = None,
-                         eval_order=None):
+def build_toeplitz_array(bands: ToeplitzBands, tol: float | None = None):
     n = bands.n
     tol = _pivot_tol(bands, tol)
     wiring = []
@@ -265,11 +254,15 @@ def build_toeplitz_array(bands: ToeplitzBands, tol: float | None = None,
             wiring.append(Wire(CellId(0, k + 1), "outL1", CellId(0, k), "inR1"))
             wiring.append(Wire(CellId(0, k + 1), "outL2", CellId(0, k), "inR2"))
             wiring.append(Wire(CellId(0, k + 1), "outL3", CellId(0, k), "inR3"))
-    spec = engine.linear(n + 1, wiring, activation=toeplitz_activation(n))
+    spec = engine.linear(n + 1, wiring, activation=lambda cell: (
+        # cell k runs on ticks of its own parity: elimination, then back-substitution
+        range(cell.col, 2 * n - cell.col, 2),
+        range(2 * n + cell.col, 4 * n - cell.col + 1, 2),
+    ))
     step = make_toeplitz_step(n, tol)
     progs = {CellId(0, k): CellProgram(step, toeplitz_cell_state(bands, k))
              for k in range(n + 1)}
-    return build_array(spec, progs, eval_order=eval_order)
+    return build_array(spec, progs)
 
 
 @dataclass(frozen=True)

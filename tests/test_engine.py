@@ -121,13 +121,61 @@ def test_inactive_cell_state_unchanged_and_untraced():
     def counter(state, ins, ctx):
         return {"n": state.get("n", 0) + 1}, {}
 
-    spec = linear(2, activation=lambda cell, t: cell.col == 0)
+    spec = linear(2, activation=lambda cell: (range(4),) if cell.col == 0 else ())
     progs = {CellId(0, k): CellProgram(counter, {"n": 0}) for k in range(2)}
     arr = build_array(spec, progs)
     _, tr = run(arr, None, 4, trace=True)
     assert arr.state_of((0, 0)) == {"n": 4}
     assert arr.state_of((0, 1)) == {"n": 0}
     assert all(rec.cell == CellId(0, 0) for rec in tr)
+
+
+def windowed_counters(windows, n_ticks):
+    """Cells counting their activations; the step raises outside its windows."""
+    def counter(state, ins, ctx):
+        if not any(ctx.tick in w for w in windows[ctx.cell.col]):
+            raise AssertionError(f"cell {ctx.cell.col} clocked at tick {ctx.tick}")
+        return {"n": state["n"] + 1, "last": ctx.tick}, {}
+
+    spec = linear(len(windows), activation=lambda cell: windows[cell.col])
+    progs = {CellId(0, k): CellProgram(counter, {"n": 0, "last": -1})
+             for k in range(len(windows))}
+    arr = build_array(spec, progs)
+    _, tr = run(arr, None, n_ticks, trace=True)
+    return arr, tr
+
+
+def test_step_never_called_outside_windows():
+    windows = [(range(0, 3),), (range(2, 9, 3),), (range(1, 2), range(5, 7))]
+    arr, tr = windowed_counters(windows, 12)
+    ticks = {k: sorted(r.tick for r in tr if r.cell.col == k) for k in range(3)}
+    assert ticks == {0: [0, 1, 2], 1: [2, 5, 8], 2: [1, 5, 6]}
+    assert [arr.state_of((0, k))["n"] for k in range(3)] == [3, 3, 3]
+
+
+def test_stride_empty_and_late_windows():
+    windows = [(range(1, 10, 4),),      # stride 4
+               (),                      # never clocked
+               (range(5, 5),),          # empty range
+               (range(7, 100),)]        # starts late, outlasts the run
+    arr, tr = windowed_counters(windows, 10)
+    assert [(arr.state_of((0, k))["n"], arr.state_of((0, k))["last"]) for k in range(4)] == \
+        [(3, 9), (0, -1), (0, -1), (3, 9)]
+    # records of one tick come out in cell order
+    assert [(r.tick, r.cell.col) for r in tr] == [(1, 0), (5, 0), (7, 3), (8, 3), (9, 0), (9, 3)]
+
+
+def test_overlapping_windows_clock_once():
+    arr, tr = windowed_counters([(range(0, 4), range(2, 6), range(3, 4))], 8)
+    assert arr.state_of((0, 0))["n"] == 6
+    assert [r.tick for r in tr] == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("window", [[0, 1], range(-2, 3)])
+def test_bad_window_rejected(window):
+    spec = linear(1, activation=lambda cell: (window,))
+    with pytest.raises(ConstructionError):
+        build_array(spec, {CellId(0, 0): CellProgram(passthrough)})
 
 
 def test_run_zero_ticks():
@@ -170,12 +218,16 @@ def test_evaluation_order_independence():
         random.Random((t * 2654435761) & 0xFFFF).shuffle(cells)
         return cells
 
-    def go(order):
-        arr = make_chain(5, eval_order=order)
+    def go(order, activation=None):
+        arr = make_chain(5, activation=activation, eval_order=order)
         _, tr = run(arr, impulse_schedule(), 12, trace=True)
         return tr.to_jsonl()
 
     assert go(None) == go(shuffled)
+    # cell k clocked on ticks k..k+5 and then on every second tick
+    windows = lambda cell: (range(cell.col, cell.col + 6), range(cell.col + 6, 12, 2))
+    assert go(None, windows) == go(shuffled, windows)
+    assert go(None, windows) != go(None)
 
 
 def test_trace_jsonl_fields_and_rendering():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from systolic.gfield import (
     Field,
@@ -277,3 +279,29 @@ def test_batch_repeated_pair():
 
 def test_batch_empty():
     assert pipeline_batch(Field(2), [], "fig4") == []
+
+
+def test_batch_fig4_one_slot_frame_then_another():
+    # two constants make a one-slot frame whose slot also carries the next
+    # frame's start bit
+    f = Field(7)
+    a, b = (2, 1, 5, 1, 6, 1, 6, 2, 4, 0, 2, 5, 3, 4), (5, 6, 3, 0, 5, 5, 2, 6, 3, 5)
+    assert pipeline_batch(f, [((1,), (3,)), (a, b)], "fig4") == [(1,), (1,)]
+    assert pipeline_batch(f, [(a, b), ((1,), (3,))], "fig4") == [(1,), (1,)]
+
+
+@st.composite
+def poly_streams(draw):
+    """A field and 1..5 pairs, not both zero, degrees 0..5 (constants included)."""
+    field = Field(draw(st.sampled_from([2, 3, 7, 257])))
+    poly = st.lists(st.integers(0, field.p - 1), max_size=6).map(tuple)
+    pair = st.tuples(poly, poly).filter(lambda ab: any(ab[0]) or any(ab[1]))
+    return field, draw(st.lists(pair, min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_streams(), st.sampled_from(["fig4", "appA"]))
+def test_batch_equals_single_property(stream, variant):
+    field, pairs = stream
+    want = [systolic_poly_gcd(field, a, b, variant).gcd for a, b in pairs]
+    assert pipeline_batch(field, pairs, variant) == want
