@@ -1,8 +1,9 @@
 """Command-line front end: run commands, oracle verification sweeps, trace stats.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-breakdown.  All randomness is drawn from the --seed flag, so a repeated
-invocation produces byte-identical reports and traces.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags or
+bad input), 3 numerical breakdown or simulation error.  All randomness is
+drawn from the --seed flag, so a repeated invocation produces byte-identical
+reports and traces.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 
 import numpy as np
 
-from . import eigen, gfield, intgcd, oracle, polygcd, toeplitz
+from . import eigen, intgcd, oracle, polygcd, toeplitz
+from .engine import SimulationError
 from .gfield import Field, poly_normalize, poly_to_str
 from .oracle import SingularMatrixError
 
@@ -114,14 +116,7 @@ def cmd_intgcd(args) -> int:
         return 2
     bits = args.bits or max(a.bit_length(), b.bit_length())
     if args.mode == "serial" or args.mode == "precursor":
-        e = 0
-        aa, bb = a, b
-        while aa % 2 == 0 and bb % 2 == 0:
-            aa //= 2
-            bb //= 2
-            e += 1
-        if aa % 2 == 0:
-            aa, bb = bb, aa
+        aa, bb, e = intgcd.strip_twos(a, b)
         if args.mode == "serial":
             g, ticks = intgcd.pm_serial(aa, bb) << e, 0
         else:
@@ -164,7 +159,9 @@ def cmd_toeplitz(args) -> int:
 def read_matrix_file(path) -> np.ndarray:
     """n followed by the n(n+1)/2 lower-triangle entries, row-major."""
     vals = _read_reals(path)
-    n = int(vals[0])
+    n = int(vals[0]) if vals else 0
+    if n < 1 or n != vals[0]:
+        raise ValueError("matrix size n must be a positive integer")
     need = n * (n + 1) // 2
     tri = vals[1: 1 + need]
     if len(tri) != need:
@@ -181,7 +178,7 @@ def read_matrix_file(path) -> np.ndarray:
 def cmd_eigen(args) -> int:
     a = read_matrix_file(args.matrix)
     res = eigen.run_sweeps(a, max_sweeps=args.max_sweeps, mode=args.mode,
-                           compute_vectors=args.vectors)
+                           compute_vectors=args.vectors, trace=bool(args.trace))
     if args.trace and res.report.trace is not None:
         _write_trace(args.trace, [res.report.trace])
     lines = [f"eigenvalues: {' '.join(repr(float(v)) for v in res.eigenvalues)}",
@@ -418,6 +415,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SingularMatrixError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 3
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

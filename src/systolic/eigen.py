@@ -113,6 +113,10 @@ def pack_grid(a: np.ndarray) -> tuple[BlockGrid, int]:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
+    if n == 0:
+        raise ValueError("matrix must not be empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     scale = max(np.max(np.abs(a)), 1.0)
     if not np.allclose(a, a.T, atol=1e-12 * scale):
         raise ValueError("matrix must be symmetric")
@@ -154,9 +158,18 @@ def step_rotations(mat: np.ndarray, threshold: float) -> tuple[list, int]:
     return rots, skipped
 
 
+def _rotate_columns(m: np.ndarray, rots: Sequence[RotationPair]):
+    """M R in place, column pair by column pair (identity pairs untouched)."""
+    for j, (c, s) in enumerate(rots):
+        if s != 0.0 or c != 1.0:
+            c0 = m[:, 2 * j].copy()
+            c1 = m[:, 2 * j + 1].copy()
+            m[:, 2 * j] = c * c0 - s * c1
+            m[:, 2 * j + 1] = s * c0 + c * c1
+
+
 def apply_rotations(mat: np.ndarray, rots: Sequence[RotationPair]) -> np.ndarray:
     """R^T M R with R block-diagonal; same op order as the per-cell update."""
-    h = mat.shape[0] // 2
     out = mat.copy()
     for i, (c, s) in enumerate(rots):
         if s != 0.0 or c != 1.0:
@@ -164,12 +177,7 @@ def apply_rotations(mat: np.ndarray, rots: Sequence[RotationPair]) -> np.ndarray
             r1 = out[2 * i + 1].copy()
             out[2 * i] = c * r0 - s * r1
             out[2 * i + 1] = s * r0 + c * r1
-    for j, (c, s) in enumerate(rots):
-        if s != 0.0 or c != 1.0:
-            c0 = out[:, 2 * j].copy()
-            c1 = out[:, 2 * j + 1].copy()
-            out[:, 2 * j] = c * c0 - s * c1
-            out[:, 2 * j + 1] = s * c0 + c * c1
+    _rotate_columns(out, rots)
     return out
 
 
@@ -209,7 +217,7 @@ class SweepReport:
     skipped_per_sweep: list = field(default_factory=list)
     rotations_performed: int = 0
     ticks: int = 0  # delayed mode only
-    trace: engine.Trace | None = None
+    trace: engine.Trace | None = None  # delayed mode with trace=True only
 
 
 @dataclass(frozen=True)
@@ -219,41 +227,34 @@ class EigenResult:
     report: SweepReport
 
 
-def _extract(grid: BlockGrid, n: int) -> np.ndarray:
-    """Diagonal entries mapped back through the tracker, padding dropped."""
-    vals = np.empty(n)
-    for pos in range(grid.size):
-        orig = grid.tracker[pos]
-        if orig < n:
-            vals[orig] = grid.mat[pos, pos]
-    return vals
-
-
 def run_sweeps(a, threshold_schedule=None, max_sweeps: int = 10,
                mode: str = "broadcast", compute_vectors: bool = False,
-               tol: float = 1e-10) -> EigenResult:
-    """Diagonalise symmetric a; sweeps of size-1 steps until off(A) < tol*|A|_F."""
+               tol: float = 1e-10, trace: bool = False) -> EigenResult:
+    """Diagonalise symmetric a; sweeps of size-1 steps until off(A) < tol*|A|_F.
+
+    Both modes take each step's rotations from the host grid.  Broadcast
+    mode rotates the grid on the host; delayed mode reads the rotated grid
+    from the array, which is built on the first step and stops after the
+    last step of the converged sweep.  ``trace`` keeps the delayed array's
+    trace in ``report.trace``.
+    """
     if mode not in ("broadcast", "delayed"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid0, n = pack_grid(a)
-    size = grid0.size
+    grid, n = pack_grid(a)
+    size = grid.size
     steps_per_sweep = max(size - 1, 1)
     if threshold_schedule is None:
-        threshold_schedule = default_threshold_schedule(grid0.mat)
+        threshold_schedule = default_threshold_schedule(grid.mat)
     elif not callable(threshold_schedule):
         seq = list(threshold_schedule)
         threshold_schedule = lambda r, _s=seq: _s[min(r, len(_s) - 1)]
-    fro = float(np.linalg.norm(grid0.mat))
+    fro = float(np.linalg.norm(grid.mat))
     stop_at = tol * max(fro, 1.0)
-    if mode == "delayed":
-        return _run_delayed(grid0, n, threshold_schedule, max_sweeps,
-                            steps_per_sweep, stop_at, compute_vectors)
-
-    grid = grid0
-    report = SweepReport(sweeps_used=0, converged=off_norm(grid.mat) < stop_at)
+    tr = engine.Trace() if trace and mode == "delayed" else None
+    report = SweepReport(sweeps_used=0, converged=off_norm(grid.mat) < stop_at, trace=tr)
+    arr = delayed = None  # delayed mode: the array and its rotated grids, per step
     vec = np.eye(size) if compute_vectors else None
-    sig = np.array(position_permutation(size))
-    inv_sig = np.argsort(sig)
+    inv_sig = np.argsort(position_permutation(size))
     for sweep in range(max_sweeps):
         if report.converged:
             break
@@ -263,27 +264,33 @@ def run_sweeps(a, threshold_schedule=None, max_sweeps: int = 10,
             rots, sk = step_rotations(grid.mat, thr)
             skipped += sk
             report.rotations_performed += sum(1 for r in rots if r != IDENTITY_ROTATION)
-            rotated = apply_rotations(grid.mat, rots)
+            if mode == "broadcast":
+                rotated = apply_rotations(grid.mat, rots)
+            else:
+                if arr is None:
+                    thresholds = [threshold_schedule(r) for r in range(max_sweeps)]
+                    total_steps = max_sweeps * steps_per_sweep
+                    arr = build_delayed_array(grid, thresholds, steps_per_sweep, total_steps)
+                    delayed = _delayed_grids(arr, size, total_steps, tr)
+                rotated = next(delayed)
             if vec is not None:
-                for i, (c, s) in enumerate(rots):
-                    if s != 0.0 or c != 1.0:
-                        c0 = vec[:, 2 * i].copy()
-                        c1 = vec[:, 2 * i + 1].copy()
-                        vec[:, 2 * i] = c * c0 - s * c1
-                        vec[:, 2 * i + 1] = s * c0 + c * c1
+                _rotate_columns(vec, rots)
                 vec = vec[:, inv_sig]
             grid = permute(BlockGrid(mat=rotated, tracker=grid.tracker))
             report.off_norms.append(off_norm(grid.mat))
         report.skipped_per_sweep.append(skipped)
         report.sweeps_used = sweep + 1
         report.converged = report.off_norms[-1] < stop_at
-    eigenvalues = _extract(grid, n)
-    vectors = None
-    if vec is not None:
-        vectors = np.empty((n, n))
-        for pos in range(size):
-            orig = grid.tracker[pos]
-            if orig < n:
+    if arr is not None:
+        report.ticks = arr.tick_count
+    # diagonal entries and eigenvector columns mapped back through the
+    # tracker, padding dropped
+    eigenvalues = np.empty(n)
+    vectors = None if vec is None else np.empty((n, n))
+    for pos, orig in enumerate(grid.tracker):
+        if orig < n:
+            eigenvalues[orig] = grid.mat[pos, pos]
+            if vectors is not None:
                 vectors[:, orig] = vec[:n, pos]
     return EigenResult(eigenvalues=eigenvalues, eigenvectors=vectors, report=report)
 
@@ -427,84 +434,44 @@ def build_delayed_array(grid: BlockGrid, thresholds: Sequence[float],
     return build_array(spec, progs)
 
 
+def _put_block(g: np.ndarray, cell: CellId, state) -> None:
+    """Copy cell (i, j)'s registers b00..b11 into block (i, j) of g."""
+    i, j = cell
+    g[2 * i, 2 * j] = state["b00"]
+    g[2 * i, 2 * j + 1] = state["b01"]
+    g[2 * i + 1, 2 * j] = state["b10"]
+    g[2 * i + 1, 2 * j + 1] = state["b11"]
+
+
 def delayed_grids_from_trace(tr: engine.Trace, size: int, total_steps: int):
-    """Rotated (pre-permutation) grids per step, rebuilt from cell states."""
-    h = size // 2
+    """Rotated (pre-permutation) grids per step, rebuilt from traced cell states."""
     grids = [np.zeros((size, size)) for _ in range(total_steps)]
     for rec in tr:
-        i, j = rec.cell.row, rec.cell.col
-        s = (rec.tick - abs(i - j)) // 3
-        g = grids[s]
-        g[2 * i, 2 * j] = rec.state["b00"]
-        g[2 * i, 2 * j + 1] = rec.state["b01"]
-        g[2 * i + 1, 2 * j] = rec.state["b10"]
-        g[2 * i + 1, 2 * j + 1] = rec.state["b11"]
+        s = (rec.tick - abs(rec.cell.row - rec.cell.col)) // 3
+        _put_block(grids[s], rec.cell, rec.state)
     return grids
 
 
-def _run_delayed(grid0: BlockGrid, n: int, threshold_schedule, max_sweeps: int,
-                 steps_per_sweep: int, stop_at: float, compute_vectors: bool):
-    size = grid0.size
+def _delayed_grids(arr, size: int, total_steps: int, tr: engine.Trace | None):
+    """Yield the rotated (pre-permutation) grid of steps 0, 1, ... in turn.
+
+    The array advances one tick at a time, and only as far as the step asked
+    for: cell (i, j) runs step s on tick 3s + |i - j|, and its block is
+    copied out right after that tick, before the cell runs again.
+    """
     h = size // 2
-    total_steps = max_sweeps * steps_per_sweep
-    thresholds = [threshold_schedule(r) for r in range(max_sweeps)]
-    arr = build_delayed_array(grid0, thresholds, steps_per_sweep, total_steps)
-    n_ticks = 3 * (total_steps - 1) + (h - 1) + 1
-    _, tr = engine.run(arr, None, n_ticks, trace=True)
-    rotated = delayed_grids_from_trace(tr, size, total_steps)
-
-    sig = np.array(position_permutation(size))
-    inv_sig = np.argsort(sig)
-    report = SweepReport(sweeps_used=0, converged=False, ticks=n_ticks, trace=tr)
-    tracker = tuple(range(size))
-    grid = grid0
-    vec = np.eye(size) if compute_vectors else None
-    rot_by_step = _diag_rotations_from_trace(tr, h, total_steps) if compute_vectors else None
-    stop_step = None
-    for s, rot in enumerate(rotated):
-        tracker_next = [0] * size
-        for p, orig in enumerate(tracker):
-            tracker_next[sig[p]] = orig
-        new = np.empty_like(rot)
-        new[np.ix_(sig, sig)] = rot
-        if vec is not None:
-            for i, (c, c_s) in enumerate(rot_by_step[s]):
-                if c_s != 0.0 or c != 1.0:
-                    c0 = vec[:, 2 * i].copy()
-                    c1 = vec[:, 2 * i + 1].copy()
-                    vec[:, 2 * i] = c * c0 - c_s * c1
-                    vec[:, 2 * i + 1] = c_s * c0 + c * c1
-            vec = vec[:, inv_sig]
-        grid = BlockGrid(mat=new, tracker=tuple(tracker_next))
-        tracker = grid.tracker
-        report.off_norms.append(off_norm(grid.mat))
-        if (s + 1) % steps_per_sweep == 0:
-            report.sweeps_used = (s + 1) // steps_per_sweep
-            if report.off_norms[-1] < stop_at:
-                report.converged = True
-                stop_step = s + 1
-                break
-    if stop_step is None:
-        report.sweeps_used = max_sweeps
-    eigenvalues = _extract(grid, n)
-    vectors = None
-    if vec is not None:
-        vectors = np.empty((n, n))
-        for pos in range(size):
-            orig = grid.tracker[pos]
-            if orig < n:
-                vectors[:, orig] = vec[:n, pos]
-    return EigenResult(eigenvalues=eigenvalues, eigenvectors=vectors, report=report)
-
-
-def _diag_rotations_from_trace(tr: engine.Trace, h: int, total_steps: int):
-    rots = [[IDENTITY_ROTATION] * h for _ in range(total_steps)]
-    for rec in tr:
-        i, j = rec.cell.row, rec.cell.col
-        if i != j:
-            continue
-        s = rec.tick // 3
-        c = rec.outputs.get("rowc_R")
-        si = rec.outputs.get("rows_R")
-        rots[s][i] = RotationPair(c, si)
-    return rots
+    # cell (i, j) is clocked only on ticks t >= |i - j| with t = |i - j| (mod 3)
+    by_phase = [[CellId(i, j) for i in range(h) for j in range(h) if abs(i - j) % 3 == r]
+                for r in range(3)]
+    pending: dict[int, np.ndarray] = {}
+    for s in range(total_steps):
+        while arr.tick_count < 3 * s + h:  # the last cell runs step s on 3s + h - 1
+            t = arr.tick_count
+            engine.run(arr, None, 1, trace=tr)
+            for cell in by_phase[t % 3]:
+                step = (t - abs(cell.row - cell.col)) // 3
+                if 0 <= step < total_steps:
+                    if step not in pending:
+                        pending[step] = np.empty((size, size))
+                    _put_block(pending[step], cell, arr.state_of(cell))
+        yield pending.pop(s)

@@ -371,15 +371,15 @@ def build_array(spec: ArraySpec, cell_programs: Mapping, eval_order=None) -> Arr
     return Array(spec, programs, eval_order=eval_order)
 
 
-def run(array: Array, input_schedule, n_ticks: int,
-        trace: bool | Trace = False, trace_sample: int = 1):
+def run(array: Array, input_schedule, n_ticks: int, trace: bool | Trace = False):
     """Run ``n_ticks`` ticks and collect boundary outputs and a trace.
 
     ``input_schedule`` maps a tick to that tick's boundary inputs (a dict or
-    a callable).  The output schedule is keyed by the tick at which a value
-    is observable at the boundary: a write made during tick T shows up under
-    T+1, so an impulse fed to a pipeline of k unit-delay cells at tick 0
-    appears in ``outputs[k]``.
+    a callable); ``trace`` is a flag or a Trace to extend.  The output
+    schedule is keyed by the tick at which a value is observable at the
+    boundary: a write made during tick T shows up under T+1, so an impulse
+    fed to a pipeline of k unit-delay cells at tick 0 appears in
+    ``outputs[k]``.
     """
     if n_ticks < 0:
         raise ValueError("n_ticks must be >= 0")
@@ -397,8 +397,7 @@ def run(array: Array, input_schedule, n_ticks: int,
             binj = None
         else:
             binj = input_schedule.get(t)
-        use_tr = tr if (tr is not None and t % trace_sample == 0) else None
-        outs = array.tick(binj, trace=use_tr)
+        outs = array.tick(binj, trace=tr)
         if outs:
             outputs[t + 1] = outs
     return outputs, (tr if tr is not None else Trace())

@@ -50,25 +50,6 @@ def pm_precursor(a: int, b: int, n: int) -> tuple[int, int]:
             return abs(a), iterations
 
 
-def pm_serial(a: int, b: int) -> int:
-    """Plus-minus GCD keeping only delta = alpha - beta."""
-    _check_serial_args(a, b)
-    delta = 0
-    while True:
-        while b % 2 == 0:
-            b //= 2
-            delta += 1
-        if delta >= 0:
-            a, b = b, a
-            delta = -delta
-        if (a + b) % 4 == 0:
-            b = (a + b) // 2
-        else:
-            b = (a - b) // 2
-        if b == 0:
-            return abs(a)
-
-
 def pm_steps(a: int, b: int):
     """Yield (a, b, delta) after each loop iteration, for invariant checks."""
     _check_serial_args(a, b)
@@ -87,6 +68,29 @@ def pm_steps(a: int, b: int):
         yield a, b, delta
         if b == 0:
             return
+
+
+def pm_serial(a: int, b: int) -> int:
+    """Plus-minus GCD keeping only delta = alpha - beta."""
+    for a, _, _ in pm_steps(a, b):
+        pass
+    return abs(a)
+
+
+def strip_twos(a: int, b: int) -> tuple[int, int, int]:
+    """Strip the common power of two and make the first operand odd.
+
+    Returns (a', b', e) with {a', b'} = {a / 2^e, b / 2^e} and a' odd, so
+    gcd(a, b) = gcd(a', b') << e; every plus-minus form needs an odd a'.
+    """
+    e = 0
+    while a % 2 == 0 and b % 2 == 0:
+        a //= 2
+        b //= 2
+        e += 1
+    if a % 2 == 0:
+        a, b = b, a
+    return a, b, e
 
 
 # -- bit-serial cell ---------------------------------------------------------
@@ -196,10 +200,8 @@ def encode_bitframe(a: int, b: int, n: int) -> BitFrame:
     return BitFrame(length=length, a_bits=_to_bits(a, length), b_bits=_to_bits(b, length))
 
 
-def cell_count(n: int, conservative: bool = False) -> int:
-    """Pipeline length: ceil(3.1106 n) + 1, or the looser 4n when requested."""
-    if conservative:
-        return 4 * n
+def cell_count(n: int) -> int:
+    """Pipeline length: ceil(3.1106 n) + 1."""
     exact = CELL_RATIO * n
     c = int(exact)
     if c < exact:
@@ -216,28 +218,27 @@ class IntGcdRun:
     trace: engine.Trace
 
 
-def _gcd_pipeline(n_cells: int, frame_len: int | None = None):
-    """Pipeline of Appendix-B cells.
+PORTS = ("a", "b", "start", "startodd", "eps", "neg")
 
-    With ``frame_len`` given, cell k is only clocked during [k, 2k+L+8]: the
-    single frame cannot reach cell k before tick k (signals travel at most
-    one cell per tick) and everything the result word depends on has passed
-    by the upper bound, so gating leaves the decoded output unchanged (cells
-    outside their window would only chew zeros or emit post-result garbage).
+
+def _gcd_pipeline(n_cells: int, frame_len: int):
+    """Pipeline of Appendix-B cells for one frame of ``frame_len`` bits.
+
+    Cell k is only clocked during [k, 2k+L+8]: the single frame cannot reach
+    cell k before tick k (signals travel at most one cell per tick) and
+    everything the result word depends on has passed by the upper bound, so
+    gating leaves the decoded output unchanged (cells outside their window
+    would only chew zeros or emit post-result garbage).
     """
-    ports = ("a", "b", "start", "startodd", "eps", "neg")
-    activation = None
-    if frame_len is not None:
-        def activation(cell, _L=frame_len):
-            return (range(cell.col, 2 * cell.col + _L + 9),)
-    spec = engine.linear(n_cells, chain_wires(n_cells, ports), activation=activation)
+    def activation(cell):
+        return (range(cell.col, 2 * cell.col + frame_len + 9),)
+    spec = engine.linear(n_cells, chain_wires(n_cells, PORTS), activation=activation)
     progs = {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
              for k in range(n_cells)}
     return build_array(spec, progs)
 
 
-def systolic_int_gcd(a: int, b: int, n: int, conservative_cells: bool = False,
-                     gate_activation: bool = True, trace: bool = False) -> IntGcdRun:
+def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
     """Pipeline GCD of positive a, b < 2**n.
 
     The host strips the common power of two and swaps to make the first
@@ -248,17 +249,11 @@ def systolic_int_gcd(a: int, b: int, n: int, conservative_cells: bool = False,
         raise ValueError("inputs must be positive")
     if a >= (1 << n) or b >= (1 << n):
         raise ValueError(f"inputs must be < 2**{n}")
-    e = 0
-    while a % 2 == 0 and b % 2 == 0:
-        a //= 2
-        b //= 2
-        e += 1
-    if a % 2 == 0:
-        a, b = b, a
+    a, b, e = strip_twos(a, b)
     frame = encode_bitframe(a, b, n)
-    n_cells = cell_count(n, conservative=conservative_cells)
+    n_cells = cell_count(n)
     n_ticks = 2 * n_cells + frame.length + 4
-    arr = _gcd_pipeline(n_cells, frame_len=frame.length if gate_activation else None)
+    arr = _gcd_pipeline(n_cells, frame.length)
     cell0 = CellId(0, 0)
     zeros = {"ain": 0, "bin": 0, "startin": 0, "startoddin": 0, "epsin": 0, "negin": 0}
 

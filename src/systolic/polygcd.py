@@ -311,50 +311,20 @@ def _decode_window(a_out, b_out, lo, hi):
     return [], None
 
 
-def systolic_poly_gcd(field: Field, a: Poly, b: Poly, variant: str = "fig4",
-                      trace: bool = False) -> GcdRun:
-    """Run one pair through the array and return the monic GCD and latency."""
-    a = poly_normalize(field, a)
-    b = poly_normalize(field, b)
-    if poly_is_zero(a) and poly_is_zero(b):
-        raise ValueError("gcd(0, 0) is undefined")
-    # strip the common power of x so the GCD has a nonzero constant term
-    e = min(poly_valuation(a) if not poly_is_zero(a) else 1 << 30,
-            poly_valuation(b) if not poly_is_zero(b) else 1 << 30)
-    a_s = a[e:] if not poly_is_zero(a) else a
-    b_s = b[e:] if not poly_is_zero(b) else b
-    frame = encode_frame(field, a_s, b_s, variant)
-    n_cells = max(poly_degree(a_s) + poly_degree(b_s) + 1, 1)
-    n_ticks = 2 * n_cells + len(frame) + 6
-    arr = _poly_array(field, n_cells, variant)
-    schedule = _build_schedule([frame], variant, n_ticks)
-    outputs, tr = engine.run(arr, schedule, n_ticks, trace=trace)
-    last = CellId(0, n_cells - 1)
-    a_out, b_out, s_out = _right_edge_streams(outputs, last, n_ticks)
-    starts = [t for t in range(len(s_out)) if s_out[t] == 1]
-    if variant == "fig4":
-        # window starts one observation slot after the start bit
-        lo = starts[0] + 1 if starts else 1
-    else:
-        lo = starts[0] if starts else 1
-    coeffs, first_t = _decode_window(a_out, b_out, lo, lo + len(frame) - 1)
-    if not coeffs:
-        raise engine.SimulationError("no GCD emerged from the array")
-    g = poly_normalize(field, tuple(reversed(coeffs)))
-    g = poly_monic(field, poly_shift(field, g, e))
-    latency = first_t - 1  # leading terms enter the leftmost cell at tick 1
-    return GcdRun(gcd=g, latency=latency, cells=n_cells, ticks=n_ticks, trace=tr)
+def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[GcdRun]:
+    """Stream pairs back to back through one array; one decoded run per pair.
 
-
-def pipeline_batch(field: Field, pairs, variant: str = "fig4") -> list[Poly]:
-    """GCDs for several pairs streamed through one array back to back."""
-    pairs = [(poly_normalize(field, a), poly_normalize(field, b)) for a, b in pairs]
-    if not pairs:
-        return []
+    Each pair loses the common power of x of its operands before encoding,
+    so its GCD has a nonzero constant term; the array is sized for the
+    largest stripped pair.  All runs share the cell count, tick count and
+    trace of the one array run.
+    """
     frames = []
     strips = []
     n_cells = 1
     for a, b in pairs:
+        a = poly_normalize(field, a)
+        b = poly_normalize(field, b)
         if poly_is_zero(a) and poly_is_zero(b):
             raise ValueError("gcd(0, 0) is undefined")
         e = min(poly_valuation(a) if not poly_is_zero(a) else 1 << 30,
@@ -364,23 +334,38 @@ def pipeline_batch(field: Field, pairs, variant: str = "fig4") -> list[Poly]:
         strips.append(e)
         frames.append(encode_frame(field, a_s, b_s, variant))
         n_cells = max(n_cells, poly_degree(a_s) + poly_degree(b_s) + 1)
-    total_len = sum(len(fr) for fr in frames)
-    n_ticks = 2 * n_cells + total_len + 6
+    if not frames:
+        return []
+    n_ticks = 2 * n_cells + sum(len(fr) for fr in frames) + 6
     arr = _poly_array(field, n_cells, variant)
     schedule = _build_schedule(frames, variant, n_ticks)
-    outputs, _ = engine.run(arr, schedule, n_ticks)
-    last = CellId(0, n_cells - 1)
-    a_out, b_out, s_out = _right_edge_streams(outputs, last, n_ticks)
+    outputs, tr = engine.run(arr, schedule, n_ticks, trace=trace)
+    a_out, b_out, s_out = _right_edge_streams(outputs, CellId(0, n_cells - 1), n_ticks)
     starts = [t for t in range(len(s_out)) if s_out[t] == 1]
     if len(starts) != len(frames):
         raise engine.SimulationError(
             f"expected {len(frames)} output frames, saw {len(starts)} start bits")
-    results = []
-    for f, fr in enumerate(frames):
+    runs = []
+    entry = 1  # the tick at which a frame's leading terms enter the leftmost cell
+    for f, (fr, e) in enumerate(zip(frames, strips)):
+        # fig4's window starts one observation slot after the start bit
         lo = starts[f] + 1 if variant == "fig4" else starts[f]
-        coeffs, _ = _decode_window(a_out, b_out, lo, lo + len(fr) - 1)
+        coeffs, first_t = _decode_window(a_out, b_out, lo, lo + len(fr) - 1)
         if not coeffs:
             raise engine.SimulationError(f"no GCD emerged for pair {f}")
         g = poly_normalize(field, tuple(reversed(coeffs)))
-        results.append(poly_monic(field, poly_shift(field, g, strips[f])))
-    return results
+        runs.append(GcdRun(gcd=poly_monic(field, poly_shift(field, g, e)),
+                           latency=first_t - entry, cells=n_cells, ticks=n_ticks, trace=tr))
+        entry += len(fr)
+    return runs
+
+
+def systolic_poly_gcd(field: Field, a: Poly, b: Poly, variant: str = "fig4",
+                      trace: bool = False) -> GcdRun:
+    """Run one pair through the array and return the monic GCD and latency."""
+    return _run_stream(field, [(a, b)], variant, trace)[0]
+
+
+def pipeline_batch(field: Field, pairs, variant: str = "fig4") -> list[Poly]:
+    """GCDs for several pairs streamed through one array back to back."""
+    return [run.gcd for run in _run_stream(field, pairs, variant)]

@@ -15,6 +15,7 @@ registers after tick 4n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class ToeplitzBands:
             raise ValueError(f"need {2 * self.n + 1} diagonals, got {len(self.diagonals)}")
         if len(self.rhs) != self.n + 1:
             raise ValueError(f"need {self.n + 1} rhs values, got {len(self.rhs)}")
+        if not all(math.isfinite(x) for x in (*self.diagonals, *self.rhs)):
+            raise ValueError("diagonals and rhs must be finite")
 
     def diag(self, d: int) -> float:
         """Value on diagonal d (entry (i, i+d)); zero outside [-n, n]."""

@@ -236,7 +236,7 @@ def test_criterion_10_schedule_equivalence():
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             a = q @ np.diag(rng.uniform(-4, 4, n)) @ q.T
             a = 0.5 * (a + a.T)
-            rd = eigen.run_sweeps(a, mode="delayed", max_sweeps=10)
+            rd = eigen.run_sweeps(a, mode="delayed", max_sweeps=10, trace=True)
             rb = eigen.run_sweeps(a, mode="broadcast", max_sweeps=10)
             assert np.array_equal(np.sort(rd.eigenvalues), np.sort(rb.eigenvalues))
             grid, _ = eigen.pack_grid(a)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from systolic import cli
 
 
@@ -107,6 +109,63 @@ def test_numerical_breakdown_exit_3(tmp_path, capsys):
     assert "breakdown" in err
 
 
+def test_simulation_error_exit_3(capsys, monkeypatch):
+    from systolic import engine, polygcd
+
+    def broken(*args, **kwargs):
+        raise engine.SimulationError("no GCD emerged for pair 0")
+
+    monkeypatch.setattr(polygcd, "systolic_poly_gcd", broken)
+    code, _, err = run_cli(capsys, "polygcd", "--p", "7", "--a", "6,5,1", "--b", "3,0,1")
+    assert code == 3
+    assert err == "simulation error: no GCD emerged for pair 0\n"
+
+
+def _toeplitz_with_bands(tmp_path, capsys, bands_text):
+    bands = tmp_path / "bands.txt"
+    rhs = tmp_path / "rhs.txt"
+    bands.write_text(bands_text)
+    rhs.write_text("1\n1\n1\n")
+    return run_cli(capsys, "toeplitz", "--n", "2", "--bands", str(bands), "--rhs", str(rhs))
+
+
+def test_nan_band_is_a_usage_error(tmp_path, capsys):
+    code, out, err = _toeplitz_with_bands(tmp_path, capsys, "0\n2\nnan\n1\n0\n")
+    assert code == 2 and out == ""
+    assert err == "error: diagonals and rhs must be finite\n"
+
+
+def test_inf_band_is_a_usage_error(tmp_path, capsys):
+    code, out, err = _toeplitz_with_bands(tmp_path, capsys, "0\n2\ninf\n1\n0\n")
+    assert code == 2 and out == ""
+    assert err == "error: diagonals and rhs must be finite\n"
+
+
+def test_nan_matrix_is_a_usage_error(tmp_path, capsys):
+    mtx = tmp_path / "m.txt"
+    mtx.write_text("2\n1\nnan 3\n")
+    code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx))
+    assert code == 2 and out == ""
+    assert err == "error: matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("text", ["", "0\n", "-1\n", "2.5\n1\n0 3\n"])
+def test_bad_matrix_size_is_a_usage_error(tmp_path, capsys, text):
+    mtx = tmp_path / "m.txt"
+    mtx.write_text(text)
+    code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx))
+    assert code == 2 and out == ""
+    assert err == "error: matrix size n must be a positive integer\n"
+
+
+def test_diagonal_matrix_needs_no_sweep_in_either_mode(tmp_path, capsys):
+    mtx = tmp_path / "m.txt"
+    mtx.write_text("2\n1\n0 3\n")
+    for mode in ("broadcast", "delayed"):
+        code, out, _ = run_cli(capsys, "eigen", "--matrix", str(mtx), "--mode", mode)
+        assert code == 0
+        assert "sweeps: 0" in out.splitlines(), mode
+
 def test_reports_are_deterministic(capsys, tmp_path):
     outs = []
     for run in range(2):
@@ -142,7 +201,7 @@ def test_trace_stats_delayed_jacobi_third_utilisation(tmp_path, capsys):
     q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
     a = q @ np.diag(rng.uniform(-4, 4, 16)) @ q.T
     a = 0.5 * (a + a.T)
-    res = run_sweeps(a, mode="delayed")
+    res = run_sweeps(a, mode="delayed", trace=True)
     trace = tmp_path / "jac.jsonl"
     res.report.trace.write_jsonl(trace)
     code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))

@@ -189,7 +189,7 @@ def test_delayed_equals_broadcast_grid_for_grid():
     for n in (4, 8):
         a = random_symmetric(n)
         rb = run_sweeps(a, mode="broadcast")
-        rd = run_sweeps(a, mode="delayed")
+        rd = run_sweeps(a, mode="delayed", trace=True)
         assert np.array_equal(np.sort(rb.eigenvalues), np.sort(rd.eigenvalues))
         assert rb.report.sweeps_used == rd.report.sweeps_used
         # step-by-step: replay broadcast and compare against the delayed trace
@@ -217,7 +217,7 @@ def test_delayed_dependency_slack():
 
 def test_delayed_utilisation_one_third():
     a = random_symmetric(16)
-    rd = run_sweeps(a, mode="delayed")
+    rd = run_sweeps(a, mode="delayed", trace=True)
     tr = rd.report.trace
     ticks = max(rec.tick for rec in tr) + 1
     diag_counts = {}
@@ -251,3 +251,52 @@ def test_delayed_eigenvectors_from_trace():
     scale = np.linalg.norm(a)
     assert np.linalg.norm(a @ v - v @ np.diag(res.eigenvalues)) <= 1e-8 * scale
     assert np.linalg.norm(v.T @ v - np.eye(6)) <= 1e-10
+
+
+def test_delayed_builds_no_array_for_a_diagonal_matrix():
+    for mode in ("broadcast", "delayed"):
+        res = run_sweeps(np.diag([1.0, 3.0]), mode=mode)
+        assert res.report.sweeps_used == 0 and res.report.converged
+        assert res.report.ticks == 0
+
+
+def test_delayed_report_equals_broadcast():
+    for n in (4, 7, 10):
+        a = random_symmetric(n)
+        rb = run_sweeps(a, mode="broadcast", compute_vectors=True)
+        rd = run_sweeps(a, mode="delayed", compute_vectors=True)
+        assert rd.report.rotations_performed == rb.report.rotations_performed > 0
+        assert rd.report.skipped_per_sweep == rb.report.skipped_per_sweep
+        assert rd.report.off_norms == rb.report.off_norms
+        assert rd.report.sweeps_used == rb.report.sweeps_used
+        assert np.array_equal(rd.eigenvalues, rb.eigenvalues)
+        assert np.array_equal(rd.eigenvectors, rb.eigenvectors)
+
+
+def test_delayed_stops_after_converged_sweep():
+    a = random_symmetric(6)
+    full = run_sweeps(a, mode="delayed", tol=0.0, trace=True)
+    early = run_sweeps(a, mode="delayed", trace=True)
+    assert full.report.sweeps_used == 10 and early.report.sweeps_used < 10
+    # the farthest cell from the diagonal runs step s on tick 3s + h - 1
+    # (h = 3 block rows); the array stops right after the last converged step
+    steps = early.report.sweeps_used * 5
+    assert early.report.ticks == 3 * (steps - 1) + 3
+    assert len(early.report.trace) < len(full.report.trace)
+    assert early.report.trace.records == full.report.trace.records[:len(early.report.trace)]
+
+
+def test_trace_is_opt_in():
+    a = random_symmetric(4)
+    assert run_sweeps(a, mode="delayed").report.trace is None
+    assert run_sweeps(a, mode="broadcast", trace=True).report.trace is None
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((0, 0)), "must not be empty"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "must be finite"),
+    (np.array([[np.inf]]), "must be finite"),
+])
+def test_pack_grid_rejects_empty_and_nonfinite(bad, message):
+    with pytest.raises(ValueError, match=message):
+        pack_grid(bad)

@@ -258,12 +258,3 @@ def test_port_kind_is_stable():
     arr.tick()
     with pytest.raises(SimulationError):
         arr.tick()
-
-
-def test_trace_sampling_flag():
-    arr = make_chain(2)
-    _, full = run(arr, impulse_schedule(), 8, trace=True)
-    arr = make_chain(2)
-    _, sampled = run(arr, impulse_schedule(), 8, trace=True, trace_sample=4)
-    assert {r.tick for r in sampled} == {0, 4}
-    assert len(sampled) < len(full)

@@ -27,7 +27,8 @@ def _toeplitz_trace():
 def _eigen_trace():
     m = np.array([[1 / (1 + i + j) + (i if i == j else 0) for j in range(6)]
                   for i in range(6)])
-    return eigen.run_sweeps(m, mode="delayed").report.trace
+    # tol=0 never converges, so all ten sweeps run
+    return eigen.run_sweeps(m, mode="delayed", tol=0.0, trace=True).report.trace
 
 
 RUNS = {

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from systolic import engine
-from systolic.engine import CellId, CellProgram, build_array, linear
+from systolic import intgcd
+from systolic.engine import CellId, CellProgram, build_array, chain_wires, linear
 from systolic.intgcd import (
+    PORTS,
     cell_count,
     encode_bitframe,
     gcd_cell_initial_state,
@@ -141,7 +142,6 @@ def test_single_cell_transmits_a_when_b_zero():
 def test_cell_count_values():
     assert cell_count(64) == 201
     assert cell_count(10) == 33  # ceil(31.106) + 1
-    assert cell_count(10, conservative=True) == 40
 
 
 def test_encode_rejects_out_of_range():
@@ -177,11 +177,18 @@ def test_systolic_matches_euclid_random():
         assert run.cells == cell_count(n)
 
 
-def test_activation_gating_is_equivalent():
+def test_activation_gating_is_equivalent(monkeypatch):
+    cases = []
     for _ in range(12):
         n = RNG.randint(4, 18)
-        a = RNG.randint(1, (1 << n) - 1)
-        b = RNG.randint(1, (1 << n) - 1)
-        gated = systolic_int_gcd(a, b, n, gate_activation=True)
-        full = systolic_int_gcd(a, b, n, gate_activation=False)
-        assert gated.raw_output == full.raw_output
+        cases.append((RNG.randint(1, (1 << n) - 1), RNG.randint(1, (1 << n) - 1), n))
+    gated = [systolic_int_gcd(a, b, n).raw_output for a, b, n in cases]
+
+    def ungated_pipeline(n_cells, frame_len):
+        # every cell clocked on every tick
+        spec = linear(n_cells, chain_wires(n_cells, PORTS))
+        return build_array(spec, {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
+                                  for k in range(n_cells)})
+
+    monkeypatch.setattr(intgcd, "_gcd_pipeline", ungated_pipeline)
+    assert [systolic_int_gcd(a, b, n).raw_output for a, b, n in cases] == gated

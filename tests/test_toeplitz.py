@@ -37,6 +37,14 @@ def test_bands_validation():
         ToeplitzBands(2, (0.0,) * 5, (1.0,))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bands_reject_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ToeplitzBands(1, (0.0, bad, 0.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ToeplitzBands(1, (0.0, 1.0, 0.0), (1.0, bad))
+
+
 def test_to_dense_layout():
     dense = SPEC_3X3.to_dense()
     assert np.array_equal(dense, [[4.0, 1.0, 0.0],
