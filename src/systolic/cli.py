@@ -147,7 +147,7 @@ def cmd_toeplitz(args) -> int:
         x = toeplitz.bareiss_solve(bands)
         ticks = 0
     else:
-        run = toeplitz.systolic_toeplitz_solve(bands, trace=True)
+        run = toeplitz.systolic_toeplitz_solve(bands, trace=bool(args.trace))
         if args.trace:
             _write_trace(args.trace, [run.trace])
         x, ticks = run.x, run.ticks
@@ -163,7 +163,7 @@ def read_matrix_file(path) -> np.ndarray:
     if n < 1 or n != vals[0]:
         raise ValueError("matrix size n must be a positive integer")
     need = n * (n + 1) // 2
-    tri = vals[1: 1 + need]
+    tri = vals[1:]
     if len(tri) != need:
         raise ValueError(f"matrix file needs {need} entries, found {len(tri)}")
     a = np.zeros((n, n))
@@ -176,10 +176,12 @@ def read_matrix_file(path) -> np.ndarray:
 
 
 def cmd_eigen(args) -> int:
+    if args.trace and args.mode != "delayed":
+        raise ValueError("--trace needs --mode delayed: broadcast mode runs no array")
     a = read_matrix_file(args.matrix)
     res = eigen.run_sweeps(a, max_sweeps=args.max_sweeps, mode=args.mode,
                            compute_vectors=args.vectors, trace=bool(args.trace))
-    if args.trace and res.report.trace is not None:
+    if args.trace:
         _write_trace(args.trace, [res.report.trace])
     lines = [f"eigenvalues: {' '.join(repr(float(v)) for v in res.eigenvalues)}",
              f"sweeps: {res.report.sweeps_used}",
@@ -234,14 +236,15 @@ def _verify_intgcd(rng, count):
     return instances, agg, []
 
 
-def _verify_toeplitz(rng, count):
+def _verify_toeplitz(rng, count, trace=False):
     instances = []
     traces = []
     for i in range(count):
         n = rng.choice((4, 8, 16))
         bands = gen_toeplitz(rng, n)
-        run = toeplitz.systolic_toeplitz_solve(bands)
-        traces.append(run.trace)
+        run = toeplitz.systolic_toeplitz_solve(bands, trace=trace)
+        if trace:
+            traces.append(run.trace)
         dense = bands.to_dense()
         x_o, _ = oracle.dense_lu_solve_nopivot(dense, np.array(bands.rhs))
         denom = (np.max(np.abs(dense)) * max(np.max(np.abs(run.x)), 1.0)
@@ -255,7 +258,7 @@ def _verify_toeplitz(rng, count):
     diags[n] = 0.0
     probe = toeplitz.ToeplitzBands(n, tuple(diags), tuple([1.0] * (n + 1)))
     try:
-        toeplitz.systolic_toeplitz_solve(probe)
+        toeplitz.systolic_toeplitz_solve(probe, trace=False)
         instances.append({"index": "singular-probe", "pass": False,
                           "note": "singular instance did not raise"})
     except SingularMatrixError:
@@ -286,7 +289,8 @@ def _verify_eigen(rng, count):
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     runner = {"polygcd": _verify_polygcd, "intgcd": _verify_intgcd,
-              "toeplitz": _verify_toeplitz, "eigen": _verify_eigen}[args.family]
+              "toeplitz": lambda rng, count: _verify_toeplitz(rng, count, bool(args.trace)),
+              "eigen": _verify_eigen}[args.family]
     instances, aggregates, traces = runner(rng, args.count)
     if args.trace:
         _write_trace(args.trace, traces)

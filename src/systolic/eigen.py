@@ -227,7 +227,7 @@ class EigenResult:
     report: SweepReport
 
 
-def run_sweeps(a, threshold_schedule=None, max_sweeps: int = 10,
+def run_sweeps(a, max_sweeps: int = 10,
                mode: str = "broadcast", compute_vectors: bool = False,
                tol: float = 1e-10, trace: bool = False) -> EigenResult:
     """Diagonalise symmetric a; sweeps of size-1 steps until off(A) < tol*|A|_F.
@@ -243,11 +243,8 @@ def run_sweeps(a, threshold_schedule=None, max_sweeps: int = 10,
     grid, n = pack_grid(a)
     size = grid.size
     steps_per_sweep = max(size - 1, 1)
-    if threshold_schedule is None:
-        threshold_schedule = default_threshold_schedule(grid.mat)
-    elif not callable(threshold_schedule):
-        seq = list(threshold_schedule)
-        threshold_schedule = lambda r, _s=seq: _s[min(r, len(_s) - 1)]
+    schedule = default_threshold_schedule(grid.mat)
+    thresholds = [schedule(r) for r in range(max_sweeps)]
     fro = float(np.linalg.norm(grid.mat))
     stop_at = tol * max(fro, 1.0)
     tr = engine.Trace() if trace and mode == "delayed" else None
@@ -258,7 +255,7 @@ def run_sweeps(a, threshold_schedule=None, max_sweeps: int = 10,
     for sweep in range(max_sweeps):
         if report.converged:
             break
-        thr = threshold_schedule(sweep)
+        thr = thresholds[sweep]
         skipped = 0
         for _ in range(steps_per_sweep):
             rots, sk = step_rotations(grid.mat, thr)
@@ -268,7 +265,6 @@ def run_sweeps(a, threshold_schedule=None, max_sweeps: int = 10,
                 rotated = apply_rotations(grid.mat, rots)
             else:
                 if arr is None:
-                    thresholds = [threshold_schedule(r) for r in range(max_sweeps)]
                     total_steps = max_sweeps * steps_per_sweep
                     arr = build_delayed_array(grid, thresholds, steps_per_sweep, total_steps)
                     delayed = _delayed_grids(arr, size, total_steps, tr)

@@ -8,6 +8,11 @@ never change the result.  Unwired input ports are boundary ports and must be
 fed through ``tick``/``run``; unwired output ports are collected as boundary
 outputs.
 
+``run`` feeds boundary ports from input lines, ``{cell: {port: sequence}}``:
+on tick t a port reads ``line[t]``, or 0 once its line has run out.
+``boundary_line`` reads a boundary output port back as a list indexed by
+observation tick.
+
 A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
 record).  The windows are read once, when the array is built, so a tick
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class ConstructionError(ValueError):
@@ -355,31 +360,29 @@ class Array:
         return boundary_out
 
 
-def build_array(spec: ArraySpec, cell_programs: Mapping, eval_order=None) -> Array:
+def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
+                eval_order=None) -> Array:
     """Validate the spec and return an array in reset state (tick 0, ports empty).
 
     ``eval_order(cells, t)``, if given, returns the cells clocked on tick t
     in the order they are to be evaluated; results and traces never depend
     on it.
     """
-    programs = {}
-    for cell, prog in cell_programs.items():
-        cid = CellId(*cell)
-        if not isinstance(prog, CellProgram):
-            prog = CellProgram(*prog) if isinstance(prog, tuple) else CellProgram(prog)
-        programs[cid] = prog
+    programs = {CellId(*cell): prog for cell, prog in cell_programs.items()}
     return Array(spec, programs, eval_order=eval_order)
 
 
-def run(array: Array, input_schedule, n_ticks: int, trace: bool | Trace = False):
+def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ticks: int,
+        trace: bool | Trace = False):
     """Run ``n_ticks`` ticks and collect boundary outputs and a trace.
 
-    ``input_schedule`` maps a tick to that tick's boundary inputs (a dict or
-    a callable); ``trace`` is a flag or a Trace to extend.  The output
-    schedule is keyed by the tick at which a value is observable at the
-    boundary: a write made during tick T shows up under T+1, so an impulse
-    fed to a pipeline of k unit-delay cells at tick 0 appears in
-    ``outputs[k]``.
+    ``feed`` maps a cell to its input lines, one sequence per boundary port
+    (``None`` feeds nothing): on tick t a port reads ``line[t]``, or 0 once
+    the line has run out, so every fed port carries a value on every tick.
+    ``trace`` is a flag or a Trace to extend.  The output schedule is keyed
+    by the tick at which a value is observable at the boundary: a write made
+    during tick T shows up under T+1, so an impulse fed to a pipeline of k
+    unit-delay cells at tick 0 appears in ``outputs[k]``.
     """
     if n_ticks < 0:
         raise ValueError("n_ticks must be >= 0")
@@ -388,16 +391,35 @@ def run(array: Array, input_schedule, n_ticks: int, trace: bool | Trace = False)
         tr = trace
     else:
         tr = Trace() if trace else None
+    live, quiet = 0, None
+    if feed:
+        lines = {CellId(*cell): tuple(ports.items()) for cell, ports in feed.items()}
+        live = max((len(line) for ports in lines.values() for _, line in ports), default=0)
+        # from tick `live` on every line has run out; tick() only reads its inputs
+        quiet = {cell: {port: 0 for port, _ in ports} for cell, ports in lines.items()}
     outputs: dict[int, dict] = {}
     for _ in range(n_ticks):
         t = array.tick_count
-        if callable(input_schedule):
-            binj = input_schedule(t)
-        elif input_schedule is None:
-            binj = None
+        if t < live:
+            binj = {cell: {port: line[t] if t < len(line) else 0 for port, line in ports}
+                    for cell, ports in lines.items()}
         else:
-            binj = input_schedule.get(t)
+            binj = quiet
         outs = array.tick(binj, trace=tr)
         if outs:
             outputs[t + 1] = outs
     return outputs, (tr if tr is not None else Trace())
+
+
+def boundary_line(outputs: Mapping[int, Mapping], cell, port: str, n_ticks: int) -> list:
+    """Values of one boundary output port of a ``run`` from tick 0, by observation tick.
+
+    Index t (0..n_ticks) holds what the port showed at tick t; 0 where
+    nothing was written during tick t-1.
+    """
+    key = (CellId(*cell), port)
+    line = [0] * (n_ticks + 1)
+    for t, outs in outputs.items():
+        if key in outs:
+            line[t] = outs[key]
+    return line

@@ -167,19 +167,6 @@ def gcd_cell_step(state, ins, ctx):
     return new_state, outs
 
 
-@dataclass(frozen=True)
-class BitFrame:
-    """Fixed-width LSB-first 2's-complement frame plus the four control lanes."""
-
-    length: int
-    a_bits: tuple
-    b_bits: tuple
-
-    @property
-    def start_bits(self):
-        return (1,) + (0,) * (self.length - 1)
-
-
 def _to_bits(x: int, length: int) -> tuple:
     return tuple((x >> i) & 1 for i in range(length))
 
@@ -192,12 +179,18 @@ def _from_twos_complement(bits) -> int:
     return v
 
 
-def encode_bitframe(a: int, b: int, n: int) -> BitFrame:
-    """Word length n+2: one sign bit plus one bit of growth before halving."""
+def encode_bitframe(a: int, b: int, n: int) -> dict[str, tuple]:
+    """Cell 0's input lines for one frame of word length n+2.
+
+    The word holds one sign bit plus one bit of growth before halving; a and
+    b go LSB first in 2's complement, the start bit marks the first slot and
+    the three other control lanes stay 0.
+    """
     if not (0 < a < (1 << n) and 0 < b < (1 << n)):
         raise ValueError(f"inputs must lie in (0, 2**{n})")
     length = n + 2
-    return BitFrame(length=length, a_bits=_to_bits(a, length), b_bits=_to_bits(b, length))
+    return {"ain": _to_bits(a, length), "bin": _to_bits(b, length), "startin": (1,),
+            "startoddin": (), "epsin": (), "negin": ()}
 
 
 def cell_count(n: int) -> int:
@@ -250,35 +243,18 @@ def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
     if a >= (1 << n) or b >= (1 << n):
         raise ValueError(f"inputs must be < 2**{n}")
     a, b, e = strip_twos(a, b)
-    frame = encode_bitframe(a, b, n)
+    lines = encode_bitframe(a, b, n)
+    frame_len = len(lines["ain"])
     n_cells = cell_count(n)
-    n_ticks = 2 * n_cells + frame.length + 4
-    arr = _gcd_pipeline(n_cells, frame.length)
-    cell0 = CellId(0, 0)
-    zeros = {"ain": 0, "bin": 0, "startin": 0, "startoddin": 0, "epsin": 0, "negin": 0}
-
-    def schedule(t):
-        if t >= frame.length:
-            return {cell0: dict(zeros)}
-        return {cell0: {"ain": frame.a_bits[t], "bin": frame.b_bits[t],
-                        "startin": frame.start_bits[t], "startoddin": 0,
-                        "epsin": 0, "negin": 0}}
-
-    outputs, tr = engine.run(arr, schedule, n_ticks, trace=trace)
+    n_ticks = 2 * n_cells + frame_len + 4
+    arr = _gcd_pipeline(n_cells, frame_len)
+    outputs, tr = engine.run(arr, {CellId(0, 0): lines}, n_ticks, trace=trace)
     last = CellId(0, n_cells - 1)
-    a_out = [0] * (n_ticks + 1)
-    s_out = [0] * (n_ticks + 1)
-    for t, outs in outputs.items():
-        for (cell, port), v in outs.items():
-            if cell == last and port == "aout":
-                a_out[t] = v
-            elif cell == last and port == "startout":
-                s_out[t] = v
     try:
-        t0 = s_out.index(1)
+        t0 = engine.boundary_line(outputs, last, "startout", n_ticks).index(1)
     except ValueError:
         raise engine.SimulationError("start bit never reached the right edge")
-    word = a_out[t0: t0 + frame.length]
+    word = engine.boundary_line(outputs, last, "aout", n_ticks)[t0: t0 + frame_len]
     raw = _from_twos_complement(word)
     return IntGcdRun(gcd=abs(raw) << e, cells=n_cells, ticks=n_ticks,
                      raw_output=raw, trace=tr)

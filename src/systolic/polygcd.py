@@ -41,9 +41,6 @@ VARIANTS = ("fig4", "appA")
 S_INITIAL, S_REDUCE_A, S_REDUCE_B = 0, 1, 2
 A_INITIAL, A_SHIFT, A_SWAP, A_TRANS = 0, 1, 2, 3
 
-FIG4_STATE_NAMES = {S_INITIAL: "initial", S_REDUCE_A: "reduceA", S_REDUCE_B: "reduceB"}
-APPA_STATE_NAMES = {A_INITIAL: "initial", A_SHIFT: "shift", A_SWAP: "swap", A_TRANS: "trans"}
-
 
 def fig4_initial_state() -> dict:
     return {"state": S_INITIAL, "a": 0, "b": 0, "q": 0, "d": 0, "start": 0}
@@ -166,11 +163,9 @@ def make_appA_step(field: Field):
 class PolyStreamFrame:
     """One input pair laid out as parallel per-slot streams, leading terms first."""
 
-    variant: str
     a_slots: tuple
     b_slots: tuple
     lead_d: int  # fig4 only; rides in the leading slot
-    swapped: bool  # appA only; encoder exchanged A and B to get deg B <= deg A
     sig_slots: tuple = ()  # appA only; end-aligned nonzero markers for B
 
     def __len__(self):
@@ -189,10 +184,8 @@ def encode_frame(field: Field, a: Poly, b: Poly, variant: str) -> PolyStreamFram
     b = poly_normalize(field, b)
     if poly_is_zero(a) and poly_is_zero(b):
         raise ValueError("cannot encode gcd(0, 0)")
-    swapped = False
     if variant == "appA" and poly_degree(b) > poly_degree(a):
-        a, b = b, a
-        swapped = True
+        a, b = b, a  # appA needs deg B <= deg A
     length = max(poly_degree(a), poly_degree(b)) + 1
     sig_slots = ()
     if variant == "appA":
@@ -204,64 +197,39 @@ def encode_frame(field: Field, a: Poly, b: Poly, variant: str) -> PolyStreamFram
             for t in range(length)
         )
     return PolyStreamFrame(
-        variant=variant,
         a_slots=_coeffs_high_first(a, length),
         b_slots=_coeffs_high_first(b, length),
         lead_d=poly_degree(a) - poly_degree(b),
-        swapped=swapped,
         sig_slots=sig_slots,
     )
 
 
-def _build_schedule(frames: list[PolyStreamFrame], variant: str, n_ticks: int):
-    """Per-tick boundary inputs for the leftmost cell; frames packed back to back.
+def _build_schedule(frames: list[PolyStreamFrame], variant: str) -> dict[str, list]:
+    """Input lines of the leftmost cell; frames packed back to back from tick 1.
 
-    fig4: slot 0 carries only the first start bit; frame f occupies ticks
-    [T_f, T_f + L_f) with T_0 = 1, and the start bit announcing frame f sits
-    at T_f - 1 (the previous frame's final slot).  appA: start/stop ride in
-    the first/last slot of each frame directly.
+    Frame f occupies ticks [T_f, T_f + L_f) with T_0 = 1.  fig4: the start
+    bit announcing frame f sits at T_f - 1 (slot 0, or the previous frame's
+    final slot) and d rides in the leading slot.  appA: start/stop ride in
+    the first/last slot of each frame and sig alongside the coefficients.
     """
-    a_line = [0] * n_ticks
-    b_line = [0] * n_ticks
-    start = [0] * n_ticks
-    extra1 = [0] * n_ticks  # fig4: d;  appA: stop
-    extra2 = [0] * n_ticks  # appA: sig
-    if variant == "fig4":
-        t = 1
-        for fr in frames:
+    length = 1 + sum(len(fr) for fr in frames)
+    a, b, start, d, stop, sig = ([0] * length for _ in range(6))
+    t = 1
+    for fr in frames:
+        end = t + len(fr)
+        a[t:end] = fr.a_slots
+        b[t:end] = fr.b_slots
+        if variant == "fig4":
             start[t - 1] = 1
-            extra1[t] = fr.lead_d
-            for i in range(len(fr)):
-                a_line[t + i] = fr.a_slots[i]
-                b_line[t + i] = fr.b_slots[i]
-            t += len(fr)
-    else:
-        t = 1
-        for fr in frames:
+            d[t] = fr.lead_d
+        else:
             start[t] = 1
-            extra1[t + len(fr) - 1] = 1
-            for i in range(len(fr)):
-                a_line[t + i] = fr.a_slots[i]
-                b_line[t + i] = fr.b_slots[i]
-                extra2[t + i] = fr.sig_slots[i]
-            t += len(fr)
-    cell0 = CellId(0, 0)
-
+            stop[end - 1] = 1
+            sig[t:end] = fr.sig_slots
+        t = end
     if variant == "fig4":
-        def schedule(t):
-            if t >= n_ticks:
-                return {cell0: {"ain": 0, "bin": 0, "startin": 0, "din": 0}}
-            return {cell0: {"ain": a_line[t], "bin": b_line[t],
-                            "startin": start[t], "din": extra1[t]}}
-    else:
-        def schedule(t):
-            if t >= n_ticks:
-                return {cell0: {"ain": 0, "bin": 0, "startin": 0,
-                                "stopin": 0, "sigin": 0}}
-            return {cell0: {"ain": a_line[t], "bin": b_line[t], "startin": start[t],
-                            "stopin": extra1[t], "sigin": extra2[t]}}
-
-    return schedule
+        return {"ain": a, "bin": b, "startin": start, "din": d}
+    return {"ain": a, "bin": b, "startin": start, "stopin": stop, "sigin": sig}
 
 
 def _poly_array(field: Field, n_cells: int, variant: str):
@@ -282,24 +250,6 @@ class GcdRun:
     cells: int
     ticks: int
     trace: engine.Trace
-
-
-def _right_edge_streams(outputs: dict, last_cell: CellId, n_ticks: int):
-    """(a, b, start) observation sequences at the right boundary, index = tick."""
-    a_out = [0] * (n_ticks + 1)
-    b_out = [0] * (n_ticks + 1)
-    s_out = [0] * (n_ticks + 1)
-    for t, outs in outputs.items():
-        for (cell, port), v in outs.items():
-            if cell != last_cell:
-                continue
-            if port == "aout":
-                a_out[t] = v
-            elif port == "bout":
-                b_out[t] = v
-            elif port == "startout":
-                s_out[t] = v
-    return a_out, b_out, s_out
 
 
 def _decode_window(a_out, b_out, lo, hi):
@@ -338,9 +288,10 @@ def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[
         return []
     n_ticks = 2 * n_cells + sum(len(fr) for fr in frames) + 6
     arr = _poly_array(field, n_cells, variant)
-    schedule = _build_schedule(frames, variant, n_ticks)
-    outputs, tr = engine.run(arr, schedule, n_ticks, trace=trace)
-    a_out, b_out, s_out = _right_edge_streams(outputs, CellId(0, n_cells - 1), n_ticks)
+    outputs, tr = engine.run(arr, {CellId(0, 0): _build_schedule(frames, variant)},
+                             n_ticks, trace=trace)
+    a_out, b_out, s_out = (engine.boundary_line(outputs, CellId(0, n_cells - 1), port, n_ticks)
+                           for port in ("aout", "bout", "startout"))
     starts = [t for t in range(len(s_out)) if s_out[t] == 1]
     if len(starts) != len(frames):
         raise engine.SimulationError(

@@ -158,6 +158,51 @@ def test_bad_matrix_size_is_a_usage_error(tmp_path, capsys, text):
     assert err == "error: matrix size n must be a positive integer\n"
 
 
+def test_extra_matrix_entries_are_a_usage_error(tmp_path, capsys):
+    mtx = tmp_path / "m.txt"
+    mtx.write_text("2\n1\n0 3\n9 9\n")
+    code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx))
+    assert code == 2 and out == ""
+    assert err == "error: matrix file needs 3 entries, found 5\n"
+
+
+def test_eigen_trace_needs_delayed_mode(tmp_path, capsys):
+    mtx = tmp_path / "m.txt"
+    mtx.write_text("2\n3\n1 3\n")
+    trace = tmp_path / "t.jsonl"
+    code, out, err = run_cli(capsys, "--trace", str(trace), "eigen", "--matrix", str(mtx))
+    assert code == 2 and out == "" and not trace.exists()
+    assert "--mode delayed" in err
+    code, _, _ = run_cli(capsys, "--trace", str(trace), "eigen", "--matrix", str(mtx),
+                         "--mode", "delayed")
+    assert code == 0 and trace.read_text()
+
+
+def test_toeplitz_traces_only_when_asked(tmp_path, capsys, monkeypatch):
+    from systolic import toeplitz
+    asked = []
+    real = toeplitz.systolic_toeplitz_solve
+
+    def spy(bands, *args, trace=True, **kwargs):
+        asked.append(trace)
+        return real(bands, *args, trace=trace, **kwargs)
+
+    monkeypatch.setattr(toeplitz, "systolic_toeplitz_solve", spy)
+    bands = tmp_path / "bands.txt"
+    rhs = tmp_path / "rhs.txt"
+    bands.write_text("0\n2\n4\n1\n0\n")
+    rhs.write_text("5\n7\n6\n")
+    assert run_cli(capsys, "toeplitz", "--n", "2", "--bands", str(bands),
+                   "--rhs", str(rhs))[0] == 0
+    assert run_cli(capsys, "verify", "toeplitz", "--count", "2")[0] == 0
+    assert asked and not any(asked)
+    asked.clear()
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(capsys, "--trace", str(trace), "verify", "toeplitz", "--count", "2")[0] == 0
+    assert asked == [True, True, False]  # the singular probe's trace is never written
+    assert trace.read_text()
+
+
 def test_diagonal_matrix_needs_no_sweep_in_either_mode(tmp_path, capsys):
     mtx = tmp_path / "m.txt"
     mtx.write_text("2\n1\n0 3\n")

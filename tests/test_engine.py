@@ -34,9 +34,7 @@ def make_chain(n, activation=None, eval_order=None):
 
 
 def impulse_schedule(value=7):
-    def sched(t):
-        return {CellId(0, 0): {"ain": value if t == 0 else 0}}
-    return sched
+    return {CellId(0, 0): {"ain": [value]}}
 
 
 def test_build_linear_chain():
@@ -105,6 +103,33 @@ def test_impulse_through_k_delay_cells(k):
     arr = make_chain(k)
     outs, _ = run(arr, impulse_schedule(), k + 2)
     assert outs[k][(CellId(0, k - 1), "aout")] == 7
+
+
+def test_short_line_reads_zero_past_its_end():
+    seen = []
+
+    def record(state, ins, ctx):
+        seen.append((ctx.tick, dict(ins)))
+        return state, {}
+
+    arr = build_array(linear(1), {CellId(0, 0): CellProgram(record)})
+    run(arr, {(0, 0): {"ain": (4, 5), "bin": (), "cin": [1, 2, 3, 9]}}, 5)
+    assert seen == [(0, {"ain": 4, "bin": 0, "cin": 1}),
+                    (1, {"ain": 5, "bin": 0, "cin": 2}),
+                    (2, {"ain": 0, "bin": 0, "cin": 3}),
+                    (3, {"ain": 0, "bin": 0, "cin": 9}),
+                    (4, {"ain": 0, "bin": 0, "cin": 0})]
+    # a run that starts late reads its lines from the array's own tick
+    run(arr, {(0, 0): {"ain": list(range(10))}}, 2)
+    assert seen[5:] == [(5, {"ain": 5}), (6, {"ain": 6})]
+
+
+def test_boundary_line_by_observation_tick():
+    arr = make_chain(3)
+    outs, _ = run(arr, {(0, 0): {"ain": (0, 4, 0, 6)}}, 7)
+    assert engine.boundary_line(outs, (0, 2), "aout", 7) == [0, 0, 0, 0, 4, 0, 6, 0]
+    # a wired port is not a boundary output, so it reads 0 throughout
+    assert engine.boundary_line(outs, (0, 1), "aout", 3) == [0, 0, 0, 0]
 
 
 def test_missing_boundary_input_raises():
@@ -201,8 +226,7 @@ def test_unit_delay_law_random_passthrough():
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(n)}
     arr = build_array(spec, progs)
     stream = [rng.randrange(100) for _ in range(24)]
-    sched = lambda t: {CellId(0, 0): {"ain": stream[t] if t < len(stream) else 0}}
-    _, tr = run(arr, sched, len(stream) + n, trace=True)
+    _, tr = run(arr, {CellId(0, 0): {"ain": stream}}, len(stream) + n, trace=True)
     writes = {}
     for rec in tr:
         writes[(rec.cell.col, rec.tick)] = rec.outputs["aout"]

@@ -124,7 +124,6 @@ def test_cell_wait_persists_until_nonzero():
 
 def test_single_cell_transmits_a_when_b_zero():
     # with b = 0 the cell models "halve b", leaving a untouched
-    frame = encode_bitframe(1, 1, 3)  # reuse the a-lane only
     a_bits = (1, 0, 1, 1, 0)
     arr = build_array(linear(1), {CellId(0, 0): CellProgram(gcd_cell_step,
                                                             gcd_cell_initial_state())})
@@ -165,6 +164,13 @@ def test_systolic_rejects_nonpositive():
         systolic_int_gcd(0, 4, 4)
     with pytest.raises(ValueError):
         systolic_int_gcd(4, 0, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_systolic_exhaustive_small_words(n):
+    for a in range(1, 1 << n):
+        for b in range(1, 1 << n):
+            assert systolic_int_gcd(a, b, n).gcd == euclid_int_gcd(a, b), (a, b)
 
 
 def test_systolic_matches_euclid_random():

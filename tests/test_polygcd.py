@@ -11,7 +11,9 @@ from systolic.gfield import (
     poly_degree,
     poly_divmod,
     poly_monic,
+    poly_mul,
     poly_normalize,
+    poly_shift,
 )
 from systolic.oracle import euclid_poly_gcd
 from systolic.polygcd import (
@@ -305,3 +307,50 @@ def test_batch_equals_single_property(stream, variant):
     field, pairs = stream
     want = [systolic_poly_gcd(field, a, b, variant).gcd for a, b in pairs]
     assert pipeline_batch(field, pairs, variant) == want
+
+
+SHAPES = ("random", "degree0", "equal_degree", "zero_operand", "gcd_is_operand", "repeated")
+
+
+@st.composite
+def shaped_pairs(draw):
+    """A pair over GF(2) or GF(2^31 - 1) of a named shape, times a common x^k."""
+    field = Field(draw(st.sampled_from([2, 2**31 - 1])))
+    coeff = st.integers(0, field.p - 1)
+
+    def poly(lo, hi):
+        """Degree in [lo, hi], nonzero leading coefficient."""
+        body = draw(st.lists(coeff, min_size=lo, max_size=hi))
+        return poly_normalize(field, tuple(body) + (draw(st.integers(1, field.p - 1)),))
+
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "random":
+        a, b = poly(0, 6), poly(0, 6)
+    elif shape == "degree0":
+        a, b = poly(0, 0), poly(0, 6)
+    elif shape == "equal_degree":
+        d = draw(st.integers(0, 6))
+        a, b = poly(d, d), poly(d, d)
+    elif shape == "zero_operand":
+        a, b = (), poly(0, 6)
+    elif shape == "gcd_is_operand":
+        a = poly(0, 4)
+        b = poly_mul(field, a, poly(0, 3))
+    else:  # repeated factors: g^2 h1 and g^3 h2
+        g = poly(1, 2)
+        g2 = poly_mul(field, g, g)
+        a = poly_mul(field, g2, poly(0, 2))
+        b = poly_mul(field, poly_mul(field, g2, g), poly(0, 2))
+    if draw(st.booleans()):
+        a, b = b, a
+    k = draw(st.integers(0, 3))
+    return field, poly_shift(field, a, k), poly_shift(field, b, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_pairs(), st.sampled_from(["fig4", "appA"]))
+def test_single_run_equals_euclid_property(pair, variant):
+    field, a, b = pair
+    run = systolic_poly_gcd(field, a, b, variant)
+    assert run.gcd == euclid_poly_gcd(field, a, b)
+    assert run.latency <= 2 * run.cells
