@@ -201,9 +201,10 @@ def cmd_eigen(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_polygcd(rng, count):
+def _verify_polygcd(rng, count, trace=False):
     field_ps = (2, 7, 257)
     instances = []
+    traces = []
     for i in range(count):
         p = field_ps[i % len(field_ps)]
         field = Field(p)
@@ -212,28 +213,33 @@ def _verify_polygcd(rng, count):
         inst = {"index": i, "p": p, "degA": len(a) - 1, "degB": len(b) - 1}
         ok = True
         for variant in polygcd.VARIANTS:
-            run = polygcd.systolic_poly_gcd(field, a, b, variant=variant)
+            run = polygcd.systolic_poly_gcd(field, a, b, variant=variant, trace=trace)
+            if trace:
+                traces.append(run.trace)
             ok = ok and run.gcd == want and run.latency <= 2 * run.cells
             inst[f"latency_{variant}"] = run.latency
         inst["pass"] = ok
         instances.append(inst)
     lat = [inst[f"latency_{v}"] for inst in instances for v in polygcd.VARIANTS]
     agg = {"max_latency": max(lat, default=0)}
-    return instances, agg, []
+    return instances, agg, traces
 
 
-def _verify_intgcd(rng, count):
+def _verify_intgcd(rng, count, trace=False):
     instances = []
+    traces = []
     for i in range(count):
         n_bits = rng.randint(4, 32)
         a, b = gen_int_pair(rng, n_bits)
-        run = intgcd.systolic_int_gcd(a, b, n_bits)
+        run = intgcd.systolic_int_gcd(a, b, n_bits, trace=trace)
+        if trace:
+            traces.append(run.trace)
         ok = run.gcd == oracle.euclid_int_gcd(a, b)
         instances.append({"index": i, "bits": n_bits, "cells": run.cells,
                           "ticks": run.ticks, "pass": ok})
     agg = {"max_cells": max((inst["cells"] for inst in instances), default=0),
            "max_ticks": max((inst["ticks"] for inst in instances), default=0)}
-    return instances, agg, []
+    return instances, agg, traces
 
 
 def _verify_toeplitz(rng, count, trace=False):
@@ -269,29 +275,35 @@ def _verify_toeplitz(rng, count, trace=False):
     return instances, agg, traces
 
 
-def _verify_eigen(rng, count):
+def _verify_eigen(rng, count, trace=False):
+    """Broadcast eigenvalues against the oracle; delayed ones must equal
+    broadcast's bit for bit, and delayed runs give the traces."""
     instances = []
+    traces = []
     for i in range(count):
         n = rng.choice((4, 8, 16))
         a = gen_symmetric(rng, n)
         res = eigen.run_sweeps(a)
+        delayed = eigen.run_sweeps(a, mode="delayed", trace=trace)
+        if trace:
+            traces.append(delayed.report.trace)
         ev_o, _, _ = oracle.serial_cyclic_jacobi(a)
         err = float(np.max(np.abs(np.sort(res.eigenvalues) - np.sort(ev_o))))
         scale = float(np.linalg.norm(a))
-        ok = err <= 1e-8 * scale and res.report.sweeps_used <= 10
+        ok = (err <= 1e-8 * scale and res.report.sweeps_used <= 10
+              and np.array_equal(delayed.eigenvalues, res.eigenvalues))
         instances.append({"index": i, "n": n, "error": err,
                           "sweeps": res.report.sweeps_used, "pass": ok})
     agg = {"max_error": max((inst["error"] for inst in instances), default=0.0),
            "max_sweeps": max((inst["sweeps"] for inst in instances), default=0)}
-    return instances, agg, []
+    return instances, agg, traces
 
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     runner = {"polygcd": _verify_polygcd, "intgcd": _verify_intgcd,
-              "toeplitz": lambda rng, count: _verify_toeplitz(rng, count, bool(args.trace)),
-              "eigen": _verify_eigen}[args.family]
-    instances, aggregates, traces = runner(rng, args.count)
+              "toeplitz": _verify_toeplitz, "eigen": _verify_eigen}[args.family]
+    instances, aggregates, traces = runner(rng, args.count, bool(args.trace))
     if args.trace:
         _write_trace(args.trace, traces)
     n_pass = sum(1 for inst in instances if inst["pass"])

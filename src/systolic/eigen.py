@@ -196,9 +196,24 @@ def off_norm(mat: np.ndarray) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
+def _norm_exponent(mat: np.ndarray) -> int:
+    """0 when mat's largest entry lies within 2**-250 .. 2**250, where its
+    square neither overflows nor underflows, else that entry's exponent."""
+    e = math.frexp(float(np.max(np.abs(mat))))[1]
+    return e if abs(e) > 250 else 0
+
+
+def _scaled(norm, mat: np.ndarray, e: int) -> float:
+    """norm(mat), computed on mat * 2**-e and scaled back.  Scaling by a
+    power of two is exact, so this equals norm(mat) wherever computing that
+    neither overflows nor underflows."""
+    return math.ldexp(norm(np.ldexp(mat, -e)), e) if e else norm(mat)
+
+
 def default_threshold_schedule(a: np.ndarray) -> Callable[[int], float]:
     """Per-sweep threshold: off(A0)_F / (n^2 4^r), dropping to 0 after sweep 6."""
-    base = off_norm(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
+    base = _scaled(off_norm, a, _norm_exponent(a))
     n = a.shape[0]
 
     def schedule(sweep: int) -> float:
@@ -230,7 +245,8 @@ class EigenResult:
 def run_sweeps(a, max_sweeps: int = 10,
                mode: str = "broadcast", compute_vectors: bool = False,
                tol: float = 1e-10, trace: bool = False) -> EigenResult:
-    """Diagonalise symmetric a; sweeps of size-1 steps until off(A) < tol*|A|_F.
+    """Diagonalise symmetric a; sweeps of size-1 steps until off(A) < tol*|A|_F
+    (a zero matrix needs no sweep).
 
     Both modes take each step's rotations from the host grid.  Broadcast
     mode rotates the grid on the host; delayed mode reads the rotated grid
@@ -245,10 +261,12 @@ def run_sweeps(a, max_sweeps: int = 10,
     steps_per_sweep = max(size - 1, 1)
     schedule = default_threshold_schedule(grid.mat)
     thresholds = [schedule(r) for r in range(max_sweeps)]
-    fro = float(np.linalg.norm(grid.mat))
-    stop_at = tol * max(fro, 1.0)
+    e = _norm_exponent(grid.mat)  # nonzero only for entries too large or small to square
+    fro = float(_scaled(np.linalg.norm, grid.mat, e))
+    stop_at = tol * fro
     tr = engine.Trace() if trace and mode == "delayed" else None
-    report = SweepReport(sweeps_used=0, converged=off_norm(grid.mat) < stop_at, trace=tr)
+    report = SweepReport(sweeps_used=0, trace=tr,
+                         converged=fro == 0.0 or _scaled(off_norm, grid.mat, e) < stop_at)
     arr = delayed = None  # delayed mode: the array and its rotated grids, per step
     vec = np.eye(size) if compute_vectors else None
     inv_sig = np.argsort(position_permutation(size))
@@ -273,7 +291,7 @@ def run_sweeps(a, max_sweeps: int = 10,
                 _rotate_columns(vec, rots)
                 vec = vec[:, inv_sig]
             grid = permute(BlockGrid(mat=rotated, tracker=grid.tracker))
-            report.off_norms.append(off_norm(grid.mat))
+            report.off_norms.append(_scaled(off_norm, grid.mat, e))
         report.skipped_per_sweep.append(skipped)
         report.sweeps_used = sweep + 1
         report.converged = report.off_norms[-1] < stop_at

@@ -166,10 +166,6 @@ class Trace:
             lines.append(json.dumps(obj, separators=(",", ":")))
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def write_jsonl(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
-
 
 def _check_wire_geometry(spec: ArraySpec, w: Wire):
     if not spec.contains(w.src) or not spec.contains(w.dst):

@@ -45,17 +45,11 @@ class Field:
     def __hash__(self):
         return hash(("Field", self.p))
 
-    def el(self, x: int) -> int:
-        return x % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -109,11 +103,6 @@ def poly_monic(field: Field, a: Poly) -> Poly:
         return a
     inv = field.inv(lead)
     return tuple(field.mul(inv, x) for x in a)
-
-def poly_add(field: Field, a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    return poly_normalize(field, out)
 
 
 def poly_sub(field: Field, a: Poly, b: Poly) -> Poly:

@@ -3,7 +3,11 @@
 Two cell designs are provided: the degree-difference cell ("fig4"), which
 carries the running degree gap d on a dedicated stream, and the
 interchange cell ("appA"), which avoids d by swapping the roles of the two
-polynomials so the GCD always leaves the array on the a-line.
+polynomials.  Neither design sends the GCD out on a fixed line.  appA sends
+most results out on the a-line, but some on the b-line: GF(2) A = 1 + x^2,
+B = 1 + x + x^2 is one, and almost all such pairs have a constant GCD.
+fig4 uses both lines as well, so the decoder reads each frame's window on
+both lines.
 
 Stream layout (one frame per input pair, frames may be packed back to back):
 coefficients travel highest degree first with the nonzero leading terms of
@@ -25,16 +29,7 @@ from dataclasses import dataclass
 
 from . import engine
 from .engine import CellId, CellProgram, build_array, chain_wires
-from .gfield import (
-    Field,
-    Poly,
-    poly_degree,
-    poly_is_zero,
-    poly_monic,
-    poly_normalize,
-    poly_shift,
-    poly_valuation,
-)
+from .gfield import Field, Poly, poly_monic, poly_normalize, poly_shift, poly_valuation
 
 VARIANTS = ("fig4", "appA")
 
@@ -99,7 +94,7 @@ def make_fig4_step(field: Field):
 
 
 def make_appA_step(field: Field):
-    """Interchange cell: swaps polynomial roles so the GCD exits on the a-line."""
+    """Interchange cell: swaps polynomial roles instead of carrying d."""
     p = field.p
 
     def step(state, ins, ctx):
@@ -156,80 +151,40 @@ def make_appA_step(field: Field):
     return step
 
 
-# -- stream frames ----------------------------------------------------------
+# -- stream layout ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyStreamFrame:
-    """One input pair laid out as parallel per-slot streams, leading terms first."""
+def _build_schedule(pairs, variant: str) -> tuple[dict[str, list], list[int]]:
+    """Input lines of the leftmost cell, and the length of each pair's frame.
 
-    a_slots: tuple
-    b_slots: tuple
-    lead_d: int  # fig4 only; rides in the leading slot
-    sig_slots: tuple = ()  # appA only; end-aligned nonzero markers for B
-
-    def __len__(self):
-        return len(self.a_slots)
-
-
-def _coeffs_high_first(a: Poly, length: int) -> tuple:
-    rev = tuple(reversed(a))
-    return rev + (0,) * (length - len(rev))
-
-
-def encode_frame(field: Field, a: Poly, b: Poly, variant: str) -> PolyStreamFrame:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    a = poly_normalize(field, a)
-    b = poly_normalize(field, b)
-    if poly_is_zero(a) and poly_is_zero(b):
-        raise ValueError("cannot encode gcd(0, 0)")
-    if variant == "appA" and poly_degree(b) > poly_degree(a):
-        a, b = b, a  # appA needs deg B <= deg A
-    length = max(poly_degree(a), poly_degree(b)) + 1
-    sig_slots = ()
-    if variant == "appA":
-        # sig marks B's nonzero coefficients end-aligned (degree e in slot
-        # deg A - e), so the first 1 trails the start bit by d = degA - degB:
-        # the unary form of d consumed by the shift/trans cells
-        sig_slots = tuple(
-            1 if 0 <= len(a) - 1 - t < len(b) and b[len(a) - 1 - t] != 0 else 0
-            for t in range(length)
-        )
-    return PolyStreamFrame(
-        a_slots=_coeffs_high_first(a, length),
-        b_slots=_coeffs_high_first(b, length),
-        lead_d=poly_degree(a) - poly_degree(b),
-        sig_slots=sig_slots,
-    )
-
-
-def _build_schedule(frames: list[PolyStreamFrame], variant: str) -> dict[str, list]:
-    """Input lines of the leftmost cell; frames packed back to back from tick 1.
-
-    Frame f occupies ticks [T_f, T_f + L_f) with T_0 = 1.  fig4: the start
-    bit announcing frame f sits at T_f - 1 (slot 0, or the previous frame's
-    final slot) and d rides in the leading slot.  appA: start/stop ride in
-    the first/last slot of each frame and sig alongside the coefficients.
+    ``pairs`` are normalised, not both zero, with the common power of x
+    stripped.  Frame f occupies ticks [T_f, T_f + L_f) with T_0 = 1 and L_f
+    the longer operand's length, laid out as the module docstring says.
+    fig4's start bit for frame f sits at T_f - 1 (slot 0, or the previous
+    frame's final slot); appA first swaps the operands if deg B > deg A.
     """
-    length = 1 + sum(len(fr) for fr in frames)
-    a, b, start, d, stop, sig = ([0] * length for _ in range(6))
+    lengths = [max(len(a), len(b)) for a, b in pairs]
+    size = 1 + sum(lengths)
+    a_line, b_line, start, d, stop, sig = ([0] * size for _ in range(6))
     t = 1
-    for fr in frames:
-        end = t + len(fr)
-        a[t:end] = fr.a_slots
-        b[t:end] = fr.b_slots
+    for (a, b), n in zip(pairs, lengths):
+        end = t + n
         if variant == "fig4":
             start[t - 1] = 1
-            d[t] = fr.lead_d
+            d[t] = len(a) - len(b)
         else:
+            if len(b) > len(a):
+                a, b = b, a
             start[t] = 1
             stop[end - 1] = 1
-            sig[t:end] = fr.sig_slots
+            sig[end - len(b): end] = [1 if c else 0 for c in b[::-1]]
+        a_line[t: t + len(a)] = a[::-1]
+        b_line[t: t + len(b)] = b[::-1]
         t = end
     if variant == "fig4":
-        return {"ain": a, "bin": b, "startin": start, "din": d}
-    return {"ain": a, "bin": b, "startin": start, "stopin": stop, "sigin": sig}
+        return {"ain": a_line, "bin": b_line, "startin": start, "din": d}, lengths
+    return {"ain": a_line, "bin": b_line, "startin": start, "stopin": stop,
+            "sigin": sig}, lengths
 
 
 def _poly_array(field: Field, n_cells: int, variant: str):
@@ -253,7 +208,8 @@ class GcdRun:
 
 
 def _decode_window(a_out, b_out, lo, hi):
-    """GCD coefficients (highest first) in observation ticks [lo, hi]."""
+    """GCD coefficients (highest first) in observation ticks [lo, hi], read
+    from the a-line, or from the b-line when the a-line is zero there."""
     for line in (a_out, b_out):
         nz = [t for t in range(lo, min(hi + 1, len(line))) if line[t] != 0]
         if nz:
@@ -269,45 +225,45 @@ def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[
     largest stripped pair.  All runs share the cell count, tick count and
     trace of the one array run.
     """
-    frames = []
-    strips = []
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    stripped = []
+    shifts = []
     n_cells = 1
     for a, b in pairs:
         a = poly_normalize(field, a)
         b = poly_normalize(field, b)
-        if poly_is_zero(a) and poly_is_zero(b):
+        if not a and not b:
             raise ValueError("gcd(0, 0) is undefined")
-        e = min(poly_valuation(a) if not poly_is_zero(a) else 1 << 30,
-                poly_valuation(b) if not poly_is_zero(b) else 1 << 30)
-        a_s = a[e:] if not poly_is_zero(a) else a
-        b_s = b[e:] if not poly_is_zero(b) else b
-        strips.append(e)
-        frames.append(encode_frame(field, a_s, b_s, variant))
-        n_cells = max(n_cells, poly_degree(a_s) + poly_degree(b_s) + 1)
-    if not frames:
+        e = min(poly_valuation(x) for x in (a, b) if x)
+        a, b = a[e:], b[e:]
+        stripped.append((a, b))
+        shifts.append(e)
+        n_cells = max(n_cells, len(a) + len(b) - 1)  # deg A + deg B + 1
+    if not stripped:
         return []
-    n_ticks = 2 * n_cells + sum(len(fr) for fr in frames) + 6
+    lines, lengths = _build_schedule(stripped, variant)
+    n_ticks = 2 * n_cells + sum(lengths) + 6
     arr = _poly_array(field, n_cells, variant)
-    outputs, tr = engine.run(arr, {CellId(0, 0): _build_schedule(frames, variant)},
-                             n_ticks, trace=trace)
+    outputs, tr = engine.run(arr, {CellId(0, 0): lines}, n_ticks, trace=trace)
     a_out, b_out, s_out = (engine.boundary_line(outputs, CellId(0, n_cells - 1), port, n_ticks)
                            for port in ("aout", "bout", "startout"))
     starts = [t for t in range(len(s_out)) if s_out[t] == 1]
-    if len(starts) != len(frames):
+    if len(starts) != len(lengths):
         raise engine.SimulationError(
-            f"expected {len(frames)} output frames, saw {len(starts)} start bits")
+            f"expected {len(lengths)} output frames, saw {len(starts)} start bits")
     runs = []
     entry = 1  # the tick at which a frame's leading terms enter the leftmost cell
-    for f, (fr, e) in enumerate(zip(frames, strips)):
+    for f, (n, e) in enumerate(zip(lengths, shifts)):
         # fig4's window starts one observation slot after the start bit
         lo = starts[f] + 1 if variant == "fig4" else starts[f]
-        coeffs, first_t = _decode_window(a_out, b_out, lo, lo + len(fr) - 1)
+        coeffs, first_t = _decode_window(a_out, b_out, lo, lo + n - 1)
         if not coeffs:
             raise engine.SimulationError(f"no GCD emerged for pair {f}")
         g = poly_normalize(field, tuple(reversed(coeffs)))
         runs.append(GcdRun(gcd=poly_monic(field, poly_shift(field, g, e)),
                            latency=first_t - entry, cells=n_cells, ticks=n_ticks, trace=tr))
-        entry += len(fr)
+        entry += n
     return runs
 
 

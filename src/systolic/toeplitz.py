@@ -60,9 +60,7 @@ class ToeplitzBands:
         return a
 
 
-def _pivot_tol(bands: ToeplitzBands, tol: float | None) -> float:
-    if tol is not None:
-        return tol
+def _pivot_tol(bands: ToeplitzBands) -> float:
     return 1e-12 * max(max(abs(x) for x in bands.diagonals), 1.0)
 
 
@@ -78,6 +76,7 @@ class BareissBandState:
     gamma: np.ndarray  # diagonal -d (d >= 0) of the positive-shift matrix
     alpha: np.ndarray  # diagonal -d (d >= 1) of the negative-shift matrix
     b_neg: np.ndarray  # fully transformed rhs (upper-triangular system)
+    tol: float         # pivot tolerance of the forward pass
     mults: int = 0     # multiplication count of the forward pass
 
     def storage_words(self) -> int:
@@ -85,10 +84,10 @@ class BareissBandState:
                 + len(self.gamma) + len(self.alpha) + len(self.b_neg))
 
 
-def bareiss_forward(bands: ToeplitzBands, tol: float | None = None) -> BareissBandState:
+def bareiss_forward(bands: ToeplitzBands) -> BareissBandState:
     """Eliminate sub/superdiagonals 1..n, keeping only the band generators."""
     n = bands.n
-    tol = _pivot_tol(bands, tol)
+    tol = _pivot_tol(bands)
     beta = np.array([bands.diag(e) for e in range(n + 1)], dtype=float)
     delta = np.array([bands.diag(e) for e in range(n + 1)], dtype=float)  # index 0 unused
     gamma = np.array([bands.diag(-d) for d in range(n + 1)], dtype=float)
@@ -116,7 +115,7 @@ def bareiss_forward(bands: ToeplitzBands, tol: float | None = None) -> BareissBa
         b_pos[: n + 1 - k] -= mp * b_neg[k:]
         mults += (n + 1 - k) + (n + 1 - k) + (n + 1 - k)
     return BareissBandState(n=n, m_neg=m_neg, m_pos=m_pos, beta=beta, delta=delta,
-                            gamma=gamma, alpha=alpha, b_neg=b_neg, mults=mults)
+                            gamma=gamma, alpha=alpha, b_neg=b_neg, tol=tol, mults=mults)
 
 
 def _backward_steps(state: BareissBandState):
@@ -141,13 +140,13 @@ def _backward_steps(state: BareissBandState):
         yield k - 1, beta
 
 
-def bareiss_back_substitute(state: BareissBandState,
-                            tol: float | None = None) -> np.ndarray:
-    """Solve the triangular system, regenerating factor rows on the fly."""
+def bareiss_back_substitute(state: BareissBandState) -> np.ndarray:
+    """Solve the triangular system, regenerating factor rows on the fly; a
+    regenerated pivot within the forward pass's tolerance is a breakdown."""
     n = state.n
     x = np.zeros(n + 1)
     for k, beta in _backward_steps(state):
-        if tol is not None and abs(beta[0]) <= tol:
+        if abs(beta[0]) <= state.tol:
             raise SingularMinorError(f"regenerated diagonal {k} is singular")
         x[k] = (state.b_neg[k] - beta[1: n + 1 - k] @ x[k + 1:]) / beta[0]
     return x
@@ -162,8 +161,8 @@ def regenerate_u(state: BareissBandState) -> np.ndarray:
     return u
 
 
-def bareiss_solve(bands: ToeplitzBands, tol: float | None = None) -> np.ndarray:
-    return bareiss_back_substitute(bareiss_forward(bands, tol=tol))
+def bareiss_solve(bands: ToeplitzBands) -> np.ndarray:
+    return bareiss_back_substitute(bareiss_forward(bands))
 
 
 # -- systolic array ----------------------------------------------------------
@@ -246,9 +245,8 @@ def make_toeplitz_step(n: int, tol: float):
     return step
 
 
-def build_toeplitz_array(bands: ToeplitzBands, tol: float | None = None):
+def build_toeplitz_array(bands: ToeplitzBands):
     n = bands.n
-    tol = _pivot_tol(bands, tol)
     wiring = []
     for k in range(n + 1):
         if k + 1 <= n:
@@ -262,7 +260,7 @@ def build_toeplitz_array(bands: ToeplitzBands, tol: float | None = None):
         range(cell.col, 2 * n - cell.col, 2),
         range(2 * n + cell.col, 4 * n - cell.col + 1, 2),
     ))
-    step = make_toeplitz_step(n, tol)
+    step = make_toeplitz_step(n, _pivot_tol(bands))
     progs = {CellId(0, k): CellProgram(step, toeplitz_cell_state(bands, k))
              for k in range(n + 1)}
     return build_array(spec, progs)
@@ -276,11 +274,10 @@ class ToeplitzRun:
     trace: engine.Trace
 
 
-def systolic_toeplitz_solve(bands: ToeplitzBands, tol: float | None = None,
-                            trace: bool = True) -> ToeplitzRun:
+def systolic_toeplitz_solve(bands: ToeplitzBands, trace: bool = True) -> ToeplitzRun:
     """Run the 4n+1-tick schedule and read x_k from register xi of cell P_k."""
     n = bands.n
-    arr = build_toeplitz_array(bands, tol=tol)
+    arr = build_toeplitz_array(bands)
     n_ticks = 4 * n + 1
     _, tr = engine.run(arr, None, n_ticks, trace=trace)
     x = np.array([arr.state_of((0, k))["xi"] for k in range(n + 1)])

@@ -69,6 +69,17 @@ def test_eigen_command(tmp_path, capsys):
     assert len(payload["eigenvectors"]) == 2
 
 
+@pytest.mark.parametrize("scale", [1e-11, 1e200])
+def test_eigen_tiny_and_huge_matrices(tmp_path, capsys, scale):
+    # the stop rule is relative, and norms of huge entries do not overflow
+    mtx = tmp_path / "m.txt"
+    mtx.write_text(f"2\n0\n{scale!r} 0\n")
+    code, out, _ = run_cli(capsys, "--format", "json", "eigen", "--matrix", str(mtx))
+    payload = json.loads(out)
+    assert code == 0 and payload["sweeps"] == 1
+    assert sorted(payload["eigenvalues"]) == pytest.approx([-scale, scale], rel=1e-12)
+
+
 def test_eigen_delayed_mode(tmp_path, capsys):
     mtx = tmp_path / "m.txt"
     mtx.write_text("3\n2\n1 2\n0 1 2\n")
@@ -83,10 +94,19 @@ def test_verify_families_pass(capsys):
         assert "pass" in out.splitlines()[-1]
 
 
+def test_verify_trace_covers_every_family(tmp_path, capsys):
+    for family in ("polygcd", "intgcd", "toeplitz", "eigen"):
+        trace = tmp_path / f"{family}.jsonl"
+        code, _, _ = run_cli(capsys, "--seed", "42", "--trace", str(trace),
+                             "verify", family, "--count", "2")
+        assert code == 0, family
+        assert trace.stat().st_size > 0, family
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_verify_polygcd",
-        lambda rng, count: ([{"index": 0, "pass": False}], {}, []))
+        lambda rng, count, trace: ([{"index": 0, "pass": False}], {}, []))
     code, _, _ = run_cli(capsys, "verify", "polygcd", "--count", "1")
     assert code == 1
 
@@ -232,7 +252,7 @@ def test_trace_stats_toeplitz_quarter_utilisation(tmp_path, capsys):
     d[n] = np.sum(np.abs(d)) + 1.0
     tb = ToeplitzBands(n, tuple(d), tuple(rng.uniform(-1, 1, n + 1)))
     trace = tmp_path / "toep.jsonl"
-    systolic_toeplitz_solve(tb).trace.write_jsonl(trace)
+    trace.write_text(systolic_toeplitz_solve(tb).trace.to_jsonl())
     code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
     stats = json.loads(out)
     assert code == 0
@@ -248,7 +268,7 @@ def test_trace_stats_delayed_jacobi_third_utilisation(tmp_path, capsys):
     a = 0.5 * (a + a.T)
     res = run_sweeps(a, mode="delayed", trace=True)
     trace = tmp_path / "jac.jsonl"
-    res.report.trace.write_jsonl(trace)
+    trace.write_text(res.report.trace.to_jsonl())
     code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
     stats = json.loads(out)
     assert code == 0

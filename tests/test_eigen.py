@@ -300,3 +300,24 @@ def test_trace_is_opt_in():
 def test_pack_grid_rejects_empty_and_nonfinite(bad, message):
     with pytest.raises(ValueError, match=message):
         pack_grid(bad)
+
+
+@pytest.mark.parametrize("k", [-40, 600, -600])
+@pytest.mark.parametrize("mode", ["broadcast", "delayed"])
+def test_results_scale_exactly_with_the_input(k, mode):
+    # a relative stop rule and norms that neither overflow nor underflow
+    # make every decision of the sweep loop independent of the scale
+    for n in (2, 5, 8):
+        a = random_symmetric(n)
+        base = run_sweeps(a, mode=mode)
+        scaled = run_sweeps(2.0 ** k * a, mode=mode)
+        assert np.array_equal(scaled.eigenvalues, 2.0 ** k * base.eigenvalues), n
+        assert scaled.report.sweeps_used == base.report.sweeps_used, n
+        assert scaled.report.off_norms == [2.0 ** k * x for x in base.report.off_norms], n
+
+
+def test_zero_matrix_needs_no_sweep():
+    for mode in ("broadcast", "delayed"):
+        res = run_sweeps(np.zeros((3, 3)), mode=mode)
+        assert res.report.sweeps_used == 0 and res.report.converged
+        assert np.array_equal(res.eigenvalues, np.zeros(3))

@@ -24,8 +24,8 @@ from systolic.polygcd import (
     S_INITIAL,
     S_REDUCE_A,
     S_REDUCE_B,
+    _build_schedule,
     appA_initial_state,
-    encode_frame,
     fig4_initial_state,
     make_appA_step,
     make_fig4_step,
@@ -49,28 +49,48 @@ def rand_poly(field, max_deg, nonzero_const=True):
 
 
 def test_encode_alignment_example():
-    f = Field(2)
-    fr = encode_frame(f, (1, 1), (1,), "fig4")  # A = x+1, B = 1
-    assert fr.a_slots == (1, 1)
-    assert fr.b_slots == (1, 0)  # b0 shares the leading slot with a1
-    assert fr.lead_d == 1
+    lines, lengths = _build_schedule([((1, 1), (1,))], "fig4")  # A = x+1, B = 1
+    assert lengths == [2]
+    assert lines["ain"][1:3] == [1, 1]
+    assert lines["bin"][1:3] == [1, 0]  # b0 shares the leading slot with a1
+    assert lines["din"][1] == 1
 
 
 def test_encode_single_slot():
-    fr = encode_frame(Field(2), (1,), (1,), "fig4")
-    assert len(fr) == 1 and fr.lead_d == 0
+    lines, lengths = _build_schedule([((1,), (1,))], "fig4")
+    assert lengths == [1] and lines["din"][1] == 0
 
 
 def test_encode_rejects_double_zero():
-    with pytest.raises(ValueError):
-        encode_frame(Field(2), (), (), "fig4")
+    for pairs in ([((), ())], [((1,), (1,)), ((2,), (0, 0))]):  # (2,) is 0 mod 2
+        with pytest.raises(ValueError):
+            pipeline_batch(Field(2), pairs, "fig4")
 
 
 def test_encode_appA_sig_distance_is_degree_gap():
-    f = Field(7)
-    fr = encode_frame(f, (3, 0, 0, 2), (5, 1), "appA")  # deg 3 vs deg 1
-    assert fr.sig_slots.index(1) == 2  # first sig bit d = 2 slots after start
-    assert fr.b_slots[0] == 1  # leading terms still share slot 0
+    lines, _ = _build_schedule([((3, 0, 0, 2), (5, 1))], "appA")  # deg 3 vs deg 1
+    assert lines["sigin"][1:].index(1) == 2  # first sig bit d = 2 slots after start
+    assert lines["bin"][1] == 1  # leading terms still share slot 0
+
+
+def test_batch_layout_one_slot_frame_then_another():
+    # GF(7): 3 then 1 + 2x + 3x^2 / 4 + 5x, packed from tick 1
+    one, two = ((1,), (3,)), ((1, 2, 3), (4, 5))
+    lines, lengths = _build_schedule([one, two], "fig4")
+    assert lengths == [1, 3]
+    assert lines == {"ain": [0, 1, 3, 2, 1],
+                     "bin": [0, 3, 5, 4, 0],
+                     "startin": [1, 1, 0, 0, 0],  # frame 1's start rides in frame 0's slot
+                     "din": [0, 0, 1, 0, 0]}
+    lines, lengths = _build_schedule([one, two], "appA")
+    assert lengths == [1, 3]
+    assert lines == {"ain": [0, 1, 3, 2, 1],
+                     "bin": [0, 3, 5, 4, 0],
+                     "startin": [0, 1, 1, 0, 0],
+                     "stopin": [0, 1, 0, 0, 1],  # a one-slot frame starts and stops at once
+                     "sigin": [0, 1, 0, 1, 1]}
+    # appA puts the operand of higher degree on the a-line
+    assert _build_schedule([one, two[::-1]], "appA") == (lines, lengths)
 
 
 # -- Fig. 4 cell program -------------------------------------------------------

@@ -87,6 +87,15 @@ def test_a0_zero_breaks_down():
         systolic_toeplitz_solve(bad)
 
 
+def test_back_substitution_checks_regenerated_pivots():
+    # the forward pass's tolerance also guards every regenerated diagonal
+    st = bareiss_forward(SPEC_3X3)
+    assert st.tol == 1e-12 * 4.0
+    st.beta[0] = st.tol  # the stage-n pivot, regenerated first
+    with pytest.raises(SingularMinorError, match="regenerated diagonal 2"):
+        bareiss_back_substitute(st)
+
+
 def test_storage_is_linear():
     for n in (8, 16, 32):
         st = bareiss_forward(random_dominant(n))
