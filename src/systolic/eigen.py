@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class BlockGrid:
 
     def check_symmetry(self, tol: float = 1e-9):
         m = self.mat
-        if not np.allclose(m, m.T, atol=tol * max(1.0, np.max(np.abs(m)))):
+        if not np.allclose(m, m.T, atol=tol * np.max(np.abs(m))):
             raise ValueError("grid lost symmetry")
 
 
@@ -117,8 +117,7 @@ def pack_grid(a: np.ndarray) -> tuple[BlockGrid, int]:
         raise ValueError("matrix must not be empty")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    scale = max(np.max(np.abs(a)), 1.0)
-    if not np.allclose(a, a.T, atol=1e-12 * scale):
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * np.max(np.abs(a))):
         raise ValueError("matrix must be symmetric")
     a = 0.5 * (a + a.T)
     if n % 2:
@@ -139,23 +138,10 @@ def permute(grid: BlockGrid) -> BlockGrid:
     return BlockGrid(mat=new, tracker=tuple(tracker))
 
 
-def step_rotations(mat: np.ndarray, threshold: float) -> tuple[list, int]:
-    """Rotations for each diagonal block; identity when below threshold.
-
-    Returns (rotations, skipped) where skipped counts nonzero off-diagonal
-    entries left alone because of the threshold.
-    """
-    h = mat.shape[0] // 2
-    rots = []
-    skipped = 0
-    for i in range(h):
-        beta = mat[2 * i, 2 * i + 1]
-        if beta != 0.0 and abs(beta) < threshold:
-            rots.append(IDENTITY_ROTATION)
-            skipped += 1
-        else:
-            rots.append(jacobi_rotation(mat[2 * i, 2 * i], beta, mat[2 * i + 1, 2 * i + 1]))
-    return rots, skipped
+def step_rotations(mat: np.ndarray) -> list:
+    """The rotation of each diagonal block."""
+    return [jacobi_rotation(mat[2 * i, 2 * i], mat[2 * i, 2 * i + 1], mat[2 * i + 1, 2 * i + 1])
+            for i in range(mat.shape[0] // 2)]
 
 
 def _rotate_columns(m: np.ndarray, rots: Sequence[RotationPair]):
@@ -181,9 +167,9 @@ def apply_rotations(mat: np.ndarray, rots: Sequence[RotationPair]) -> np.ndarray
     return out
 
 
-def grid_step(grid: BlockGrid, threshold: float) -> tuple[BlockGrid, list]:
+def grid_step(grid: BlockGrid) -> tuple[BlockGrid, list]:
     """One parallel step: rotate every block, then permute rows and columns."""
-    rots, _ = step_rotations(grid.mat, threshold)
+    rots = step_rotations(grid.mat)
     rotated = apply_rotations(grid.mat, rots)
     return permute(BlockGrid(mat=rotated, tracker=grid.tracker)), rots
 
@@ -199,29 +185,8 @@ def off_norm(mat: np.ndarray) -> float:
 def _norm_exponent(mat: np.ndarray) -> int:
     """0 when mat's largest entry lies within 2**-250 .. 2**250, where its
     square neither overflows nor underflows, else that entry's exponent."""
-    e = math.frexp(float(np.max(np.abs(mat))))[1]
+    e = math.frexp(float(np.max(np.abs(mat), initial=0.0)))[1]
     return e if abs(e) > 250 else 0
-
-
-def _scaled(norm, mat: np.ndarray, e: int) -> float:
-    """norm(mat), computed on mat * 2**-e and scaled back.  Scaling by a
-    power of two is exact, so this equals norm(mat) wherever computing that
-    neither overflows nor underflows."""
-    return math.ldexp(norm(np.ldexp(mat, -e)), e) if e else norm(mat)
-
-
-def default_threshold_schedule(a: np.ndarray) -> Callable[[int], float]:
-    """Per-sweep threshold: off(A0)_F / (n^2 4^r), dropping to 0 after sweep 6."""
-    a = np.asarray(a, dtype=float)
-    base = _scaled(off_norm, a, _norm_exponent(a))
-    n = a.shape[0]
-
-    def schedule(sweep: int) -> float:
-        if sweep > 6:
-            return 0.0
-        return base / (n * n * 4.0 ** sweep)
-
-    return schedule
 
 
 @dataclass
@@ -229,7 +194,6 @@ class SweepReport:
     sweeps_used: int
     converged: bool
     off_norms: list = field(default_factory=list)  # after each step
-    skipped_per_sweep: list = field(default_factory=list)
     rotations_performed: int = 0
     ticks: int = 0  # delayed mode only
     trace: engine.Trace | None = None  # delayed mode with trace=True only
@@ -256,43 +220,40 @@ def run_sweeps(a, max_sweeps: int = 10,
     """
     if mode not in ("broadcast", "delayed"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid, n = pack_grid(a)
+    a = np.asarray(a, dtype=float)
+    # entries too large or too small to square are brought into range by one
+    # exact power-of-two scaling; eigenvalues and off-norms are scaled back
+    e = _norm_exponent(a)
+    grid, n = pack_grid(np.ldexp(a, -e) if e else a)
     size = grid.size
     steps_per_sweep = max(size - 1, 1)
-    schedule = default_threshold_schedule(grid.mat)
-    thresholds = [schedule(r) for r in range(max_sweeps)]
-    e = _norm_exponent(grid.mat)  # nonzero only for entries too large or small to square
-    fro = float(_scaled(np.linalg.norm, grid.mat, e))
+    fro = float(np.linalg.norm(grid.mat))
     stop_at = tol * fro
     tr = engine.Trace() if trace and mode == "delayed" else None
     report = SweepReport(sweeps_used=0, trace=tr,
-                         converged=fro == 0.0 or _scaled(off_norm, grid.mat, e) < stop_at)
+                         converged=fro == 0.0 or off_norm(grid.mat) < stop_at)
     arr = delayed = None  # delayed mode: the array and its rotated grids, per step
     vec = np.eye(size) if compute_vectors else None
     inv_sig = np.argsort(position_permutation(size))
     for sweep in range(max_sweeps):
         if report.converged:
             break
-        thr = thresholds[sweep]
-        skipped = 0
         for _ in range(steps_per_sweep):
-            rots, sk = step_rotations(grid.mat, thr)
-            skipped += sk
+            rots = step_rotations(grid.mat)
             report.rotations_performed += sum(1 for r in rots if r != IDENTITY_ROTATION)
             if mode == "broadcast":
                 rotated = apply_rotations(grid.mat, rots)
             else:
                 if arr is None:
                     total_steps = max_sweeps * steps_per_sweep
-                    arr = build_delayed_array(grid, thresholds, steps_per_sweep, total_steps)
+                    arr = build_delayed_array(grid, total_steps)
                     delayed = _delayed_grids(arr, size, total_steps, tr)
                 rotated = next(delayed)
             if vec is not None:
                 _rotate_columns(vec, rots)
                 vec = vec[:, inv_sig]
             grid = permute(BlockGrid(mat=rotated, tracker=grid.tracker))
-            report.off_norms.append(_scaled(off_norm, grid.mat, e))
-        report.skipped_per_sweep.append(skipped)
+            report.off_norms.append(off_norm(grid.mat))
         report.sweeps_used = sweep + 1
         report.converged = report.off_norms[-1] < stop_at
     if arr is not None:
@@ -306,6 +267,14 @@ def run_sweeps(a, max_sweeps: int = 10,
             eigenvalues[orig] = grid.mat[pos, pos]
             if vectors is not None:
                 vectors[:, orig] = vec[:n, pos]
+    if e:
+        with np.errstate(over="ignore"):
+            eigenvalues = np.ldexp(eigenvalues, e)
+            # an off-norm may exceed the float range, and read inf, while
+            # every eigenvalue fits: |A|_F can be sqrt(n) times max |lambda|
+            report.off_norms = np.ldexp(report.off_norms, e).tolist()
+        if not np.all(np.isfinite(eigenvalues)):
+            raise ValueError("eigenvalues exceed the float range")
     return EigenResult(eigenvalues=eigenvalues, eigenvectors=vectors, report=report)
 
 
@@ -352,15 +321,13 @@ def _block_sources(entries) -> tuple:
     return tuple(by_par)
 
 
-def _make_delayed_step(i: int, j: int, entries, thresholds: Sequence[float],
-                       steps_per_sweep: int):
+def _make_delayed_step(i: int, j: int, entries):
     """Program of cell (i, j), clocked at ticks 3s + |i - j| for step s.
 
     Every port name it reads or writes is fixed here, at build time.
     """
     d = abs(i - j)
     sources = _block_sources(entries)
-    last_thr = len(thresholds) - 1
     # an off-diagonal cell passes rotations on away from the diagonal; a
     # diagonal cell sends them in all four directions (below)
     if j > i:
@@ -380,12 +347,7 @@ def _make_delayed_step(i: int, j: int, entries, thresholds: Sequence[float],
             b10 = state[n2] if o2 else ins[n2]
             b11 = state[n3] if o3 else ins[n3]
         if d == 0:
-            thr = thresholds[min(s // steps_per_sweep, last_thr)]
-            if b01 != 0.0 and abs(b01) < thr:
-                ci, si = IDENTITY_ROTATION
-            else:
-                ci, si = jacobi_rotation(b00, b01, b11)
-            cj, sj = ci, si
+            ci, si = cj, sj = jacobi_rotation(b00, b01, b11)
         else:
             ci, si = ins["rowc_in"], ins["rows_in"]
             cj, sj = ins["colc_in"], ins["cols_in"]
@@ -403,8 +365,7 @@ def _make_delayed_step(i: int, j: int, entries, thresholds: Sequence[float],
     return step
 
 
-def build_delayed_array(grid: BlockGrid, thresholds: Sequence[float],
-                        steps_per_sweep: int, total_steps: int):
+def build_delayed_array(grid: BlockGrid, total_steps: int):
     size = grid.size
     h = size // 2
     plan = _assembly_sources(size)
@@ -440,7 +401,7 @@ def build_delayed_array(grid: BlockGrid, thresholds: Sequence[float],
     for i in range(h):
         for j in range(h):
             blk = grid.block(i, j)
-            step = _make_delayed_step(i, j, plan[(i, j)], thresholds, steps_per_sweep)
+            step = _make_delayed_step(i, j, plan[(i, j)])
             progs[CellId(i, j)] = CellProgram(step, {
                 "b00": float(blk[0, 0]), "b01": float(blk[0, 1]),
                 "b10": float(blk[1, 0]), "b11": float(blk[1, 1]),

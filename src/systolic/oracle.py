@@ -91,18 +91,14 @@ def serial_cyclic_jacobi(m, tol: float = 1e-12, max_sweeps: int = 30):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.max(np.abs(a)))):
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * np.max(np.abs(a))):
         raise ValueError("matrix must be symmetric")
     v = np.eye(n)
-    norm = np.linalg.norm(a)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    # hypot scales internally, so neither norm overflows or underflows
+    norm = math.hypot(*a.ravel())
     sweeps = 0
-
-    def off2():
-        m = a.copy()
-        np.fill_diagonal(m, 0.0)
-        return np.sum(m * m)
-
-    while sweeps < max_sweeps and off2() > (tol * max(norm, 1.0)) ** 2:
+    while sweeps < max_sweeps and math.hypot(*a[off_diagonal]) > tol * norm:
         for i in range(n - 1):
             for j in range(i + 1, n):
                 apq = a[i, j]

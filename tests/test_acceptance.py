@@ -216,14 +216,12 @@ def test_criterion_9_jacobi_accuracy():
             a = q @ np.diag(rng.uniform(-5, 5, 8)) @ q.T
             a = 0.5 * (a + a.T)
             grid, _ = eigen.pack_grid(a)
-            thr_fn = eigen.default_threshold_schedule(grid.mat)
             for s in range(3 * 7):
-                thr = thr_fn(s // 7)
-                rots, _sk = eigen.step_rotations(grid.mat, thr)
+                rots = eigen.step_rotations(grid.mat)
                 beta2 = sum(grid.mat[2 * i, 2 * i + 1] ** 2
                             for i, r in enumerate(rots) if r != (1.0, 0.0))
                 before = eigen.off_norm(grid.mat) ** 2
-                grid, _ = eigen.grid_step(grid, thr)
+                grid, _ = eigen.grid_step(grid)
                 after = eigen.off_norm(grid.mat) ** 2
                 assert abs(after - (before - 2.0 * beta2)) <= 1e-10 * max(before, 1e-30)
 
@@ -241,12 +239,11 @@ def test_criterion_10_schedule_equivalence():
             assert np.array_equal(np.sort(rd.eigenvalues), np.sort(rb.eigenvalues))
             grid, _ = eigen.pack_grid(a)
             size = grid.size
-            thr_fn = eigen.default_threshold_schedule(grid.mat)
             rotated = eigen.delayed_grids_from_trace(rd.report.trace, size,
                                                      10 * (size - 1))
             steps = rd.report.sweeps_used * (size - 1)
             for s in range(steps):
-                rots, _sk = eigen.step_rotations(grid.mat, thr_fn(s // (size - 1)))
+                rots = eigen.step_rotations(grid.mat)
                 rot = eigen.apply_rotations(grid.mat, rots)
                 assert np.array_equal(rot, rotated[s]), (trial, s)
                 grid = eigen.permute(eigen.BlockGrid(mat=rot, tracker=grid.tracker))

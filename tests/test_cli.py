@@ -69,15 +69,27 @@ def test_eigen_command(tmp_path, capsys):
     assert len(payload["eigenvectors"]) == 2
 
 
-@pytest.mark.parametrize("scale", [1e-11, 1e200])
-def test_eigen_tiny_and_huge_matrices(tmp_path, capsys, scale):
-    # the stop rule is relative, and norms of huge entries do not overflow
+@pytest.mark.parametrize("lower, expected", [
+    pytest.param("0\n1e-11 0", [-1e-11, 1e-11], id="1e-11"),
+    pytest.param("0\n1e+200 0", [-1e200, 1e200], id="1e+200"),
+    pytest.param("1e308\n1e308 -1e308", [-1.4142135623730951e+308, 1.4142135623730951e+308],
+                 id="1e+308"),
+    pytest.param("1e308\n1e308 1e308", None, id="2e+308-overflows"),
+])
+def test_eigen_tiny_and_huge_matrices(tmp_path, capsys, lower, expected):
+    # the stop rule is relative, and the working matrix is scaled so that
+    # nothing overflows; a result beyond the float range is an input error
     mtx = tmp_path / "m.txt"
-    mtx.write_text(f"2\n0\n{scale!r} 0\n")
-    code, out, _ = run_cli(capsys, "--format", "json", "eigen", "--matrix", str(mtx))
-    payload = json.loads(out)
-    assert code == 0 and payload["sweeps"] == 1
-    assert sorted(payload["eigenvalues"]) == pytest.approx([-scale, scale], rel=1e-12)
+    mtx.write_text(f"2\n{lower}\n")
+    for mode in ("broadcast", "delayed"):
+        code, out, err = run_cli(capsys, "--format", "json", "eigen", "--matrix", str(mtx),
+                                 "--mode", mode)
+        if expected is None:
+            assert code == 2 and "float range" in err, mode
+            continue
+        payload = json.loads(out)
+        assert code == 0 and payload["sweeps"] == 1, mode
+        assert sorted(payload["eigenvalues"]) == pytest.approx(expected, rel=1e-12), mode
 
 
 def test_eigen_delayed_mode(tmp_path, capsys):

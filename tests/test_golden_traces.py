@@ -41,7 +41,7 @@ RUNS = {
     "toeplitz": (_toeplitz_trace, 81,
                  "dc764abe7f3b65d56b37fbc62e240d399ff01ea641a90db2f5345c59b41744e6"),
     "eigen-delayed": (_eigen_trace, 450,
-                      "97af27aae85451bb2c7e5dfcea4e7aeef392651d9dd49bbcc89d45cf1acde28b"),
+                      "9b8a002f1b050eff21410f8d708ba194d56ed0646635d087be6d508b3bfde7fb"),
 }
 
 

@@ -120,6 +120,19 @@ def test_jacobi_residual_selfcheck():
         assert np.linalg.norm(a @ vecs - vecs @ np.diag(vals)) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("k", [-60, 700])
+def test_jacobi_stop_rule_is_scale_free(k):
+    nrng = np.random.default_rng(60)
+    for n in (3, 6):
+        q, _ = np.linalg.qr(nrng.normal(size=(n, n)))
+        a = q @ np.diag(nrng.uniform(-5, 5, n)) @ q.T
+        a = 0.5 * (a + a.T)
+        vals, _, sweeps = serial_cyclic_jacobi(a)
+        vals_k, _, sweeps_k = serial_cyclic_jacobi(2.0 ** k * a)
+        assert sweeps_k == sweeps > 0, n
+        assert np.max(np.abs(np.ldexp(vals_k, -k) - vals)) <= 1e-12 * np.linalg.norm(a), n
+
+
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         serial_cyclic_jacobi([[0.0, 1.0], [0.5, 0.0]])
