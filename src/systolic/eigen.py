@@ -119,7 +119,9 @@ def pack_grid(a: np.ndarray) -> tuple[BlockGrid, int]:
         raise ValueError("matrix entries must be finite")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * np.max(np.abs(a))):
         raise ValueError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
+    # halving before adding cannot overflow; a symmetric pair is kept as it
+    # is, because halving a subnormal entry rounds
+    a = np.where(a == a.T, a, 0.5 * a + 0.5 * a.T)
     if n % 2:
         padded = np.zeros((n + 1, n + 1))
         padded[:n, :n] = a
@@ -416,15 +418,6 @@ def _put_block(g: np.ndarray, cell: CellId, state) -> None:
     g[2 * i, 2 * j + 1] = state["b01"]
     g[2 * i + 1, 2 * j] = state["b10"]
     g[2 * i + 1, 2 * j + 1] = state["b11"]
-
-
-def delayed_grids_from_trace(tr: engine.Trace, size: int, total_steps: int):
-    """Rotated (pre-permutation) grids per step, rebuilt from traced cell states."""
-    grids = [np.zeros((size, size)) for _ in range(total_steps)]
-    for rec in tr:
-        s = (rec.tick - abs(rec.cell.row - rec.cell.col)) // 3
-        _put_block(grids[s], rec.cell, rec.state)
-    return grids
 
 
 def _delayed_grids(arr, size: int, total_steps: int, tr: engine.Trace | None):

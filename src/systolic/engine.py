@@ -73,10 +73,10 @@ WindowFn = Callable[[CellId], tuple[range, ...]]
 class ArraySpec:
     """Topology plus wiring plus activity windows.
 
-    topology is ("linear", length) or ("grid", rows, cols).  Wiring must be
-    nearest-neighbour: |dcol| <= 1 for linear arrays, |drow| <= 1 and
-    |dcol| <= 1 for grids (diagonal links allowed).  Each destination port
-    has exactly one source; one source port may fan out.
+    topology is ("grid", rows, cols); a linear array is a one-row grid.
+    Wiring must be nearest-neighbour: |drow| <= 1 and |dcol| <= 1 (diagonal
+    links allowed).  Each destination port has exactly one source; one
+    source port may fan out.
 
     activation maps a cell to a tuple of ``range`` windows of non-negative
     ticks; the cell is clocked on every tick that lies in one of them, and
@@ -90,28 +90,21 @@ class ArraySpec:
     activation: WindowFn | None = None
 
     def cells(self) -> list[CellId]:
-        kind = self.topology[0]
-        if kind == "linear":
-            return [CellId(0, c) for c in range(self.topology[1])]
-        if kind == "grid":
-            _, rows, cols = self.topology
-            return [CellId(r, c) for r in range(rows) for c in range(cols)]
-        raise ConstructionError(f"unknown topology {self.topology!r}")
+        _, rows, cols = self.topology
+        return [CellId(r, c) for r in range(rows) for c in range(cols)]
 
     def contains(self, cell: CellId) -> bool:
-        kind = self.topology[0]
-        if kind == "linear":
-            return cell.row == 0 and 0 <= cell.col < self.topology[1]
         _, rows, cols = self.topology
         return 0 <= cell.row < rows and 0 <= cell.col < cols
 
 
-def linear(length: int, wiring: Iterable[Wire] = (), activation=None) -> ArraySpec:
-    return ArraySpec(("linear", length), tuple(wiring), activation)
-
-
 def grid(rows: int, cols: int, wiring: Iterable[Wire] = (), activation=None) -> ArraySpec:
     return ArraySpec(("grid", rows, cols), tuple(wiring), activation)
+
+
+def linear(length: int, wiring: Iterable[Wire] = (), activation=None) -> ArraySpec:
+    """A linear array of ``length`` cells: the one-row grid."""
+    return grid(1, length, wiring, activation)
 
 
 def chain_wires(length: int, ports: Iterable[str]) -> list[Wire]:
@@ -170,14 +163,8 @@ class Trace:
 def _check_wire_geometry(spec: ArraySpec, w: Wire):
     if not spec.contains(w.src) or not spec.contains(w.dst):
         raise ConstructionError(f"wire {w} references cell outside {spec.topology}")
-    dr = abs(w.src.row - w.dst.row)
-    dc = abs(w.src.col - w.dst.col)
-    if spec.topology[0] == "linear":
-        if dr + dc > 1:
-            raise ConstructionError(f"wire {w} is not nearest-neighbour")
-    else:
-        if dr > 1 or dc > 1:
-            raise ConstructionError(f"wire {w} is not nearest-neighbour")
+    if abs(w.src.row - w.dst.row) > 1 or abs(w.src.col - w.dst.col) > 1:
+        raise ConstructionError(f"wire {w} is not nearest-neighbour")
 
 
 _EMPTY = object()  # port value before the first write

@@ -48,9 +48,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -158,11 +155,3 @@ def poly_to_str(field: Field, a: Poly) -> str:
     coeffs = ",".join(str(x) for x in a) if a else "0"
     return f"{coeffs} mod {field.p}"
 
-
-def poly_from_str(text: str) -> tuple[Field, Poly]:
-    body, _, mod = text.partition(" mod ")
-    if not mod:
-        raise ValueError(f"missing 'mod p' suffix in {text!r}")
-    field = Field(int(mod))
-    coeffs = [int(x) for x in body.split(",")] if body.strip() else []
-    return field, poly_normalize(field, coeffs)

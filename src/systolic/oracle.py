@@ -36,35 +36,19 @@ def euclid_int_gcd(a: int, b: int) -> int:
     return a
 
 
-def binary_int_gcd(a: int, b: int) -> int:
-    """Binary Euclidean algorithm; requires odd positive a and b."""
-    if a <= 0 or b <= 0 or a % 2 == 0 or b % 2 == 0:
-        raise ValueError("binary_int_gcd needs odd positive inputs")
-    t = abs(a - b)
-    while t != 0:
-        while t % 2 == 0:
-            t //= 2
-        if a > b:
-            a = t
-        else:
-            b = t
-        t = abs(a - b)
-    return a
-
-
-def dense_lu_solve_nopivot(m, b, tol: float | None = None):
+def dense_lu_solve_nopivot(m, b):
     """Solve m x = b by Gaussian elimination without pivoting; returns (x, U).
 
-    Raises SingularMatrixError when a pivot is (nearly) zero, matching the
-    breakdown behaviour of the band recursions this oracle validates.
+    Raises SingularMatrixError when a pivot is (nearly) zero, |pivot| <=
+    1e-12 * max|m|, matching the breakdown behaviour of the band recursions
+    this oracle validates.
     """
     a = np.array(m, dtype=float)
     rhs = np.array(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or rhs.shape != (n,):
         raise ValueError("shape mismatch")
-    if tol is None:
-        tol = 1e-12 * max(np.max(np.abs(a)), 1.0)
+    tol = 1e-12 * np.max(np.abs(a))
     for k in range(n):
         piv = a[k, k]
         if abs(piv) <= tol:
@@ -81,11 +65,13 @@ def dense_lu_solve_nopivot(m, b, tol: float | None = None):
     return x, a
 
 
-def serial_cyclic_jacobi(m, tol: float = 1e-12, max_sweeps: int = 30):
+def serial_cyclic_jacobi(m):
     """Cyclic-by-rows Jacobi for a symmetric matrix.
 
-    Returns (eigenvalues, eigenvectors, sweeps); column j of the eigenvector
-    matrix pairs with eigenvalue j.  Rotation angles are capped at pi/4.
+    Sweeps until off(A) <= 1e-12 * |A|_F, or 30 sweeps.  An asymmetry up to
+    1e-12 * max|m| is averaged out first.  Returns (eigenvalues,
+    eigenvectors, sweeps); column j of the eigenvector matrix pairs with
+    eigenvalue j.  Rotation angles are capped at pi/4.
     """
     a = np.array(m, dtype=float)
     n = a.shape[0]
@@ -93,12 +79,15 @@ def serial_cyclic_jacobi(m, tol: float = 1e-12, max_sweeps: int = 30):
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * np.max(np.abs(a))):
         raise ValueError("matrix must be symmetric")
+    # halving before adding cannot overflow; a symmetric pair is kept as it
+    # is, because halving a subnormal entry rounds
+    a = np.where(a == a.T, a, 0.5 * a + 0.5 * a.T)
     v = np.eye(n)
     off_diagonal = ~np.eye(n, dtype=bool)
     # hypot scales internally, so neither norm overflows or underflows
     norm = math.hypot(*a.ravel())
     sweeps = 0
-    while sweeps < max_sweeps and math.hypot(*a[off_diagonal]) > tol * norm:
+    while sweeps < 30 and math.hypot(*a[off_diagonal]) > 1e-12 * norm:
         for i in range(n - 1):
             for j in range(i + 1, n):
                 apq = a[i, j]

@@ -61,7 +61,9 @@ class ToeplitzBands:
 
 
 def _pivot_tol(bands: ToeplitzBands) -> float:
-    return 1e-12 * max(max(abs(x) for x in bands.diagonals), 1.0)
+    """Pivots at or below 1e-12 * max|a_k| are a breakdown.  The rule has no
+    floor, so scaling the bands by 2^k decides every pivot the same way."""
+    return 1e-12 * max(abs(x) for x in bands.diagonals)
 
 
 @dataclass

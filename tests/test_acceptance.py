@@ -239,13 +239,14 @@ def test_criterion_10_schedule_equivalence():
             assert np.array_equal(np.sort(rd.eigenvalues), np.sort(rb.eigenvalues))
             grid, _ = eigen.pack_grid(a)
             size = grid.size
-            rotated = eigen.delayed_grids_from_trace(rd.report.trace, size,
-                                                     10 * (size - 1))
+            total = 10 * (size - 1)
+            rotated = eigen._delayed_grids(eigen.build_delayed_array(grid, total),
+                                           size, total, None)
             steps = rd.report.sweeps_used * (size - 1)
             for s in range(steps):
                 rots = eigen.step_rotations(grid.mat)
                 rot = eigen.apply_rotations(grid.mat, rots)
-                assert np.array_equal(rot, rotated[s]), (trial, s)
+                assert np.array_equal(rot, next(rotated)), (trial, s)
                 grid = eigen.permute(eigen.BlockGrid(mat=rot, tracker=grid.tracker))
             if n == 16:
                 tr = rd.report.trace

@@ -161,6 +161,24 @@ def _toeplitz_with_bands(tmp_path, capsys, bands_text):
     return run_cli(capsys, "toeplitz", "--n", "2", "--bands", str(bands), "--rhs", str(rhs))
 
 
+@pytest.mark.parametrize("bands_text, mode", [
+    pytest.param("0\n0\n0\n0\n0\n", "serial", id="all-zero-serial"),
+    pytest.param("0\n0\n0\n0\n0\n", "systolic", id="all-zero-systolic"),
+    # a_0 = 0 in systolic mode is test_numerical_breakdown_exit_3
+    pytest.param("1\n1\n0\n1\n1\n", "serial", id="a0-zero-serial"),
+])
+def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode):
+    # the pivot rule 1e-12 * max|a_k| has no floor; a zero pivot still fails it
+    bands = tmp_path / "bands.txt"
+    rhs = tmp_path / "rhs.txt"
+    bands.write_text(bands_text)
+    rhs.write_text("1\n1\n1\n")
+    code, out, err = run_cli(capsys, "toeplitz", "--n", "2", "--mode", mode,
+                             "--bands", str(bands), "--rhs", str(rhs))
+    assert code == 3 and out == ""
+    assert "breakdown" in err
+
+
 def test_nan_band_is_a_usage_error(tmp_path, capsys):
     code, out, err = _toeplitz_with_bands(tmp_path, capsys, "0\n2\nnan\n1\n0\n")
     assert code == 2 and out == ""

@@ -1,11 +1,15 @@
 """Parallel Jacobi: rotations, the pairing permutation, both schedules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from systolic.eigen import (
     BlockGrid,
+    _delayed_grids,
     apply_rotations,
+    build_delayed_array,
     grid_step,
     jacobi_rotation,
     off_norm,
@@ -188,19 +192,19 @@ def test_delayed_equals_broadcast_grid_for_grid():
     for n in (4, 8):
         a = random_symmetric(n)
         rb = run_sweeps(a, mode="broadcast")
-        rd = run_sweeps(a, mode="delayed", trace=True)
+        rd = run_sweeps(a, mode="delayed")
         assert np.array_equal(np.sort(rb.eigenvalues), np.sort(rd.eigenvalues))
         assert rb.report.sweeps_used == rd.report.sweeps_used
-        # step-by-step: replay broadcast and compare against the delayed trace
-        from systolic.eigen import delayed_grids_from_trace
+        # step-by-step: replay broadcast and compare against the grids the
+        # delayed array holds, read the way run_sweeps reads them
         grid, _ = pack_grid(a)
         steps = rd.report.sweeps_used * (grid.size - 1)
-        rotated_d = delayed_grids_from_trace(rd.report.trace, grid.size,
-                                             10 * (grid.size - 1))
+        total = 10 * (grid.size - 1)
+        rotated_d = _delayed_grids(build_delayed_array(grid, total), grid.size, total, None)
         for s in range(steps):
             rots = step_rotations(grid.mat)
             rot = apply_rotations(grid.mat, rots)
-            assert np.array_equal(rot, rotated_d[s])
+            assert np.array_equal(rot, next(rotated_d))
             grid = permute(BlockGrid(mat=rot, tracker=grid.tracker))
 
 
@@ -297,6 +301,19 @@ def test_trace_is_opt_in():
 def test_pack_grid_rejects_empty_and_nonfinite(bad, message):
     with pytest.raises(ValueError, match=message):
         pack_grid(bad)
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param([[1e308, 1e308], [1e308, -1e308]], id="float-maximum"),
+    pytest.param([[1.0, 0.0], [0.0, 5e-324]], id="subnormal"),
+])
+def test_pack_grid_keeps_extreme_symmetric_entries(a):
+    # averaging halves each entry before adding, so no sum overflows, and
+    # leaves a symmetric pair as it is, so no subnormal entry is rounded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid, _ = pack_grid(a)
+    assert np.array_equal(grid.mat, a)
 
 
 @pytest.mark.parametrize("k", [-40, 600, -600, -1000, 1020])

@@ -8,7 +8,6 @@ import pytest
 from systolic.gfield import Field, poly_divmod, poly_monic, poly_mul
 from systolic.oracle import (
     SingularMatrixError,
-    binary_int_gcd,
     dense_lu_solve_nopivot,
     euclid_int_gcd,
     euclid_poly_gcd,
@@ -52,22 +51,6 @@ def test_int_gcd_examples():
         assert euclid_int_gcd(1, b) == 1
     with pytest.raises(ValueError):
         euclid_int_gcd(0, 0)
-
-
-def test_binary_gcd_examples_and_preconditions():
-    assert binary_int_gcd(3, 5) == 1
-    assert binary_int_gcd(9, 9) == 9
-    assert binary_int_gcd(15, 25) == 5
-    for bad in ((4, 3), (3, 4), (0, 3), (-3, 5)):
-        with pytest.raises(ValueError):
-            binary_int_gcd(*bad)
-
-
-def test_binary_gcd_matches_euclid_exhaustively():
-    for a in range(1, 1 << 10, 2):
-        for b in range(1, 1 << 10, 2):
-            if binary_int_gcd(a, b) != euclid_int_gcd(a, b):
-                raise AssertionError(f"disagreement at {a},{b}")
 
 
 def test_lu_identity():
@@ -136,3 +119,27 @@ def test_jacobi_stop_rule_is_scale_free(k):
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         serial_cyclic_jacobi([[0.0, 1.0], [0.5, 0.0]])
+
+
+def test_lu_pivot_rule_is_scale_free():
+    rng = np.random.default_rng(5)
+    m = rng.uniform(-1, 1, (6, 6))
+    m += np.diag(np.sum(np.abs(m), axis=1) + 1)
+    b = rng.uniform(-1, 1, 6)
+    x, _ = dense_lu_solve_nopivot(m, b)
+    x_small, _ = dense_lu_solve_nopivot(2.0 ** -60 * m, 2.0 ** -60 * b)
+    assert np.array_equal(x_small, x)
+
+
+def test_jacobi_averages_an_asymmetry_from_either_triangle():
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    a = q @ np.diag([-2.0, 1.0, 3.0]) @ q.T
+    a = 0.5 * (a + a.T)
+    eps = 0.9e-12 * np.max(np.abs(a))
+    upper, lower = a.copy(), a.copy()
+    upper[0, 2] += eps
+    lower[2, 0] += eps
+    vals_upper, _, _ = serial_cyclic_jacobi(upper)
+    vals_lower, _, _ = serial_cyclic_jacobi(lower)
+    assert np.array_equal(vals_upper, vals_lower)

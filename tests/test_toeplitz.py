@@ -263,3 +263,43 @@ def test_engine_matches_straight_line_transcription():
     for (t1, k1, s1), (t2, k2, s2) in zip(traced, history):
         assert (t1, k1) == (t2, k2)
         assert s1 == s2
+
+
+@pytest.mark.parametrize("k", [-600, -60, 600])
+def test_scaled_system_solves_bit_identically(k):
+    # the pivot rule is relative with no floor, so a 2^k-scaled system takes
+    # the same decisions and every rounding scales exactly
+    tb = random_dominant(15)
+    scaled = ToeplitzBands(15, tuple(np.ldexp(tb.diagonals, k)), tuple(np.ldexp(tb.rhs, k)))
+    assert np.array_equal(bareiss_solve(scaled), bareiss_solve(tb))
+    assert np.array_equal(systolic_toeplitz_solve(scaled, trace=False).x,
+                          systolic_toeplitz_solve(tb, trace=False).x)
+
+
+def _symmetric_bands(col):
+    """Bands of the symmetric Toeplitz matrix whose first column is col."""
+    n = len(col) - 1
+    return tuple(col[abs(k)] for k in range(-n, n + 1))
+
+
+@pytest.mark.parametrize("family, param, n", [
+    *(("kms", rho, n) for n in (15, 31) for rho in (0.5, 0.9, 0.99, 0.999, 0.9999)),
+    ("prolate", 0.25, 15), ("prolate", 0.4, 15), ("prolate", 0.4, 31),
+])
+def test_error_grows_no_faster_than_the_condition_number(family, param, n):
+    # Bareiss without pivoting is weakly stable on symmetric positive
+    # definite Toeplitz matrices (Bojanczyk, Brent, de Hoog & Sweet 1995):
+    # the error is O(kappa * u).  KMS: a_k = rho^|k|; prolate: a_0 = 2w,
+    # a_k = sin(2 pi w k) / (pi k)
+    k = np.arange(1, n + 1)
+    if family == "kms":
+        col = np.concatenate(([1.0], param ** k))
+    else:
+        col = np.concatenate(([2.0 * param], np.sin(2.0 * np.pi * param * k) / (np.pi * k)))
+    rhs = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+    tb = ToeplitzBands(n, _symmetric_bands(col), tuple(rhs))
+    dense = tb.to_dense()
+    x_ref = np.linalg.solve(dense, rhs)
+    bound = 4.0 * np.linalg.cond(dense) * 2.0 ** -53
+    for x in (bareiss_solve(tb), systolic_toeplitz_solve(tb, trace=False).x):
+        assert np.linalg.norm(x - x_ref) <= bound * np.linalg.norm(x_ref)
