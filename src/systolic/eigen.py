@@ -89,22 +89,8 @@ class BlockGrid:
     def size(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def half(self) -> int:
-        return self.size // 2
-
     def block(self, i: int, j: int) -> np.ndarray:
         return self.mat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
-
-    def diagonal_pairs(self) -> list[tuple]:
-        """Original indices meeting in each diagonal cell, at this step."""
-        return [(self.tracker[2 * i], self.tracker[2 * i + 1])
-                for i in range(self.half)]
-
-    def check_symmetry(self, tol: float = 1e-9):
-        m = self.mat
-        if not np.allclose(m, m.T, atol=tol * np.max(np.abs(m))):
-            raise ValueError("grid lost symmetry")
 
 
 def pack_grid(a: np.ndarray) -> tuple[BlockGrid, int]:
@@ -167,13 +153,6 @@ def apply_rotations(mat: np.ndarray, rots: Sequence[RotationPair]) -> np.ndarray
             out[2 * i + 1] = s * r0 + c * r1
     _rotate_columns(out, rots)
     return out
-
-
-def grid_step(grid: BlockGrid) -> tuple[BlockGrid, list]:
-    """One parallel step: rotate every block, then permute rows and columns."""
-    rots = step_rotations(grid.mat)
-    rotated = apply_rotations(grid.mat, rots)
-    return permute(BlockGrid(mat=rotated, tracker=grid.tracker)), rots
 
 
 def off_norm(mat: np.ndarray) -> float:
@@ -303,66 +282,62 @@ def _assembly_sources(size: int):
 
 
 _ENTRY_NAMES = {(0, 0): "b00", (0, 1): "b01", (1, 0): "b10", (1, 1): "b11"}
-_BLOCK_OUTS = tuple(tuple(f"{name}_{par}" for name in ("b00", "b01", "b10", "b11"))
-                    for par in (0, 1))
+# block outputs: b00..b11 of parity 0, then of parity 1
+_BLOCK_OUTS = tuple(f"{name}_{par}" for par in (0, 1) for name in ("b00", "b01", "b10", "b11"))
+_NO_BLOCK = (None,) * 4
 
 
-def _block_sources(entries) -> tuple:
+def _block_sources(entries, ins) -> tuple:
     """Per previous-step parity, where a cell reads b00..b11: for each entry
-    (True, register name) for its own register, or (False, input port)."""
-    by_par = []
-    for prev_par in (0, 1):
-        srcs = []
-        for (dr, dc, (er, ec)) in entries:
-            name = _ENTRY_NAMES[(er, ec)]
-            if dr == 0 and dc == 0:
-                srcs.append((True, name))
-            else:
-                srcs.append((False, f"in{dr + 1}{dc + 1}_{name}_{prev_par}"))
-        by_par.append(tuple(srcs))
-    return tuple(by_par)
+    (True, register index) for its own register, or (False, input index)."""
+    return tuple(
+        tuple((True, 2 * er + ec) if dr == 0 and dc == 0 else
+              (False, ins.index(f"in{dr + 1}{dc + 1}_{_ENTRY_NAMES[(er, ec)]}_{prev_par}"))
+              for (dr, dc, (er, ec)) in entries)
+        for prev_par in (0, 1))
 
 
-def _make_delayed_step(i: int, j: int, entries):
+def _delayed_ports(cell) -> tuple:
+    """Rotation outputs, then the block outputs of both parities.  An
+    off-diagonal cell passes rotations on away from the diagonal; a
+    diagonal cell sends them in all four directions."""
+    i, j = cell
+    if j > i:
+        rot = ("rowc_R", "rows_R", "colc_U", "cols_U")
+    elif j < i:
+        rot = ("rowc_L", "rows_L", "colc_D", "cols_D")
+    else:
+        rot = ("rowc_R", "rows_R", "rowc_L", "rows_L", "colc_D", "cols_D", "colc_U", "cols_U")
+    return rot + _BLOCK_OUTS
+
+
+def _make_delayed_step(i: int, j: int, entries, in_ports):
     """Program of cell (i, j), clocked at ticks 3s + |i - j| for step s.
 
-    Every port name it reads or writes is fixed here, at build time.
+    ``in_ports`` are its input ports; an off-diagonal cell's first four are
+    the row and column rotations.  The block goes out on the ports of the
+    step's parity, and the other parity's ports keep their values.
     """
     d = abs(i - j)
-    sources = _block_sources(entries)
-    # an off-diagonal cell passes rotations on away from the diagonal; a
-    # diagonal cell sends them in all four directions (below)
-    if j > i:
-        rot_row, rot_col = ("rowc_R", "rows_R"), ("colc_U", "cols_U")
-    else:
-        rot_row, rot_col = ("rowc_L", "rows_L"), ("colc_D", "cols_D")
+    sources = _block_sources(entries, in_ports)
 
-    def step(state, ins, ctx):
-        s = (ctx.tick - d) // 3
-        par = s & 1
+    def step(state, ins, tick):
+        s = (tick - d) // 3
         if s == 0:
-            b00, b01, b10, b11 = state["b00"], state["b01"], state["b10"], state["b11"]
+            b00, b01, b10, b11 = state
         else:
-            (o0, n0), (o1, n1), (o2, n2), (o3, n3) = sources[(s - 1) & 1]
-            b00 = state[n0] if o0 else ins[n0]
-            b01 = state[n1] if o1 else ins[n1]
-            b10 = state[n2] if o2 else ins[n2]
-            b11 = state[n3] if o3 else ins[n3]
+            (o0, k0), (o1, k1), (o2, k2), (o3, k3) = sources[(s - 1) & 1]
+            b00 = state[k0] if o0 else ins[k0]
+            b01 = state[k1] if o1 else ins[k1]
+            b10 = state[k2] if o2 else ins[k2]
+            b11 = state[k3] if o3 else ins[k3]
         if d == 0:
             ci, si = cj, sj = jacobi_rotation(b00, b01, b11)
+            rot = (ci, si, ci, si, cj, sj, cj, sj)
         else:
-            ci, si = ins["rowc_in"], ins["rows_in"]
-            cj, sj = ins["colc_in"], ins["cols_in"]
-        n00, n01, n10, n11 = rotate_block(b00, b01, b10, b11, ci, si, cj, sj)
-        o00, o01, o10, o11 = _BLOCK_OUTS[par]
-        if d == 0:
-            outs = {"rowc_R": ci, "rows_R": si, "rowc_L": ci, "rows_L": si,
-                    "colc_D": cj, "cols_D": sj, "colc_U": cj, "cols_U": sj,
-                    o00: n00, o01: n01, o10: n10, o11: n11}
-        else:
-            outs = {rot_row[0]: ci, rot_row[1]: si, rot_col[0]: cj, rot_col[1]: sj,
-                    o00: n00, o01: n01, o10: n10, o11: n11}
-        return {"b00": n00, "b01": n01, "b10": n10, "b11": n11}, outs
+            ci, si, cj, sj = rot = ins[:4]
+        block = rotate_block(b00, b01, b10, b11, ci, si, cj, sj)
+        return block, rot + (_NO_BLOCK + block if s & 1 else block + _NO_BLOCK)
 
     return step
 
@@ -393,17 +368,22 @@ def build_delayed_array(grid: BlockGrid, total_steps: int):
                 for par in (0, 1):
                     wiring.append(Wire(CellId(i + dr, j + dc), f"{name}_{par}",
                                        CellId(i, j), f"in{dr + 1}{dc + 1}_{name}_{par}"))
+    # each cell takes its inputs in wiring order
+    ins_of = {CellId(i, j): [] for i in range(h) for j in range(h)}
+    for w in wiring:
+        ins_of[w.dst].append(w.dst_port)
 
     def windows(cell):
         d = abs(cell.row - cell.col)
         return (range(d, d + 3 * total_steps, 3),)
 
-    spec = engine.grid(h, h, wiring, activation=windows)
+    spec = engine.grid(h, h, wiring, activation=windows,
+                       ports=lambda cell: (ins_of[cell], _delayed_ports(cell)))
     progs = {}
     for i in range(h):
         for j in range(h):
             blk = grid.block(i, j)
-            step = _make_delayed_step(i, j, plan[(i, j)])
+            step = _make_delayed_step(i, j, plan[(i, j)], ins_of[CellId(i, j)])
             progs[CellId(i, j)] = CellProgram(step, {
                 "b00": float(blk[0, 0]), "b01": float(blk[0, 1]),
                 "b10": float(blk[1, 0]), "b11": float(blk[1, 1]),
@@ -411,35 +391,22 @@ def build_delayed_array(grid: BlockGrid, total_steps: int):
     return build_array(spec, progs)
 
 
-def _put_block(g: np.ndarray, cell: CellId, state) -> None:
-    """Copy cell (i, j)'s registers b00..b11 into block (i, j) of g."""
-    i, j = cell
-    g[2 * i, 2 * j] = state["b00"]
-    g[2 * i, 2 * j + 1] = state["b01"]
-    g[2 * i + 1, 2 * j] = state["b10"]
-    g[2 * i + 1, 2 * j + 1] = state["b11"]
-
-
 def _delayed_grids(arr, size: int, total_steps: int, tr: engine.Trace | None):
     """Yield the rotated (pre-permutation) grid of steps 0, 1, ... in turn.
 
     The array advances one tick at a time, and only as far as the step asked
-    for: cell (i, j) runs step s on tick 3s + |i - j|, and its block is
-    copied out right after that tick, before the cell runs again.
+    for.  Cell (i, j) runs step s on tick 3s + |i - j| and not again for
+    three ticks, so its step-s block is in the registers read right after
+    that tick.
     """
     h = size // 2
-    # cell (i, j) is clocked only on ticks t >= |i - j| with t = |i - j| (mod 3)
-    by_phase = [[CellId(i, j) for i in range(h) for j in range(h) if abs(i - j) % 3 == r]
-                for r in range(3)]
-    pending: dict[int, np.ndarray] = {}
+    dist = [abs(i - j) for i in range(h) for j in range(h)]
+    after: dict[int, list] = {}  # tick -> every cell's registers right after it
     for s in range(total_steps):
         while arr.tick_count < 3 * s + h:  # the last cell runs step s on 3s + h - 1
-            t = arr.tick_count
             engine.run(arr, None, 1, trace=tr)
-            for cell in by_phase[t % 3]:
-                step = (t - abs(cell.row - cell.col)) // 3
-                if 0 <= step < total_steps:
-                    if step not in pending:
-                        pending[step] = np.empty((size, size))
-                    _put_block(pending[step], cell, arr.state_of(cell))
-        yield pending.pop(s)
+            after[arr.tick_count - 1] = arr.states()
+        regs = [after[3 * s + d][k] for k, d in enumerate(dist)]
+        for t in range(3 * s, 3 * s + 3):  # no later step reads these ticks
+            after.pop(t, None)
+        yield np.array(regs).reshape(h, h, 2, 2).swapaxes(1, 2).reshape(size, size)

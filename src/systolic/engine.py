@@ -1,12 +1,18 @@
 """Synchronous two-phase simulation kernel for 1-D and 2-D cell arrays.
 
-Cells are pure step functions ``(state, inputs, ctx) -> (new_state, outputs)``
-clocked in lockstep.  Outputs written at tick T become readable by wired
-neighbours at tick T+1 and stay latched until overwritten (registered
-outputs), so permuting the evaluation order of cells within one tick can
-never change the result.  Unwired input ports are boundary ports and must be
-fed through ``tick``/``run``; unwired output ports are collected as boundary
-outputs.
+Cells are pure step functions ``step(state, ins, tick) -> (state, outs)``
+clocked in lockstep.  ``state`` is a tuple of registers in the key order of
+the program's ``init`` dict; ``ins`` and ``outs`` are tuples in the order in
+which the spec's ``ports(cell)`` declares the cell's input and output ports.
+A ``None`` in ``outs`` leaves that port as it was.  Constants a cell needs,
+such as its position, are bound into its step when the array is built.
+
+Outputs written at tick T become readable by wired neighbours at tick T+1
+and stay latched until overwritten (registered outputs), so permuting the
+evaluation order of cells within one tick can never change the result.  A
+wired input reads 0 until its source first writes it.  A declared input
+without a wire is a boundary port and must be fed through ``tick``/``run``;
+a declared output without a wire is a boundary output.
 
 ``run`` feeds boundary ports from input lines, ``{cell: {port: sequence}}``:
 on tick t a port reads ``line[t]``, or 0 once its line has run out.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -39,13 +46,6 @@ class CellId(NamedTuple):
     col: int
 
 
-class CellContext(NamedTuple):
-    """Read-only per-activation context handed to step functions."""
-
-    cell: CellId
-    tick: int
-
-
 class Wire(NamedTuple):
     src: CellId
     src_port: str
@@ -53,10 +53,8 @@ class Wire(NamedTuple):
     dst_port: str
 
 
-# step: (state, inputs, ctx) -> (new_state, outputs); inputs is a plain dict
-# holding only ports that carry a value, so `ins[p]` raises on an empty port
-# (surfaced as SimulationError) while `ins.get(p, 0)` models a quiescent wire
-StepFn = Callable[[Mapping[str, Any], Mapping[str, Any], CellContext], tuple[dict, dict]]
+# step: (state, ins, tick) -> (state, outs), all three tuples positional
+StepFn = Callable[[tuple, tuple, int], tuple[tuple, tuple]]
 
 
 @dataclass(frozen=True)
@@ -67,27 +65,33 @@ class CellProgram:
 
 # activation: cell -> the tick ranges in which that cell is clocked
 WindowFn = Callable[[CellId], tuple[range, ...]]
+# ports: cell -> (input port names, output port names), in step order
+PortsFn = Callable[[CellId], tuple[Sequence[str], Sequence[str]]]
 
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """Topology plus wiring plus activity windows.
+    """Topology plus wiring plus activity windows plus port declarations.
 
     topology is ("grid", rows, cols); a linear array is a one-row grid.
     Wiring must be nearest-neighbour: |drow| <= 1 and |dcol| <= 1 (diagonal
     links allowed).  Each destination port has exactly one source; one
-    source port may fan out.
+    source port may fan out.  Every wired port must be declared.
 
     activation maps a cell to a tuple of ``range`` windows of non-negative
     ticks; the cell is clocked on every tick that lies in one of them, and
     on no other.  It is called once per cell when the array is built, so
     building costs time and memory in proportion to the declared active
     ticks.  None clocks every cell on every tick.
+
+    ports maps a cell to its input and output port names, in the order its
+    step takes and returns them.  None declares no ports.
     """
 
     topology: tuple
     wiring: tuple[Wire, ...] = ()
     activation: WindowFn | None = None
+    ports: PortsFn | None = None
 
     def cells(self) -> list[CellId]:
         _, rows, cols = self.topology
@@ -98,30 +102,62 @@ class ArraySpec:
         return 0 <= cell.row < rows and 0 <= cell.col < cols
 
 
-def grid(rows: int, cols: int, wiring: Iterable[Wire] = (), activation=None) -> ArraySpec:
-    return ArraySpec(("grid", rows, cols), tuple(wiring), activation)
+def grid(rows: int, cols: int, wiring: Iterable[Wire] = (), activation=None,
+         ports=None) -> ArraySpec:
+    return ArraySpec(("grid", rows, cols), tuple(wiring), activation, ports)
 
 
-def linear(length: int, wiring: Iterable[Wire] = (), activation=None) -> ArraySpec:
+def linear(length: int, wiring: Iterable[Wire] = (), activation=None, ports=None) -> ArraySpec:
     """A linear array of ``length`` cells: the one-row grid."""
-    return grid(1, length, wiring, activation)
+    return grid(1, length, wiring, activation, ports)
 
 
 def chain_wires(length: int, ports: Iterable[str]) -> list[Wire]:
     """Left-to-right wiring of a pipeline: cell k's `<p>out` feeds cell k+1's `<p>in`."""
+    ports = [(p + "out", p + "in") for p in ports]
     wires = []
     for k in range(length - 1):
-        for p in ports:
-            wires.append(Wire(CellId(0, k), p + "out", CellId(0, k + 1), p + "in"))
+        src, dst = CellId(0, k), CellId(0, k + 1)
+        for out, in_ in ports:
+            wires.append(Wire(src, out, dst, in_))
     return wires
 
 
-class TraceRecord(NamedTuple):
-    tick: int
-    cell: CellId
-    state: dict
-    inputs: dict
-    outputs: dict
+def chain_ports(ports: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ports of a pipeline cell: `<p>in` and `<p>out` for each p, in order."""
+    ports = tuple(ports)
+    return tuple(p + "in" for p in ports), tuple(p + "out" for p in ports)
+
+
+_EMPTY = object()  # marks, in a trace record, a wired input not yet written
+_FED = object()  # run's boundary_inputs to tick: the boundary slots are written
+
+
+class TraceRecord(tuple):
+    """One activation: tick, cell, and the raw register and port tuples.
+
+    The ``state``, ``inputs`` and ``outputs`` dicts are built from the
+    cell's names each time they are read.  ``inputs`` leaves out a wired
+    port whose source had not yet written it, ``outputs`` a port the step
+    did not write.
+    """
+
+    __slots__ = ()
+    # (tick, cell, state, ins, outs, (state names, input names, output names))
+    tick = property(itemgetter(0))
+    cell = property(itemgetter(1))
+
+    @property
+    def state(self) -> dict:
+        return dict(zip(self[5][0], self[2]))
+
+    @property
+    def inputs(self) -> dict:
+        return {p: v for p, v in zip(self[5][1], self[3]) if v is not _EMPTY}
+
+    @property
+    def outputs(self) -> dict:
+        return {p: v for p, v in zip(self[5][2], self[4]) if v is not None}
 
 
 def _render(v):
@@ -167,9 +203,6 @@ def _check_wire_geometry(spec: ArraySpec, w: Wire):
         raise ConstructionError(f"wire {w} is not nearest-neighbour")
 
 
-_EMPTY = object()  # port value before the first write
-
-
 def _window_schedule(activation: WindowFn, cells: list[CellId]) -> list[tuple[int, ...]]:
     """Per tick, the indices of the cells clocked on it, in cell order."""
     by_tick: list[list[int]] = []
@@ -191,8 +224,29 @@ def _window_schedule(activation: WindowFn, cells: list[CellId]) -> list[tuple[in
     return [tuple(on) for on in by_tick]
 
 
+def _gather(slots: tuple[int, ...]):
+    """Reads the latches at `slots` as one tuple."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        (s,) = slots
+        return lambda latch: (latch[s],)
+    return lambda latch: ()
+
+
+def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ConstructionError(f"cell {tuple(cell)} declares an {what} port twice: {names}")
+    return names
+
+
 class Array:
-    """A built synchronous array; see :func:`build_array`."""
+    """A built synchronous array; see :func:`build_array`.
+
+    Every declared output has a latch slot, a cell's output slots are
+    contiguous, and every boundary input has one slot after them.
+    """
 
     def __init__(self, spec: ArraySpec, programs: Mapping[CellId, CellProgram],
                  eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
@@ -205,13 +259,28 @@ class Array:
         if extra:
             raise ConstructionError(f"programs for cells outside the array: {sorted(extra)}")
 
-        seen_dst: set[tuple[CellId, str]] = set()
+        ins_of, outs_of = {}, {}
+        for c in cells:
+            ins, outs = spec.ports(c) if spec.ports is not None else ((), ())
+            ins_of[c] = _declared(c, ins, "input")
+            outs_of[c] = _declared(c, outs, "output")
+        # cell c's outputs take the latch slots base[c], base[c] + 1, ...
+        base: dict[CellId, int] = {}
+        n_out = 0
+        for c in cells:
+            base[c] = n_out
+            n_out += len(outs_of[c])
+        src_of: dict[tuple[CellId, str], int] = {}
         for w in spec.wiring:
             _check_wire_geometry(spec, w)
+            if w.src_port not in outs_of[w.src]:
+                raise ConstructionError(f"wire {w}: {w.src_port!r} is not an output of {tuple(w.src)}")
+            if w.dst_port not in ins_of[w.dst]:
+                raise ConstructionError(f"wire {w}: {w.dst_port!r} is not an input of {tuple(w.dst)}")
             key = (w.dst, w.dst_port)
-            if key in seen_dst:
+            if key in src_of:
                 raise ConstructionError(f"two sources drive input port {key}")
-            seen_dst.add(key)
+            src_of[key] = base[w.src] + outs_of[w.src].index(w.src_port)
 
         self.spec = spec
         self.tick_count = 0
@@ -220,42 +289,56 @@ class Array:
         self._eval_order = eval_order
         self._schedule = (None if spec.activation is None
                           else _window_schedule(spec.activation, cells))
-        self._states = [dict(programs[c].init) for c in cells]
-        self._steps = [programs[c].step for c in cells]
-        # slot-indexed latches for every port that feeds a wire
-        slot_of: dict[tuple[CellId, str], int] = {}
-        for w in spec.wiring:
-            key = (w.src, w.src_port)
-            if key not in slot_of:
-                slot_of[key] = len(slot_of)
-        self._in_specs: list[tuple[tuple[str, int], ...]] = [() for _ in cells]
-        per_cell: dict[CellId, list[tuple[str, int]]] = {c: [] for c in cells}
-        for w in spec.wiring:
-            per_cell[w.dst].append((w.dst_port, slot_of[(w.src, w.src_port)]))
-        for c, lst in per_cell.items():
-            self._in_specs[self._idx[c]] = tuple(lst)
-        self._out_slots: list[dict[str, int]] = [{} for _ in cells]
-        for (cell, port), slot in slot_of.items():
-            self._out_slots[self._idx[cell]][port] = slot
-        self._latch: list[Any] = [_EMPTY] * len(slot_of)
+        self._states = [tuple(programs[c].init.values()) for c in cells]
+        self._names = [(tuple(programs[c].init), ins_of[c], outs_of[c]) for c in cells]
+        # boundary inputs take the slots after every output
+        self._boundary_in: dict[tuple[CellId, str], int] = {}
+        self._in_slots = []
+        for c in cells:
+            slots = []
+            for p in ins_of[c]:
+                slot = src_of.get((c, p))
+                if slot is None:
+                    slot = self._boundary_in[(c, p)] = n_out + len(self._boundary_in)
+                slots.append(slot)
+            self._in_slots.append(tuple(slots))
+        # output slots a wire reads that no step has written yet
+        self._unread = set(src_of.values())
         # a slot's payload kind is fixed by its first write
-        self._kinds: list[type | None] = [None] * len(slot_of)
-        self._unwritten = len(slot_of)
-        self._bkinds: dict[tuple[CellId, str], type] = {}
+        self._kinds: list[type | None] = [None] * n_out
+        # per cell: input gather, step, the output type tuples already
+        # checked (each with its write plan), output slots, and boundary
+        # outputs as ((cell, port), position)
+        self._cellv = [
+            (_gather(slots), programs[c].step, {}, slice(base[c], base[c] + len(outs_of[c])),
+             tuple(((c, p), k) for k, p in enumerate(outs_of[c])
+                   if base[c] + k not in self._unread))
+            for c, slots in zip(cells, self._in_slots)]
+        self._latch: list[Any] = [0] * (n_out + len(self._boundary_in))
 
     # -- public ----------------------------------------------------------
 
     def state_of(self, cell) -> dict:
-        return dict(self._states[self._idx[CellId(*cell)]])
+        i = self._idx[CellId(*cell)]
+        return dict(zip(self._names[i][0], self._states[i]))
+
+    def states(self) -> list[tuple]:
+        """Every cell's register tuple, in cell order (row-major)."""
+        return list(self._states)
 
     def tick(self, boundary_inputs: Mapping[CellId, Mapping[str, Any]] | None = None,
              trace: Trace | None = None) -> dict[tuple[CellId, str], Any]:
         """Advance one tick; returns boundary outputs written during this tick.
 
-        Values written here are readable by wired neighbours (and observable
-        at the array boundary) from the next tick onward; a written port
-        holds its value until overwritten.
+        ``boundary_inputs`` gives every boundary port its value for this
+        tick, ``{cell: {port: value}}``.  Values written here are readable by
+        wired neighbours (and observable at the array boundary) from the
+        next tick onward; a written port holds its value until overwritten.
         """
+        latch = self._latch
+        if boundary_inputs is not _FED:
+            for slot, v in self._bind(boundary_inputs or {}):
+                latch[slot] = v
         t = self.tick_count
         cells = self._cells
         schedule = self._schedule
@@ -267,80 +350,105 @@ class Array:
         if eval_order is not None:
             idx = self._idx
             order = [idx[c] for c in eval_order([cells[i] for i in order], t)]
-        latch = self._latch
-        kinds = self._kinds
-        bkinds = self._bkinds
-        unwritten = self._unwritten
-        filled = not unwritten  # every latch was written on an earlier tick
         states = self._states
-        steps = self._steps
-        in_specs = self._in_specs
-        out_slots = self._out_slots
-        pending: list[tuple[int, Any]] = []
+        cellv = self._cellv
+        pending: list = []
         boundary_out: dict[tuple[CellId, str], Any] = {}
-        tick_records: list[TraceRecord] | None = [] if trace is not None else None
-        # builds a CellContext or TraceRecord without the NamedTuple's
-        # Python-level __new__, which would cost a frame per activation
-        new_tuple = tuple.__new__
+        tick_records: list[TraceRecord] | None = None
+        if trace is not None:
+            tick_records = []
+            names = self._names
+            in_slots = self._in_slots
+            # wired slots with no write before this tick read 0 and are marked
+            unread = frozenset(self._unread)
+            # builds a TraceRecord without a Python-level __new__ frame
+            new_tuple = tuple.__new__
         for i in order:
-            cell = cells[i]
-            vals = {}
-            if filled:
-                for port, slot in in_specs[i]:
-                    vals[port] = latch[slot]
-            else:
-                for port, slot in in_specs[i]:
-                    v = latch[slot]
-                    if v is not _EMPTY:
-                        vals[port] = v
-            if boundary_inputs:
-                binj = boundary_inputs.get(cell)
-                if binj:
-                    vals.update(binj)
+            gather, step, checked, span, bo = cellv[i]
+            ins = gather(latch)
+            state, outs = step(states[i], ins, t)
+            states[i] = state
             try:
-                new_state, outs = steps[i](states[i], vals, new_tuple(CellContext, (cell, t)))
-            except KeyError as exc:
-                raise SimulationError(
-                    f"cell {tuple(cell)} tick {t}: no value on input port {exc.args[0]!r}"
-                ) from None
-            states[i] = new_state
-            ow = out_slots[i]
-            for port, v in outs.items():
-                slot = ow.get(port)
-                if slot is None:
-                    key = (cell, port)
-                    k = bkinds.get(key)
-                    if k is None:
-                        bkinds[key] = type(v)
-                    elif type(v) is not k:
-                        raise SimulationError(
-                            f"port {key} changed payload kind {k.__name__} -> {type(v).__name__}"
-                        )
-                    boundary_out[key] = v
-                else:
-                    k = kinds[slot]
-                    if k is None:
-                        kinds[slot] = type(v)
-                        unwritten -= 1
-                    elif type(v) is not k:
-                        raise SimulationError(
-                            f"a port changed payload kind {k.__name__} -> {type(v).__name__}"
-                        )
-                    pending.append((slot, v))
+                plan = checked[tuple(map(type, outs))]
+            except KeyError:
+                plan = self._admit(i, outs)
+            if plan is None:
+                pending.append((span, outs))
+            else:
+                slots, pick = plan
+                pending.extend(zip(slots, pick(outs)))
+            if bo:
+                for key, k in bo:
+                    v = outs[k]
+                    if v is not None:
+                        boundary_out[key] = v
             if tick_records is not None:
+                if unread and not unread.isdisjoint(in_slots[i]):
+                    ins = tuple(_EMPTY if s in unread else v for s, v in zip(in_slots[i], ins))
                 tick_records.append(
-                    new_tuple(TraceRecord, (t, cell, dict(new_state), vals, dict(outs))))
+                    new_tuple(TraceRecord, (t, cells[i], state, ins, outs, names[i])))
         if tick_records is not None:
             if eval_order is not None:
                 # canonical record order: the trace must not expose the (free)
                 # evaluation order of cells within a tick
                 tick_records.sort(key=lambda r: r.cell)
             trace.extend(tick_records)
-        for slot, v in pending:
-            latch[slot] = v
-        self._unwritten = unwritten
+        for where, v in pending:
+            latch[where] = v
         self.tick_count = t + 1
         return boundary_out
+
+    # -- internals -------------------------------------------------------
+
+    def _admit(self, i: int, outs) -> tuple | None:
+        """Check an output tuple whose type pattern cell i has not shown
+        before, and return its write plan: None writes the whole tuple,
+        else (slots, pick) writes pick(outs) to slots."""
+        cell = self._cells[i]
+        out_names = self._names[i][2]
+        if len(outs) != len(out_names):
+            raise SimulationError(f"cell {tuple(cell)} tick {self.tick_count}: "
+                                  f"{len(outs)} outputs for ports {out_names}")
+        kinds = self._kinds
+        base = self._cellv[i][3].start
+        written = []
+        for k, v in enumerate(outs):
+            if v is None:
+                continue
+            written.append(k)
+            slot = base + k
+            kind = kinds[slot]
+            if kind is None:
+                kinds[slot] = type(v)
+                self._unread.discard(slot)
+            elif type(v) is not kind:
+                raise SimulationError(
+                    f"port {(cell, out_names[k])} changed payload kind "
+                    f"{kind.__name__} -> {type(v).__name__}")
+        if len(written) == len(outs):
+            plan = None
+        else:
+            plan = (tuple(base + k for k in written), _gather(tuple(written)))
+        self._cellv[i][2][tuple(map(type, outs))] = plan
+        return plan
+
+    def _bind(self, feed: Mapping[CellId, Mapping[str, Any]]) -> list[tuple[int, Any]]:
+        """(slot, item) for each port of `feed`, ``{cell: {port: item}}``,
+        which must hold every boundary input port and no other port."""
+        bound = []
+        for cell, ports in feed.items():
+            for port, item in ports.items():
+                slot = self._boundary_in.get((CellId(*cell), port))
+                if slot is None:
+                    raise SimulationError(
+                        f"cell {tuple(cell)}: {port!r} is not a boundary input port")
+                bound.append((slot, item))
+        fed = {slot for slot, _ in bound}
+        for (cell, port), slot in self._boundary_in.items():
+            if slot not in fed:
+                raise SimulationError(
+                    f"cell {tuple(cell)} tick {self.tick_count}: no value on input port {port!r}")
+        return bound
 
 
 def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
@@ -360,12 +468,12 @@ def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ti
     """Run ``n_ticks`` ticks and collect boundary outputs and a trace.
 
     ``feed`` maps a cell to its input lines, one sequence per boundary port
-    (``None`` feeds nothing): on tick t a port reads ``line[t]``, or 0 once
-    the line has run out, so every fed port carries a value on every tick.
-    ``trace`` is a flag or a Trace to extend.  The output schedule is keyed
-    by the tick at which a value is observable at the boundary: a write made
-    during tick T shows up under T+1, so an impulse fed to a pipeline of k
-    unit-delay cells at tick 0 appears in ``outputs[k]``.
+    (``None`` feeds nothing); every boundary port needs a line.  On tick t a
+    port reads ``line[t]``, or 0 once the line has run out.  ``trace`` is a
+    flag or a Trace to extend.  The output schedule is keyed by the tick at
+    which a value is observable at the boundary: a write made during tick T
+    shows up under T+1, so an impulse fed to a pipeline of k unit-delay
+    cells at tick 0 appears in ``outputs[k]``.
     """
     if n_ticks < 0:
         raise ValueError("n_ticks must be >= 0")
@@ -374,21 +482,14 @@ def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ti
         tr = trace
     else:
         tr = Trace() if trace else None
-    live, quiet = 0, None
-    if feed:
-        lines = {CellId(*cell): tuple(ports.items()) for cell, ports in feed.items()}
-        live = max((len(line) for ports in lines.values() for _, line in ports), default=0)
-        # from tick `live` on every line has run out; tick() only reads its inputs
-        quiet = {cell: {port: 0 for port, _ in ports} for cell, ports in lines.items()}
+    lines = array._bind(feed or {})
+    latch = array._latch
     outputs: dict[int, dict] = {}
     for _ in range(n_ticks):
         t = array.tick_count
-        if t < live:
-            binj = {cell: {port: line[t] if t < len(line) else 0 for port, line in ports}
-                    for cell, ports in lines.items()}
-        else:
-            binj = quiet
-        outs = array.tick(binj, trace=tr)
+        for slot, line in lines:
+            latch[slot] = line[t] if t < len(line) else 0
+        outs = array.tick(_FED, trace=tr)
         if outs:
             outputs[t + 1] = outs
     return outputs, (tr if tr is not None else Trace())

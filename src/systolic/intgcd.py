@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine
-from .engine import CellId, CellProgram, build_array, chain_wires
+from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
 
 CELL_RATIO = 3.1106  # cells per input bit known to suffice for the pipeline
 STATE_BITS = ("a", "b", "start", "startodd", "eps", "neg",
@@ -104,27 +104,18 @@ def _majority(x: int, y: int, z: int) -> int:
     return 1 if x + y + z >= 2 else 0
 
 
-def gcd_cell_step(state, ins, ctx):
+def gcd_cell_step(state, ins, tick):
     """One bit-serial pipeline cell; a total function on bits.
 
     Statement order matters: stream registers latch the current input bits
     first, then the control logic runs on the freshly latched values, so
     assignments below mirror that sequence exactly.
     """
-    ain, bin_ = ins.get("ain", 0), ins.get("bin", 0)
-    startin, startoddin = ins.get("startin", 0), ins.get("startoddin", 0)
-    epsin, negin = ins.get("epsin", 0), ins.get("negin", 0)
-
     # standard transfers (eps takes an extra delay stage through eps2)
-    aout, a = state["a"], ain
-    bout, b = state["b"], bin_
-    startout, start = state["start"], startin
-    startoddout, startodd = state["startodd"], startoddin
-    epsout, eps2, eps = state["eps2"], state["eps"], epsin
-    negout, neg = state["neg"], state["neg"]
-    wait = state["wait"]
-    shift, carry, swap = state["shift"], state["carry"], state["swap"]
-    minus = state["minus"]
+    a, b, start, startodd, eps, negin = ins
+    (aout, bout, startout, startoddout, eps2, neg,
+     wait, shift, carry, swap, epsout, minus) = state
+    negout = neg
 
     wait = (wait | start) & (1 - startodd)  # wait for a nonzero bit
 
@@ -159,12 +150,8 @@ def gcd_cell_step(state, ins, ctx):
         bout = a ^ b ^ carry
         carry = _majority(b, carry, a ^ minus)
 
-    new_state = {"a": a, "b": b, "start": start, "startodd": startodd,
-                 "eps": eps, "neg": neg, "wait": wait, "shift": shift,
-                 "carry": carry, "swap": swap, "eps2": eps2, "minus": minus}
-    outs = {"aout": aout, "bout": bout, "startout": startout,
-            "startoddout": startoddout, "epsout": epsout, "negout": negout}
-    return new_state, outs
+    return ((a, b, start, startodd, eps, neg, wait, shift, carry, swap, eps2, minus),
+            (aout, bout, startout, startoddout, epsout, negout))
 
 
 def _to_bits(x: int, length: int) -> tuple:
@@ -212,6 +199,7 @@ class IntGcdRun:
 
 
 PORTS = ("a", "b", "start", "startodd", "eps", "neg")
+CELL_PORTS = chain_ports(PORTS)
 
 
 def _gcd_pipeline(n_cells: int, frame_len: int):
@@ -225,7 +213,8 @@ def _gcd_pipeline(n_cells: int, frame_len: int):
     """
     def activation(cell):
         return (range(cell.col, 2 * cell.col + frame_len + 9),)
-    spec = engine.linear(n_cells, chain_wires(n_cells, PORTS), activation=activation)
+    spec = engine.linear(n_cells, chain_wires(n_cells, PORTS), activation=activation,
+                         ports=lambda cell: CELL_PORTS)
     progs = {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
              for k in range(n_cells)}
     return build_array(spec, progs)

@@ -28,10 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine
-from .engine import CellId, CellProgram, build_array, chain_wires
+from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
 from .gfield import Field, Poly, poly_monic, poly_normalize, poly_shift, poly_valuation
 
 VARIANTS = ("fig4", "appA")
+
+# the streams each cell passes on, and its ports: `<stream>in`, `<stream>out`
+STREAMS = {"fig4": ("a", "b", "start", "d"), "appA": ("a", "b", "start", "stop", "sig")}
+CELL_PORTS = {variant: chain_ports(streams) for variant, streams in STREAMS.items()}
 
 S_INITIAL, S_REDUCE_A, S_REDUCE_B = 0, 1, 2
 A_INITIAL, A_SHIFT, A_SWAP, A_TRANS = 0, 1, 2, 3
@@ -50,11 +54,9 @@ def make_fig4_step(field: Field):
     """Degree-difference cell: three states, d carried on its own stream."""
     p = field.p
 
-    def step(state, ins, ctx):
-        ain, bin_ = ins.get("ain", 0), ins.get("bin", 0)
-        startin, din = ins.get("startin", 0), ins.get("din", 0)
-        st = state["state"]
-        a, b, q, d, start = state["a"], state["b"], state["q"], state["d"], state["start"]
+    def step(state, ins, tick):
+        ain, bin_, startin, din = ins
+        st, a, b, q, d, start = state
         dout, startout = d, start
         if st == S_INITIAL:
             aout, bout = a, b
@@ -85,10 +87,7 @@ def make_fig4_step(field: Field):
             # the next frame's start bit rides in this frame's last slot; a
             # one-slot frame ends on the very tick it began
             st = S_INITIAL
-        start = startin
-        new_state = {"state": st, "a": a, "b": b, "q": q, "d": d, "start": start}
-        outs = {"aout": aout, "bout": bout, "startout": startout, "dout": dout}
-        return new_state, outs
+        return (st, a, b, q, d, startin), (aout, bout, startout, dout)
 
     return step
 
@@ -97,18 +96,10 @@ def make_appA_step(field: Field):
     """Interchange cell: swaps polynomial roles instead of carrying d."""
     p = field.p
 
-    def step(state, ins, ctx):
-        ain, bin_ = ins.get("ain", 0), ins.get("bin", 0)
-        startin, stopin = ins.get("startin", 0), ins.get("stopin", 0)
-        sigin = ins.get("sigin", 0)
-        st = state["state"]
-        q = state["q"]
+    def step(state, ins, tick):
         # standard transfers
-        aout, a = state["a"], ain
-        bout, b = state["b"], bin_
-        startout, start = state["start"], startin
-        stopout, stop = state["stop"], stopin
-        sigout, sig = state["sig"], sigin
+        a, b, start, stop, sig = ins
+        st, aout, bout, q, startout, stopout, sigout = state
         if st == A_INITIAL:
             if start and not stop:
                 if b == 0:
@@ -142,11 +133,7 @@ def make_appA_step(field: Field):
             stop = 0
             sigout = sig
             sig = 0
-        new_state = {"state": st, "a": a, "b": b, "q": q,
-                     "start": start, "stop": stop, "sig": sig}
-        outs = {"aout": aout, "bout": bout, "startout": startout,
-                "stopout": stopout, "sigout": sigout}
-        return new_state, outs
+        return (st, a, b, q, start, stop, sig), (aout, bout, startout, stopout, sigout)
 
     return step
 
@@ -188,8 +175,8 @@ def _build_schedule(pairs, variant: str) -> tuple[dict[str, list], list[int]]:
 
 
 def _poly_array(field: Field, n_cells: int, variant: str):
-    ports = ("a", "b", "start", "d") if variant == "fig4" else ("a", "b", "start", "stop", "sig")
-    spec = engine.linear(n_cells, chain_wires(n_cells, ports))
+    decl = CELL_PORTS[variant]
+    spec = engine.linear(n_cells, chain_wires(n_cells, STREAMS[variant]), ports=lambda cell: decl)
     step = make_fig4_step(field) if variant == "fig4" else make_appA_step(field)
     init = fig4_initial_state() if variant == "fig4" else appA_initial_state()
     progs = {CellId(0, k): CellProgram(step, dict(init)) for k in range(n_cells)}

@@ -81,10 +81,6 @@ class BareissBandState:
     tol: float         # pivot tolerance of the forward pass
     mults: int = 0     # multiplication count of the forward pass
 
-    def storage_words(self) -> int:
-        return (len(self.m_neg) + len(self.m_pos) + len(self.beta) + len(self.delta)
-                + len(self.gamma) + len(self.alpha) + len(self.b_neg))
-
 
 def bareiss_forward(bands: ToeplitzBands) -> BareissBandState:
     """Eliminate sub/superdiagonals 1..n, keeping only the band generators."""
@@ -154,15 +150,6 @@ def bareiss_back_substitute(state: BareissBandState) -> np.ndarray:
     return x
 
 
-def regenerate_u(state: BareissBandState) -> np.ndarray:
-    """Dense upper-triangular factor rebuilt backwards (test/verification aid)."""
-    n = state.n
-    u = np.zeros((n + 1, n + 1))
-    for k, beta in _backward_steps(state):
-        u[k, k:] = beta[: n + 1 - k]
-    return u
-
-
 def bareiss_solve(bands: ToeplitzBands) -> np.ndarray:
     return bareiss_back_substitute(bareiss_forward(bands))
 
@@ -185,64 +172,58 @@ def toeplitz_cell_state(bands: ToeplitzBands, k: int) -> dict:
     }
 
 
-def make_toeplitz_step(n: int, tol: float):
-    """Appendix-C cell program for an order-(n+1) system."""
+_OUT_PORTS = ("outL1", "outL2", "outL3", "outR1", "outR2")
 
-    def step(state, ins, ctx):
-        k = ctx.cell.col
-        t = ctx.tick
-        s = dict(state)
-        outs = {}
+
+def _cell_ports(n: int, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Cell P_k reads inL1, inL2 from P_{k-1} and inR1..inR3 from P_{k+1};
+    an edge cell declares only the ports that have a neighbour."""
+    ins = (("inL1", "inL2") if k > 0 else ()) + (("inR1", "inR2", "inR3") if k < n else ())
+    return ins, _OUT_PORTS
+
+
+def make_toeplitz_step(n: int, tol: float, k: int):
+    """Appendix-C program of cell P_k in an order-(n+1) system."""
+    r = 2 if k > 0 else 0  # where inR1 sits in the input tuple
+
+    def step(state, ins, t):
+        alpha, beta, gamma, delta, lam, mu, xi, eta = state
         if t < 2 * n:  # elimination phase
             if t > k:
-                s["alpha"] = ins["inR1"]
-                s["delta"] = ins["inR2"]
-                s["xi"] = ins["inR3"]
+                alpha, delta, xi = ins[r: r + 3]
             if k == 0:
-                if abs(s["gamma"]) <= tol:
+                if abs(gamma) <= tol:
                     raise SingularMinorError("zero pivot in cell 0 (gamma)")
-                s["lam"] = s["alpha"] / s["gamma"]
+                lam = alpha / gamma
             else:
-                s["lam"] = ins["inL1"]
-                s["mu"] = ins["inL2"]
-                s["alpha"] = s["alpha"] - s["lam"] * s["gamma"]
-            s["beta"] = s["beta"] - s["lam"] * s["delta"]
-            s["eta"] = s["eta"] - s["lam"] * s["xi"]
+                lam, mu = ins[0], ins[1]
+                alpha = alpha - lam * gamma
+            beta = beta - lam * delta
+            eta = eta - lam * xi
             if k == 0:
-                if abs(s["beta"]) <= tol:
+                if abs(beta) <= tol:
                     raise SingularMinorError("zero pivot in cell 0 (beta)")
-                s["mu"] = s["delta"] / s["beta"]
+                mu = delta / beta
             else:
-                s["gamma"] = s["gamma"] - s["mu"] * s["alpha"]
-                s["delta"] = s["delta"] - s["mu"] * s["beta"]
-                s["xi"] = s["xi"] - s["mu"] * s["eta"]
-            outs["outL1"] = s["alpha"]
-            outs["outL2"] = s["delta"]
-            outs["outL3"] = s["xi"]
-            outs["outR1"] = s["lam"]
-            outs["outR2"] = s["mu"]
+                gamma = gamma - mu * alpha
+                delta = delta - mu * beta
+                xi = xi - mu * eta
+            outs = (alpha, delta, xi, lam, mu)
         else:  # back-substitution phase
             if t > 2 * n + k:
-                s["lam"] = ins["inR1"]
-                s["mu"] = ins["inR2"]
-                s["eta"] = ins["inR3"]
+                lam, mu, eta = ins[r: r + 3]
             if k == 0:
-                if abs(s["beta"]) <= tol:
+                if abs(beta) <= tol:
                     raise SingularMinorError("zero pivot in cell 0 (beta)")
-                s["xi"] = s["eta"] / s["beta"]
-                s["delta"] = s["mu"] * s["beta"]
+                xi = eta / beta
+                delta = mu * beta
             else:
-                s["xi"] = ins["inL1"]
-                s["delta"] = ins["inL2"]
-                s["eta"] = s["eta"] - s["beta"] * s["xi"]
-                s["delta"] = s["delta"] + s["mu"] * s["beta"]
-            s["beta"] = s["beta"] + s["lam"] * s["delta"]
-            outs["outL1"] = s["lam"]
-            outs["outL2"] = s["mu"]
-            outs["outL3"] = s["eta"]
-            outs["outR1"] = s["xi"]
-            outs["outR2"] = s["delta"]
-        return s, outs
+                xi, delta = ins[0], ins[1]
+                eta = eta - beta * xi
+                delta = delta + mu * beta
+            beta = beta + lam * delta
+            outs = (lam, mu, eta, xi, delta)
+        return (alpha, beta, gamma, delta, lam, mu, xi, eta), outs
 
     return step
 
@@ -261,9 +242,9 @@ def build_toeplitz_array(bands: ToeplitzBands):
         # cell k runs on ticks of its own parity: elimination, then back-substitution
         range(cell.col, 2 * n - cell.col, 2),
         range(2 * n + cell.col, 4 * n - cell.col + 1, 2),
-    ))
-    step = make_toeplitz_step(n, _pivot_tol(bands))
-    progs = {CellId(0, k): CellProgram(step, toeplitz_cell_state(bands, k))
+    ), ports=lambda cell: _cell_ports(n, cell.col))
+    tol = _pivot_tol(bands)
+    progs = {CellId(0, k): CellProgram(make_toeplitz_step(n, tol, k), toeplitz_cell_state(bands, k))
              for k in range(n + 1)}
     return build_array(spec, progs)
 

@@ -10,7 +10,6 @@ from systolic.eigen import (
     _delayed_grids,
     apply_rotations,
     build_delayed_array,
-    grid_step,
     jacobi_rotation,
     off_norm,
     pack_grid,
@@ -22,6 +21,18 @@ from systolic.eigen import (
 from systolic.oracle import serial_cyclic_jacobi
 
 RNG = np.random.default_rng(55)
+
+
+def diagonal_pairs(grid):
+    """Original indices meeting in each diagonal cell, read from the tracker."""
+    return list(zip(grid.tracker[0::2], grid.tracker[1::2]))
+
+
+def grid_step(grid):
+    """One broadcast step as run_sweeps takes it: rotate every block, then permute."""
+    rots = step_rotations(grid.mat)
+    rotated = apply_rotations(grid.mat, rots)
+    return permute(BlockGrid(mat=rotated, tracker=grid.tracker)), rots
 
 
 def random_symmetric(n, spread=5.0):
@@ -64,14 +75,14 @@ def test_rotation_properties_random():
 def test_position_permutation_step1_pairs():
     g, _ = pack_grid(np.zeros((8, 8)))
     g = permute(g)
-    assert [(a + 1, b + 1) for a, b in g.diagonal_pairs()] == [(1, 4), (2, 6), (3, 8), (5, 7)]
+    assert [(a + 1, b + 1) for a, b in diagonal_pairs(g)] == [(1, 4), (2, 6), (3, 8), (5, 7)]
 
 
 def test_every_pair_once_per_sweep():
     g, _ = pack_grid(np.zeros((8, 8)))
     seen = []
     for _ in range(7):
-        seen.extend(tuple(sorted(p)) for p in g.diagonal_pairs())
+        seen.extend(tuple(sorted(p)) for p in diagonal_pairs(g))
         g = permute(g)
     assert len(seen) == 28 and len(set(seen)) == 28
     assert g.tracker == tuple(range(8))  # orbit closes after n-1 steps
@@ -130,7 +141,8 @@ def test_symmetry_preserved_each_step():
     grid, _ = pack_grid(random_symmetric(10))
     for _ in range(12):
         grid, _ = grid_step(grid)
-        grid.check_symmetry(tol=1e-12)
+        m = grid.mat
+        assert np.allclose(m, m.T, atol=1e-12 * np.max(np.abs(m)))
 
 
 def test_conservation_of_trace_and_frobenius():

@@ -23,12 +23,16 @@ from systolic.engine import (
 )
 
 
-def passthrough(state, ins, ctx):
-    return state, {"aout": ins.get("ain", 0)}
+def passthrough(state, ins, tick):
+    return state, ins[:1]
+
+
+def chain_cell(cell):
+    return ("ain",), ("aout",)
 
 
 def make_chain(n, activation=None, eval_order=None):
-    spec = linear(n, chain_wires(n, ("a",)), activation=activation)
+    spec = linear(n, chain_wires(n, ("a",)), activation=activation, ports=chain_cell)
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(n)}
     return build_array(spec, progs, eval_order=eval_order)
 
@@ -47,7 +51,7 @@ def test_build_grid():
     wiring = [Wire(CellId(0, 0), "aout", CellId(0, 1), "ain"),
               Wire(CellId(0, 0), "aout", CellId(1, 0), "bin"),
               Wire(CellId(1, 1), "aout", CellId(0, 1), "bin")]
-    spec = grid(2, 2, wiring)
+    spec = grid(2, 2, wiring, ports=lambda cell: (("ain", "bin"), ("aout",)))
     progs = {CellId(r, c): CellProgram(passthrough) for r in range(2) for c in range(2)}
     arr = build_array(spec, progs)
     assert arr.tick_count == 0
@@ -55,14 +59,14 @@ def test_build_grid():
 
 def test_wire_out_of_bounds():
     wiring = [Wire(CellId(0, 0), "aout", CellId(5, 5), "ain")]
-    spec = grid(2, 2, wiring)
+    spec = grid(2, 2, wiring, ports=chain_cell)
     progs = {CellId(r, c): CellProgram(passthrough) for r in range(2) for c in range(2)}
     with pytest.raises(ConstructionError):
         build_array(spec, progs)
 
 
 def test_wire_not_nearest_neighbour():
-    spec = linear(3, [Wire(CellId(0, 0), "aout", CellId(0, 2), "ain")])
+    spec = linear(3, [Wire(CellId(0, 0), "aout", CellId(0, 2), "ain")], ports=chain_cell)
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(3)}
     with pytest.raises(ConstructionError):
         build_array(spec, progs)
@@ -71,14 +75,14 @@ def test_wire_not_nearest_neighbour():
 def test_duplicate_destination_port():
     wiring = [Wire(CellId(0, 0), "aout", CellId(0, 1), "ain"),
               Wire(CellId(0, 2), "aout", CellId(0, 1), "ain")]
-    spec = linear(3, wiring)
+    spec = linear(3, wiring, ports=chain_cell)
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(3)}
     with pytest.raises(ConstructionError):
         build_array(spec, progs)
 
 
 def test_missing_program():
-    spec = linear(2, chain_wires(2, ("a",)))
+    spec = linear(2, chain_wires(2, ("a",)), ports=chain_cell)
     with pytest.raises(ConstructionError):
         build_array(spec, {CellId(0, 0): CellProgram(passthrough)})
 
@@ -108,20 +112,21 @@ def test_impulse_through_k_delay_cells(k):
 def test_short_line_reads_zero_past_its_end():
     seen = []
 
-    def record(state, ins, ctx):
-        seen.append((ctx.tick, dict(ins)))
-        return state, {}
+    def record(state, ins, tick):
+        seen.append((tick, ins))
+        return state, ()
 
-    arr = build_array(linear(1), {CellId(0, 0): CellProgram(record)})
+    spec = linear(1, ports=lambda cell: (("ain", "bin", "cin"), ()))
+    arr = build_array(spec, {CellId(0, 0): CellProgram(record)})
     run(arr, {(0, 0): {"ain": (4, 5), "bin": (), "cin": [1, 2, 3, 9]}}, 5)
-    assert seen == [(0, {"ain": 4, "bin": 0, "cin": 1}),
-                    (1, {"ain": 5, "bin": 0, "cin": 2}),
-                    (2, {"ain": 0, "bin": 0, "cin": 3}),
-                    (3, {"ain": 0, "bin": 0, "cin": 9}),
-                    (4, {"ain": 0, "bin": 0, "cin": 0})]
+    assert seen == [(0, (4, 0, 1)),
+                    (1, (5, 0, 2)),
+                    (2, (0, 0, 3)),
+                    (3, (0, 0, 9)),
+                    (4, (0, 0, 0))]
     # a run that starts late reads its lines from the array's own tick
-    run(arr, {(0, 0): {"ain": list(range(10))}}, 2)
-    assert seen[5:] == [(5, {"ain": 5}), (6, {"ain": 6})]
+    run(arr, {(0, 0): {"ain": list(range(10)), "bin": (), "cin": ()}}, 2)
+    assert seen[5:] == [(5, (5, 0, 0)), (6, (6, 0, 0))]
 
 
 def test_boundary_line_by_observation_tick():
@@ -133,18 +138,18 @@ def test_boundary_line_by_observation_tick():
 
 
 def test_missing_boundary_input_raises():
-    def needs_input(state, ins, ctx):
-        return state, {"aout": ins["ain"]}
+    def needs_input(state, ins, tick):
+        return state, (ins[0],)
 
-    spec = linear(1)
+    spec = linear(1, ports=chain_cell)
     arr = build_array(spec, {CellId(0, 0): CellProgram(needs_input)})
     with pytest.raises(SimulationError):
         arr.tick()
 
 
 def test_inactive_cell_state_unchanged_and_untraced():
-    def counter(state, ins, ctx):
-        return {"n": state.get("n", 0) + 1}, {}
+    def counter(state, ins, tick):
+        return (state[0] + 1,), ()
 
     spec = linear(2, activation=lambda cell: (range(4),) if cell.col == 0 else ())
     progs = {CellId(0, k): CellProgram(counter, {"n": 0}) for k in range(2)}
@@ -157,13 +162,15 @@ def test_inactive_cell_state_unchanged_and_untraced():
 
 def windowed_counters(windows, n_ticks):
     """Cells counting their activations; the step raises outside its windows."""
-    def counter(state, ins, ctx):
-        if not any(ctx.tick in w for w in windows[ctx.cell.col]):
-            raise AssertionError(f"cell {ctx.cell.col} clocked at tick {ctx.tick}")
-        return {"n": state["n"] + 1, "last": ctx.tick}, {}
+    def counter(col):
+        def step(state, ins, tick):
+            if not any(tick in w for w in windows[col]):
+                raise AssertionError(f"cell {col} clocked at tick {tick}")
+            return (state[0] + 1, tick), ()
+        return step
 
     spec = linear(len(windows), activation=lambda cell: windows[cell.col])
-    progs = {CellId(0, k): CellProgram(counter, {"n": 0, "last": -1})
+    progs = {CellId(0, k): CellProgram(counter(k), {"n": 0, "last": -1})
              for k in range(len(windows))}
     arr = build_array(spec, progs)
     _, tr = run(arr, None, n_ticks, trace=True)
@@ -198,7 +205,7 @@ def test_overlapping_windows_clock_once():
 
 @pytest.mark.parametrize("window", [[0, 1], range(-2, 3)])
 def test_bad_window_rejected(window):
-    spec = linear(1, activation=lambda cell: (window,))
+    spec = linear(1, activation=lambda cell: (window,), ports=chain_cell)
     with pytest.raises(ConstructionError):
         build_array(spec, {CellId(0, 0): CellProgram(passthrough)})
 
@@ -222,7 +229,7 @@ def test_unit_delay_law_random_passthrough():
     # the value read at tick T must be the neighbour's write from T-1
     rng = random.Random(5)
     n = 6
-    spec = linear(n, chain_wires(n, ("a",)))
+    spec = linear(n, chain_wires(n, ("a",)), ports=chain_cell)
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(n)}
     arr = build_array(spec, progs)
     stream = [rng.randrange(100) for _ in range(24)]
@@ -255,11 +262,11 @@ def test_evaluation_order_independence():
 
 
 def test_trace_jsonl_fields_and_rendering():
-    def cell(state, ins, ctx):
-        return {"flag": True, "count": 3, "x": 0.5}, {"aout": ins.get("ain", 0)}
+    def cell(state, ins, tick):
+        return (True, 3, 0.5), ins
 
-    spec = linear(1)
-    arr = build_array(spec, {CellId(0, 0): CellProgram(cell)})
+    spec = linear(1, ports=chain_cell)
+    arr = build_array(spec, {CellId(0, 0): CellProgram(cell, {"flag": False, "count": 0, "x": 0.0})})
     tr = Trace()
     arr.tick({CellId(0, 0): {"ain": 7}}, trace=tr)
     rec = json.loads(tr.to_jsonl().splitlines()[0])
@@ -272,13 +279,96 @@ def test_trace_jsonl_fields_and_rendering():
 def test_port_kind_is_stable():
     flip = {"n": 0}
 
-    def cell(state, ins, ctx):
+    def cell(state, ins, tick):
         flip["n"] += 1
-        return state, {"aout": 1 if flip["n"] == 1 else 1.5}
+        return state, (1 if flip["n"] == 1 else 1.5,)
 
-    spec = linear(2, chain_wires(2, ("a",)))
+    spec = linear(2, chain_wires(2, ("a",)),
+                  ports=lambda cell: ((), ("aout",)) if cell.col == 0 else chain_cell(cell))
     arr = build_array(spec, {CellId(0, 0): CellProgram(cell),
                              CellId(0, 1): CellProgram(passthrough)})
     arr.tick()
     with pytest.raises(SimulationError):
         arr.tick()
+
+
+@pytest.mark.parametrize("wire", [Wire(CellId(0, 0), "xout", CellId(0, 1), "ain"),
+                                  Wire(CellId(0, 0), "aout", CellId(0, 1), "xin")])
+def test_undeclared_wired_port_raises(wire):
+    spec = linear(2, [wire], ports=chain_cell)
+    with pytest.raises(ConstructionError, match="is not an"):
+        build_array(spec, {CellId(0, k): CellProgram(passthrough) for k in range(2)})
+
+
+def test_none_output_keeps_latch_and_is_untraced():
+    # cell 0 writes its wired port on even ticks and its boundary port on odd
+    def sometimes(state, ins, tick):
+        return state, ((tick + 10, None) if tick % 2 == 0 else (None, tick + 10))
+
+    spec = linear(2, chain_wires(2, ("a",)),
+                  ports=lambda cell: ((), ("aout", "bout")) if cell.col == 0 else chain_cell(cell))
+    arr = build_array(spec, {CellId(0, 0): CellProgram(sometimes),
+                             CellId(0, 1): CellProgram(passthrough)})
+    outs, tr = run(arr, None, 5, trace=True)
+    seen = [rec.inputs.get("ain") for rec in tr if rec.cell.col == 1]
+    assert seen == [None, 10, 10, 12, 12]  # unwritten at tick 0, then held over odd ticks
+    assert [rec.outputs for rec in tr if rec.cell.col == 0] == [
+        {"aout": 10}, {"bout": 11}, {"aout": 12}, {"bout": 13}, {"aout": 14}]
+    assert engine.boundary_line(outs, (0, 0), "bout", 5) == [0, 0, 11, 0, 13, 0]
+
+
+def test_kind_guard_on_the_tuple_path():
+    # each output keeps the kind of its first write, whichever ports an
+    # activation leaves out
+    plan = [(1, None), (None, 2.0), (3, 4.0), (None, 5.0), (6.0, None)]
+
+    def cell(state, ins, tick):
+        return state, plan[tick]
+
+    arr = build_array(linear(1, ports=lambda cell: ((), ("aout", "bout"))),
+                      {CellId(0, 0): CellProgram(cell)})
+    for _ in range(4):
+        arr.tick()
+    with pytest.raises(SimulationError, match="'aout'.*int -> float"):
+        arr.tick()
+    # an output tuple of the wrong length is refused too
+    arr = build_array(linear(1, ports=lambda cell: ((), ("aout", "bout"))),
+                      {CellId(0, 0): CellProgram(lambda state, ins, tick: (state, (1,)))})
+    with pytest.raises(SimulationError, match="1 outputs"):
+        arr.tick()
+
+
+def test_state_of_returns_the_named_dict():
+    def step(state, ins, tick):
+        n, last, flag = state
+        return (n + 1, tick, not flag), ()
+
+    arr = build_array(linear(2), {CellId(0, k): CellProgram(step, {"n": 0, "last": -1, "flag": False})
+                                  for k in range(2)})
+    run(arr, None, 3)
+    assert arr.state_of((0, 1)) == {"n": 3, "last": 2, "flag": True}
+    assert list(arr.state_of(CellId(0, 0))) == ["n", "last", "flag"]
+    assert arr.states() == [(3, 2, True), (3, 2, True)]
+
+
+def test_declared_input_without_wire_or_feed_raises():
+    calls = []
+
+    def step(state, ins, tick):
+        calls.append(tick)
+        return state, ins[:1]
+
+    spec = linear(2, [Wire(CellId(0, 0), "aout", CellId(0, 1), "ain")],
+                  ports=lambda cell: (("ain", "bin"), ("aout",)))
+    arr = build_array(spec, {CellId(0, k): CellProgram(step) for k in range(2)})
+    feeds = [None,
+             {(0, 0): {"ain": [1], "bin": [2]}},  # (0, 1) bin has no line
+             {(0, 0): {"ain": [1], "bin": [2]}, (0, 1): {"ain": [3], "bin": [4]}}]  # ain is wired
+    for feed in feeds:
+        with pytest.raises(SimulationError):
+            run(arr, feed, 3)
+    with pytest.raises(SimulationError, match="no value on input port 'bin'"):
+        arr.tick({CellId(0, 0): {"ain": 1, "bin": 2}})
+    assert calls == [] and arr.tick_count == 0  # refused before any step ran
+    run(arr, {(0, 0): {"ain": [1], "bin": [2]}, (0, 1): {"bin": [4]}}, 2)
+    assert calls == [0, 0, 1, 1]

@@ -7,6 +7,7 @@ import pytest
 from systolic import intgcd
 from systolic.engine import CellId, CellProgram, build_array, chain_wires, linear
 from systolic.intgcd import (
+    CELL_PORTS,
     PORTS,
     cell_count,
     encode_bitframe,
@@ -22,6 +23,12 @@ from systolic.oracle import euclid_int_gcd
 RNG = random.Random(31)
 
 ZERO_IN = {"ain": 0, "bin": 0, "startin": 0, "startoddin": 0, "epsin": 0, "negin": 0}
+
+
+def cell_step(state, ins):
+    """gcd_cell_step on register and port tuples in declared order, named back."""
+    new, outs = gcd_cell_step(tuple(state.values()), tuple(ins[p] for p in CELL_PORTS[0]), 0)
+    return dict(zip(state, new)), dict(zip(CELL_PORTS[1], outs))
 
 
 def test_precursor_examples():
@@ -95,7 +102,7 @@ def test_precursor_iteration_bound_random():
 
 
 def test_cell_quiescent():
-    st, outs = gcd_cell_step(gcd_cell_initial_state(), dict(ZERO_IN), None)
+    st, outs = cell_step(gcd_cell_initial_state(), ZERO_IN)
     assert all(v == 0 for v in st.values())
     assert all(v == 0 for v in outs.values())
 
@@ -104,7 +111,7 @@ def test_cell_startodd_trigger():
     # start with both low bits set: startodd raised, wait cleared, shift = not(a & b)
     st = gcd_cell_initial_state()
     ins = dict(ZERO_IN, ain=1, bin=1, startin=1)
-    new, _ = gcd_cell_step(st, ins, None)
+    new, _ = cell_step(st, ins)
     assert new["startodd"] == 1
     assert new["wait"] == 0
     assert new["shift"] == 0
@@ -113,11 +120,11 @@ def test_cell_startodd_trigger():
 
 def test_cell_wait_persists_until_nonzero():
     st = gcd_cell_initial_state()
-    new, _ = gcd_cell_step(st, dict(ZERO_IN, startin=1), None)
+    new, _ = cell_step(st, dict(ZERO_IN, startin=1))
     assert new["wait"] == 1 and new["startodd"] == 0
-    new, _ = gcd_cell_step(new, dict(ZERO_IN), None)
+    new, _ = cell_step(new, ZERO_IN)
     assert new["wait"] == 1
-    new, _ = gcd_cell_step(new, dict(ZERO_IN, bin=1), None)
+    new, _ = cell_step(new, dict(ZERO_IN, bin=1))
     assert new["wait"] == 0 and new["startodd"] == 1
     assert new["swap"] == 1  # a bit was zero: roles must swap
 
@@ -125,8 +132,8 @@ def test_cell_wait_persists_until_nonzero():
 def test_single_cell_transmits_a_when_b_zero():
     # with b = 0 the cell models "halve b", leaving a untouched
     a_bits = (1, 0, 1, 1, 0)
-    arr = build_array(linear(1), {CellId(0, 0): CellProgram(gcd_cell_step,
-                                                            gcd_cell_initial_state())})
+    arr = build_array(linear(1, ports=lambda cell: CELL_PORTS),
+                      {CellId(0, 0): CellProgram(gcd_cell_step, gcd_cell_initial_state())})
     outs = []
     for t in range(len(a_bits) + 2):
         ain = a_bits[t] if t < len(a_bits) else 0
@@ -192,7 +199,7 @@ def test_activation_gating_is_equivalent(monkeypatch):
 
     def ungated_pipeline(n_cells, frame_len):
         # every cell clocked on every tick
-        spec = linear(n_cells, chain_wires(n_cells, PORTS))
+        spec = linear(n_cells, chain_wires(n_cells, PORTS), ports=lambda cell: CELL_PORTS)
         return build_array(spec, {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
                                   for k in range(n_cells)})
 

@@ -21,6 +21,7 @@ from systolic.polygcd import (
     A_SHIFT,
     A_SWAP,
     A_TRANS,
+    CELL_PORTS,
     S_INITIAL,
     S_REDUCE_A,
     S_REDUCE_B,
@@ -96,15 +97,30 @@ def test_batch_layout_one_slot_frame_then_another():
 # -- Fig. 4 cell program -------------------------------------------------------
 
 
+def named(step, variant):
+    """`step` called on register and port tuples in declared order, its
+    results named back."""
+    ins_names, outs_names = CELL_PORTS[variant]
+
+    def call(state, ins):
+        new, outs = step(tuple(state.values()), tuple(ins[p] for p in ins_names), 0)
+        return dict(zip(state, new)), dict(zip(outs_names, outs))
+    return call
+
+
 def fig4_cell(p=2):
-    return make_fig4_step(Field(p))
+    return named(make_fig4_step(Field(p)), "fig4")
+
+
+def appA_cell(p=2):
+    return named(make_appA_step(Field(p)), "appA")
 
 
 def test_fig4_start_reduceA_branch():
     step = fig4_cell(2)
     st = fig4_initial_state()
     st["start"] = 1
-    new, _ = step(st, {"ain": 1, "bin": 1, "startin": 0, "din": 0}, None)
+    new, _ = step(st, {"ain": 1, "bin": 1, "startin": 0, "din": 0})
     assert new["state"] == S_REDUCE_A
     assert new["q"] == 1 and new["a"] == 0 and new["d"] == -1
 
@@ -113,7 +129,7 @@ def test_fig4_start_zero_a_gives_zero_quotient():
     step = fig4_cell(2)
     st = fig4_initial_state()
     st["start"] = 1
-    new, _ = step(st, {"ain": 0, "bin": 1, "startin": 0, "din": -1}, None)
+    new, _ = step(st, {"ain": 0, "bin": 1, "startin": 0, "din": -1})
     assert new["state"] == S_REDUCE_A and new["q"] == 0
 
 
@@ -121,7 +137,7 @@ def test_fig4_reduceA_cancellation():
     step = fig4_cell(2)
     st = fig4_initial_state()
     st.update(state=S_REDUCE_A, q=1)
-    _, outs = step(st, {"ain": 1, "bin": 1, "startin": 0, "din": 0}, None)
+    _, outs = step(st, {"ain": 1, "bin": 1, "startin": 0, "din": 0})
     assert outs["aout"] == 0  # ain - q*bin
 
 
@@ -129,7 +145,7 @@ def test_fig4_reduceB_symmetry():
     step = fig4_cell(7)
     st = fig4_initial_state()
     st["start"] = 1
-    new, _ = step(st, {"ain": 2, "bin": 3, "startin": 0, "din": -1}, None)
+    new, _ = step(st, {"ain": 2, "bin": 3, "startin": 0, "din": -1})
     assert new["state"] == S_REDUCE_B
     assert (new["q"] * 2) % 7 == 3  # q = bin/ain
     assert new["b"] == 0 and new["d"] == 0
@@ -139,34 +155,34 @@ def test_fig4_reduceB_symmetry():
 
 
 def test_appA_zero_b_enters_shift():
-    step = make_appA_step(Field(2))
+    step = appA_cell(2)
     st = appA_initial_state()
-    new, _ = step(st, {"ain": 1, "bin": 0, "startin": 1, "stopin": 0, "sigin": 0}, None)
+    new, _ = step(st, {"ain": 1, "bin": 0, "startin": 1, "stopin": 0, "sigin": 0})
     assert new["state"] == A_SHIFT
 
 
 def test_appA_swap_cancellation_clears_sig():
-    step = make_appA_step(Field(2))
+    step = appA_cell(2)
     st = appA_initial_state()
     st.update(state=A_SWAP, q=1)
-    new, outs = step(st, {"ain": 1, "bin": 1, "startin": 0, "stopin": 0, "sigin": 0}, None)
+    new, outs = step(st, {"ain": 1, "bin": 1, "startin": 0, "stopin": 0, "sigin": 0})
     assert outs["bout"] == 0  # a - q*b
     assert new["sig"] == 0
 
 
 def test_appA_stop_returns_to_initial():
-    step = make_appA_step(Field(2))
+    step = appA_cell(2)
     for mode in (A_SHIFT, A_SWAP, A_TRANS):
         st = appA_initial_state()
         st.update(state=mode, q=1)
-        new, _ = step(st, {"ain": 0, "bin": 0, "startin": 0, "stopin": 1, "sigin": 0}, None)
+        new, _ = step(st, {"ain": 0, "bin": 0, "startin": 0, "stopin": 1, "sigin": 0})
         assert new["state"] == A_INITIAL
 
 
 def test_appA_start_with_stop_stays_initial():
-    step = make_appA_step(Field(2))
+    step = appA_cell(2)
     new, _ = step(appA_initial_state(),
-                  {"ain": 1, "bin": 1, "startin": 1, "stopin": 1, "sigin": 1}, None)
+                  {"ain": 1, "bin": 1, "startin": 1, "stopin": 1, "sigin": 1})
     assert new["state"] == A_INITIAL
 
 

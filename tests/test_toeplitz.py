@@ -8,11 +8,12 @@ from systolic.toeplitz import (
     BareissBandState,
     SingularMinorError,
     ToeplitzBands,
+    _backward_steps,
     bareiss_back_substitute,
     bareiss_forward,
     bareiss_solve,
     count_trace_multiplications,
-    regenerate_u,
+    make_toeplitz_step,
     systolic_toeplitz_solve,
     toeplitz_cell_state,
 )
@@ -25,6 +26,16 @@ def random_dominant(n):
     d[n] = np.sum(np.abs(d)) + 1.0
     b = RNG.uniform(-1.0, 1.0, n + 1)
     return ToeplitzBands(n, tuple(d), tuple(b))
+
+
+def regenerate_u(st):
+    """The dense upper-triangular factor, rebuilt row by row from the
+    forward pass's fields as back-substitution regenerates it."""
+    n = st.n
+    u = np.zeros((n + 1, n + 1))
+    for k, beta in _backward_steps(st):
+        u[k, k:] = beta[: n + 1 - k]
+    return u
 
 
 SPEC_3X3 = ToeplitzBands(2, (0.0, 2.0, 4.0, 1.0, 0.0), (5.0, 7.0, 6.0))
@@ -99,7 +110,9 @@ def test_back_substitution_checks_regenerated_pivots():
 def test_storage_is_linear():
     for n in (8, 16, 32):
         st = bareiss_forward(random_dominant(n))
-        assert st.storage_words() <= 7 * (n + 1)
+        words = sum(len(getattr(st, f)) for f in
+                    ("m_neg", "m_pos", "beta", "delta", "gamma", "alpha", "b_neg"))
+        assert words <= 7 * (n + 1)
 
 
 def test_systolic_identity():
@@ -167,23 +180,23 @@ def test_symmetric_initialisation_relations():
 
 def test_cell0_first_activation_identity():
     # identity bands: lambda = a_{-1}/a_0 = 0 and mu = 0 on the first tick
-    from systolic.engine import CellContext, CellId
-    from systolic.toeplitz import make_toeplitz_step
     tb = ToeplitzBands(3, (0.0,) * 3 + (1.0,) + (0.0,) * 3, (1.0,) * 4)
-    step = make_toeplitz_step(3, 1e-12)
-    st, outs = step(toeplitz_cell_state(tb, 0), {}, CellContext(CellId(0, 0), 0))
+    init = toeplitz_cell_state(tb, 0)
+    step = make_toeplitz_step(3, 1e-12, 0)
+    st, outs = step(tuple(init.values()), (0.0,) * 3, 0)  # inR1..inR3, not read at tick 0
+    st = dict(zip(init, st))
+    outs = dict(zip(("outL1", "outL2", "outL3", "outR1", "outR2"), outs))
     assert st["lam"] == 0.0 and st["mu"] == 0.0
     assert outs["outR1"] == 0.0 and outs["outR2"] == 0.0
 
 
 def test_interior_cell_zero_multipliers_keep_bands():
-    from systolic.engine import CellContext, CellId
-    from systolic.toeplitz import make_toeplitz_step
     tb = random_dominant(3)
-    step = make_toeplitz_step(3, 1e-12)
+    step = make_toeplitz_step(3, 1e-12, 2)
     before = toeplitz_cell_state(tb, 2)
-    ins = {"inL1": 0.0, "inL2": 0.0}
-    st, _ = step(before, ins, CellContext(CellId(0, 2), 2))
+    ins = (0.0, 0.0) + (0.0,) * 3  # inL1, inL2; inR1..inR3 are not read at tick 2
+    st, _ = step(tuple(before.values()), ins, 2)
+    st = dict(zip(before, st))
     for reg in ("alpha", "beta", "gamma", "delta"):
         assert st[reg] == before[reg]
 
