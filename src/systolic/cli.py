@@ -300,6 +300,8 @@ def _verify_eigen(rng, count, trace=False):
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     runner = {"polygcd": _verify_polygcd, "intgcd": _verify_intgcd,
               "toeplitz": _verify_toeplitz, "eigen": _verify_eigen}[args.family]

@@ -201,6 +201,8 @@ def run_sweeps(a, max_sweeps: int = 10,
     """
     if mode not in ("broadcast", "delayed"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     a = np.asarray(a, dtype=float)
     # entries too large or too small to square are brought into range by one
     # exact power-of-two scaling; eigenvalues and off-norms are scaled back
@@ -404,7 +406,7 @@ def _delayed_grids(arr, size: int, total_steps: int, tr: engine.Trace | None):
     after: dict[int, list] = {}  # tick -> every cell's registers right after it
     for s in range(total_steps):
         while arr.tick_count < 3 * s + h:  # the last cell runs step s on 3s + h - 1
-            engine.run(arr, None, 1, trace=tr)
+            arr.tick(tr)
             after[arr.tick_count - 1] = arr.states()
         regs = [after[3 * s + d][k] for k, d in enumerate(dist)]
         for t in range(3 * s, 3 * s + 3):  # no later step reads these ticks

@@ -11,13 +11,14 @@ Outputs written at tick T become readable by wired neighbours at tick T+1
 and stay latched until overwritten (registered outputs), so permuting the
 evaluation order of cells within one tick can never change the result.  A
 wired input reads 0 until its source first writes it.  A declared input
-without a wire is a boundary port and must be fed through ``tick``/``run``;
-a declared output without a wire is a boundary output.
+without a wire is a boundary input, a declared output without a wire a
+boundary output.
 
-``run`` feeds boundary ports from input lines, ``{cell: {port: sequence}}``:
-on tick t a port reads ``line[t]``, or 0 once its line has run out.
-``boundary_line`` reads a boundary output port back as a list indexed by
-observation tick.
+``run`` is the one way in and out at the boundary: it feeds every boundary
+input from an input line, ``{cell: {port: sequence}}``, on tick t the value
+``line[t]`` (0 once the line has run out), and returns every boundary
+output as an output line, indexed the same way by the array's own tick.
+``Array.tick`` is a bare clock for an array without boundary inputs.
 
 A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
@@ -130,7 +131,6 @@ def chain_ports(ports: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]
 
 
 _EMPTY = object()  # marks, in a trace record, a wired input not yet written
-_FED = object()  # run's boundary_inputs to tick: the boundary slots are written
 
 
 class TraceRecord(tuple):
@@ -245,7 +245,8 @@ class Array:
     """A built synchronous array; see :func:`build_array`.
 
     Every declared output has a latch slot, a cell's output slots are
-    contiguous, and every boundary input has one slot after them.
+    contiguous, and every boundary input has one slot after them.  No wire
+    reads a boundary output's slot, so ``run`` may clear it between ticks.
     """
 
     def __init__(self, spec: ArraySpec, programs: Mapping[CellId, CellProgram],
@@ -302,17 +303,20 @@ class Array:
                     slot = self._boundary_in[(c, p)] = n_out + len(self._boundary_in)
                 slots.append(slot)
             self._in_slots.append(tuple(slots))
+        # (slot, line) of each boundary input, bound by run for its ticks;
+        # None, which tick refuses, while boundary inputs have no lines
+        self._lines: list[tuple[int, Sequence]] | None = None if self._boundary_in else []
+        wired = set(src_of.values())
+        self._boundary_out = {(c, p): base[c] + k for c in cells
+                              for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
         # output slots a wire reads that no step has written yet
-        self._unread = set(src_of.values())
+        self._unread = wired
         # a slot's payload kind is fixed by its first write
         self._kinds: list[type | None] = [None] * n_out
         # per cell: input gather, step, the output type tuples already
-        # checked (each with its write plan), output slots, and boundary
-        # outputs as ((cell, port), position)
+        # checked (each with its write plan), and output slots
         self._cellv = [
-            (_gather(slots), programs[c].step, {}, slice(base[c], base[c] + len(outs_of[c])),
-             tuple(((c, p), k) for k, p in enumerate(outs_of[c])
-                   if base[c] + k not in self._unread))
+            (_gather(slots), programs[c].step, {}, slice(base[c], base[c] + len(outs_of[c])))
             for c, slots in zip(cells, self._in_slots)]
         self._latch: list[Any] = [0] * (n_out + len(self._boundary_in))
 
@@ -326,20 +330,22 @@ class Array:
         """Every cell's register tuple, in cell order (row-major)."""
         return list(self._states)
 
-    def tick(self, boundary_inputs: Mapping[CellId, Mapping[str, Any]] | None = None,
-             trace: Trace | None = None) -> dict[tuple[CellId, str], Any]:
-        """Advance one tick; returns boundary outputs written during this tick.
+    def tick(self, trace: Trace | None = None) -> None:
+        """Advance one tick, appending its records to ``trace`` if given.
 
-        ``boundary_inputs`` gives every boundary port its value for this
-        tick, ``{cell: {port: value}}``.  Values written here are readable by
-        wired neighbours (and observable at the array boundary) from the
-        next tick onward; a written port holds its value until overwritten.
+        Values written here are readable by wired neighbours from the next
+        tick onward; a written port holds its value until overwritten.  An
+        array with boundary inputs is clocked only by ``run``, which feeds
+        them: called on its own, ``tick`` refuses it before any step runs.
         """
-        latch = self._latch
-        if boundary_inputs is not _FED:
-            for slot, v in self._bind(boundary_inputs or {}):
-                latch[slot] = v
         t = self.tick_count
+        lines = self._lines
+        if lines is None:
+            ports = ", ".join(f"{tuple(c)} {p!r}" for c, p in self._boundary_in)
+            raise SimulationError(f"tick {t}: boundary inputs {ports} are fed only by run")
+        latch = self._latch
+        for slot, line in lines:
+            latch[slot] = line[t] if t < len(line) else 0
         cells = self._cells
         schedule = self._schedule
         if schedule is None:
@@ -353,7 +359,6 @@ class Array:
         states = self._states
         cellv = self._cellv
         pending: list = []
-        boundary_out: dict[tuple[CellId, str], Any] = {}
         tick_records: list[TraceRecord] | None = None
         if trace is not None:
             tick_records = []
@@ -364,7 +369,7 @@ class Array:
             # builds a TraceRecord without a Python-level __new__ frame
             new_tuple = tuple.__new__
         for i in order:
-            gather, step, checked, span, bo = cellv[i]
+            gather, step, checked, span = cellv[i]
             ins = gather(latch)
             state, outs = step(states[i], ins, t)
             states[i] = state
@@ -377,11 +382,6 @@ class Array:
             else:
                 slots, pick = plan
                 pending.extend(zip(slots, pick(outs)))
-            if bo:
-                for key, k in bo:
-                    v = outs[k]
-                    if v is not None:
-                        boundary_out[key] = v
             if tick_records is not None:
                 if unread and not unread.isdisjoint(in_slots[i]):
                     ins = tuple(_EMPTY if s in unread else v for s, v in zip(in_slots[i], ins))
@@ -396,7 +396,6 @@ class Array:
         for where, v in pending:
             latch[where] = v
         self.tick_count = t + 1
-        return boundary_out
 
     # -- internals -------------------------------------------------------
 
@@ -432,17 +431,17 @@ class Array:
         self._cellv[i][2][tuple(map(type, outs))] = plan
         return plan
 
-    def _bind(self, feed: Mapping[CellId, Mapping[str, Any]]) -> list[tuple[int, Any]]:
-        """(slot, item) for each port of `feed`, ``{cell: {port: item}}``,
-        which must hold every boundary input port and no other port."""
+    def _bind(self, feed: Mapping[CellId, Mapping[str, Sequence]]) -> list[tuple[int, Sequence]]:
+        """(slot, line) for each port of `feed`, ``{cell: {port: line}}``,
+        which must give a line to every boundary input and no other port."""
         bound = []
         for cell, ports in feed.items():
-            for port, item in ports.items():
+            for port, line in ports.items():
                 slot = self._boundary_in.get((CellId(*cell), port))
                 if slot is None:
                     raise SimulationError(
                         f"cell {tuple(cell)}: {port!r} is not a boundary input port")
-                bound.append((slot, item))
+                bound.append((slot, line))
         fed = {slot for slot, _ in bound}
         for (cell, port), slot in self._boundary_in.items():
             if slot not in fed:
@@ -464,46 +463,37 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
 
 
 def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ticks: int,
-        trace: bool | Trace = False):
-    """Run ``n_ticks`` ticks and collect boundary outputs and a trace.
+        trace: bool = False) -> tuple[dict[tuple[CellId, str], list], Trace]:
+    """Run ``n_ticks`` ticks; returns the output lines and the trace.
 
-    ``feed`` maps a cell to its input lines, one sequence per boundary port
-    (``None`` feeds nothing); every boundary port needs a line.  On tick t a
-    port reads ``line[t]``, or 0 once the line has run out.  ``trace`` is a
-    flag or a Trace to extend.  The output schedule is keyed by the tick at
-    which a value is observable at the boundary: a write made during tick T
-    shows up under T+1, so an impulse fed to a pipeline of k unit-delay
-    cells at tick 0 appears in ``outputs[k]``.
+    ``feed`` maps a cell to its input lines, one sequence per boundary input
+    (``None`` feeds nothing); every boundary input needs a line.  On tick t
+    a port reads ``line[t]``, or 0 once the line has run out.
+
+    The output lines map every boundary output ``(cell, port)`` to a list
+    indexed by the array's tick, as the input lines are: index t holds what
+    the port showed at tick t, the value written during tick t-1, or 0 where
+    nothing was written then.  An impulse fed at tick 0 to a pipeline of k
+    unit-delay cells shows at index k.  The trace is empty unless ``trace``.
     """
     if n_ticks < 0:
         raise ValueError("n_ticks must be >= 0")
-    tr: Trace | None
-    if isinstance(trace, Trace):
-        tr = trace
-    else:
-        tr = Trace() if trace else None
-    lines = array._bind(feed or {})
+    tr = Trace()
+    sink = tr if trace else None
+    bound = array._bind(feed or {})
     latch = array._latch
-    outputs: dict[int, dict] = {}
-    for _ in range(n_ticks):
-        t = array.tick_count
-        for slot, line in lines:
-            latch[slot] = line[t] if t < len(line) else 0
-        outs = array.tick(_FED, trace=tr)
-        if outs:
-            outputs[t + 1] = outs
-    return outputs, (tr if tr is not None else Trace())
-
-
-def boundary_line(outputs: Mapping[int, Mapping], cell, port: str, n_ticks: int) -> list:
-    """Values of one boundary output port of a ``run`` from tick 0, by observation tick.
-
-    Index t (0..n_ticks) holds what the port showed at tick t; 0 where
-    nothing was written during tick t-1.
-    """
-    key = (CellId(*cell), port)
-    line = [0] * (n_ticks + 1)
-    for t, outs in outputs.items():
-        if key in outs:
-            line[t] = outs[key]
-    return line
+    t0 = array.tick_count
+    lines = {key: [0] * (t0 + 1) for key in array._boundary_out}
+    collect = [(lines[key], slot) for key, slot in array._boundary_out.items()]
+    for _, slot in collect:
+        latch[slot] = 0
+    saved, array._lines = array._lines, bound
+    try:
+        for _ in range(n_ticks):
+            array.tick(sink)
+            for line, slot in collect:
+                line.append(latch[slot])
+                latch[slot] = 0
+    finally:
+        array._lines = saved
+    return lines, tr

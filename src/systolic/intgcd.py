@@ -240,10 +240,10 @@ def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
     outputs, tr = engine.run(arr, {CellId(0, 0): lines}, n_ticks, trace=trace)
     last = CellId(0, n_cells - 1)
     try:
-        t0 = engine.boundary_line(outputs, last, "startout", n_ticks).index(1)
+        t0 = outputs[last, "startout"].index(1)
     except ValueError:
         raise engine.SimulationError("start bit never reached the right edge")
-    word = engine.boundary_line(outputs, last, "aout", n_ticks)[t0: t0 + frame_len]
+    word = outputs[last, "aout"][t0: t0 + frame_len]
     raw = _from_twos_complement(word)
     return IntGcdRun(gcd=abs(raw) << e, cells=n_cells, ticks=n_ticks,
                      raw_output=raw, trace=tr)

@@ -233,7 +233,7 @@ def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[
     n_ticks = 2 * n_cells + sum(lengths) + 6
     arr = _poly_array(field, n_cells, variant)
     outputs, tr = engine.run(arr, {CellId(0, 0): lines}, n_ticks, trace=trace)
-    a_out, b_out, s_out = (engine.boundary_line(outputs, CellId(0, n_cells - 1), port, n_ticks)
+    a_out, b_out, s_out = (outputs[CellId(0, n_cells - 1), port]
                            for port in ("aout", "bout", "startout"))
     starts = [t for t in range(len(s_out)) if s_out[t] == 1]
     if len(starts) != len(lengths):

@@ -123,6 +123,23 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_count_below_one_is_a_usage_error(capsys, count):
+    code, out, err = run_cli(capsys, "verify", "intgcd", "--count", count)
+    assert code == 2 and out == "" and "--count must be at least 1" in err
+
+
+@pytest.mark.parametrize("sweeps", ["0", "-1"])
+def test_eigen_max_sweeps_below_one_is_a_usage_error(tmp_path, capsys, sweeps):
+    # no sweep would leave the diagonal of [[1, 2], [2, 3]] as its "eigenvalues"
+    mtx = tmp_path / "m.txt"
+    mtx.write_text("2\n1\n2 3\n")
+    for mode in ("broadcast", "delayed"):
+        code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx), "--mode", mode,
+                                 "--max-sweeps", sweeps)
+        assert code == 2 and out == "" and "max_sweeps must be at least 1" in err, mode
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "verify", "nosuchfamily")[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2

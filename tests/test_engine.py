@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from systolic import engine
 from systolic.engine import (
     Array,
     ArraySpec,
@@ -13,7 +12,6 @@ from systolic.engine import (
     CellProgram,
     ConstructionError,
     SimulationError,
-    Trace,
     Wire,
     build_array,
     chain_wires,
@@ -90,23 +88,22 @@ def test_missing_program():
 def test_unit_delay_single_cell():
     arr = make_chain(1)
     outs, _ = run(arr, impulse_schedule(), 3)
-    assert outs[1][(CellId(0, 0), "aout")] == 7
+    assert outs[CellId(0, 0), "aout"][1] == 7
 
 
 def test_delay_equals_path_length():
     arr = make_chain(3)
     outs, _ = run(arr, impulse_schedule(), 6)
-    last = CellId(0, 2)
-    seen = {t: o[(last, "aout")] for t, o in outs.items() if (last, "aout") in o}
+    seen = outs[CellId(0, 2), "aout"]
     assert seen[3] == 7
-    assert all(v == 0 for t, v in seen.items() if t != 3)
+    assert all(v == 0 for t, v in enumerate(seen) if t != 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9])
 def test_impulse_through_k_delay_cells(k):
     arr = make_chain(k)
     outs, _ = run(arr, impulse_schedule(), k + 2)
-    assert outs[k][(CellId(0, k - 1), "aout")] == 7
+    assert outs[CellId(0, k - 1), "aout"][k] == 7
 
 
 def test_short_line_reads_zero_past_its_end():
@@ -132,9 +129,18 @@ def test_short_line_reads_zero_past_its_end():
 def test_boundary_line_by_observation_tick():
     arr = make_chain(3)
     outs, _ = run(arr, {(0, 0): {"ain": (0, 4, 0, 6)}}, 7)
-    assert engine.boundary_line(outs, (0, 2), "aout", 7) == [0, 0, 0, 0, 4, 0, 6, 0]
-    # a wired port is not a boundary output, so it reads 0 throughout
-    assert engine.boundary_line(outs, (0, 1), "aout", 3) == [0, 0, 0, 0]
+    assert outs[(0, 2), "aout"] == [0, 0, 0, 0, 4, 0, 6, 0]
+    # a wired port is not a boundary output, so it has no line
+    assert ((0, 1), "aout") not in outs
+
+
+def test_late_run_indexes_output_lines_by_array_tick():
+    arr = make_chain(3)
+    run(arr, {(0, 0): {"ain": ()}}, 3)
+    # an impulse on the input line's index 3 enters at tick 3 and shows
+    # three ticks later, on the output line's index 6
+    outs, _ = run(arr, {(0, 0): {"ain": (0, 0, 0, 7)}}, 4)
+    assert outs[(0, 2), "aout"] == [0, 0, 0, 0, 0, 0, 7, 0]
 
 
 def test_missing_boundary_input_raises():
@@ -145,6 +151,25 @@ def test_missing_boundary_input_raises():
     arr = build_array(spec, {CellId(0, 0): CellProgram(needs_input)})
     with pytest.raises(SimulationError):
         arr.tick()
+
+
+def test_tick_refuses_an_array_with_a_boundary_input():
+    calls = []
+
+    def step(state, ins, tick):
+        calls.append(tick)
+        return state, ins
+
+    arr = build_array(linear(2, chain_wires(2, ("a",)), ports=chain_cell),
+                      {CellId(0, k): CellProgram(step) for k in range(2)})
+    with pytest.raises(SimulationError, match=r"\(0, 0\) 'ain' are fed only by run"):
+        arr.tick()
+    assert calls == [] and arr.tick_count == 0
+    # run feeds the port; once it returns, tick refuses the array again
+    run(arr, impulse_schedule(), 1)
+    with pytest.raises(SimulationError):
+        arr.tick()
+    assert calls == [0, 0] and arr.tick_count == 1
 
 
 def test_inactive_cell_state_unchanged_and_untraced():
@@ -213,7 +238,7 @@ def test_bad_window_rejected(window):
 def test_run_zero_ticks():
     arr = make_chain(2)
     outs, tr = run(arr, impulse_schedule(), 0)
-    assert outs == {} and len(tr) == 0
+    assert outs == {(CellId(0, 1), "aout"): [0]} and len(tr) == 0
 
 
 def test_rerun_identical_traces():
@@ -267,8 +292,7 @@ def test_trace_jsonl_fields_and_rendering():
 
     spec = linear(1, ports=chain_cell)
     arr = build_array(spec, {CellId(0, 0): CellProgram(cell, {"flag": False, "count": 0, "x": 0.0})})
-    tr = Trace()
-    arr.tick({CellId(0, 0): {"ain": 7}}, trace=tr)
+    _, tr = run(arr, {CellId(0, 0): {"ain": [7]}}, 1, trace=True)
     rec = json.loads(tr.to_jsonl().splitlines()[0])
     assert set(rec) == {"tick", "row", "col", "state", "in", "out"}
     assert rec["state"] == {"flag": 1, "count": 3, "x": 0.5}  # bits as 0/1
@@ -314,7 +338,7 @@ def test_none_output_keeps_latch_and_is_untraced():
     assert seen == [None, 10, 10, 12, 12]  # unwritten at tick 0, then held over odd ticks
     assert [rec.outputs for rec in tr if rec.cell.col == 0] == [
         {"aout": 10}, {"bout": 11}, {"aout": 12}, {"bout": 13}, {"aout": 14}]
-    assert engine.boundary_line(outs, (0, 0), "bout", 5) == [0, 0, 11, 0, 13, 0]
+    assert outs[(0, 0), "bout"] == [0, 0, 11, 0, 13, 0]
 
 
 def test_kind_guard_on_the_tuple_path():
@@ -362,13 +386,14 @@ def test_declared_input_without_wire_or_feed_raises():
                   ports=lambda cell: (("ain", "bin"), ("aout",)))
     arr = build_array(spec, {CellId(0, k): CellProgram(step) for k in range(2)})
     feeds = [None,
-             {(0, 0): {"ain": [1], "bin": [2]}},  # (0, 1) bin has no line
              {(0, 0): {"ain": [1], "bin": [2]}, (0, 1): {"ain": [3], "bin": [4]}}]  # ain is wired
     for feed in feeds:
         with pytest.raises(SimulationError):
             run(arr, feed, 3)
     with pytest.raises(SimulationError, match="no value on input port 'bin'"):
-        arr.tick({CellId(0, 0): {"ain": 1, "bin": 2}})
+        run(arr, {(0, 0): {"ain": [1], "bin": [2]}}, 3)  # (0, 1) bin has no line
+    with pytest.raises(SimulationError, match="'bin' are fed only by run"):
+        arr.tick()
     assert calls == [] and arr.tick_count == 0  # refused before any step ran
     run(arr, {(0, 0): {"ain": [1], "bin": [2]}, (0, 1): {"bin": [4]}}, 2)
     assert calls == [0, 0, 1, 1]

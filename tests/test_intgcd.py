@@ -5,7 +5,7 @@ import random
 import pytest
 
 from systolic import intgcd
-from systolic.engine import CellId, CellProgram, build_array, chain_wires, linear
+from systolic.engine import CellId, CellProgram, build_array, chain_wires, linear, run
 from systolic.intgcd import (
     CELL_PORTS,
     PORTS,
@@ -134,12 +134,10 @@ def test_single_cell_transmits_a_when_b_zero():
     a_bits = (1, 0, 1, 1, 0)
     arr = build_array(linear(1, ports=lambda cell: CELL_PORTS),
                       {CellId(0, 0): CellProgram(gcd_cell_step, gcd_cell_initial_state())})
-    outs = []
-    for t in range(len(a_bits) + 2):
-        ain = a_bits[t] if t < len(a_bits) else 0
-        res = arr.tick({CellId(0, 0): dict(ZERO_IN, ain=ain, startin=1 if t == 0 else 0)})
-        outs.append(res[(CellId(0, 0), "aout")])
-    assert tuple(outs[1:1 + len(a_bits)]) == a_bits
+    lines = dict.fromkeys(ZERO_IN, ()) | {"ain": a_bits, "startin": (1,)}
+    outs, _ = run(arr, {CellId(0, 0): lines}, len(a_bits) + 2)
+    # index t of an output line holds the write of tick t - 1
+    assert tuple(outs[CellId(0, 0), "aout"][2:2 + len(a_bits)]) == a_bits
 
 
 # -- pipeline ------------------------------------------------------------------
