@@ -6,11 +6,15 @@ rotation from their column's.  Between steps, rows and columns are permuted
 by a fixed nearest-neighbour cycle so every index pair meets on the diagonal
 exactly once per N-1 steps.
 
-Two schedules produce identical grids step for step: broadcast mode updates
-the whole matrix at once, while delayed mode runs on the simulation engine
-with cell (i, j) clocked at ticks 3s + |i - j| and rotation parameters
-hopping one cell per tick outward from the diagonal.  Both share the same
-scalar update order, so the agreement is exact, not approximate.
+Two schedules produce identical grids step for step: broadcast mode applies
+``rotate_block`` to every block of the matrix at once, while delayed mode
+runs on the simulation engine, where each cell applies ``rotate_block`` to
+its own block, with cell (i, j) clocked at ticks 3s + |i - j| and rotation
+parameters hopping one cell per tick outward from the diagonal.  One scalar
+update serves both, so the agreement is exact, down to the sign of a zero.
+The working matrix is a plain array, physically permuted after each step;
+every sweep ends where the permutation's orbit closes, so eigenvalues are
+read from the diagonal in the original index order.
 """
 
 from __future__ import annotations
@@ -78,23 +82,13 @@ def position_permutation(size: int) -> tuple:
     return tuple(sig)
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """Current working matrix (physically permuted) plus the index tracker."""
-
-    mat: np.ndarray
-    tracker: tuple  # tracker[pos] = original 0-based index at this position
-
-    @property
-    def size(self) -> int:
-        return self.mat.shape[0]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.mat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
+def _inverse_permutation(size: int) -> list:
+    """inv[q] = the position whose content sigma moves to q."""
+    return np.argsort(position_permutation(size)).tolist()
 
 
-def pack_grid(a: np.ndarray) -> tuple[BlockGrid, int]:
-    """Pad odd sizes with one decoupled zero index; returns (grid, original n)."""
+def pack_grid(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pad odd sizes with one decoupled zero index; returns (matrix, original n)."""
     a = np.array(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -112,24 +106,21 @@ def pack_grid(a: np.ndarray) -> tuple[BlockGrid, int]:
         padded = np.zeros((n + 1, n + 1))
         padded[:n, :n] = a
         a = padded
-    return BlockGrid(mat=a, tracker=tuple(range(a.shape[0]))), n
+    return a, n
 
 
-def permute(grid: BlockGrid) -> BlockGrid:
-    """Apply the inter-step permutation to columns and rows (and the tracker)."""
-    sig = np.array(position_permutation(grid.size))
-    new = np.empty_like(grid.mat)
-    new[np.ix_(sig, sig)] = grid.mat
-    tracker = [0] * grid.size
-    for p, orig in enumerate(grid.tracker):
-        tracker[sig[p]] = orig
-    return BlockGrid(mat=new, tracker=tuple(tracker))
+def permute(mat: np.ndarray) -> np.ndarray:
+    """Apply the inter-step permutation to rows and columns."""
+    inv = _inverse_permutation(mat.shape[0])
+    return mat[np.ix_(inv, inv)]
 
 
 def step_rotations(mat: np.ndarray) -> list:
-    """The rotation of each diagonal block."""
-    return [jacobi_rotation(mat[2 * i, 2 * i], mat[2 * i, 2 * i + 1], mat[2 * i + 1, 2 * i + 1])
-            for i in range(mat.shape[0] // 2)]
+    """The rotation of each diagonal block, computed on Python floats as a
+    delayed cell computes it: numpy scalars would warn where the cell's
+    division overflows silently, to the same identity rotation."""
+    d, e = mat.diagonal().tolist(), mat.diagonal(1).tolist()
+    return [jacobi_rotation(*abd) for abd in zip(d[0::2], e[0::2], d[1::2])]
 
 
 def _rotate_columns(m: np.ndarray, rots: Sequence[RotationPair]):
@@ -143,16 +134,16 @@ def _rotate_columns(m: np.ndarray, rots: Sequence[RotationPair]):
 
 
 def apply_rotations(mat: np.ndarray, rots: Sequence[RotationPair]) -> np.ndarray:
-    """R^T M R with R block-diagonal; same op order as the per-cell update."""
-    out = mat.copy()
-    for i, (c, s) in enumerate(rots):
-        if s != 0.0 or c != 1.0:
-            r0 = out[2 * i].copy()
-            r1 = out[2 * i + 1].copy()
-            out[2 * i] = c * r0 - s * r1
-            out[2 * i + 1] = s * r0 + c * r1
-    _rotate_columns(out, rots)
-    return out
+    """R^T M R with R block-diagonal: ``rotate_block`` on every block at once,
+    block (i, j) taking row rotation i and column rotation j."""
+    h = mat.shape[0] // 2
+    c, s = np.array(rots, dtype=float).T
+    b = mat.reshape(h, 2, h, 2)  # b[i, r, j, k] = mat[2i + r, 2j + k]
+    out = np.empty_like(b)
+    out[:, 0, :, 0], out[:, 0, :, 1], out[:, 1, :, 0], out[:, 1, :, 1] = rotate_block(
+        b[:, 0, :, 0], b[:, 0, :, 1], b[:, 1, :, 0], b[:, 1, :, 1],
+        c[:, None], s[:, None], c, s)
+    return out.reshape(mat.shape)
 
 
 def off_norm(mat: np.ndarray) -> float:
@@ -207,49 +198,44 @@ def run_sweeps(a, max_sweeps: int = 10,
     # entries too large or too small to square are brought into range by one
     # exact power-of-two scaling; eigenvalues and off-norms are scaled back
     e = _norm_exponent(a)
-    grid, n = pack_grid(np.ldexp(a, -e) if e else a)
-    size = grid.size
+    mat, n = pack_grid(np.ldexp(a, -e) if e else a)
+    size = mat.shape[0]
     steps_per_sweep = max(size - 1, 1)
-    fro = float(np.linalg.norm(grid.mat))
+    fro = float(np.linalg.norm(mat))
     stop_at = tol * fro
     tr = engine.Trace() if trace and mode == "delayed" else None
     report = SweepReport(sweeps_used=0, trace=tr,
-                         converged=fro == 0.0 or off_norm(grid.mat) < stop_at)
+                         converged=fro == 0.0 or off_norm(mat) < stop_at)
     arr = delayed = None  # delayed mode: the array and its rotated grids, per step
     vec = np.eye(size) if compute_vectors else None
-    inv_sig = np.argsort(position_permutation(size))
+    inv = _inverse_permutation(size)
     for sweep in range(max_sweeps):
         if report.converged:
             break
         for _ in range(steps_per_sweep):
-            rots = step_rotations(grid.mat)
+            rots = step_rotations(mat)
             report.rotations_performed += sum(1 for r in rots if r != IDENTITY_ROTATION)
             if mode == "broadcast":
-                rotated = apply_rotations(grid.mat, rots)
+                rotated = apply_rotations(mat, rots)
             else:
                 if arr is None:
                     total_steps = max_sweeps * steps_per_sweep
-                    arr = build_delayed_array(grid, total_steps)
+                    arr = build_delayed_array(mat, total_steps)
                     delayed = _delayed_grids(arr, size, total_steps, tr)
                 rotated = next(delayed)
             if vec is not None:
                 _rotate_columns(vec, rots)
-                vec = vec[:, inv_sig]
-            grid = permute(BlockGrid(mat=rotated, tracker=grid.tracker))
-            report.off_norms.append(off_norm(grid.mat))
+                vec = vec[:, inv]
+            mat = permute(rotated)
+            report.off_norms.append(off_norm(mat))
         report.sweeps_used = sweep + 1
         report.converged = report.off_norms[-1] < stop_at
     if arr is not None:
         report.ticks = arr.tick_count
-    # diagonal entries and eigenvector columns mapped back through the
-    # tracker, padding dropped
-    eigenvalues = np.empty(n)
-    vectors = None if vec is None else np.empty((n, n))
-    for pos, orig in enumerate(grid.tracker):
-        if orig < n:
-            eigenvalues[orig] = grid.mat[pos, pos]
-            if vectors is not None:
-                vectors[:, orig] = vec[:n, pos]
+    # every sweep ends where the pairing orbit closes, with each index back
+    # in its own position; the padding index comes last
+    eigenvalues = mat.diagonal()[:n].copy()
+    vectors = None if vec is None else vec[:n, :n]
     if e:
         with np.errstate(over="ignore"):
             eigenvalues = np.ldexp(eigenvalues, e)
@@ -266,10 +252,7 @@ def run_sweeps(a, max_sweeps: int = 10,
 
 def _assembly_sources(size: int):
     """For each block (i, j) and entry (r, c): the (drow, dcol, entry) feeding it."""
-    sig = position_permutation(size)
-    inv = [0] * size
-    for p, q in enumerate(sig):
-        inv[q] = p
+    inv = _inverse_permutation(size)
     h = size // 2
     plan = {}
     for i in range(h):
@@ -344,10 +327,9 @@ def _make_delayed_step(i: int, j: int, entries, in_ports):
     return step
 
 
-def build_delayed_array(grid: BlockGrid, total_steps: int):
-    size = grid.size
-    h = size // 2
-    plan = _assembly_sources(size)
+def build_delayed_array(mat: np.ndarray, total_steps: int):
+    h = mat.shape[0] // 2
+    plan = _assembly_sources(mat.shape[0])
     wiring = []
     for i in range(h):
         for j in range(h):
@@ -384,7 +366,7 @@ def build_delayed_array(grid: BlockGrid, total_steps: int):
     progs = {}
     for i in range(h):
         for j in range(h):
-            blk = grid.block(i, j)
+            blk = mat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
             step = _make_delayed_step(i, j, plan[(i, j)], ins_of[CellId(i, j)])
             progs[CellId(i, j)] = CellProgram(step, {
                 "b00": float(blk[0, 0]), "b01": float(blk[0, 1]),

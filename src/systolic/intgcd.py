@@ -30,6 +30,8 @@ def _check_serial_args(a: int, b: int):
 def pm_precursor(a: int, b: int, n: int) -> tuple[int, int]:
     """Bounded plus-minus iteration; returns (gcd, iterations), iterations <= 2n+1."""
     _check_serial_args(a, b)
+    if n < 0:
+        raise ValueError(f"word size n must not be negative, got {n}")
     if abs(a) > (1 << n) or abs(b) > (1 << n):
         raise ValueError(f"|a|, |b| must be <= 2**{n}")
     alpha = beta = n
@@ -229,6 +231,8 @@ def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
     """
     if a <= 0 or b <= 0:
         raise ValueError("inputs must be positive")
+    if n < 1:
+        raise ValueError(f"word size n must be at least 1, got {n}")
     if a >= (1 << n) or b >= (1 << n):
         raise ValueError(f"inputs must be < 2**{n}")
     a, b, e = strip_twos(a, b)

@@ -58,6 +58,24 @@ def test_trace_stats_empty_file(tmp_path, capsys):
     assert stats == {"ticks": 0, "cells": {}, "mean_utilisation": 0.0}
 
 
+@pytest.mark.parametrize("text", ["{}", "[1,2]", '{"tick":"a","row":0,"col":0}'])
+def test_trace_stats_rejects_a_line_that_is_not_a_record(tmp_path, capsys, text):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text('{"tick":0,"row":0,"col":0}\n' + text + "\n")
+    code, out, err = run_cli(capsys, "trace-stats", str(trace))
+    assert code == 2 and out == ""
+    assert "line 2 is not a trace record" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, bits", [("systolic", "-5"), ("precursor", "-2"),
+                                        ("serial", "-1")])
+def test_intgcd_negative_bits_is_a_usage_error(capsys, mode, bits):
+    code, out, err = run_cli(capsys, "intgcd", "--a", "3", "--b", "5",
+                             "--bits", bits, "--mode", mode)
+    assert code == 2 and out == ""
+    assert "--bits must not be negative" in err
+
+
 def test_eigen_command(tmp_path, capsys):
     mtx = tmp_path / "m.txt"
     mtx.write_text("2\n3\n1 3\n")
@@ -90,6 +108,18 @@ def test_eigen_tiny_and_huge_matrices(tmp_path, capsys, lower, expected):
         payload = json.loads(out)
         assert code == 0 and payload["sweeps"] == 1, mode
         assert sorted(payload["eigenvalues"]) == pytest.approx(expected, rel=1e-12), mode
+
+
+def test_eigen_signed_zeros_print_alike_in_both_modes(tmp_path, capsys):
+    # an identity rotation turns a -0.0 diagonal entry into 0.0 in both schedules
+    mtx = tmp_path / "m.txt"
+    mtx.write_text("5\n0\n-2 -0\n0 0 2\n0 0 0 -0\n0 0 0 0 4\n")
+    outs = []
+    for mode in ("broadcast", "delayed"):
+        code, out, _ = run_cli(capsys, "eigen", "--matrix", str(mtx), "--mode", mode)
+        assert code == 0, mode
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_eigen_delayed_mode(tmp_path, capsys):

@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from systolic.eigen import (
-    BlockGrid,
     _delayed_grids,
     apply_rotations,
     build_delayed_array,
@@ -23,16 +25,25 @@ from systolic.oracle import serial_cyclic_jacobi
 RNG = np.random.default_rng(55)
 
 
-def diagonal_pairs(grid):
-    """Original indices meeting in each diagonal cell, read from the tracker."""
-    return list(zip(grid.tracker[0::2], grid.tracker[1::2]))
+def labels(size):
+    """A matrix whose diagonal holds each position's original index."""
+    return np.diag(np.arange(size, dtype=float))
 
 
-def grid_step(grid):
+def diagonal_pairs(mat):
+    """Original indices meeting in each diagonal cell of a permuted ``labels``."""
+    idx = [int(x) for x in np.diag(mat)]
+    return list(zip(idx[0::2], idx[1::2]))
+
+
+def grid_step(mat):
     """One broadcast step as run_sweeps takes it: rotate every block, then permute."""
-    rots = step_rotations(grid.mat)
-    rotated = apply_rotations(grid.mat, rots)
-    return permute(BlockGrid(mat=rotated, tracker=grid.tracker)), rots
+    rots = step_rotations(mat)
+    return permute(apply_rotations(mat, rots)), rots
+
+
+def as_bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def random_symmetric(n, spread=5.0):
@@ -73,27 +84,34 @@ def test_rotation_properties_random():
 
 
 def test_position_permutation_step1_pairs():
-    g, _ = pack_grid(np.zeros((8, 8)))
-    g = permute(g)
+    g = permute(labels(8))
     assert [(a + 1, b + 1) for a, b in diagonal_pairs(g)] == [(1, 4), (2, 6), (3, 8), (5, 7)]
 
 
 def test_every_pair_once_per_sweep():
-    g, _ = pack_grid(np.zeros((8, 8)))
+    g = labels(8)
     seen = []
     for _ in range(7):
         seen.extend(tuple(sorted(p)) for p in diagonal_pairs(g))
         g = permute(g)
     assert len(seen) == 28 and len(set(seen)) == 28
-    assert g.tracker == tuple(range(8))  # orbit closes after n-1 steps
+    assert np.array_equal(g, labels(8))  # orbit closes after n-1 steps
 
 
 def test_permutation_period_property():
-    g, _ = pack_grid(np.zeros((12, 12)))
-    start = g.tracker
+    g = start = labels(12)
     for _ in range(2 * (12 - 1)):
         g = permute(g)
-    assert g.tracker == start
+    assert np.array_equal(g, start)
+
+
+def test_permutation_orbit_closes_after_size_minus_one_steps():
+    # run_sweeps reads its results in place at each sweep boundary
+    for size in range(2, 131, 2):
+        g = start = np.arange(size * size, dtype=float).reshape(size, size)
+        for _ in range(size - 1):
+            g = permute(g)
+        assert np.array_equal(g, start), size
 
 
 def test_permutation_is_nearest_neighbour():
@@ -106,53 +124,52 @@ def test_permutation_is_nearest_neighbour():
 
 def test_grid_step_diagonal_input_unchanged():
     a = np.diag([4.0, 1.0, 3.0, 2.0])
-    grid, _ = pack_grid(a)
-    new, rots = grid_step(grid)
+    mat, _ = pack_grid(a)
+    new, rots = grid_step(mat)
     assert all(r == (1.0, 0.0) for r in rots)
     # entries only moved, never altered
-    assert sorted(np.diag(new.mat)) == sorted(np.diag(a))
-    assert off_norm(new.mat) == 0.0
+    assert sorted(np.diag(new)) == sorted(np.diag(a))
+    assert off_norm(new) == 0.0
 
 
 def test_grid_step_block_diagonal_exact():
     a = np.zeros((4, 4))
     a[0, 1] = a[1, 0] = 1.0
     a[2, 3] = a[3, 2] = 1.0
-    grid, _ = pack_grid(a)
-    new, rots = grid_step(grid)
-    assert np.allclose(np.sort(np.diag(new.mat)), [-1.0, -1.0, 1.0, 1.0], atol=1e-15)
+    mat, _ = pack_grid(a)
+    new, rots = grid_step(mat)
+    assert np.allclose(np.sort(np.diag(new)), [-1.0, -1.0, 1.0, 1.0], atol=1e-15)
 
 
 def test_off_norm_decrease_law():
     for _ in range(5):
         a = random_symmetric(8)
-        grid, _ = pack_grid(a)
+        mat, _ = pack_grid(a)
         for _step in range(14):
-            rots = step_rotations(grid.mat)
-            beta2 = sum(grid.mat[2 * i, 2 * i + 1] ** 2
+            rots = step_rotations(mat)
+            beta2 = sum(mat[2 * i, 2 * i + 1] ** 2
                         for i, r in enumerate(rots) if r != (1.0, 0.0))
-            before = off_norm(grid.mat) ** 2
-            grid, _ = grid_step(grid)
-            after = off_norm(grid.mat) ** 2
+            before = off_norm(mat) ** 2
+            mat, _ = grid_step(mat)
+            after = off_norm(mat) ** 2
             assert abs(after - (before - 2.0 * beta2)) < 1e-10 * max(before, 1e-30)
 
 
 def test_symmetry_preserved_each_step():
-    grid, _ = pack_grid(random_symmetric(10))
+    m, _ = pack_grid(random_symmetric(10))
     for _ in range(12):
-        grid, _ = grid_step(grid)
-        m = grid.mat
+        m, _ = grid_step(m)
         assert np.allclose(m, m.T, atol=1e-12 * np.max(np.abs(m)))
 
 
 def test_conservation_of_trace_and_frobenius():
     a = random_symmetric(8)
-    grid, _ = pack_grid(a)
+    mat, _ = pack_grid(a)
     t0, f0 = np.trace(a), np.linalg.norm(a)
     for _ in range(20):
-        grid, _ = grid_step(grid)
-    assert abs(np.trace(grid.mat) - t0) < 1e-12 * max(abs(t0), 1.0)
-    assert abs(np.linalg.norm(grid.mat) - f0) < 1e-12 * f0
+        mat, _ = grid_step(mat)
+    assert abs(np.trace(mat) - t0) < 1e-12 * max(abs(t0), 1.0)
+    assert abs(np.linalg.norm(mat) - f0) < 1e-12 * f0
 
 
 def test_run_sweeps_diagonal_matrix():
@@ -205,19 +222,20 @@ def test_delayed_equals_broadcast_grid_for_grid():
         a = random_symmetric(n)
         rb = run_sweeps(a, mode="broadcast")
         rd = run_sweeps(a, mode="delayed")
-        assert np.array_equal(np.sort(rb.eigenvalues), np.sort(rd.eigenvalues))
+        assert as_bytes(rb.eigenvalues) == as_bytes(rd.eigenvalues)
+        assert as_bytes(rb.report.off_norms) == as_bytes(rd.report.off_norms)
         assert rb.report.sweeps_used == rd.report.sweeps_used
         # step-by-step: replay broadcast and compare against the grids the
         # delayed array holds, read the way run_sweeps reads them
-        grid, _ = pack_grid(a)
-        steps = rd.report.sweeps_used * (grid.size - 1)
-        total = 10 * (grid.size - 1)
-        rotated_d = _delayed_grids(build_delayed_array(grid, total), grid.size, total, None)
+        mat, _ = pack_grid(a)
+        size = mat.shape[0]
+        steps = rd.report.sweeps_used * (size - 1)
+        total = 10 * (size - 1)
+        rotated_d = _delayed_grids(build_delayed_array(mat, total), size, total, None)
         for s in range(steps):
-            rots = step_rotations(grid.mat)
-            rot = apply_rotations(grid.mat, rots)
-            assert np.array_equal(rot, next(rotated_d))
-            grid = permute(BlockGrid(mat=rot, tracker=grid.tracker))
+            rot = apply_rotations(mat, step_rotations(mat))
+            assert as_bytes(rot) == as_bytes(next(rotated_d))
+            mat = permute(rot)
 
 
 def test_delayed_dependency_slack():
@@ -280,10 +298,52 @@ def test_delayed_report_equals_broadcast():
         rb = run_sweeps(a, mode="broadcast", compute_vectors=True)
         rd = run_sweeps(a, mode="delayed", compute_vectors=True)
         assert rd.report.rotations_performed == rb.report.rotations_performed > 0
-        assert rd.report.off_norms == rb.report.off_norms
+        assert as_bytes(rd.report.off_norms) == as_bytes(rb.report.off_norms)
         assert rd.report.sweeps_used == rb.report.sweeps_used
-        assert np.array_equal(rd.eigenvalues, rb.eigenvalues)
-        assert np.array_equal(rd.eigenvectors, rb.eigenvectors)
+        assert as_bytes(rd.eigenvalues) == as_bytes(rb.eigenvalues)
+        assert as_bytes(rd.eigenvectors) == as_bytes(rb.eigenvectors)
+
+
+_ZEROS = st.sampled_from([0.0, -0.0])
+_ENTRIES = st.one_of(_ZEROS, _ZEROS, st.sampled_from([1.0, -1.0, 2.0, -2.0]),
+                     st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: hnp.arrays(float, (n, n), elements=_ENTRIES)))
+@example(np.array([[0.0, 0, 0, 0, 0], [-2, -0.0, 0, 0, 0], [0, 0, 2, 0, 0],
+                   [0, 0, 0, -0.0, 0], [0, 0, 0, 0, 4]]))
+def test_schedules_agree_byte_for_byte(lower):
+    # signed zeros included: both schedules apply rotate_block to every
+    # block, so a zero keeps or loses its sign in both alike
+    a = np.where(np.tri(len(lower), dtype=bool), lower, lower.T)
+    rb = run_sweeps(a, mode="broadcast")
+    rd = run_sweeps(a, mode="delayed")
+    assert as_bytes(rd.eigenvalues) == as_bytes(rb.eigenvalues)
+    assert as_bytes(rd.report.off_norms) == as_bytes(rb.report.off_norms)
+
+
+def test_overflowing_rotation_is_silent_in_both_schedules():
+    # with tol = 0 an off-diagonal entry decays until (delta - alpha) / (2 beta)
+    # overflows; both schedules then take the identity rotation, unwarned
+    a = np.array([[-2.0, 2.0, -1.0], [2.0, 2.0, -2.0], [-1.0, -2.0, 1.0]])
+    rb = run_sweeps(a, mode="broadcast", tol=0.0)
+    rd = run_sweeps(a, mode="delayed", tol=0.0)
+    assert as_bytes(rd.eigenvalues) == as_bytes(rb.eigenvalues)
+    assert as_bytes(rd.report.off_norms) == as_bytes(rb.report.off_norms)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_eigenvalues_stay_with_their_index_after_one_sweep(n):
+    # strongly diagonally dominant: each eigenvalue lies next to its own
+    # diagonal entry, so a misread position would show as a large error
+    rng = np.random.default_rng(n)
+    off = rng.uniform(-1e-3, 1e-3, (n, n))
+    a = np.diag(10.0 * rng.permutation(n) + 1.0) + np.tril(off, -1) + np.tril(off, -1).T
+    for mode in ("broadcast", "delayed"):
+        res = run_sweeps(a, max_sweeps=1, mode=mode)
+        assert res.report.sweeps_used == 1, mode
+        assert np.max(np.abs(res.eigenvalues - np.diag(a))) < 1e-4, mode
 
 
 def test_delayed_stops_after_converged_sweep():
@@ -324,8 +384,8 @@ def test_pack_grid_keeps_extreme_symmetric_entries(a):
     # leaves a symmetric pair as it is, so no subnormal entry is rounded
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        grid, _ = pack_grid(a)
-    assert np.array_equal(grid.mat, a)
+        mat, _ = pack_grid(a)
+    assert np.array_equal(mat, a)
 
 
 @pytest.mark.parametrize("k", [-40, 600, -600, -1000, 1020])

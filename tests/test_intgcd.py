@@ -46,6 +46,8 @@ def test_precursor_preconditions():
         pm_precursor(3, 0, 3)
     with pytest.raises(ValueError):
         pm_precursor(3, 9, 3)
+    with pytest.raises(ValueError, match="must not be negative"):
+        pm_precursor(3, 5, -2)
 
 
 def test_serial_examples():
@@ -169,6 +171,12 @@ def test_systolic_rejects_nonpositive():
         systolic_int_gcd(0, 4, 4)
     with pytest.raises(ValueError):
         systolic_int_gcd(4, 0, 4)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_systolic_rejects_word_size_below_one(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        systolic_int_gcd(3, 5, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
