@@ -246,6 +246,7 @@ def _verify_intgcd(rng, count, trace=False):
 
 
 def _verify_toeplitz(rng, count, trace=False):
+    """Array x against the LU oracle; the serial x must equal it byte for byte."""
     instances = []
     traces = []
     for i in range(count):
@@ -259,7 +260,8 @@ def _verify_toeplitz(rng, count, trace=False):
         denom = (np.max(np.abs(dense)) * max(np.max(np.abs(run.x)), 1.0)
                  + np.max(np.abs(bands.rhs)))
         res = float(np.max(np.abs(dense @ run.x - np.array(bands.rhs))) / denom)
-        ok = bool(res < 1e-10 and np.max(np.abs(run.x - x_o)) < 1e-8)
+        ok = bool(res < 1e-10 and np.max(np.abs(run.x - x_o)) < 1e-8
+                  and toeplitz.bareiss_solve(bands).tobytes() == run.x.tobytes())
         instances.append({"index": i, "n": n, "residual": res, "pass": ok})
     # seeded singular probe: a_0 = 0 must break down cleanly, not crash
     n = 4

@@ -1,16 +1,18 @@
-"""Toeplitz linear systems: serial band-form recursions and the systolic array.
+"""Toeplitz linear systems: one set of cell updates, serially and on the array.
 
 The forward pass eliminates subdiagonal k and superdiagonal k of the shifted
-matrices at step k while every live part stays Toeplitz, so the whole state
-is four generator vectors (beta/delta for the upper bands, gamma/alpha for
-the lower ones) plus the two transformed right-hand sides: O(n) words in
-total.  Back-substitution runs the same updates in reverse to regenerate row
-k of the upper-triangular factor exactly when x_k is computed.
+matrices at step k while every live part stays Toeplitz, so a cell holds
+eight registers: band generators beta/delta (upper) and gamma/alpha (lower),
+the multipliers lam/mu and two transformed right-hand-side entries xi/eta.
+Back-substitution regenerates one column of the upper factor per step.
 
-The systolic path is a linear array of n+1 cells with eight registers each;
-cell k is clocked on ticks of parity k inside the two activity windows
-(elimination, then back-substitution) and the solution ends in the xi
-registers after tick 4n.
+One update per phase for cell 0 and one for the interior cells, and one
+breakdown predicate, serve both paths; each works the same on Python floats
+and on numpy arrays.  On the array, cell k runs them on its registers on
+ticks of parity k inside two activity windows, and x ends in the xi
+registers after tick 4n.  The serial path runs them on numpy slices over a
+step's active cells: the array's operations in its order, so x is the same
+to the byte.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class ToeplitzBands:
     rhs: tuple  # b_0 .. b_n
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must be at least 0, got {self.n}")
         if len(self.diagonals) != 2 * self.n + 1:
             raise ValueError(f"need {2 * self.n + 1} diagonals, got {len(self.diagonals)}")
         if len(self.rhs) != self.n + 1:
@@ -52,12 +56,8 @@ class ToeplitzBands:
         return 0.0
 
     def to_dense(self) -> np.ndarray:
-        n = self.n
-        a = np.empty((n + 1, n + 1))
-        for d in range(-n, n + 1):
-            idx = np.arange(max(0, -d), min(n + 1, n + 1 - d))
-            a[idx, idx + d] = self.diag(d)
-        return a
+        idx = np.arange(self.n + 1)
+        return np.array(self.diagonals, dtype=float)[idx[None, :] - idx[:, None] + self.n]
 
 
 def _pivot_tol(bands: ToeplitzBands) -> float:
@@ -66,87 +66,101 @@ def _pivot_tol(bands: ToeplitzBands) -> float:
     return 1e-12 * max(abs(x) for x in bands.diagonals)
 
 
+def _pivot_check(tol: float, why):
+    """Both paths' one breakdown rule: pivot(p, reg) is p, or raises
+    SingularMinorError(why(reg)) when |p| <= tol; why reads its loop's step then."""
+    def pivot(p, reg):
+        if abs(p) <= tol:
+            raise SingularMinorError(why(reg))
+        return p
+    return pivot
+
+
+def _eliminate_head(alpha, beta, gamma, delta, xi, eta, pivot):
+    """Elimination step of cell 0: the multipliers lam and mu, and the two
+    registers they eliminate against.  Returns (lam, mu, beta, eta)."""
+    lam = alpha / pivot(gamma, "gamma")
+    beta = beta - lam * delta
+    return lam, delta / pivot(beta, "beta"), beta, eta - lam * xi
+
+
+def _eliminate(lam, mu, alpha, beta, gamma, delta, xi, eta):
+    """Elimination step of an interior cell with cell 0's multipliers."""
+    alpha = alpha - lam * gamma
+    beta = beta - lam * delta
+    eta = eta - lam * xi
+    return alpha, beta, gamma - mu * alpha, delta - mu * beta, xi - mu * eta, eta
+
+
+def _substitute_head(delta, lam, beta, eta, pivot):
+    """Back-substitution step of cell 0, with delta = mu * beta: the next
+    unknown xi, and beta regenerated one stage back (as in every cell)."""
+    return eta / pivot(beta, "beta"), beta + lam * delta
+
+
+def _substitute(xi, delta, lam, beta, eta):
+    """Back-substitution step of an interior cell, with delta the running sum
+    of mu * beta from cell 0 through this cell."""
+    return eta - beta * xi, beta + lam * delta
+
+
 @dataclass
 class BareissBandState:
-    """Forward-pass result: multipliers plus the stage-n generator vectors."""
+    """Forward-pass result: the registers back-substitution reads, by cell."""
 
-    n: int
-    m_neg: np.ndarray  # m_{-k} at index k, 1..n
-    m_pos: np.ndarray  # m_{+k} at index k, 1..n
-    beta: np.ndarray   # diagonal e >= 0 of the negative-shift matrix
-    delta: np.ndarray  # diagonal e >= 1 of the positive-shift matrix
-    gamma: np.ndarray  # diagonal -d (d >= 0) of the positive-shift matrix
-    alpha: np.ndarray  # diagonal -d (d >= 1) of the negative-shift matrix
-    b_neg: np.ndarray  # fully transformed rhs (upper-triangular system)
+    m_neg: np.ndarray  # lam of step k at index k, 1..n
+    m_pos: np.ndarray  # mu of step k at index k, 1..n
+    beta: np.ndarray   # cell j's beta: U[n-j, n], the upper factor's last column
+    eta: np.ndarray    # cell j's eta: the transformed rhs
     tol: float         # pivot tolerance of the forward pass
     mults: int = 0     # multiplication count of the forward pass
 
 
 def bareiss_forward(bands: ToeplitzBands) -> BareissBandState:
-    """Eliminate sub/superdiagonals 1..n, keeping only the band generators."""
+    """The array's elimination phase, step by step over the active cells.
+    alpha, delta and xi move one cell left per step, so they are kept by
+    band index: at step k cell j reads index j + k."""
     n = bands.n
     tol = _pivot_tol(bands)
-    beta = np.array([bands.diag(e) for e in range(n + 1)], dtype=float)
-    delta = np.array([bands.diag(e) for e in range(n + 1)], dtype=float)  # index 0 unused
-    gamma = np.array([bands.diag(-d) for d in range(n + 1)], dtype=float)
-    alpha = np.array([bands.diag(-d) for d in range(n + 1)], dtype=float)  # index 0 unused
-    b_neg = np.array(bands.rhs, dtype=float)
-    b_pos = np.array(bands.rhs, dtype=float)
-    m_neg = np.zeros(n + 1)
-    m_pos = np.zeros(n + 1)
-    mults = 0
-    if abs(gamma[0]) <= tol:
-        raise SingularMinorError("a_0 is (numerically) zero")
+    a = np.array(bands.diagonals, dtype=float)
+    beta, delta = a[n:].copy(), a[n:].copy()  # a_j
+    gamma, alpha = a[n::-1].copy(), a[n::-1].copy()  # a_{-j}
+    eta = np.array(bands.rhs[::-1], dtype=float)  # b_{n-j}
+    xi = eta.copy()
+    m_neg, m_pos = np.zeros(n + 1), np.zeros(n + 1)
+    pivot = _pivot_check(tol, lambda reg: "a_0 is (numerically) zero" if reg == "gamma"
+                         else f"leading principal minor {k} is singular")
     for k in range(1, n + 1):
-        mn = alpha[k] / gamma[0]
-        m_neg[k] = mn
-        beta[: n + 1 - k] -= mn * delta[k:]
-        alpha[k:] -= mn * gamma[: n + 1 - k]
-        b_neg[k:] -= mn * b_pos[: n + 1 - k]
-        mults += (n + 1 - k) + (n + 1 - k) + (n + 1 - k)
-        if abs(beta[0]) <= tol:
-            raise SingularMinorError(f"leading principal minor {k} is singular")
-        mp = delta[k] / beta[0]
-        m_pos[k] = mp
-        delta[k:] -= mp * beta[: n + 1 - k]
-        gamma -= mp * np.concatenate((alpha[k:], np.zeros(k)))
-        b_pos[: n + 1 - k] -= mp * b_neg[k:]
-        mults += (n + 1 - k) + (n + 1 - k) + (n + 1 - k)
-    return BareissBandState(n=n, m_neg=m_neg, m_pos=m_pos, beta=beta, delta=delta,
-                            gamma=gamma, alpha=alpha, b_neg=b_neg, tol=tol, mults=mults)
-
-
-def _backward_steps(state: BareissBandState):
-    """Yield (k, beta_k) for k = n..0, beta_k the stage-k upper generators.
-
-    Undoes the forward updates one step at a time; row k of the triangular
-    factor is [0..0, beta_k[0], beta_k[1], ...] starting at column k.
-    """
-    n = state.n
-    beta = state.beta.copy()
-    delta = state.delta.copy()
-    gamma = state.gamma.copy()
-    alpha = state.alpha.copy()
-    yield n, beta
-    for k in range(n, 0, -1):
-        mp = state.m_pos[k]
-        mn = state.m_neg[k]
-        delta[k:] += mp * beta[: n + 1 - k]
-        gamma += mp * np.concatenate((alpha[k:], np.zeros(k)))
-        beta[: n + 1 - k] += mn * delta[k:]
-        alpha[k:] += mn * gamma[: n + 1 - k]
-        yield k - 1, beta
+        m = n + 1 - k  # cells 0..n-k are active
+        lam, mu, beta[0], eta[0] = _eliminate_head(alpha[k], beta[0], gamma[0], delta[k],
+                                                   xi[k], eta[0], pivot)
+        m_neg[k], m_pos[k] = lam, mu
+        s = slice(k + 1, n + 1)  # cells 1..n-k by band index
+        alpha[s], beta[1:m], gamma[1:m], delta[s], xi[s], eta[1:m] = _eliminate(
+            lam, mu, alpha[s], beta[1:m], gamma[1:m], delta[s], xi[s], eta[1:m])
+    # per step, two multiplications in cell 0 and six in each of n-k others
+    return BareissBandState(m_neg=m_neg, m_pos=m_pos, beta=beta, eta=eta,
+                            tol=tol, mults=3 * n * n - n)
 
 
 def bareiss_back_substitute(state: BareissBandState) -> np.ndarray:
-    """Solve the triangular system, regenerating factor rows on the fly; a
-    regenerated pivot within the forward pass's tolerance is a breakdown."""
-    n = state.n
-    x = np.zeros(n + 1)
-    for k, beta in _backward_steps(state):
-        if abs(beta[0]) <= state.tol:
-            raise SingularMinorError(f"regenerated diagonal {k} is singular")
-        x[k] = (state.b_neg[k] - beta[1: n + 1 - k] @ x[k + 1:]) / beta[0]
+    """The array's back-substitution phase: step r yields x_{n-r}.  lam, mu
+    and eta move left, kept by band index (cell j reads index j + r); delta,
+    the running sum passed right, is np.add.accumulate's, which adds from
+    the left as the cells do."""
+    n = len(state.beta) - 1
+    lam = state.m_neg[::-1]  # cell j ends the elimination holding step n-j's
+    mu = state.m_pos[::-1]
+    beta = state.beta.copy()
+    eta = state.eta.copy()
+    x = np.empty(n + 1)
+    pivot = _pivot_check(state.tol, lambda reg: f"regenerated diagonal {n - r} is singular")
+    for r in range(n + 1):
+        m = n + 1 - r  # cells 0..n-r are active
+        delta = np.add.accumulate(mu[r:] * beta[:m])
+        x[n - r], beta[0] = _substitute_head(delta[0], lam[r], beta[0], eta[r], pivot)
+        eta[r + 1:], beta[1:m] = _substitute(x[n - r], delta[1:], lam[r + 1:],
+                                             beta[1:m], eta[r + 1:])
     return x
 
 
@@ -185,6 +199,7 @@ def _cell_ports(n: int, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def make_toeplitz_step(n: int, tol: float, k: int):
     """Appendix-C program of cell P_k in an order-(n+1) system."""
     r = 2 if k > 0 else 0  # where inR1 sits in the input tuple
+    pivot = _pivot_check(tol, "zero pivot in cell 0 ({})".format)
 
     def step(state, ins, t):
         alpha, beta, gamma, delta, lam, mu, xi, eta = state
@@ -192,36 +207,21 @@ def make_toeplitz_step(n: int, tol: float, k: int):
             if t > k:
                 alpha, delta, xi = ins[r: r + 3]
             if k == 0:
-                if abs(gamma) <= tol:
-                    raise SingularMinorError("zero pivot in cell 0 (gamma)")
-                lam = alpha / gamma
+                lam, mu, beta, eta = _eliminate_head(alpha, beta, gamma, delta, xi, eta, pivot)
             else:
                 lam, mu = ins[0], ins[1]
-                alpha = alpha - lam * gamma
-            beta = beta - lam * delta
-            eta = eta - lam * xi
-            if k == 0:
-                if abs(beta) <= tol:
-                    raise SingularMinorError("zero pivot in cell 0 (beta)")
-                mu = delta / beta
-            else:
-                gamma = gamma - mu * alpha
-                delta = delta - mu * beta
-                xi = xi - mu * eta
+                alpha, beta, gamma, delta, xi, eta = _eliminate(lam, mu, alpha, beta, gamma,
+                                                                delta, xi, eta)
             outs = (alpha, delta, xi, lam, mu)
         else:  # back-substitution phase
             if t > 2 * n + k:
                 lam, mu, eta = ins[r: r + 3]
             if k == 0:
-                if abs(beta) <= tol:
-                    raise SingularMinorError("zero pivot in cell 0 (beta)")
-                xi = eta / beta
                 delta = mu * beta
+                xi, beta = _substitute_head(delta, lam, beta, eta, pivot)
             else:
-                xi, delta = ins[0], ins[1]
-                eta = eta - beta * xi
-                delta = delta + mu * beta
-            beta = beta + lam * delta
+                xi, delta = ins[0], ins[1] + mu * beta
+                eta, beta = _substitute(xi, delta, lam, beta, eta)
             outs = (lam, mu, eta, xi, delta)
         return (alpha, beta, gamma, delta, lam, mu, xi, eta), outs
 
@@ -231,13 +231,12 @@ def make_toeplitz_step(n: int, tol: float, k: int):
 def build_toeplitz_array(bands: ToeplitzBands):
     n = bands.n
     wiring = []
-    for k in range(n + 1):
-        if k + 1 <= n:
-            wiring.append(Wire(CellId(0, k), "outR1", CellId(0, k + 1), "inL1"))
-            wiring.append(Wire(CellId(0, k), "outR2", CellId(0, k + 1), "inL2"))
-            wiring.append(Wire(CellId(0, k + 1), "outL1", CellId(0, k), "inR1"))
-            wiring.append(Wire(CellId(0, k + 1), "outL2", CellId(0, k), "inR2"))
-            wiring.append(Wire(CellId(0, k + 1), "outL3", CellId(0, k), "inR3"))
+    for k in range(n):
+        wiring.append(Wire(CellId(0, k), "outR1", CellId(0, k + 1), "inL1"))
+        wiring.append(Wire(CellId(0, k), "outR2", CellId(0, k + 1), "inL2"))
+        wiring.append(Wire(CellId(0, k + 1), "outL1", CellId(0, k), "inR1"))
+        wiring.append(Wire(CellId(0, k + 1), "outL2", CellId(0, k), "inR2"))
+        wiring.append(Wire(CellId(0, k + 1), "outL3", CellId(0, k), "inR3"))
     spec = engine.linear(n + 1, wiring, activation=lambda cell: (
         # cell k runs on ticks of its own parity: elimination, then back-substitution
         range(cell.col, 2 * n - cell.col, 2),

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from systolic import cli
@@ -224,6 +225,34 @@ def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode
                              "--bands", str(bands), "--rhs", str(rhs))
     assert code == 3 and out == ""
     assert "breakdown" in err
+
+
+@pytest.mark.parametrize("mode", ["serial", "systolic"])
+def test_near_singular_leading_minor_breaks_down_in_both_modes(tmp_path, capsys, mode):
+    # a_0 = 1e-9, a_{+-1} = 1, a_k = 0.1^|k| (n = 15, kappa = 12): a_0 passes
+    # the pivot rule 1e-12 * max|a_k|, but the multipliers reach 1e18 and the
+    # last regenerated pivot fails it, on the array and serially alike
+    n = 15
+    col = [1e-9, 1.0] + [0.1 ** k for k in range(2, n + 1)]
+    bands = tmp_path / "bands.txt"
+    rhs = tmp_path / "rhs.txt"
+    bands.write_text("\n".join(repr(col[abs(k)]) for k in range(-n, n + 1)))
+    rhs.write_text("\n".join(str(v) for v in np.random.default_rng(0).uniform(-1.0, 1.0, n + 1)))
+    code, out, err = run_cli(capsys, "toeplitz", "--n", str(n), "--mode", mode,
+                             "--bands", str(bands), "--rhs", str(rhs))
+    assert code == 3 and out == ""
+    assert "breakdown" in err
+
+
+def test_negative_order_is_a_usage_error(tmp_path, capsys):
+    bands = tmp_path / "bands.txt"
+    rhs = tmp_path / "rhs.txt"
+    bands.write_text("")
+    rhs.write_text("")
+    code, out, err = run_cli(capsys, "toeplitz", "--n", "-1", "--bands", str(bands),
+                             "--rhs", str(rhs))
+    assert code == 2 and out == ""
+    assert err == "error: n must be at least 0, got -1\n"
 
 
 def test_nan_band_is_a_usage_error(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Toeplitz solver: band recursions vs dense LU, and the two-phase array."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from systolic.oracle import dense_lu_solve_nopivot
+from systolic.oracle import SingularMatrixError, dense_lu_solve_nopivot
 from systolic.toeplitz import (
-    BareissBandState,
     SingularMinorError,
     ToeplitzBands,
-    _backward_steps,
     bareiss_back_substitute,
     bareiss_forward,
     bareiss_solve,
@@ -28,13 +30,20 @@ def random_dominant(n):
     return ToeplitzBands(n, tuple(d), tuple(b))
 
 
-def regenerate_u(st):
-    """The dense upper-triangular factor, rebuilt row by row from the
-    forward pass's fields as back-substitution regenerates it."""
-    n = st.n
+def regenerate_u(tb):
+    """The dense upper-triangular factor as back-substitution regenerates it:
+    cell j enters its back-substitution activation r (tick 2n + 2r + j)
+    holding U[n-r-j, n-r] in beta, so step r rebuilds column n-r.  Read from
+    the array's trace; the serial path runs the same updates."""
+    n = tb.n
+    beta = [toeplitz_cell_state(tb, j)["beta"] for j in range(n + 1)]
     u = np.zeros((n + 1, n + 1))
-    for k, beta in _backward_steps(st):
-        u[k, k:] = beta[: n + 1 - k]
+    for rec in systolic_toeplitz_solve(tb).trace:
+        j = rec.cell.col
+        if rec.tick >= 2 * n:
+            r = (rec.tick - 2 * n - j) // 2
+            u[n - r - j, n - r] = beta[j]
+        beta[j] = rec.state["beta"]
     return u
 
 
@@ -46,6 +55,8 @@ def test_bands_validation():
         ToeplitzBands(2, (1.0, 2.0), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         ToeplitzBands(2, (0.0,) * 5, (1.0,))
+    with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+        ToeplitzBands(-1, (), ())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -72,9 +83,8 @@ def test_identity_has_zero_multipliers():
 
 
 def test_forward_matches_dense_lu():
-    st = bareiss_forward(SPEC_3X3)
     _, u = dense_lu_solve_nopivot(SPEC_3X3.to_dense(), np.array(SPEC_3X3.rhs))
-    assert np.max(np.abs(regenerate_u(st) - u)) < 1e-12
+    assert np.max(np.abs(regenerate_u(SPEC_3X3) - u)) < 1e-12
 
 
 def test_back_substitute_spec_instance():
@@ -87,7 +97,7 @@ def test_serial_matches_oracle_n32():
     x = bareiss_solve(tb)
     x_o, u_o = dense_lu_solve_nopivot(tb.to_dense(), np.array(tb.rhs))
     assert np.max(np.abs(x - x_o)) < 1e-10
-    assert np.max(np.abs(regenerate_u(bareiss_forward(tb)) - u_o)) < 1e-10
+    assert np.max(np.abs(regenerate_u(tb) - u_o)) < 1e-10
 
 
 def test_a0_zero_breaks_down():
@@ -111,7 +121,7 @@ def test_storage_is_linear():
     for n in (8, 16, 32):
         st = bareiss_forward(random_dominant(n))
         words = sum(len(getattr(st, f)) for f in
-                    ("m_neg", "m_pos", "beta", "delta", "gamma", "alpha", "b_neg"))
+                    ("m_neg", "m_pos", "beta", "eta"))
         assert words <= 7 * (n + 1)
 
 
@@ -316,3 +326,70 @@ def test_error_grows_no_faster_than_the_condition_number(family, param, n):
     bound = 4.0 * np.linalg.cond(dense) * 2.0 ** -53
     for x in (bareiss_solve(tb), systolic_toeplitz_solve(tb, trace=False).x):
         assert np.linalg.norm(x - x_ref) <= bound * np.linalg.norm(x_ref)
+
+
+def _solve_both(tb):
+    """(serial x bytes, array x bytes), each None for a breakdown."""
+    out = []
+    for solve in (bareiss_solve, lambda tb: systolic_toeplitz_solve(tb, trace=False).x):
+        try:
+            out.append(solve(tb).tobytes())
+        except SingularMinorError:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("n, band_values", [(1, (-1.0, 0.0, 1.0, 2.0)), (2, (-1.0, 0.0, 1.0))],
+                         ids=["n1", "n2"])
+def test_every_small_system_solves_alike_in_both_modes(n, band_values):
+    # every system with these bands and rhs from {1, -1, 2}: both modes solve
+    # or both break down, with x equal to the byte, and they break down
+    # exactly where the LU oracle does
+    for diags in itertools.product(band_values, repeat=2 * n + 1):
+        for rhs in itertools.product((1.0, -1.0, 2.0), repeat=n + 1):
+            tb = ToeplitzBands(n, diags, rhs)
+            serial, systolic = _solve_both(tb)
+            assert serial == systolic, (diags, rhs)
+            dense = tb.to_dense()
+            try:
+                x_o, _ = dense_lu_solve_nopivot(dense, np.array(rhs))
+            except SingularMatrixError:
+                assert serial is None, (diags, rhs)
+                continue
+            assert serial is not None, (diags, rhs)
+            x = np.frombuffer(serial)
+            scale = np.max(np.abs(dense)) * max(np.max(np.abs(x)), 1.0) + np.max(np.abs(rhs))
+            assert np.max(np.abs(dense @ x - rhs)) / scale < 1e-10, (diags, rhs)
+            assert np.max(np.abs(x - x_o)) < 1e-8, (diags, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 33, 63, 128])
+def test_random_dominant_systems_solve_alike_in_both_modes(n):
+    for _ in range(3):
+        serial, systolic = _solve_both(random_dominant(n))
+        assert serial is not None and serial == systolic
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(("dominant", "kms", "prolate")), hst.integers(1, 33),
+       hst.floats(0.0, 1.0), hst.integers(-60, 60), hst.integers(0, 2 ** 32 - 1))
+def test_serial_x_is_the_array_x_to_the_byte(family, n, u, k, seed):
+    # dominant bands, KMS (a_k = rho^|k|, rho in [0.5, 0.9999]) and prolate
+    # (a_0 = 2w, a_k = sin(2 pi w k) / (pi k), w in [0.25, 0.4]) systems,
+    # scaled by 2^k: the serial path runs the array's updates in its order
+    rng = np.random.default_rng(seed)
+    j = np.arange(1, n + 1)
+    if family == "dominant":
+        diags = rng.uniform(-1.0, 1.0, 2 * n + 1)
+        diags[n] = np.sum(np.abs(diags)) + 1.0
+    else:
+        if family == "kms":
+            col = np.concatenate(([1.0], (0.5 + 0.4999 * u) ** j))
+        else:
+            w = 0.25 + 0.15 * u
+            col = np.concatenate(([2.0 * w], np.sin(2.0 * np.pi * w * j) / (np.pi * j)))
+        diags = col[np.abs(np.arange(-n, n + 1))]
+    rhs = rng.uniform(-1.0, 1.0, n + 1)
+    tb = ToeplitzBands(n, tuple(np.ldexp(diags, k)), tuple(np.ldexp(rhs, k)))
+    serial, systolic = _solve_both(tb)
+    assert serial == systolic
