@@ -38,6 +38,12 @@ def _write_trace(path, traces):
             fh.write(tr.to_jsonl())
 
 
+def _refuse_trace(args, needs: str, runner: str):
+    """Reject --trace for a run that builds no array, before any input is read."""
+    if args.trace:
+        raise ValueError(f"--trace needs {needs}: {runner} runs no array")
+
+
 def _parse_coeffs(text: str) -> list:
     text = text.strip()
     if not text:
@@ -110,6 +116,8 @@ def cmd_polygcd(args) -> int:
 
 
 def cmd_intgcd(args) -> int:
+    if args.mode != "systolic":
+        _refuse_trace(args, "--mode systolic", f"{args.mode} mode")
     a, b = args.a, args.b
     if a <= 0 or b <= 0:
         print("intgcd: inputs must be positive", file=sys.stderr)
@@ -142,6 +150,8 @@ def _read_reals(path) -> list:
 
 
 def cmd_toeplitz(args) -> int:
+    if args.mode == "serial":
+        _refuse_trace(args, "--mode systolic", "serial mode")
     diags = _read_reals(args.bands)
     rhs = _read_reals(args.rhs)
     n = args.n
@@ -179,8 +189,8 @@ def read_matrix_file(path) -> np.ndarray:
 
 
 def cmd_eigen(args) -> int:
-    if args.trace and args.mode != "delayed":
-        raise ValueError("--trace needs --mode delayed: broadcast mode runs no array")
+    if args.mode == "broadcast":
+        _refuse_trace(args, "--mode delayed", "broadcast mode")
     a = read_matrix_file(args.matrix)
     res = eigen.run_sweeps(a, max_sweeps=args.max_sweeps, mode=args.mode,
                            compute_vectors=args.vectors, trace=bool(args.trace))
@@ -361,6 +371,7 @@ def trace_stats(path) -> dict:
 
 
 def cmd_trace_stats(args) -> int:
+    _refuse_trace(args, "a command that runs an array", "trace-stats")
     stats = trace_stats(args.file)
     lines = [f"ticks: {stats['ticks']}"]
     for key, frac in stats["cells"].items():

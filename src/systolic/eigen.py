@@ -19,6 +19,7 @@ read from the diagonal in the original index order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -82,9 +83,12 @@ def position_permutation(size: int) -> tuple:
     return tuple(sig)
 
 
-def _inverse_permutation(size: int) -> list:
-    """inv[q] = the position whose content sigma moves to q."""
-    return np.argsort(position_permutation(size)).tolist()
+@functools.lru_cache(maxsize=None)
+def _inverse_permutation(size: int) -> np.ndarray:
+    """inv[q] = the position whose content sigma moves to q; built once per size."""
+    inv = np.argsort(position_permutation(size))
+    inv.flags.writeable = False
+    return inv
 
 
 def pack_grid(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -112,7 +116,7 @@ def pack_grid(a: np.ndarray) -> tuple[np.ndarray, int]:
 def permute(mat: np.ndarray) -> np.ndarray:
     """Apply the inter-step permutation to rows and columns."""
     inv = _inverse_permutation(mat.shape[0])
-    return mat[np.ix_(inv, inv)]
+    return mat.take(inv, 0).take(inv, 1)
 
 
 def step_rotations(mat: np.ndarray) -> list:
@@ -252,7 +256,7 @@ def run_sweeps(a, max_sweeps: int = 10,
 
 def _assembly_sources(size: int):
     """For each block (i, j) and entry (r, c): the (drow, dcol, entry) feeding it."""
-    inv = _inverse_permutation(size)
+    inv = _inverse_permutation(size).tolist()
     h = size // 2
     plan = {}
     for i in range(h):

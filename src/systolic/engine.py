@@ -166,24 +166,12 @@ def _render(v):
     return v
 
 
-class Trace:
-    """Per-tick record of every active cell's state and port values."""
-
-    def __init__(self):
-        self.records: list[TraceRecord] = []
-
-    def extend(self, recs: Iterable[TraceRecord]):
-        self.records.extend(recs)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+class Trace(list):
+    """Every active cell's record, tick by tick, in cell order within a tick."""
 
     def to_jsonl(self) -> str:
         lines = []
-        for r in self.records:
+        for r in self:
             obj = {
                 "tick": r.tick,
                 "row": r.cell.row,
@@ -359,15 +347,15 @@ class Array:
         states = self._states
         cellv = self._cellv
         pending: list = []
-        tick_records: list[TraceRecord] | None = None
         if trace is not None:
-            tick_records = []
             names = self._names
             in_slots = self._in_slots
             # wired slots with no write before this tick read 0 and are marked
             unread = frozenset(self._unread)
             # builds a TraceRecord without a Python-level __new__ frame
             new_tuple = tuple.__new__
+            record = trace.append
+            first = len(trace)
         for i in order:
             gather, step, checked, span = cellv[i]
             ins = gather(latch)
@@ -382,17 +370,14 @@ class Array:
             else:
                 slots, pick = plan
                 pending.extend(zip(slots, pick(outs)))
-            if tick_records is not None:
+            if trace is not None:
                 if unread and not unread.isdisjoint(in_slots[i]):
                     ins = tuple(_EMPTY if s in unread else v for s, v in zip(in_slots[i], ins))
-                tick_records.append(
-                    new_tuple(TraceRecord, (t, cells[i], state, ins, outs, names[i])))
-        if tick_records is not None:
-            if eval_order is not None:
-                # canonical record order: the trace must not expose the (free)
-                # evaluation order of cells within a tick
-                tick_records.sort(key=lambda r: r.cell)
-            trace.extend(tick_records)
+                record(new_tuple(TraceRecord, (t, cells[i], state, ins, outs, names[i])))
+        if trace is not None and eval_order is not None:
+            # canonical record order: the trace must not expose the (free)
+            # evaluation order of cells within a tick
+            trace[first:] = sorted(trace[first:], key=lambda r: r.cell)
         for where, v in pending:
             latch[where] = v
         self.tick_count = t + 1

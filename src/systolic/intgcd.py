@@ -28,32 +28,25 @@ def _check_serial_args(a: int, b: int):
 
 
 def pm_precursor(a: int, b: int, n: int) -> tuple[int, int]:
-    """Bounded plus-minus iteration; returns (gcd, iterations), iterations <= 2n+1."""
+    """Bounded plus-minus iteration; returns (gcd, iterations), iterations <= 2n+1.
+
+    The precursor keeps bounds |a| <= 2**alpha and |b| <= 2**beta, both n at
+    the start, and swaps when alpha >= beta.  Only delta = alpha - beta
+    matters to the swap, so it runs as ``pm_steps``, whose iterations it counts.
+    """
     _check_serial_args(a, b)
     if n < 0:
         raise ValueError(f"word size n must not be negative, got {n}")
     if abs(a) > (1 << n) or abs(b) > (1 << n):
         raise ValueError(f"|a|, |b| must be <= 2**{n}")
-    alpha = beta = n
     iterations = 0
-    while True:
+    for a, _, _ in pm_steps(a, b):
         iterations += 1
-        while b % 2 == 0:
-            b //= 2
-            beta -= 1
-        if alpha >= beta:
-            a, b = b, a
-            alpha, beta = beta, alpha
-        if (a + b) % 4 == 0:
-            b = (a + b) // 2
-        else:
-            b = (a - b) // 2
-        if b == 0:
-            return abs(a), iterations
+    return abs(a), iterations
 
 
 def pm_steps(a: int, b: int):
-    """Yield (a, b, delta) after each loop iteration, for invariant checks."""
+    """Yield (a, b, delta) after each plus-minus iteration, delta = alpha - beta."""
     _check_serial_args(a, b)
     delta = 0
     while True:
@@ -85,6 +78,8 @@ def strip_twos(a: int, b: int) -> tuple[int, int, int]:
     Returns (a', b', e) with {a', b'} = {a / 2^e, b / 2^e} and a' odd, so
     gcd(a, b) = gcd(a', b') << e; every plus-minus form needs an odd a'.
     """
+    if a == 0 and b == 0:
+        raise ValueError("gcd(0, 0) is undefined")
     e = 0
     while a % 2 == 0 and b % 2 == 0:
         a //= 2

@@ -304,6 +304,29 @@ def test_eigen_trace_needs_delayed_mode(tmp_path, capsys):
     assert code == 0 and trace.read_text()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("intgcd", "--a", "12", "--b", "18", "--mode", "serial"),
+     "--trace needs --mode systolic: serial mode runs no array"),
+    (("intgcd", "--a", "12", "--b", "18", "--mode", "precursor"),
+     "--trace needs --mode systolic: precursor mode runs no array"),
+    (("toeplitz", "--n", "1", "--bands", "MISSING", "--rhs", "MISSING", "--mode", "serial"),
+     "--trace needs --mode systolic: serial mode runs no array"),
+    (("eigen", "--matrix", "MISSING"),
+     "--trace needs --mode delayed: broadcast mode runs no array"),
+    (("trace-stats", "MISSING"),
+     "--trace needs a command that runs an array: trace-stats runs no array"),
+], ids=["intgcd-serial", "intgcd-precursor", "toeplitz-serial", "eigen-broadcast",
+        "trace-stats"])
+def test_trace_is_refused_where_no_array_runs(tmp_path, capsys, argv, message):
+    # the input files do not exist: the refusal comes before any input is read
+    missing = str(tmp_path / "missing")
+    argv = [missing if a == "MISSING" else a for a in argv]
+    trace = tmp_path / "t.jsonl"
+    code, out, err = run_cli(capsys, "--trace", str(trace), *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not trace.exists()
+
+
 def test_toeplitz_traces_only_when_asked(tmp_path, capsys, monkeypatch):
     from systolic import toeplitz
     asked = []

@@ -356,7 +356,7 @@ def test_delayed_stops_after_converged_sweep():
     steps = early.report.sweeps_used * 5
     assert early.report.ticks == 3 * (steps - 1) + 3
     assert len(early.report.trace) < len(full.report.trace)
-    assert early.report.trace.records == full.report.trace.records[:len(early.report.trace)]
+    assert early.report.trace == full.report.trace[:len(early.report.trace)]
 
 
 def test_trace_is_opt_in():

@@ -16,6 +16,7 @@ from systolic.intgcd import (
     pm_precursor,
     pm_serial,
     pm_steps,
+    strip_twos,
     systolic_int_gcd,
 )
 from systolic.oracle import euclid_int_gcd
@@ -48,6 +49,13 @@ def test_precursor_preconditions():
         pm_precursor(3, 9, 3)
     with pytest.raises(ValueError, match="must not be negative"):
         pm_precursor(3, 5, -2)
+
+
+def test_strip_twos():
+    assert strip_twos(12, 18) == (9, 6, 1)  # 6 and 9 after one halving, the odd one first
+    assert strip_twos(0, 40) == (5, 0, 3)
+    with pytest.raises(ValueError, match=r"gcd\(0, 0\) is undefined"):
+        strip_twos(0, 0)
 
 
 def test_serial_examples():

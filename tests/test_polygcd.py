@@ -1,5 +1,6 @@
 """Systolic polynomial GCD: cell programs, framing, drivers, properties."""
 
+import itertools
 import random
 
 import pytest
@@ -326,6 +327,26 @@ def test_batch_fig4_one_slot_frame_then_another():
     a, b = (2, 1, 5, 1, 6, 1, 6, 2, 4, 0, 2, 5, 3, 4), (5, 6, 3, 0, 5, 5, 2, 6, 3, 5)
     assert pipeline_batch(f, [((1,), (3,)), (a, b)], "fig4") == [(1,), (1,)]
     assert pipeline_batch(f, [(a, b), ((1,), (3,))], "fig4") == [(1,), (1,)]
+
+
+def _every_pair(field, max_deg):
+    """Every pair of polynomials of degree <= max_deg, zero included, but not (0, 0)."""
+    polys = [poly_normalize(field, c)
+             for c in itertools.product(range(field.p), repeat=max_deg + 1)]
+    return [(a, b) for a in polys for b in polys if a or b]
+
+
+@pytest.mark.parametrize("variant", ["fig4", "appA"])
+@pytest.mark.parametrize("p, max_deg, count", [(2, 5, 4095), (3, 3, 6560)])
+def test_streamed_batches_equal_euclid_exhaustively(p, max_deg, count, variant):
+    field = Field(p)
+    pairs = _every_pair(field, max_deg)
+    assert len(pairs) == count
+    got = []
+    for k in range(0, len(pairs), 256):
+        got += pipeline_batch(field, pairs[k:k + 256], variant)
+    bad = [(a, b, g) for (a, b), g in zip(pairs, got) if g != euclid_poly_gcd(field, a, b)]
+    assert len(got) == count and not bad, bad[:5]
 
 
 @st.composite
