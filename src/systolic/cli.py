@@ -40,7 +40,7 @@ def _write_trace(path, traces):
 
 def _refuse_trace(args, needs: str, runner: str):
     """Reject --trace for a run that builds no array, before any input is read."""
-    if args.trace:
+    if args.trace is not None:
         raise ValueError(f"--trace needs {needs}: {runner} runs no array")
 
 
@@ -104,8 +104,8 @@ def cmd_polygcd(args) -> int:
     a = poly_normalize(field, _parse_coeffs(args.a))
     b = poly_normalize(field, _parse_coeffs(args.b))
     run = polygcd.systolic_poly_gcd(field, a, b, variant=args.variant,
-                                    trace=bool(args.trace))
-    if args.trace:
+                                    trace=args.trace is not None)
+    if args.trace is not None:
         _write_trace(args.trace, [run.trace])
     _emit(args, [f"gcd: {poly_to_str(field, run.gcd)}",
                  f"latency: {run.latency} ticks",
@@ -136,8 +136,8 @@ def cmd_intgcd(args) -> int:
         _emit(args, [f"gcd: {g}", "cells: 0", f"ticks: {ticks}"],
               {"gcd": g, "cells": 0, "ticks": ticks, "mode": args.mode})
         return 0
-    run = intgcd.systolic_int_gcd(a, b, bits, trace=bool(args.trace))
-    if args.trace:
+    run = intgcd.systolic_int_gcd(a, b, bits, trace=args.trace is not None)
+    if args.trace is not None:
         _write_trace(args.trace, [run.trace])
     _emit(args, [f"gcd: {run.gcd}", f"cells: {run.cells}", f"ticks: {run.ticks}"],
           {"gcd": run.gcd, "cells": run.cells, "ticks": run.ticks, "mode": "systolic"})
@@ -160,8 +160,8 @@ def cmd_toeplitz(args) -> int:
         x = toeplitz.bareiss_solve(bands)
         ticks = 0
     else:
-        run = toeplitz.systolic_toeplitz_solve(bands, trace=bool(args.trace))
-        if args.trace:
+        run = toeplitz.systolic_toeplitz_solve(bands, trace=args.trace is not None)
+        if args.trace is not None:
             _write_trace(args.trace, [run.trace])
         x, ticks = run.x, run.ticks
     _emit(args, [f"x: {' '.join(repr(float(v)) for v in x)}", f"ticks: {ticks}"],
@@ -193,8 +193,8 @@ def cmd_eigen(args) -> int:
         _refuse_trace(args, "--mode delayed", "broadcast mode")
     a = read_matrix_file(args.matrix)
     res = eigen.run_sweeps(a, max_sweeps=args.max_sweeps, mode=args.mode,
-                           compute_vectors=args.vectors, trace=bool(args.trace))
-    if args.trace:
+                           compute_vectors=args.vectors, trace=args.trace is not None)
+    if args.trace is not None:
         _write_trace(args.trace, [res.report.trace])
     lines = [f"eigenvalues: {' '.join(repr(float(v)) for v in res.eigenvalues)}",
              f"sweeps: {res.report.sweeps_used}",
@@ -320,8 +320,8 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     runner = {"polygcd": _verify_polygcd, "intgcd": _verify_intgcd,
               "toeplitz": _verify_toeplitz, "eigen": _verify_eigen}[args.family]
-    instances, aggregates, traces = runner(rng, args.count, bool(args.trace))
-    if args.trace:
+    instances, aggregates, traces = runner(rng, args.count, args.trace is not None)
+    if args.trace is not None:
         _write_trace(args.trace, traces)
     n_pass = sum(1 for inst in instances if inst["pass"])
     lines = []

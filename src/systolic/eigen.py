@@ -20,7 +20,9 @@ read from the diagonal in the original index order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -127,16 +129,6 @@ def step_rotations(mat: np.ndarray) -> list:
     return [jacobi_rotation(*abd) for abd in zip(d[0::2], e[0::2], d[1::2])]
 
 
-def _rotate_columns(m: np.ndarray, rots: Sequence[RotationPair]):
-    """M R in place, column pair by column pair (identity pairs untouched)."""
-    for j, (c, s) in enumerate(rots):
-        if s != 0.0 or c != 1.0:
-            c0 = m[:, 2 * j].copy()
-            c1 = m[:, 2 * j + 1].copy()
-            m[:, 2 * j] = c * c0 - s * c1
-            m[:, 2 * j + 1] = s * c0 + c * c1
-
-
 def apply_rotations(mat: np.ndarray, rots: Sequence[RotationPair]) -> np.ndarray:
     """R^T M R with R block-diagonal: ``rotate_block`` on every block at once,
     block (i, j) taking row rotation i and column rotation j."""
@@ -190,9 +182,10 @@ def run_sweeps(a, max_sweeps: int = 10,
 
     Both modes take each step's rotations from the host grid.  Broadcast
     mode rotates the grid on the host; delayed mode reads the rotated grid
-    from the array, which is built on the first step and stops after the
-    last step of the converged sweep.  ``trace`` keeps the delayed array's
-    trace in ``report.trace``.
+    from the array, which is built on the first step with no step budget:
+    it runs until the sweep loop stops asking, after the last step of the
+    converged sweep.  ``trace`` keeps the delayed array's trace in
+    ``report.trace``.
     """
     if mode not in ("broadcast", "delayed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -204,7 +197,6 @@ def run_sweeps(a, max_sweeps: int = 10,
     e = _norm_exponent(a)
     mat, n = pack_grid(np.ldexp(a, -e) if e else a)
     size = mat.shape[0]
-    steps_per_sweep = max(size - 1, 1)
     fro = float(np.linalg.norm(mat))
     stop_at = tol * fro
     tr = engine.Trace() if trace and mode == "delayed" else None
@@ -212,24 +204,27 @@ def run_sweeps(a, max_sweeps: int = 10,
                          converged=fro == 0.0 or off_norm(mat) < stop_at)
     arr = delayed = None  # delayed mode: the array and its rotated grids, per step
     vec = np.eye(size) if compute_vectors else None
-    inv = _inverse_permutation(size)
+    inv = _inverse_permutation(size)  # column inv[q] of V R becomes column q of V,
+    cols = inv // 2 + (inv % 2) * (size // 2)  # found at cols[q] in [even | odd columns]
     for sweep in range(max_sweeps):
         if report.converged:
             break
-        for _ in range(steps_per_sweep):
+        for _ in range(size - 1):  # size is even and at least 2
             rots = step_rotations(mat)
             report.rotations_performed += sum(1 for r in rots if r != IDENTITY_ROTATION)
             if mode == "broadcast":
                 rotated = apply_rotations(mat, rots)
             else:
                 if arr is None:
-                    total_steps = max_sweeps * steps_per_sweep
-                    arr = build_delayed_array(mat, total_steps)
-                    delayed = _delayed_grids(arr, size, total_steps, tr)
+                    arr = build_delayed_array(mat)
+                    delayed = _delayed_grids(arr, size, tr)
                 rotated = next(delayed)
             if vec is not None:
-                _rotate_columns(vec, rots)
-                vec = vec[:, inv]
+                # V R in rotate_block's column arithmetic: c > 0 and V holds no -0.0,
+                # so an identity pair's columns come back exact; then the permutation
+                c, s = np.array(rots, dtype=float).T
+                v0, v1 = vec[:, 0::2], vec[:, 1::2]
+                vec = np.hstack((c * v0 - s * v1, s * v0 + c * v1))[:, cols]
             mat = permute(rotated)
             report.off_norms.append(off_norm(mat))
         report.sweeps_used = sweep + 1
@@ -331,7 +326,7 @@ def _make_delayed_step(i: int, j: int, entries, in_ports):
     return step
 
 
-def build_delayed_array(mat: np.ndarray, total_steps: int):
+def build_delayed_array(mat: np.ndarray):
     h = mat.shape[0] // 2
     plan = _assembly_sources(mat.shape[0])
     wiring = []
@@ -361,11 +356,9 @@ def build_delayed_array(mat: np.ndarray, total_steps: int):
     for w in wiring:
         ins_of[w.dst].append(w.dst_port)
 
-    def windows(cell):
-        d = abs(cell.row - cell.col)
-        return (range(d, d + 3 * total_steps, 3),)
-
-    spec = engine.grid(h, h, wiring, activation=windows,
+    # cell (i, j) runs step s on tick 3s + |i - j|, for every s the caller asks for
+    spec = engine.grid(h, h, wiring,
+                       activation=lambda cell: (range(abs(cell.row - cell.col), sys.maxsize, 3),),
                        ports=lambda cell: (ins_of[cell], _delayed_ports(cell)))
     progs = {}
     for i in range(h):
@@ -379,8 +372,9 @@ def build_delayed_array(mat: np.ndarray, total_steps: int):
     return build_array(spec, progs)
 
 
-def _delayed_grids(arr, size: int, total_steps: int, tr: engine.Trace | None):
-    """Yield the rotated (pre-permutation) grid of steps 0, 1, ... in turn.
+def _delayed_grids(arr, size: int, tr: engine.Trace | None):
+    """Yield the rotated (pre-permutation) grid of steps 0, 1, ... in turn,
+    for as long as the caller asks.
 
     The array advances one tick at a time, and only as far as the step asked
     for.  Cell (i, j) runs step s on tick 3s + |i - j| and not again for
@@ -390,7 +384,7 @@ def _delayed_grids(arr, size: int, total_steps: int, tr: engine.Trace | None):
     h = size // 2
     dist = [abs(i - j) for i in range(h) for j in range(h)]
     after: dict[int, list] = {}  # tick -> every cell's registers right after it
-    for s in range(total_steps):
+    for s in itertools.count():
         while arr.tick_count < 3 * s + h:  # the last cell runs step s on 3s + h - 1
             arr.tick(tr)
             after[arr.tick_count - 1] = arr.states()

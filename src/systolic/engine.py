@@ -22,8 +22,9 @@ output as an output line, indexed the same way by the array's own tick.
 
 A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
-record).  The windows are read once, when the array is built, so a tick
-visits only the cells that run on it.
+record).  The windows, which may be open-ended, are read once when the
+array is built and expanded a stretch of ticks at a time as it runs, so a
+tick visits only the cells that run on it.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class ArraySpec:
 
     activation maps a cell to a tuple of ``range`` windows of non-negative
     ticks; the cell is clocked on every tick that lies in one of them, and
-    on no other.  It is called once per cell when the array is built, so
-    building costs time and memory in proportion to the declared active
-    ticks.  None clocks every cell on every tick.
+    on no other.  It is called once per cell when the array is built.  A
+    window may be open-ended, ``range(d, sys.maxsize, 3)`` say, since only
+    the ticks that run are expanded.  None clocks every cell on every tick.
 
     ports maps a cell to its input and output port names, in the order its
     step takes and returns them.  None declares no ports.
@@ -116,12 +117,8 @@ def linear(length: int, wiring: Iterable[Wire] = (), activation=None, ports=None
 def chain_wires(length: int, ports: Iterable[str]) -> list[Wire]:
     """Left-to-right wiring of a pipeline: cell k's `<p>out` feeds cell k+1's `<p>in`."""
     ports = [(p + "out", p + "in") for p in ports]
-    wires = []
-    for k in range(length - 1):
-        src, dst = CellId(0, k), CellId(0, k + 1)
-        for out, in_ in ports:
-            wires.append(Wire(src, out, dst, in_))
-    return wires
+    cells = [CellId(0, k) for k in range(length)]
+    return [Wire(src, out, dst, in_) for src, dst in zip(cells, cells[1:]) for out, in_ in ports]
 
 
 def chain_ports(ports: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -161,9 +158,7 @@ class TraceRecord(tuple):
 
 
 def _render(v):
-    if isinstance(v, bool):
-        return 1 if v else 0
-    return v
+    return int(v) if isinstance(v, bool) else v
 
 
 class Trace(list):
@@ -172,14 +167,10 @@ class Trace(list):
     def to_jsonl(self) -> str:
         lines = []
         for r in self:
-            obj = {
-                "tick": r.tick,
-                "row": r.cell.row,
-                "col": r.cell.col,
-                "state": {k: _render(v) for k, v in r.state.items()},
-                "in": {k: _render(v) for k, v in r.inputs.items()},
-                "out": {k: _render(v) for k, v in r.outputs.items()},
-            }
+            obj = {"tick": r.tick, "row": r.cell.row, "col": r.cell.col,
+                   "state": {k: _render(v) for k, v in r.state.items()},
+                   "in": {k: _render(v) for k, v in r.inputs.items()},
+                   "out": {k: _render(v) for k, v in r.outputs.items()}}
             lines.append(json.dumps(obj, separators=(",", ":")))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -191,25 +182,20 @@ def _check_wire_geometry(spec: ArraySpec, w: Wire):
         raise ConstructionError(f"wire {w} is not nearest-neighbour")
 
 
-def _window_schedule(activation: WindowFn, cells: list[CellId]) -> list[tuple[int, ...]]:
-    """Per tick, the indices of the cells clocked on it, in cell order."""
-    by_tick: list[list[int]] = []
+def _windows(activation: WindowFn, cells: list[CellId]) -> list[tuple[int, range]]:
+    """(cell index, window) for every non-empty window, in cell order, each
+    checked from its endpoints and made ascending."""
+    windows = []
     for i, cell in enumerate(cells):
         for w in activation(cell):
             if not isinstance(w, range):
                 raise ConstructionError(f"cell {tuple(cell)}: window {w!r} is not a range")
             if not w:
                 continue
-            if min(w) < 0:
+            if min(w[0], w[-1]) < 0:
                 raise ConstructionError(f"cell {tuple(cell)}: window {w!r} has negative ticks")
-            top = max(w)
-            if top >= len(by_tick):
-                by_tick.extend([] for _ in range(top + 1 - len(by_tick)))
-            for t in w:
-                on = by_tick[t]
-                if not on or on[-1] != i:  # overlapping windows clock a cell once
-                    on.append(i)
-    return [tuple(on) for on in by_tick]
+            windows.append((i, w if w.step > 0 else w[::-1]))
+    return windows
 
 
 def _gather(slots: tuple[int, ...]):
@@ -276,8 +262,10 @@ class Array:
         self._cells = cells
         self._idx = {c: i for i, c in enumerate(cells)}
         self._eval_order = eval_order
-        self._schedule = (None if spec.activation is None
-                          else _window_schedule(spec.activation, cells))
+        # the windows not yet ended, and per tick the cells clocked on it,
+        # expanded from them as ticks run (None: every cell on every tick)
+        self._windows = [] if spec.activation is None else _windows(spec.activation, cells)
+        self._schedule = None if spec.activation is None else []
         self._states = [tuple(programs[c].init.values()) for c in cells]
         self._names = [(tuple(programs[c].init), ins_of[c], outs_of[c]) for c in cells]
         # boundary inputs take the slots after every output
@@ -339,6 +327,8 @@ class Array:
         if schedule is None:
             order = range(len(cells))
         else:
+            if t == len(schedule) and self._windows:
+                self._expand()
             order = schedule[t] if t < len(schedule) else ()
         eval_order = self._eval_order
         if eval_order is not None:
@@ -383,6 +373,21 @@ class Array:
         self.tick_count = t + 1
 
     # -- internals -------------------------------------------------------
+
+    def _expand(self) -> None:
+        """Extend the schedule by up to 256 ticks, at most to the end of the
+        last window, and drop the windows that end within them."""
+        lo = len(self._schedule)
+        hi = min(lo + 256, max(w[-1] for _, w in self._windows) + 1)
+        by_tick: list[list[int]] = [[] for _ in range(hi - lo)]
+        for i, w in self._windows:
+            first = max(w.start, lo + (w.start - lo) % w.step)
+            for t in range(first - lo, min(w.stop, hi) - lo, w.step):
+                on = by_tick[t]
+                if not on or on[-1] != i:  # overlapping windows clock a cell once
+                    on.append(i)
+        self._schedule += map(tuple, by_tick)
+        self._windows = [(i, w) for i, w in self._windows if w[-1] >= hi]
 
     def _admit(self, i: int, outs) -> tuple | None:
         """Check an output tuple whose type pattern cell i has not shown

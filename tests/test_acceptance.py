@@ -243,9 +243,7 @@ def test_criterion_10_schedule_equivalence():
                     == np.array(rb.report.off_norms).tobytes())
             grid, _ = eigen.pack_grid(a)
             size = grid.shape[0]
-            total = 10 * (size - 1)
-            rotated = eigen._delayed_grids(eigen.build_delayed_array(grid, total),
-                                           size, total, None)
+            rotated = eigen._delayed_grids(eigen.build_delayed_array(grid), size, None)
             steps = rd.report.sweeps_used * (size - 1)
             for s in range(steps):
                 rot = eigen.apply_rotations(grid, eigen.step_rotations(grid))

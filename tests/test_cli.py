@@ -327,6 +327,28 @@ def test_trace_is_refused_where_no_array_runs(tmp_path, capsys, argv, message):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (("intgcd", "--a", "12", "--b", "18"), None),
+    (("polygcd", "--p", "7", "--a", "6,5,1", "--b", "3,0,1"), None),
+    (("eigen", "--matrix", "m.txt", "--mode", "delayed"), None),
+    (("verify", "intgcd", "--count", "1"), None),
+    (("intgcd", "--a", "12", "--b", "18", "--mode", "serial"),
+     "--trace needs --mode systolic: serial mode runs no array"),
+], ids=["intgcd-systolic", "polygcd", "eigen-delayed", "verify", "intgcd-serial"])
+def test_empty_trace_name_is_not_dropped(tmp_path, capsys, monkeypatch, argv, refusal):
+    # an empty file name asks for a trace too: the write fails before any
+    # output, or the command refuses --trace as for any other name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_text("2\n3\n1 3\n")
+    code, out, err = run_cli(capsys, "--trace", "", *argv)
+    assert code == 2 and out == ""
+    if refusal is None:
+        assert err.startswith("error: ") and "''" in err
+    else:
+        assert err == f"error: {refusal}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
+
 def test_toeplitz_traces_only_when_asked(tmp_path, capsys, monkeypatch):
     from systolic import toeplitz
     asked = []

@@ -1,5 +1,6 @@
 """Parallel Jacobi: rotations, the pairing permutation, both schedules."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from systolic.eigen import (
     _delayed_grids,
+    _inverse_permutation,
     apply_rotations,
     build_delayed_array,
     jacobi_rotation,
@@ -230,8 +232,7 @@ def test_delayed_equals_broadcast_grid_for_grid():
         mat, _ = pack_grid(a)
         size = mat.shape[0]
         steps = rd.report.sweeps_used * (size - 1)
-        total = 10 * (size - 1)
-        rotated_d = _delayed_grids(build_delayed_array(mat, total), size, total, None)
+        rotated_d = _delayed_grids(build_delayed_array(mat), size, None)
         for s in range(steps):
             rot = apply_rotations(mat, step_rotations(mat))
             assert as_bytes(rot) == as_bytes(next(rotated_d))
@@ -478,3 +479,65 @@ def test_ultimately_quadratic_convergence(n):
         assert tail, seed
         for before, after in tail:
             assert after <= 100 * before ** 2, (seed, before, after)
+
+
+def _vectors_column_pair_by_pair(a):
+    """Eigenvectors as the solver once built them: each step rotates V one
+    column pair at a time, skipping identity pairs, then permutes columns."""
+    mat, n = pack_grid(a)
+    size = mat.shape[0]
+    vec = np.eye(size)
+    for _ in range(run_sweeps(a).report.sweeps_used * (size - 1)):
+        rots = step_rotations(mat)
+        for j, (c, s) in enumerate(rots):
+            if s != 0.0 or c != 1.0:
+                c0 = vec[:, 2 * j].copy()
+                c1 = vec[:, 2 * j + 1].copy()
+                vec[:, 2 * j] = c * c0 - s * c1
+                vec[:, 2 * j + 1] = s * c0 + c * c1
+        vec = vec[:, _inverse_permutation(size)]
+        mat = permute(apply_rotations(mat, rots))
+    return vec[:n, :n]
+
+
+def _vector_cases():
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 3, 4, 5, 7, 8, 12, 16, 33):
+        a = rng.uniform(-4.0, 4.0, (n, n))
+        a = a + a.T
+        yield f"random-{n}", a
+        zeros = np.where(rng.random((n, n)) < 0.7, 0.0, a)
+        yield f"zero-heavy-{n}", np.where(np.tri(n, dtype=bool), zeros, zeros.T)
+        yield f"diagonal-{n}", np.diag(rng.integers(-3, 4, n).astype(float))
+        ints = rng.integers(-2, 3, (n, n)).astype(float)
+        yield f"integer-{n}", np.where(np.tri(n, dtype=bool), ints, ints.T)
+        signed = a.copy()
+        signed[n // 2, :] = signed[:, n // 2] = -0.0
+        yield f"negative-zero-row-{n}", signed
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "delayed"])
+def test_eigenvectors_equal_the_column_pair_loop(mode):
+    # V never holds -0.0 and every c > 0, so rotating all column pairs at
+    # once leaves an identity pair's columns exactly as they were
+    for name, a in _vector_cases():
+        if mode == "delayed" and len(a) > 12:
+            continue
+        got = run_sweeps(a, mode=mode, compute_vectors=True).eigenvectors
+        assert as_bytes(got) == as_bytes(_vectors_column_pair_by_pair(a)), name
+
+
+def test_every_3x3_sign_matrix_in_both_schedules():
+    # all 729 symmetric 3x3 matrices with entries from {-0.0, 1, -1}
+    lower = np.tri(3, dtype=bool)
+    for entries in itertools.product((-0.0, 1.0, -1.0), repeat=6):
+        a = np.zeros((3, 3))
+        a[lower] = entries
+        a = np.where(lower, a, a.T)
+        rb = run_sweeps(a, mode="broadcast")
+        rd = run_sweeps(a, mode="delayed")
+        assert as_bytes(rd.eigenvalues) == as_bytes(rb.eigenvalues), entries
+        assert as_bytes(rd.report.off_norms) == as_bytes(rb.report.off_norms), entries
+        vals_o, _, _ = serial_cyclic_jacobi(a)
+        err = np.max(np.abs(np.sort(rb.eigenvalues) - np.sort(vals_o)))
+        assert err <= 1e-8 * np.linalg.norm(a), entries

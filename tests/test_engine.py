@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -228,7 +229,32 @@ def test_overlapping_windows_clock_once():
     assert [r.tick for r in tr] == [0, 1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("window", [[0, 1], range(-2, 3)])
+def test_open_ended_window():
+    # a window's ticks are expanded only as they run, so it may never close
+    arr, tr = windowed_counters([(range(2, sys.maxsize, 3),)], 10)
+    assert [r.tick for r in tr] == [2, 5, 8]
+    assert arr.state_of((0, 0)) == {"n": 3, "last": 8}
+
+
+def test_windows_expand_alike_across_stretches():
+    # windows that start, end and overlap on either side of the points where
+    # the schedule is extended, descending ones included
+    windows = [(range(0, 700, 7), range(3, sys.maxsize, 5)),
+               (range(900, -1, -11),),
+               (range(250, 262), range(255, 520, 2), range(511, 514)),
+               (range(1000, 1001),),
+               ()]
+    n_ticks = 1100
+    arr, tr = windowed_counters(windows, n_ticks)
+    for k, ws in enumerate(windows):
+        want = [t for t in range(n_ticks) if any(t in w for w in ws)]
+        assert [r.tick for r in tr if r.cell.col == k] == want, k
+        assert arr.state_of((0, k))["n"] == len(want)
+    # tick by tick, in cell order within a tick
+    assert [(r.tick, r.cell.col) for r in tr] == sorted((r.tick, r.cell.col) for r in tr)
+
+
+@pytest.mark.parametrize("window", [[0, 1], range(-2, 3), range(3, -2, -1)])
 def test_bad_window_rejected(window):
     spec = linear(1, activation=lambda cell: (window,), ports=chain_cell)
     with pytest.raises(ConstructionError):
