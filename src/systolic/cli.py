@@ -44,11 +44,22 @@ def _refuse_trace(args, needs: str, runner: str):
         raise ValueError(f"--trace needs {needs}: {runner} runs no array")
 
 
-def _parse_coeffs(text: str) -> list:
+def _numbers(tokens, kind, where: str) -> list:
+    """Each token converted by kind, int or float; a token that is not a
+    number is a usage error that names where it came from."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{where}: {tok.strip()!r} is not {what}") from None
+    return values
+
+
+def _parse_coeffs(text: str, flag: str) -> list:
     text = text.strip()
-    if not text:
-        return []
-    return [int(x) for x in text.split(",")]
+    return _numbers(text.split(","), int, flag) if text else []
 
 
 # -- generators (all seeded) --------------------------------------------------
@@ -101,8 +112,8 @@ def gen_symmetric(rng: random.Random, n: int) -> np.ndarray:
 
 def cmd_polygcd(args) -> int:
     field = Field(args.p)
-    a = poly_normalize(field, _parse_coeffs(args.a))
-    b = poly_normalize(field, _parse_coeffs(args.b))
+    a = poly_normalize(field, _parse_coeffs(args.a, "--a"))
+    b = poly_normalize(field, _parse_coeffs(args.b, "--b"))
     run = polygcd.systolic_poly_gcd(field, a, b, variant=args.variant,
                                     trace=args.trace is not None)
     if args.trace is not None:
@@ -144,16 +155,16 @@ def cmd_intgcd(args) -> int:
     return 0
 
 
-def _read_reals(path) -> list:
+def _read_reals(path, flag: str) -> list:
     with open(path) as fh:
-        return [float(tok) for tok in fh.read().split()]
+        return _numbers(fh.read().split(), float, f"{flag} file {path}")
 
 
 def cmd_toeplitz(args) -> int:
     if args.mode == "serial":
         _refuse_trace(args, "--mode systolic", "serial mode")
-    diags = _read_reals(args.bands)
-    rhs = _read_reals(args.rhs)
+    diags = _read_reals(args.bands, "--bands")
+    rhs = _read_reals(args.rhs, "--rhs")
     n = args.n
     bands = toeplitz.ToeplitzBands(n, tuple(diags), tuple(rhs))
     if args.mode == "serial":
@@ -171,7 +182,7 @@ def cmd_toeplitz(args) -> int:
 
 def read_matrix_file(path) -> np.ndarray:
     """n followed by the n(n+1)/2 lower-triangle entries, row-major."""
-    vals = _read_reals(path)
+    vals = _read_reals(path, "--matrix")
     n = int(vals[0]) if vals else 0
     if n < 1 or n != vals[0]:
         raise ValueError("matrix size n must be a positive integer")

@@ -15,6 +15,13 @@ update serves both, so the agreement is exact, down to the sign of a zero.
 The working matrix is a plain array, physically permuted after each step;
 every sweep ends where the permutation's orbit closes, so eigenvalues are
 read from the diagonal in the original index order.
+
+The delayed array is built in one pass over its cells, which gives each
+cell its wires, its input and output ports, its registers and, per parity,
+one ``itemgetter`` that reads its next block out of ``state + ins``.  A
+cell's inputs are its row and column rotations (off the diagonal), then the
+two parity ports of each neighbour's entry it takes, in the iteration order
+of the set of its four source entries; every trace record shows that order.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -202,7 +210,8 @@ def run_sweeps(a, max_sweeps: int = 10,
     tr = engine.Trace() if trace and mode == "delayed" else None
     report = SweepReport(sweeps_used=0, trace=tr,
                          converged=fro == 0.0 or off_norm(mat) < stop_at)
-    arr = delayed = None  # delayed mode: the array and its rotated grids, per step
+    # delayed mode: the rotated grid of each step, and the ticks run so far
+    grids = _delayed_grids(mat, tr) if mode == "delayed" else None
     vec = np.eye(size) if compute_vectors else None
     inv = _inverse_permutation(size)  # column inv[q] of V R becomes column q of V,
     cols = inv // 2 + (inv % 2) * (size // 2)  # found at cols[q] in [even | odd columns]
@@ -212,13 +221,10 @@ def run_sweeps(a, max_sweeps: int = 10,
         for _ in range(size - 1):  # size is even and at least 2
             rots = step_rotations(mat)
             report.rotations_performed += sum(1 for r in rots if r != IDENTITY_ROTATION)
-            if mode == "broadcast":
+            if grids is None:
                 rotated = apply_rotations(mat, rots)
             else:
-                if arr is None:
-                    arr = build_delayed_array(mat)
-                    delayed = _delayed_grids(arr, size, tr)
-                rotated = next(delayed)
+                rotated, report.ticks = next(grids)
             if vec is not None:
                 # V R in rotate_block's column arithmetic: c > 0 and V holds no -0.0,
                 # so an identity pair's columns come back exact; then the permutation
@@ -229,8 +235,6 @@ def run_sweeps(a, max_sweeps: int = 10,
             report.off_norms.append(off_norm(mat))
         report.sweeps_used = sweep + 1
         report.converged = report.off_norms[-1] < stop_at
-    if arr is not None:
-        report.ticks = arr.tick_count
     # every sweep ends where the pairing orbit closes, with each index back
     # in its own position; the padding index comes last
     eigenvalues = mat.diagonal()[:n].copy()
@@ -249,72 +253,29 @@ def run_sweeps(a, max_sweeps: int = 10,
 # -- delayed (engine-backed) mode --------------------------------------------
 
 
-def _assembly_sources(size: int):
-    """For each block (i, j) and entry (r, c): the (drow, dcol, entry) feeding it."""
-    inv = _inverse_permutation(size).tolist()
-    h = size // 2
-    plan = {}
-    for i in range(h):
-        for j in range(h):
-            entries = []
-            for r in range(2):
-                for c in range(2):
-                    sp, sq = inv[2 * i + r], inv[2 * j + c]
-                    entries.append((sp // 2 - i, sq // 2 - j, (sp % 2, sq % 2)))
-            plan[(i, j)] = entries
-    return plan
-
-
-_ENTRY_NAMES = {(0, 0): "b00", (0, 1): "b01", (1, 0): "b10", (1, 1): "b11"}
+# rotation outputs by side of the diagonal (+1 above, -1 below, 0 on it): the
+# parameters move away from the diagonal, so a neighbour further out reads
+# the ports of its own side, and a diagonal cell sends in all four directions
+_ROT_OUTS = {1: ("rowc_R", "rows_R", "colc_U", "cols_U"),
+             -1: ("rowc_L", "rows_L", "colc_D", "cols_D"),
+             0: ("rowc_R", "rows_R", "rowc_L", "rows_L", "colc_D", "cols_D", "colc_U", "cols_U")}
+_ROT_INS = ("rowc_in", "rows_in", "colc_in", "cols_in")
 # block outputs: b00..b11 of parity 0, then of parity 1
-_BLOCK_OUTS = tuple(f"{name}_{par}" for par in (0, 1) for name in ("b00", "b01", "b10", "b11"))
+_BLOCK_OUTS = tuple(f"b{r}{c}_{par}" for par in (0, 1) for r in (0, 1) for c in (0, 1))
 _NO_BLOCK = (None,) * 4
 
 
-def _block_sources(entries, ins) -> tuple:
-    """Per previous-step parity, where a cell reads b00..b11: for each entry
-    (True, register index) for its own register, or (False, input index)."""
-    return tuple(
-        tuple((True, 2 * er + ec) if dr == 0 and dc == 0 else
-              (False, ins.index(f"in{dr + 1}{dc + 1}_{_ENTRY_NAMES[(er, ec)]}_{prev_par}"))
-              for (dr, dc, (er, ec)) in entries)
-        for prev_par in (0, 1))
-
-
-def _delayed_ports(cell) -> tuple:
-    """Rotation outputs, then the block outputs of both parities.  An
-    off-diagonal cell passes rotations on away from the diagonal; a
-    diagonal cell sends them in all four directions."""
-    i, j = cell
-    if j > i:
-        rot = ("rowc_R", "rows_R", "colc_U", "cols_U")
-    elif j < i:
-        rot = ("rowc_L", "rows_L", "colc_D", "cols_D")
-    else:
-        rot = ("rowc_R", "rows_R", "rowc_L", "rows_L", "colc_D", "cols_D", "colc_U", "cols_U")
-    return rot + _BLOCK_OUTS
-
-
-def _make_delayed_step(i: int, j: int, entries, in_ports):
-    """Program of cell (i, j), clocked at ticks 3s + |i - j| for step s.
-
-    ``in_ports`` are its input ports; an off-diagonal cell's first four are
-    the row and column rotations.  The block goes out on the ports of the
-    step's parity, and the other parity's ports keep their values.
+def _make_delayed_step(d: int, reads):
+    """Program of a cell at distance d from the diagonal, clocked at ticks
+    3s + d for step s.  ``reads[p]`` picks the cell's next block out of
+    ``state + ins`` after a step of parity p; an off-diagonal cell's first
+    four inputs are the row and column rotations.  The block goes out on
+    the ports of the step's parity, and the other parity's ports keep their
+    values.
     """
-    d = abs(i - j)
-    sources = _block_sources(entries, in_ports)
-
     def step(state, ins, tick):
         s = (tick - d) // 3
-        if s == 0:
-            b00, b01, b10, b11 = state
-        else:
-            (o0, k0), (o1, k1), (o2, k2), (o3, k3) = sources[(s - 1) & 1]
-            b00 = state[k0] if o0 else ins[k0]
-            b01 = state[k1] if o1 else ins[k1]
-            b10 = state[k2] if o2 else ins[k2]
-            b11 = state[k3] if o3 else ins[k3]
+        b00, b01, b10, b11 = reads[(s - 1) & 1](state + ins) if s else state
         if d == 0:
             ci, si = cj, sj = jacobi_rotation(b00, b01, b11)
             rot = (ci, si, ci, si, cj, sj, cj, sj)
@@ -327,60 +288,65 @@ def _make_delayed_step(i: int, j: int, entries, in_ports):
 
 
 def build_delayed_array(mat: np.ndarray):
-    h = mat.shape[0] // 2
-    plan = _assembly_sources(mat.shape[0])
-    wiring = []
+    """The delayed array on ``mat``, built in one pass over its cells.
+
+    Block (i, j)'s entry (r, c) comes, after the inter-step permutation,
+    from entry (er, ec) of block (i + dr, j + dc); a neighbour's entry
+    arrives on a wire per parity, the cell's own from its registers.
+    """
+    size = mat.shape[0]
+    h = size // 2
+    inv = _inverse_permutation(size).tolist()
+    wiring, ports, progs = [], {}, {}
     for i in range(h):
         for j in range(h):
-            # rotation-parameter chains, outward from the diagonal
-            if j > i:
-                wiring.append(Wire(CellId(i, j - 1), "rowc_R", CellId(i, j), "rowc_in"))
-                wiring.append(Wire(CellId(i, j - 1), "rows_R", CellId(i, j), "rows_in"))
-                wiring.append(Wire(CellId(i + 1, j), "colc_U", CellId(i, j), "colc_in"))
-                wiring.append(Wire(CellId(i + 1, j), "cols_U", CellId(i, j), "cols_in"))
-            elif j < i:
-                wiring.append(Wire(CellId(i, j + 1), "rowc_L", CellId(i, j), "rowc_in"))
-                wiring.append(Wire(CellId(i, j + 1), "rows_L", CellId(i, j), "rows_in"))
-                wiring.append(Wire(CellId(i - 1, j), "colc_D", CellId(i, j), "colc_in"))
-                wiring.append(Wire(CellId(i - 1, j), "cols_D", CellId(i, j), "cols_in"))
-            # double-buffered block exchange with every contributing neighbour
-            for (dr, dc, (er, ec)) in set(plan[(i, j)]):
+            cell = CellId(i, j)
+            side = (j > i) - (j < i)
+            ins = []
+            if side:  # rotation chains, outward from the diagonal
+                row_src, col_src = CellId(i, j - side), CellId(i + side, j)
+                for src, out, port in zip((row_src, row_src, col_src, col_src),
+                                          _ROT_OUTS[side], _ROT_INS):
+                    wiring.append(Wire(src, out, cell, port))
+                    ins.append(port)
+            entries = [(sp // 2 - i, sq // 2 - j, (sp % 2, sq % 2))
+                       for sp in inv[2 * i: 2 * i + 2] for sq in inv[2 * j: 2 * j + 2]]
+            at = ({}, {})  # per parity: source entry -> its index in state + ins
+            # the cell's input order, which every trace record shows, is the
+            # iteration order of this set of these four tuples
+            for src in set(entries):
+                dr, dc, (er, ec) = src
                 if dr == 0 and dc == 0:
+                    at[0][src] = at[1][src] = 2 * er + ec
                     continue
-                name = _ENTRY_NAMES[(er, ec)]
                 for par in (0, 1):
-                    wiring.append(Wire(CellId(i + dr, j + dc), f"{name}_{par}",
-                                       CellId(i, j), f"in{dr + 1}{dc + 1}_{name}_{par}"))
-    # each cell takes its inputs in wiring order
-    ins_of = {CellId(i, j): [] for i in range(h) for j in range(h)}
-    for w in wiring:
-        ins_of[w.dst].append(w.dst_port)
-
+                    port = f"in{dr + 1}{dc + 1}_b{er}{ec}_{par}"
+                    wiring.append(Wire(CellId(i + dr, j + dc), f"b{er}{ec}_{par}", cell, port))
+                    at[par][src] = 4 + len(ins)
+                    ins.append(port)
+            ports[cell] = (ins, _ROT_OUTS[side] + _BLOCK_OUTS)
+            reads = tuple(itemgetter(*(a[src] for src in entries)) for a in at)
+            blk = mat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2].ravel().tolist()
+            progs[cell] = CellProgram(_make_delayed_step(abs(i - j), reads),
+                                      dict(zip(("b00", "b01", "b10", "b11"), blk)))
     # cell (i, j) runs step s on tick 3s + |i - j|, for every s the caller asks for
     spec = engine.grid(h, h, wiring,
                        activation=lambda cell: (range(abs(cell.row - cell.col), sys.maxsize, 3),),
-                       ports=lambda cell: (ins_of[cell], _delayed_ports(cell)))
-    progs = {}
-    for i in range(h):
-        for j in range(h):
-            blk = mat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
-            step = _make_delayed_step(i, j, plan[(i, j)], ins_of[CellId(i, j)])
-            progs[CellId(i, j)] = CellProgram(step, {
-                "b00": float(blk[0, 0]), "b01": float(blk[0, 1]),
-                "b10": float(blk[1, 0]), "b11": float(blk[1, 1]),
-            })
+                       ports=ports.__getitem__)
     return build_array(spec, progs)
 
 
-def _delayed_grids(arr, size: int, tr: engine.Trace | None):
+def _delayed_grids(mat: np.ndarray, tr: engine.Trace | None):
     """Yield the rotated (pre-permutation) grid of steps 0, 1, ... in turn,
-    for as long as the caller asks.
+    each with the ticks run so far, for as long as the caller asks.
 
-    The array advances one tick at a time, and only as far as the step asked
-    for.  Cell (i, j) runs step s on tick 3s + |i - j| and not again for
-    three ticks, so its step-s block is in the registers read right after
-    that tick.
+    The array on ``mat`` is built on the first request, and advances one
+    tick at a time, only as far as the step asked for.  Cell (i, j) runs
+    step s on tick 3s + |i - j| and not again for three ticks, so its
+    step-s block is in the registers read right after that tick.
     """
+    arr = build_delayed_array(mat)
+    size = mat.shape[0]
     h = size // 2
     dist = [abs(i - j) for i in range(h) for j in range(h)]
     after: dict[int, list] = {}  # tick -> every cell's registers right after it
@@ -391,4 +357,5 @@ def _delayed_grids(arr, size: int, tr: engine.Trace | None):
         regs = [after[3 * s + d][k] for k, d in enumerate(dist)]
         for t in range(3 * s, 3 * s + 3):  # no later step reads these ticks
             after.pop(t, None)
-        yield np.array(regs).reshape(h, h, 2, 2).swapaxes(1, 2).reshape(size, size)
+        yield (np.array(regs).reshape(h, h, 2, 2).swapaxes(1, 2).reshape(size, size),
+               arr.tick_count)

@@ -12,7 +12,9 @@ and on numpy arrays.  On the array, cell k runs them on its registers on
 ticks of parity k inside two activity windows, and x ends in the xi
 registers after tick 4n.  The serial path runs them on numpy slices over a
 step's active cells: the array's operations in its order, so x is the same
-to the byte.
+to the byte.  Cell 0's updates raise every breakdown, a pivot that fails
+the predicate or an x that is not finite, in words that name the step, so
+both paths fail alike and say so alike.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .oracle import SingularMatrixError
 
 
 class SingularMinorError(SingularMatrixError):
-    """A leading principal minor is (numerically) singular; no pivoting exists."""
+    """A leading principal minor is (numerically) singular, for which no
+    pivoting exists, or the solution overflows."""
 
 
 @dataclass(frozen=True)
@@ -66,22 +69,21 @@ def _pivot_tol(bands: ToeplitzBands) -> float:
     return 1e-12 * max(abs(x) for x in bands.diagonals)
 
 
-def _pivot_check(tol: float, why):
-    """Both paths' one breakdown rule: pivot(p, reg) is p, or raises
-    SingularMinorError(why(reg)) when |p| <= tol; why reads its loop's step then."""
-    def pivot(p, reg):
-        if abs(p) <= tol:
-            raise SingularMinorError(why(reg))
-        return p
-    return pivot
+def _singular(p, tol: float) -> bool:
+    """Both paths' one breakdown rule: |p| <= tol, or p is NaN."""
+    return not abs(p) > tol
 
 
-def _eliminate_head(alpha, beta, gamma, delta, xi, eta, pivot):
-    """Elimination step of cell 0: the multipliers lam and mu, and the two
-    registers they eliminate against.  Returns (lam, mu, beta, eta)."""
-    lam = alpha / pivot(gamma, "gamma")
+def _eliminate_head(alpha, beta, gamma, delta, xi, eta, tol, k):
+    """Elimination step k (1..n) of cell 0: the multipliers lam and mu, and
+    the two registers they eliminate against.  Returns (lam, mu, beta, eta)."""
+    if _singular(gamma, tol):
+        raise SingularMinorError("a_0 is (numerically) zero")
+    lam = alpha / gamma
     beta = beta - lam * delta
-    return lam, delta / pivot(beta, "beta"), beta, eta - lam * xi
+    if _singular(beta, tol):
+        raise SingularMinorError(f"leading principal minor {k} is singular")
+    return lam, delta / beta, beta, eta - lam * xi
 
 
 def _eliminate(lam, mu, alpha, beta, gamma, delta, xi, eta):
@@ -92,10 +94,16 @@ def _eliminate(lam, mu, alpha, beta, gamma, delta, xi, eta):
     return alpha, beta, gamma - mu * alpha, delta - mu * beta, xi - mu * eta, eta
 
 
-def _substitute_head(delta, lam, beta, eta, pivot):
-    """Back-substitution step of cell 0, with delta = mu * beta: the next
-    unknown xi, and beta regenerated one stage back (as in every cell)."""
-    return eta / pivot(beta, "beta"), beta + lam * delta
+def _substitute_head(delta, lam, beta, eta, tol, j):
+    """Back-substitution step of cell 0 that yields x_j, with delta =
+    mu * beta: x_j, and beta regenerated one stage back (as in every cell).
+    An x_j that overflows is a breakdown too."""
+    if _singular(beta, tol):
+        raise SingularMinorError(f"regenerated diagonal {j} is singular")
+    xi = eta / beta
+    if not math.isfinite(xi):
+        raise SingularMinorError(f"x_{j} is not finite")
+    return xi, beta + lam * delta
 
 
 def _substitute(xi, delta, lam, beta, eta):
@@ -128,12 +136,10 @@ def bareiss_forward(bands: ToeplitzBands) -> BareissBandState:
     eta = np.array(bands.rhs[::-1], dtype=float)  # b_{n-j}
     xi = eta.copy()
     m_neg, m_pos = np.zeros(n + 1), np.zeros(n + 1)
-    pivot = _pivot_check(tol, lambda reg: "a_0 is (numerically) zero" if reg == "gamma"
-                         else f"leading principal minor {k} is singular")
     for k in range(1, n + 1):
         m = n + 1 - k  # cells 0..n-k are active
         lam, mu, beta[0], eta[0] = _eliminate_head(alpha[k], beta[0], gamma[0], delta[k],
-                                                   xi[k], eta[0], pivot)
+                                                   xi[k], eta[0], tol, k)
         m_neg[k], m_pos[k] = lam, mu
         s = slice(k + 1, n + 1)  # cells 1..n-k by band index
         alpha[s], beta[1:m], gamma[1:m], delta[s], xi[s], eta[1:m] = _eliminate(
@@ -154,18 +160,21 @@ def bareiss_back_substitute(state: BareissBandState) -> np.ndarray:
     beta = state.beta.copy()
     eta = state.eta.copy()
     x = np.empty(n + 1)
-    pivot = _pivot_check(state.tol, lambda reg: f"regenerated diagonal {n - r} is singular")
     for r in range(n + 1):
         m = n + 1 - r  # cells 0..n-r are active
         delta = np.add.accumulate(mu[r:] * beta[:m])
-        x[n - r], beta[0] = _substitute_head(delta[0], lam[r], beta[0], eta[r], pivot)
+        x[n - r], beta[0] = _substitute_head(delta[0], lam[r], beta[0], eta[r],
+                                             state.tol, n - r)
         eta[r + 1:], beta[1:m] = _substitute(x[n - r], delta[1:], lam[r + 1:],
                                              beta[1:m], eta[r + 1:])
     return x
 
 
 def bareiss_solve(bands: ToeplitzBands) -> np.ndarray:
-    return bareiss_back_substitute(bareiss_forward(bands))
+    # numpy scalars warn where the cell's Python floats overflow silently;
+    # an x that overflows breaks down in both paths alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bareiss_back_substitute(bareiss_forward(bands))
 
 
 # -- systolic array ----------------------------------------------------------
@@ -199,7 +208,6 @@ def _cell_ports(n: int, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def make_toeplitz_step(n: int, tol: float, k: int):
     """Appendix-C program of cell P_k in an order-(n+1) system."""
     r = 2 if k > 0 else 0  # where inR1 sits in the input tuple
-    pivot = _pivot_check(tol, "zero pivot in cell 0 ({})".format)
 
     def step(state, ins, t):
         alpha, beta, gamma, delta, lam, mu, xi, eta = state
@@ -207,7 +215,9 @@ def make_toeplitz_step(n: int, tol: float, k: int):
             if t > k:
                 alpha, delta, xi = ins[r: r + 3]
             if k == 0:
-                lam, mu, beta, eta = _eliminate_head(alpha, beta, gamma, delta, xi, eta, pivot)
+                # cell 0 runs elimination step k on tick 2k - 2
+                lam, mu, beta, eta = _eliminate_head(alpha, beta, gamma, delta, xi, eta,
+                                                     tol, t // 2 + 1)
             else:
                 lam, mu = ins[0], ins[1]
                 alpha, beta, gamma, delta, xi, eta = _eliminate(lam, mu, alpha, beta, gamma,
@@ -218,7 +228,8 @@ def make_toeplitz_step(n: int, tol: float, k: int):
                 lam, mu, eta = ins[r: r + 3]
             if k == 0:
                 delta = mu * beta
-                xi, beta = _substitute_head(delta, lam, beta, eta, pivot)
+                # and yields x_j on tick 4n - 2j
+                xi, beta = _substitute_head(delta, lam, beta, eta, tol, 2 * n - t // 2)
             else:
                 xi, delta = ins[0], ins[1] + mu * beta
                 eta, beta = _substitute(xi, delta, lam, beta, eta)

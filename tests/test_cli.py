@@ -209,14 +209,25 @@ def _toeplitz_with_bands(tmp_path, capsys, bands_text):
     return run_cli(capsys, "toeplitz", "--n", "2", "--bands", str(bands), "--rhs", str(rhs))
 
 
-@pytest.mark.parametrize("bands_text, mode", [
-    pytest.param("0\n0\n0\n0\n0\n", "serial", id="all-zero-serial"),
-    pytest.param("0\n0\n0\n0\n0\n", "systolic", id="all-zero-systolic"),
-    # a_0 = 0 in systolic mode is test_numerical_breakdown_exit_3
-    pytest.param("1\n1\n0\n1\n1\n", "serial", id="a0-zero-serial"),
+@pytest.mark.parametrize("bands_text, mode, why", [
+    pytest.param("0\n0\n0\n0\n0\n", "serial", "a_0 is (numerically) zero", id="all-zero-serial"),
+    pytest.param("0\n0\n0\n0\n0\n", "systolic", "a_0 is (numerically) zero",
+                 id="all-zero-systolic"),
+    pytest.param("1\n1\n0\n1\n1\n", "serial", "a_0 is (numerically) zero", id="a0-zero-serial"),
+    pytest.param("1\n1\n0\n1\n1\n", "systolic", "a_0 is (numerically) zero",
+                 id="a0-zero-systolic"),
+    pytest.param("1\n1\n1\n1\n1\n", "serial", "leading principal minor 1 is singular",
+                 id="minor-1-serial"),
+    pytest.param("1\n1\n1\n1\n1\n", "systolic", "leading principal minor 1 is singular",
+                 id="minor-1-systolic"),
+    # 1e-12 * 1e-320 underflows to a zero tolerance, and x_2 = 1 / 1e-320 to inf
+    pytest.param("0\n0\n1e-320\n0\n0\n", "serial", "x_2 is not finite", id="x-overflows-serial"),
+    pytest.param("0\n0\n1e-320\n0\n0\n", "systolic", "x_2 is not finite",
+                 id="x-overflows-systolic"),
 ])
-def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode):
-    # the pivot rule 1e-12 * max|a_k| has no floor; a zero pivot still fails it
+def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode, why):
+    # the pivot rule 1e-12 * max|a_k| has no floor; a zero pivot still fails
+    # it, and both modes name the failing step in the same words
     bands = tmp_path / "bands.txt"
     rhs = tmp_path / "rhs.txt"
     bands.write_text(bands_text)
@@ -224,7 +235,7 @@ def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode
     code, out, err = run_cli(capsys, "toeplitz", "--n", "2", "--mode", mode,
                              "--bands", str(bands), "--rhs", str(rhs))
     assert code == 3 and out == ""
-    assert "breakdown" in err
+    assert err == f"numerical breakdown: {why}\n"
 
 
 @pytest.mark.parametrize("mode", ["serial", "systolic"])
@@ -241,7 +252,27 @@ def test_near_singular_leading_minor_breaks_down_in_both_modes(tmp_path, capsys,
     code, out, err = run_cli(capsys, "toeplitz", "--n", str(n), "--mode", mode,
                              "--bands", str(bands), "--rhs", str(rhs))
     assert code == 3 and out == ""
-    assert "breakdown" in err
+    assert err == "numerical breakdown: regenerated diagonal 0 is singular\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param("toeplitz --n 1 --bands {bad} --rhs {ok}", "1 x 2",
+                 "--bands file {bad}: 'x' is not a number", id="bands"),
+    pytest.param("toeplitz --n 1 --bands {ok} --rhs {bad}", "1 1e",
+                 "--rhs file {bad}: '1e' is not a number", id="rhs"),
+    pytest.param("eigen --matrix {bad}", "2\n1\n2 y\n",
+                 "--matrix file {bad}: 'y' is not a number", id="matrix"),
+    pytest.param("polygcd --p 7 --a 1,x --b 3", "", "--a: 'x' is not an integer", id="coeffs-a"),
+    pytest.param("polygcd --p 7 --a 1,2 --b 1,,2", "", "--b: '' is not an integer",
+                 id="coeffs-b"),
+])
+def test_a_bad_number_is_a_usage_error_naming_its_input(tmp_path, capsys, argv, text, message):
+    paths = {"bad": tmp_path / "bad.txt", "ok": tmp_path / "ok.txt"}
+    paths["bad"].write_text(text)
+    paths["ok"].write_text("1 2 3\n")
+    code, out, err = run_cli(capsys, *argv.format(**paths).split())
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(**paths)}\n"
 
 
 def test_negative_order_is_a_usage_error(tmp_path, capsys):

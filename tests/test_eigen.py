@@ -13,7 +13,6 @@ from systolic.eigen import (
     _delayed_grids,
     _inverse_permutation,
     apply_rotations,
-    build_delayed_array,
     jacobi_rotation,
     off_norm,
     pack_grid,
@@ -232,10 +231,10 @@ def test_delayed_equals_broadcast_grid_for_grid():
         mat, _ = pack_grid(a)
         size = mat.shape[0]
         steps = rd.report.sweeps_used * (size - 1)
-        rotated_d = _delayed_grids(build_delayed_array(mat), size, None)
+        rotated_d = _delayed_grids(mat, None)
         for s in range(steps):
             rot = apply_rotations(mat, step_rotations(mat))
-            assert as_bytes(rot) == as_bytes(next(rotated_d))
+            assert as_bytes(rot) == as_bytes(next(rotated_d)[0])
             mat = permute(rot)
 
 

@@ -1,6 +1,8 @@
 """Toeplitz solver: band recursions vs dense LU, and the two-phase array."""
 
 import itertools
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +370,38 @@ def test_random_dominant_systems_solve_alike_in_both_modes(n):
     for _ in range(3):
         serial, systolic = _solve_both(random_dominant(n))
         assert serial is not None and serial == systolic
+
+
+EXTREMES = (0.0, 1.0, -1.0, 2.0, 1e160, 1e-160, 1e-300, 1e300, 1e308, -1e308, 1e-320)
+
+
+def test_extreme_valued_systems_solve_to_a_finite_x_or_break_down_alike():
+    # entries near both ends of the float range: each system either solves
+    # to a finite x, the same to the byte in both modes, or breaks down in
+    # both with the same message, and the serial path's numpy never warns
+    rng = random.Random(0)
+    systems = [ToeplitzBands(1, (-1e308, 1e308, -1.0), (1e308, 1e308)),  # x overflows
+               ToeplitzBands(0, (1e-320,), (1.0,))]  # the tolerance underflows to 0
+    for _ in range(1500):
+        n = rng.randint(0, 3)
+        systems.append(ToeplitzBands(n, tuple(rng.choices(EXTREMES, k=2 * n + 1)),
+                                     tuple(rng.choices(EXTREMES, k=n + 1))))
+    kinds = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tb in systems:
+            out = []
+            for solve in (bareiss_solve, lambda tb: systolic_toeplitz_solve(tb, trace=False).x):
+                try:
+                    x = solve(tb)
+                except SingularMinorError as exc:
+                    out.append(str(exc))
+                else:
+                    assert np.all(np.isfinite(x)), tb
+                    out.append(x.tobytes())
+            assert out[0] == out[1], tb
+            kinds.add(type(out[0]))
+    assert kinds == {str, bytes}
 
 
 @settings(max_examples=40, deadline=None)
