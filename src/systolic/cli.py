@@ -21,8 +21,6 @@ from .engine import SimulationError
 from .gfield import Field, poly_normalize, poly_to_str
 from .oracle import SingularMatrixError
 
-FAMILIES = ("polygcd", "intgcd", "toeplitz", "eigen")
-
 
 def _emit(args, human_lines, payload):
     if args.format == "json":
@@ -183,9 +181,10 @@ def cmd_toeplitz(args) -> int:
 def read_matrix_file(path) -> np.ndarray:
     """n followed by the n(n+1)/2 lower-triangle entries, row-major."""
     vals = _read_reals(path, "--matrix")
-    n = int(vals[0]) if vals else 0
-    if n < 1 or n != vals[0]:
+    # is_integer() is False for nan and inf, which int() would not accept
+    if not (vals and vals[0] >= 1 and vals[0].is_integer()):
         raise ValueError("matrix size n must be a positive integer")
+    n = int(vals[0])
     need = n * (n + 1) // 2
     tri = vals[1:]
     if len(tri) != need:
@@ -225,57 +224,47 @@ def cmd_eigen(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_polygcd(rng, count, trace=False):
+def _verify_polygcd(rng, count, trace):
     field_ps = (2, 7, 257)
-    instances = []
-    traces = []
     for i in range(count):
         p = field_ps[i % len(field_ps)]
         field = Field(p)
         a, b = gen_poly_pair(rng, p, 16)
         want = oracle.euclid_poly_gcd(field, a, b)
         inst = {"index": i, "p": p, "degA": len(a) - 1, "degB": len(b) - 1}
-        ok = True
-        for variant in polygcd.VARIANTS:
-            run = polygcd.systolic_poly_gcd(field, a, b, variant=variant, trace=trace)
-            if trace:
-                traces.append(run.trace)
-            ok = ok and run.gcd == want and run.latency <= 2 * run.cells
+        runs = [polygcd.systolic_poly_gcd(field, a, b, variant=variant, trace=trace)
+                for variant in polygcd.VARIANTS]
+        for variant, run in zip(polygcd.VARIANTS, runs):
             inst[f"latency_{variant}"] = run.latency
-        inst["pass"] = ok
-        instances.append(inst)
-    lat = [inst[f"latency_{v}"] for inst in instances for v in polygcd.VARIANTS]
-    agg = {"max_latency": max(lat, default=0)}
-    return instances, agg, traces
+        inst["pass"] = all(run.gcd == want and run.latency <= 2 * run.cells for run in runs)
+        yield inst, [run.trace for run in runs]
 
 
-def _verify_intgcd(rng, count, trace=False):
-    instances = []
-    traces = []
+def _polygcd_aggregates(instances):
+    return {"max_latency": max(inst[f"latency_{v}"] for inst in instances
+                               for v in polygcd.VARIANTS)}
+
+
+def _verify_intgcd(rng, count, trace):
     for i in range(count):
         n_bits = rng.randint(4, 32)
         a, b = gen_int_pair(rng, n_bits)
         run = intgcd.systolic_int_gcd(a, b, n_bits, trace=trace)
-        if trace:
-            traces.append(run.trace)
-        ok = run.gcd == oracle.euclid_int_gcd(a, b)
-        instances.append({"index": i, "bits": n_bits, "cells": run.cells,
-                          "ticks": run.ticks, "pass": ok})
-    agg = {"max_cells": max((inst["cells"] for inst in instances), default=0),
-           "max_ticks": max((inst["ticks"] for inst in instances), default=0)}
-    return instances, agg, traces
+        yield ({"index": i, "bits": n_bits, "cells": run.cells, "ticks": run.ticks,
+                "pass": run.gcd == oracle.euclid_int_gcd(a, b)}, [run.trace])
 
 
-def _verify_toeplitz(rng, count, trace=False):
+def _intgcd_aggregates(instances):
+    return {"max_cells": max(inst["cells"] for inst in instances),
+            "max_ticks": max(inst["ticks"] for inst in instances)}
+
+
+def _verify_toeplitz(rng, count, trace):
     """Array x against the LU oracle; the serial x must equal it byte for byte."""
-    instances = []
-    traces = []
     for i in range(count):
         n = rng.choice((4, 8, 16))
         bands = gen_toeplitz(rng, n)
         run = toeplitz.systolic_toeplitz_solve(bands, trace=trace)
-        if trace:
-            traces.append(run.trace)
         dense = bands.to_dense()
         x_o, _ = oracle.dense_lu_solve_nopivot(dense, np.array(bands.rhs))
         denom = (np.max(np.abs(dense)) * max(np.max(np.abs(run.x)), 1.0)
@@ -283,7 +272,7 @@ def _verify_toeplitz(rng, count, trace=False):
         res = float(np.max(np.abs(dense @ run.x - np.array(bands.rhs))) / denom)
         ok = bool(res < 1e-10 and np.max(np.abs(run.x - x_o)) < 1e-8
                   and toeplitz.bareiss_solve(bands).tobytes() == run.x.tobytes())
-        instances.append({"index": i, "n": n, "residual": res, "pass": ok})
+        yield {"index": i, "n": n, "residual": res, "pass": ok}, [run.trace]
     # seeded singular probe: a_0 = 0 must break down cleanly, not crash
     n = 4
     diags = [1.0] * (2 * n + 1)
@@ -291,49 +280,58 @@ def _verify_toeplitz(rng, count, trace=False):
     probe = toeplitz.ToeplitzBands(n, tuple(diags), tuple([1.0] * (n + 1)))
     try:
         toeplitz.systolic_toeplitz_solve(probe, trace=False)
-        instances.append({"index": "singular-probe", "pass": False,
-                          "note": "singular instance did not raise"})
+        ok, note = False, "singular instance did not raise"
     except SingularMatrixError:
-        instances.append({"index": "singular-probe", "pass": True,
-                          "note": "expected-singular"})
-    agg = {"max_residual": max((inst["residual"] for inst in instances
-                                if "residual" in inst), default=0.0)}
-    return instances, agg, traces
+        ok, note = True, "expected-singular"
+    yield {"index": "singular-probe", "pass": ok, "note": note}, []
 
 
-def _verify_eigen(rng, count, trace=False):
+def _toeplitz_aggregates(instances):
+    return {"max_residual": max(inst["residual"] for inst in instances
+                                if "residual" in inst)}
+
+
+def _verify_eigen(rng, count, trace):
     """Broadcast eigenvalues against the oracle; delayed ones must equal
     broadcast's byte for byte, and delayed runs give the traces."""
-    instances = []
-    traces = []
     for i in range(count):
         n = rng.choice((4, 8, 16))
         a = gen_symmetric(rng, n)
         res = eigen.run_sweeps(a)
         delayed = eigen.run_sweeps(a, mode="delayed", trace=trace)
-        if trace:
-            traces.append(delayed.report.trace)
         ev_o, _, _ = oracle.serial_cyclic_jacobi(a)
         err = float(np.max(np.abs(np.sort(res.eigenvalues) - np.sort(ev_o))))
         scale = float(np.linalg.norm(a))
         ok = (err <= 1e-8 * scale and res.report.sweeps_used <= 10
               and delayed.eigenvalues.tobytes() == res.eigenvalues.tobytes())
-        instances.append({"index": i, "n": n, "error": err,
-                          "sweeps": res.report.sweeps_used, "pass": ok})
-    agg = {"max_error": max((inst["error"] for inst in instances), default=0.0),
-           "max_sweeps": max((inst["sweeps"] for inst in instances), default=0)}
-    return instances, agg, traces
+        yield ({"index": i, "n": n, "error": err, "sweeps": res.report.sweeps_used,
+                "pass": ok}, [delayed.report.trace])
+
+
+def _eigen_aggregates(instances):
+    return {"max_error": max(inst["error"] for inst in instances),
+            "max_sweeps": max(inst["sweeps"] for inst in instances)}
+
+
+# family -> (generator of (instance, traces), aggregates of the instance list)
+VERIFIERS = {"polygcd": (_verify_polygcd, _polygcd_aggregates),
+             "intgcd": (_verify_intgcd, _intgcd_aggregates),
+             "toeplitz": (_verify_toeplitz, _toeplitz_aggregates),
+             "eigen": (_verify_eigen, _eigen_aggregates)}
 
 
 def cmd_verify(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    rng = random.Random(args.seed)
-    runner = {"polygcd": _verify_polygcd, "intgcd": _verify_intgcd,
-              "toeplitz": _verify_toeplitz, "eigen": _verify_eigen}[args.family]
-    instances, aggregates, traces = runner(rng, args.count, args.trace is not None)
+    runner, aggregate = VERIFIERS[args.family]
+    instances, traces = [], []
+    for inst, run_traces in runner(random.Random(args.seed), args.count,
+                                   args.trace is not None):
+        instances.append(inst)
+        traces.extend(run_traces)
     if args.trace is not None:
         _write_trace(args.trace, traces)
+    aggregates = aggregate(instances)
     n_pass = sum(1 for inst in instances if inst["pass"])
     lines = []
     for inst in instances:
@@ -366,15 +364,15 @@ def trace_stats(path) -> dict:
                 rec = json.loads(line)
             except ValueError:
                 rec = None
-            if not (isinstance(rec, dict)
-                    and all(type(rec.get(k)) is int for k in ("tick", "row", "col"))):
+            if not (isinstance(rec, dict) and all(type(rec.get(k)) is int and rec[k] >= 0
+                                                  for k in ("tick", "row", "col"))):
                 raise ValueError(f"{path}: line {lineno} is not a trace record")
             key = (rec["row"], rec["col"])
             counts[key] = counts.get(key, 0) + 1
             if rec["tick"] > max_tick:
                 max_tick = rec["tick"]
     ticks = max_tick + 1
-    if not counts or ticks <= 0:
+    if not counts:
         return {"ticks": 0, "cells": {}, "mean_utilisation": 0.0}
     cells = {f"{r},{c}": counts[(r, c)] / ticks for (r, c) in sorted(counts)}
     mean = sum(cells.values()) / len(cells)
@@ -442,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="random instances vs serial oracles")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", choices=VERIFIERS)
     p.add_argument("--count", type=int, default=10)
     p.set_defaults(func=cmd_verify)
 

@@ -52,17 +52,10 @@ class Field:
         return (a * b) % self.p
 
     def inv(self, a: int) -> int:
-        # extended Euclid on (a, p); p prime so gcd is 1 for a != 0
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
-        r0, r1 = self.p, a
-        s0, s1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         if b % self.p == 0:

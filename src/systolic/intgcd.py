@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from . import engine
 from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
 
-CELL_RATIO = 3.1106  # cells per input bit known to suffice for the pipeline
 STATE_BITS = ("a", "b", "start", "startodd", "eps", "neg",
               "wait", "shift", "carry", "swap", "eps2", "minus")
 
@@ -178,12 +177,9 @@ def encode_bitframe(a: int, b: int, n: int) -> dict[str, tuple]:
 
 
 def cell_count(n: int) -> int:
-    """Pipeline length: ceil(3.1106 n) + 1."""
-    exact = CELL_RATIO * n
-    c = int(exact)
-    if c < exact:
-        c += 1
-    return c + 1
+    """Pipeline length: ceil(3.1106 n) + 1, in integers, since the float
+    product rounds below the ceiling for some large n."""
+    return -(-31106 * n // 10000) + 1
 
 
 @dataclass(frozen=True)

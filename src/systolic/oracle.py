@@ -39,9 +39,11 @@ def euclid_int_gcd(a: int, b: int) -> int:
 def dense_lu_solve_nopivot(m, b):
     """Solve m x = b by Gaussian elimination without pivoting; returns (x, U).
 
-    Raises SingularMatrixError when a pivot is (nearly) zero, |pivot| <=
-    1e-12 * max|m|, matching the breakdown behaviour of the band recursions
-    this oracle validates.
+    Each elimination step is one rank-one update of the trailing rows by the
+    pivot row (the outer-product form of Gaussian elimination).  Raises
+    SingularMatrixError when a pivot is (nearly) zero, |pivot| <= 1e-12 *
+    max|m|, matching the breakdown behaviour of the band recursions this
+    oracle validates.
     """
     a = np.array(m, dtype=float)
     rhs = np.array(b, dtype=float)
@@ -53,12 +55,10 @@ def dense_lu_solve_nopivot(m, b):
         piv = a[k, k]
         if abs(piv) <= tol:
             raise SingularMatrixError(f"zero pivot at step {k}")
-        for i in range(k + 1, n):
-            f = a[i, k] / piv
-            if f != 0.0:
-                a[i, k:] -= f * a[k, k:]
-                rhs[i] -= f * rhs[k]
-            a[i, k] = 0.0
+        f = a[k + 1:, k] / piv
+        a[k + 1:, k:] -= np.outer(f, a[k, k:])
+        rhs[k + 1:] -= f * rhs[k]
+        a[k + 1:, k] = 0.0
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
         x[k] = (rhs[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]

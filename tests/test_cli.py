@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, trace stats, report determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -59,7 +60,9 @@ def test_trace_stats_empty_file(tmp_path, capsys):
     assert stats == {"ticks": 0, "cells": {}, "mean_utilisation": 0.0}
 
 
-@pytest.mark.parametrize("text", ["{}", "[1,2]", '{"tick":"a","row":0,"col":0}'])
+@pytest.mark.parametrize("text", ["{}", "[1,2]", '{"tick":"a","row":0,"col":0}',
+                                  '{"tick":-5,"row":0,"col":0}',
+                                  '{"tick":0,"row":-1,"col":-7}'])
 def test_trace_stats_rejects_a_line_that_is_not_a_record(tmp_path, capsys, text):
     trace = tmp_path / "bad.jsonl"
     trace.write_text('{"tick":0,"row":0,"col":0}\n' + text + "\n")
@@ -147,11 +150,41 @@ def test_verify_trace_covers_every_family(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli, "_verify_polygcd",
-        lambda rng, count, trace: ([{"index": 0, "pass": False}], {}, []))
+    def failing(rng, count, trace):
+        yield {"index": 0, "pass": False}, []
+    monkeypatch.setitem(cli.VERIFIERS, "polygcd", (failing, lambda instances: {}))
     code, _, _ = run_cli(capsys, "verify", "polygcd", "--count", "1")
     assert code == 1
+
+
+# sha256 of verify's human stdout, json stdout and trace file for
+# `--seed 7 --trace FILE verify <family> --count 4`
+VERIFY_DIGESTS = {
+    "polygcd": ("ae84098382719f8eb123a15b61c4c22959e965fc89e33496d6c215d195a9450e",
+                "ab6bb98aa8e24cad44557b282af66c2dd8fd101b2b0b5331378603201ee7c68d",
+                "82ff3286658733c4769bf532c2def46ee0a568867b27ef645cfe01df3b1807bc"),
+    "intgcd": ("4b0f63f50dd6924085715d251ce533da7b1b26cab625c777ba2337ffee09b3eb",
+               "a5a78fb4d638cba462599c6ab71ce521f7238c3b48f227c3f7e6f223daf9ff65",
+               "5bab1aac1d848076c6a23ac3e75eeb26cb767ef0b941213c7b7a599419d1cc9c"),
+    "toeplitz": ("2cf5872ea6ae2192a67a9a2ffecef7afaed2bcc4800029121dccd25a00010e44",
+                 "fc6b3ed1d00d4bfc9d0d0ad002bece60dcab97f437195a330af70441c151e70c",
+                 "669121b981b9913a4e40aaafd7a004ca24d4329ede3d80ac834a4fff8aface28"),
+    "eigen": ("afe6f3d606d47a9bbe58079688d1bcd16bd25939934be6317f075931bec9bcc6",
+              "41d3493b7570cd30e913a5382c60e3d840defe2932f8ecf018f99eef230ab418",
+              "e39e911ef8352cb9153f169031bde8f394f8ca744f80ac25344ba8f1cd0f2376"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(VERIFY_DIGESTS))
+def test_verify_bytes_are_pinned(tmp_path, capsys, family):
+    human, as_json, trace_digest = VERIFY_DIGESTS[family]
+    for fmt, digest in (("human", human), ("json", as_json)):
+        trace = tmp_path / f"{fmt}.jsonl"
+        code, out, err = run_cli(capsys, "--format", fmt, "--seed", "7", "--trace", str(trace),
+                                 "verify", family, "--count", "4")
+        assert code == 0 and err == "", fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest, fmt
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -306,7 +339,8 @@ def test_nan_matrix_is_a_usage_error(tmp_path, capsys):
     assert err == "error: matrix entries must be finite\n"
 
 
-@pytest.mark.parametrize("text", ["", "0\n", "-1\n", "2.5\n1\n0 3\n"])
+@pytest.mark.parametrize("text", ["", "0\n", "-1\n", "2.5\n1\n0 3\n", "nan\n", "inf\n",
+                                  "-inf\n", "1e400\n"])
 def test_bad_matrix_size_is_a_usage_error(tmp_path, capsys, text):
     mtx = tmp_path / "m.txt"
     mtx.write_text(text)

@@ -156,6 +156,10 @@ def test_single_cell_transmits_a_when_b_zero():
 def test_cell_count_values():
     assert cell_count(64) == 201
     assert cell_count(10) == 33  # ceil(31.106) + 1
+    # the float product 3.1106 * n rounds below the ceiling at these n
+    assert cell_count(498_390_965_217) == 1_550_294_936_406
+    assert cell_count(45 * 10**15) == 139_977_000_000_000_001
+    assert cell_count(35 * 10**16) == 1_088_710_000_000_000_001
 
 
 def test_encode_rejects_out_of_range():
