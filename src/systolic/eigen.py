@@ -16,12 +16,16 @@ The working matrix is a plain array, physically permuted after each step;
 every sweep ends where the permutation's orbit closes, so eigenvalues are
 read from the diagonal in the original index order.
 
-The delayed array is built in one pass over its cells, which gives each
-cell its wires, its input and output ports, its registers and, per parity,
-one ``itemgetter`` that reads its next block out of ``state + ins``.  A
-cell's inputs are its row and column rotations (off the diagonal), then the
-two parity ports of each neighbour's entry it takes, in the iteration order
-of the set of its four source entries; every trace record shows that order.
+The delayed array's spec and programs are made once per size, in one pass
+over its cells, which gives each cell its wires, its input and output
+ports, its register names and, per parity, one ``itemgetter`` that reads its
+next block: out of ``ins`` alone, or out of ``state + ins`` for the corner
+cells, the only ones that keep an entry of their own.  A cell's inputs are
+its row and column rotations (off the diagonal), then the two parity ports
+of each neighbour's entry it takes, in the iteration order of the set of
+its four source entries; every trace record shows that order.  Each run
+builds its array from them, reusing their plan, and loads its matrix into
+the registers.
 """
 
 from __future__ import annotations
@@ -263,19 +267,21 @@ _ROT_INS = ("rowc_in", "rows_in", "colc_in", "cols_in")
 # block outputs: b00..b11 of parity 0, then of parity 1
 _BLOCK_OUTS = tuple(f"b{r}{c}_{par}" for par in (0, 1) for r in (0, 1) for c in (0, 1))
 _NO_BLOCK = (None,) * 4
+_BLOCK_REGS = dict.fromkeys(("b00", "b01", "b10", "b11"), 0.0)
 
 
-def _make_delayed_step(d: int, reads):
+def _make_delayed_step(d: int, reads, own: bool):
     """Program of a cell at distance d from the diagonal, clocked at ticks
-    3s + d for step s.  ``reads[p]`` picks the cell's next block out of
-    ``state + ins`` after a step of parity p; an off-diagonal cell's first
-    four inputs are the row and column rotations.  The block goes out on
-    the ports of the step's parity, and the other parity's ports keep their
-    values.
+    3s + d for step s.  ``reads[p]`` picks the cell's next block, after a
+    step of parity p, out of ``state + ins`` for a cell that keeps one of
+    its own entries (``own``), else out of ``ins`` alone; an off-diagonal
+    cell's first four inputs are the row and column rotations.  The block
+    goes out on the ports of the step's parity, and the other parity's
+    ports keep their values.
     """
     def step(state, ins, tick):
         s = (tick - d) // 3
-        b00, b01, b10, b11 = reads[(s - 1) & 1](state + ins) if s else state
+        b00, b01, b10, b11 = reads[(s - 1) & 1](state + ins if own else ins) if s else state
         if d == 0:
             ci, si = cj, sj = jacobi_rotation(b00, b01, b11)
             rot = (ci, si, ci, si, cj, sj, cj, sj)
@@ -287,14 +293,17 @@ def _make_delayed_step(d: int, reads):
     return step
 
 
-def build_delayed_array(mat: np.ndarray):
-    """The delayed array on ``mat``, built in one pass over its cells.
+@functools.lru_cache(maxsize=4)
+def _delayed_inputs(size: int):
+    """The spec and programs of the delayed array on a size x size matrix,
+    built in one pass over its cells.
 
     Block (i, j)'s entry (r, c) comes, after the inter-step permutation,
     from entry (er, ec) of block (i + dr, j + dc); a neighbour's entry
-    arrives on a wire per parity, the cell's own from its registers.
+    arrives on a wire per parity, the cell's own from its registers.  The
+    same two objects come back for each size, so ``build_array`` reuses
+    their plan; each run loads its own matrix into the registers.
     """
-    size = mat.shape[0]
     h = size // 2
     inv = _inverse_permutation(size).tolist()
     wiring, ports, progs = [], {}, {}
@@ -311,7 +320,9 @@ def build_delayed_array(mat: np.ndarray):
                     ins.append(port)
             entries = [(sp // 2 - i, sq // 2 - j, (sp % 2, sq % 2))
                        for sp in inv[2 * i: 2 * i + 2] for sq in inv[2 * j: 2 * j + 2]]
-            at = ({}, {})  # per parity: source entry -> its index in state + ins
+            # only a cell that keeps an entry of its own reads state + ins
+            own = any(dr == dc == 0 for dr, dc, _ in entries)
+            at = ({}, {})  # per parity: source entry -> its index in what it reads
             # the cell's input order, which every trace record shows, is the
             # iteration order of this set of these four tuples
             for src in set(entries):
@@ -322,18 +333,25 @@ def build_delayed_array(mat: np.ndarray):
                 for par in (0, 1):
                     port = f"in{dr + 1}{dc + 1}_b{er}{ec}_{par}"
                     wiring.append(Wire(CellId(i + dr, j + dc), f"b{er}{ec}_{par}", cell, port))
-                    at[par][src] = 4 + len(ins)
+                    at[par][src] = 4 * own + len(ins)
                     ins.append(port)
             ports[cell] = (ins, _ROT_OUTS[side] + _BLOCK_OUTS)
             reads = tuple(itemgetter(*(a[src] for src in entries)) for a in at)
-            blk = mat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2].ravel().tolist()
-            progs[cell] = CellProgram(_make_delayed_step(abs(i - j), reads),
-                                      dict(zip(("b00", "b01", "b10", "b11"), blk)))
+            progs[cell] = CellProgram(_make_delayed_step(abs(i - j), reads, own), _BLOCK_REGS)
     # cell (i, j) runs step s on tick 3s + |i - j|, for every s the caller asks for
     spec = engine.grid(h, h, wiring,
                        activation=lambda cell: (range(abs(cell.row - cell.col), sys.maxsize, 3),),
                        ports=ports.__getitem__)
-    return build_array(spec, progs)
+    return spec, progs
+
+
+def build_delayed_array(mat: np.ndarray):
+    """The delayed array with ``mat``'s 2x2 blocks in its registers."""
+    size = mat.shape[0]
+    h = size // 2
+    arr = build_array(*_delayed_inputs(size))
+    arr.load(map(tuple, mat.reshape(h, 2, h, 2).swapaxes(1, 2).reshape(h * h, 4).tolist()))
+    return arr
 
 
 def _delayed_grids(mat: np.ndarray, tr: engine.Trace | None):

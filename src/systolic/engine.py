@@ -25,6 +25,18 @@ the cell is not clocked (its state stays as it is and it leaves no trace
 record).  The windows, which may be open-ended, are read once when the
 array is built and expanded a stretch of ticks at a time as it runs, so a
 tick visits only the cells that run on it.
+
+A build has two parts.  Its :class:`Plan` is fixed: cells, port names,
+latch slots, input gathers, output spans, boundary slots, initial registers
+and the validated windows.  Its :class:`Array` holds one run: registers,
+latches, payload kinds, the output type patterns each cell has shown,
+bound lines, the expanded schedule and the tick count.  ``build_array``
+keeps the plan on the spec and reuses it when given the same spec and
+programs objects again, as the integer GCD and delayed Jacobi drivers do
+for each shape: like the fixed hardware, one pipeline serves every operand
+pair of its width and one grid every matrix of its size, so a run pays only
+for its own state.  The polynomial GCD and Toeplitz drivers build fresh
+inputs for every run, whose plans go with their specs.
 """
 
 from __future__ import annotations
@@ -82,7 +94,7 @@ class ArraySpec:
 
     activation maps a cell to a tuple of ``range`` windows of non-negative
     ticks; the cell is clocked on every tick that lies in one of them, and
-    on no other.  It is called once per cell when the array is built.  A
+    on no other.  It is called once per cell when the plan is built.  A
     window may be open-ended, ``range(d, sys.maxsize, 3)`` say, since only
     the ticks that run are expanded.  None clocks every cell on every tick.
 
@@ -94,6 +106,8 @@ class ArraySpec:
     wiring: tuple[Wire, ...] = ()
     activation: WindowFn | None = None
     ports: PortsFn | None = None
+    # (programs, plan) of the last build from this spec; see build_array
+    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def cells(self) -> list[CellId]:
         _, rows, cols = self.topology
@@ -215,16 +229,19 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
     return names
 
 
-class Array:
-    """A built synchronous array; see :func:`build_array`.
+class Plan:
+    """What a build fixes, shared by every array built from the same spec
+    and programs: cells, port names, latch slots, input gathers, output
+    spans, boundary slots, initial registers and the validated windows.
 
     Every declared output has a latch slot, a cell's output slots are
     contiguous, and every boundary input has one slot after them.  No wire
     reads a boundary output's slot, so ``run`` may clear it between ticks.
+    Nothing here changes once built; an :class:`Array` keeps its run in its
+    own state.
     """
 
-    def __init__(self, spec: ArraySpec, programs: Mapping[CellId, CellProgram],
-                 eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
+    def __init__(self, spec: ArraySpec, programs: Mapping[CellId, CellProgram]):
         cells = spec.cells()
         cellset = set(cells)
         missing = cellset - set(programs)
@@ -257,44 +274,67 @@ class Array:
                 raise ConstructionError(f"two sources drive input port {key}")
             src_of[key] = base[w.src] + outs_of[w.src].index(w.src_port)
 
-        self.spec = spec
-        self.tick_count = 0
-        self._cells = cells
-        self._idx = {c: i for i, c in enumerate(cells)}
-        self._eval_order = eval_order
-        # the windows not yet ended, and per tick the cells clocked on it,
-        # expanded from them as ticks run (None: every cell on every tick)
-        self._windows = [] if spec.activation is None else _windows(spec.activation, cells)
-        self._schedule = None if spec.activation is None else []
-        self._states = [tuple(programs[c].init.values()) for c in cells]
-        self._names = [(tuple(programs[c].init), ins_of[c], outs_of[c]) for c in cells]
+        self.cells = cells
+        self.idx = {c: i for i, c in enumerate(cells)}
+        # every non-empty window, checked (None: every cell on every tick)
+        self.windows = None if spec.activation is None else tuple(_windows(spec.activation, cells))
+        self.init = tuple(tuple(programs[c].init.values()) for c in cells)
+        self.names = tuple((tuple(programs[c].init), ins_of[c], outs_of[c]) for c in cells)
         # boundary inputs take the slots after every output
-        self._boundary_in: dict[tuple[CellId, str], int] = {}
-        self._in_slots = []
+        self.boundary_in: dict[tuple[CellId, str], int] = {}
+        in_slots = []
         for c in cells:
             slots = []
             for p in ins_of[c]:
                 slot = src_of.get((c, p))
                 if slot is None:
-                    slot = self._boundary_in[(c, p)] = n_out + len(self._boundary_in)
+                    slot = self.boundary_in[(c, p)] = n_out + len(self.boundary_in)
                 slots.append(slot)
-            self._in_slots.append(tuple(slots))
+            in_slots.append(tuple(slots))
+        self.in_slots = tuple(in_slots)
+        self.wired = frozenset(src_of.values())
+        self.boundary_out = {(c, p): base[c] + k for c in cells
+                             for k, p in enumerate(outs_of[c]) if base[c] + k not in self.wired}
+        self.n_out = n_out
+        self.n_slots = n_out + len(self.boundary_in)
+        # per cell: input gather, step and output slots
+        self.cellv = tuple((_gather(slots), programs[c].step,
+                            slice(base[c], base[c] + len(outs_of[c])))
+                           for c, slots in zip(cells, in_slots))
+
+
+class Array:
+    """A synchronous array in a run: a :class:`Plan` plus the run's own
+    state (registers, latches, payload kinds, schedule and tick count); see
+    :func:`build_array`."""
+
+    def __init__(self, spec: ArraySpec, plan: Plan,
+                 eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
+        self.spec = spec
+        self.tick_count = 0
+        self._cells = plan.cells
+        self._idx = plan.idx
+        self._names = plan.names
+        self._in_slots = plan.in_slots
+        self._boundary_in = plan.boundary_in
+        self._boundary_out = plan.boundary_out
+        self._eval_order = eval_order
+        # the windows not yet ended, and per tick the cells clocked on it,
+        # expanded from them as ticks run (None: every cell on every tick)
+        self._windows = plan.windows
+        self._schedule = None if plan.windows is None else []
+        self._states = list(plan.init)
         # (slot, line) of each boundary input, bound by run for its ticks;
         # None, which tick refuses, while boundary inputs have no lines
-        self._lines: list[tuple[int, Sequence]] | None = None if self._boundary_in else []
-        wired = set(src_of.values())
-        self._boundary_out = {(c, p): base[c] + k for c in cells
-                              for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
+        self._lines: list[tuple[int, Sequence]] | None = None if plan.boundary_in else []
         # output slots a wire reads that no step has written yet
-        self._unread = wired
-        # a slot's payload kind is fixed by its first write
-        self._kinds: list[type | None] = [None] * n_out
+        self._unread = set(plan.wired)
+        # a slot's payload kind is fixed by its first write in this run
+        self._kinds: list[type | None] = [None] * plan.n_out
         # per cell: input gather, step, the output type tuples already
-        # checked (each with its write plan), and output slots
-        self._cellv = [
-            (_gather(slots), programs[c].step, {}, slice(base[c], base[c] + len(outs_of[c])))
-            for c, slots in zip(cells, self._in_slots)]
-        self._latch: list[Any] = [0] * (n_out + len(self._boundary_in))
+        # checked in this run (each with its write plan), and output slots
+        self._cellv = [(gather, step, {}, span) for gather, step, span in plan.cellv]
+        self._latch: list[Any] = [0] * plan.n_slots
 
     # -- public ----------------------------------------------------------
 
@@ -305,6 +345,15 @@ class Array:
     def states(self) -> list[tuple]:
         """Every cell's register tuple, in cell order (row-major)."""
         return list(self._states)
+
+    def load(self, states: Iterable[tuple]) -> None:
+        """Set every cell's register tuple, in cell order, before the first
+        tick: an array built from shared programs takes its run's registers."""
+        states = list(states)
+        if len(states) != len(self._states) or self.tick_count:
+            raise SimulationError(f"load takes {len(self._states)} register tuples "
+                                  "before the first tick")
+        self._states = states
 
     def tick(self, trace: Trace | None = None) -> None:
         """Advance one tick, appending its records to ``trace`` if given.
@@ -444,12 +493,23 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
                 eval_order=None) -> Array:
     """Validate the spec and return an array in reset state (tick 0, ports empty).
 
+    The plan is kept on the spec with the programs it was built from, and
+    reused when this same spec object is built again with this same
+    programs object, so it goes when the spec goes.  Neither may change
+    after its first build.  Every array gets its own registers, latches,
+    payload kinds and schedule.
+
     ``eval_order(cells, t)``, if given, returns the cells clocked on tick t
     in the order they are to be evaluated; results and traces never depend
     on it.
     """
-    programs = {CellId(*cell): prog for cell, prog in cell_programs.items()}
-    return Array(spec, programs, eval_order=eval_order)
+    built = spec._built
+    if built is not None and built[0] is cell_programs:
+        plan = built[1]
+    else:
+        plan = Plan(spec, {CellId(*cell): prog for cell, prog in cell_programs.items()})
+        object.__setattr__(spec, "_built", (cell_programs, plan))
+    return Array(spec, plan, eval_order=eval_order)
 
 
 def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ticks: int,

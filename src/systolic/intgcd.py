@@ -10,6 +10,7 @@ published delta <= 0 form loops forever on inputs like a=5, b=3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import engine
@@ -195,22 +196,26 @@ PORTS = ("a", "b", "start", "startodd", "eps", "neg")
 CELL_PORTS = chain_ports(PORTS)
 
 
+@functools.lru_cache(maxsize=16)
 def _gcd_pipeline(n_cells: int, frame_len: int):
-    """Pipeline of Appendix-B cells for one frame of ``frame_len`` bits.
+    """The spec and programs of a pipeline of Appendix-B cells for one frame
+    of ``frame_len`` bits.
 
     Cell k is only clocked during [k, 2k+L+8]: the single frame cannot reach
     cell k before tick k (signals travel at most one cell per tick) and
     everything the result word depends on has passed by the upper bound, so
     gating leaves the decoded output unchanged (cells outside their window
     would only chew zeros or emit post-result garbage).
+
+    Like the fixed hardware, one pipeline serves every pair of its width:
+    the same two objects come back for each shape, so ``build_array`` reuses
+    their plan, and a run pays only for its own registers and schedule.
     """
     def activation(cell):
         return (range(cell.col, 2 * cell.col + frame_len + 9),)
     spec = engine.linear(n_cells, chain_wires(n_cells, PORTS), activation=activation,
                          ports=lambda cell: CELL_PORTS)
-    progs = {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
-             for k in range(n_cells)}
-    return build_array(spec, progs)
+    return spec, dict.fromkeys(spec.cells(), CellProgram(gcd_cell_step, gcd_cell_initial_state()))
 
 
 def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
@@ -231,7 +236,7 @@ def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
     frame_len = len(lines["ain"])
     n_cells = cell_count(n)
     n_ticks = 2 * n_cells + frame_len + 4
-    arr = _gcd_pipeline(n_cells, frame_len)
+    arr = build_array(*_gcd_pipeline(n_cells, frame_len))
     outputs, tr = engine.run(arr, {CellId(0, 0): lines}, n_ticks, trace=trace)
     last = CellId(0, n_cells - 1)
     try:

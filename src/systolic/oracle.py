@@ -41,9 +41,10 @@ def dense_lu_solve_nopivot(m, b):
 
     Each elimination step is one rank-one update of the trailing rows by the
     pivot row (the outer-product form of Gaussian elimination).  Raises
-    SingularMatrixError when a pivot is (nearly) zero, |pivot| <= 1e-12 *
-    max|m|, matching the breakdown behaviour of the band recursions this
-    oracle validates.
+    SingularMatrixError when a pivot is not above 1e-12 * max|m|, which
+    refuses a (nearly) zero pivot as the band recursions this oracle
+    validates do, and a NaN one; or when an overflow leaves U or x not
+    finite.
     """
     a = np.array(m, dtype=float)
     rhs = np.array(b, dtype=float)
@@ -51,17 +52,21 @@ def dense_lu_solve_nopivot(m, b):
     if a.shape != (n, n) or rhs.shape != (n,):
         raise ValueError("shape mismatch")
     tol = 1e-12 * np.max(np.abs(a))
-    for k in range(n):
-        piv = a[k, k]
-        if abs(piv) <= tol:
-            raise SingularMatrixError(f"zero pivot at step {k}")
-        f = a[k + 1:, k] / piv
-        a[k + 1:, k:] -= np.outer(f, a[k, k:])
-        rhs[k + 1:] -= f * rhs[k]
-        a[k + 1:, k] = 0.0
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    # an overflow is refused below, after it has run its course
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            piv = a[k, k]
+            if not abs(piv) > tol:
+                raise SingularMatrixError(f"zero pivot at step {k}")
+            f = a[k + 1:, k] / piv
+            a[k + 1:, k:] -= np.outer(f, a[k, k:])
+            rhs[k + 1:] -= f * rhs[k]
+            a[k + 1:, k] = 0.0
+        x = np.zeros(n)
+        for k in range(n - 1, -1, -1):
+            x[k] = (rhs[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
+        raise SingularMatrixError("elimination overflows")
     return x, a
 
 

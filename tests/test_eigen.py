@@ -1,5 +1,6 @@
 """Parallel Jacobi: rotations, the pairing permutation, both schedules."""
 
+import hashlib
 import itertools
 import warnings
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from test_golden_traces import RUNS
 
+from systolic import eigen
 from systolic.eigen import (
     _delayed_grids,
     _inverse_permutation,
@@ -540,3 +543,31 @@ def test_every_3x3_sign_matrix_in_both_schedules():
         vals_o, _, _ = serial_cyclic_jacobi(a)
         err = np.max(np.abs(np.sort(rb.eigenvalues) - np.sort(vals_o)))
         assert err <= 1e-8 * np.linalg.norm(a), entries
+
+
+def test_reused_delayed_plans_run_as_fresh_builds(monkeypatch):
+    # matrices of a few sizes, each size several times over, traced: a run
+    # on a reused plan gives the results and trace bytes of a fresh build
+    cases = [random_symmetric(n) for n in (2, 5, 8, 6, 8, 2, 5) for _ in range(2)]
+
+    def runs():
+        return [(as_bytes(r.eigenvalues), as_bytes(r.report.off_norms), r.report.ticks,
+                 r.report.trace.to_jsonl())
+                for r in (run_sweeps(a, mode="delayed", trace=True) for a in cases)]
+
+    reused = runs()
+    monkeypatch.setattr(eigen, "_delayed_inputs", eigen._delayed_inputs.__wrapped__)
+    assert runs() == reused
+
+
+def test_a_reused_delayed_plan_gives_the_golden_trace():
+    make, records, digest = RUNS["eigen-delayed"]
+    spec, _ = eigen._delayed_inputs(6)
+    for a in (random_symmetric(6), random_symmetric(5), np.ones((6, 6))):
+        assert as_bytes(run_sweeps(a, mode="delayed").eigenvalues) == \
+            as_bytes(run_sweeps(a, mode="broadcast").eigenvalues)
+    plan = spec._built[1]
+    tr = make()
+    assert spec._built[1] is plan
+    assert len(tr) == records
+    assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest

@@ -423,3 +423,70 @@ def test_declared_input_without_wire_or_feed_raises():
     assert calls == [] and arr.tick_count == 0  # refused before any step ran
     run(arr, {(0, 0): {"ain": [1], "bin": [2]}, (0, 1): {"bin": [4]}}, 2)
     assert calls == [0, 0, 1, 1]
+
+
+def test_a_plan_is_reused_only_for_the_same_spec_and_programs():
+    calls = []
+
+    def windows(cell):
+        calls.append(cell)
+        return (range(cell.col, cell.col + 6),)
+
+    spec = linear(3, chain_wires(3, ("a",)), activation=windows, ports=chain_cell)
+    progs = {CellId(0, k): CellProgram(passthrough) for k in range(3)}
+    first = build_array(spec, progs)
+    assert len(calls) == 3
+    second = build_array(spec, progs)  # the same two objects: no second plan
+    assert len(calls) == 3
+    # another programs object, even an equal one, builds a plan of its own
+    build_array(spec, dict(progs))
+    assert len(calls) == 6
+    # arrays that share a plan share no state: interleaved runs give what
+    # fresh builds give
+    _, tr_first = run(first, impulse_schedule(5), 4, trace=True)
+    _, tr_second = run(second, impulse_schedule(9), 8, trace=True)
+    _, tr_rest = run(first, impulse_schedule(5), 4, trace=True)
+    assert tr_first.to_jsonl() + tr_rest.to_jsonl() == \
+        run(make_chain(3, windows), impulse_schedule(5), 8, trace=True)[1].to_jsonl()
+    assert tr_second.to_jsonl() == \
+        run(make_chain(3, windows), impulse_schedule(9), 8, trace=True)[1].to_jsonl()
+    # the evaluation order stays an array's own, also on a shared plan
+    shuffled = build_array(spec, progs, eval_order=lambda cells, t: cells[::-1])
+    assert run(shuffled, impulse_schedule(9), 8, trace=True)[1].to_jsonl() == tr_second.to_jsonl()
+
+
+def test_payload_kinds_are_fixed_per_run_on_a_shared_plan():
+    spec = linear(1, ports=chain_cell)
+    progs = {CellId(0, 0): CellProgram(passthrough)}
+
+    def go(line):
+        outs, _ = run(build_array(spec, progs), {CellId(0, 0): {"ain": line}}, len(line))
+        return outs[CellId(0, 0), "aout"]
+
+    with pytest.raises(SimulationError, match="int -> float"):
+        go([1, 1.5])  # the kind flips mid-run
+    assert go([1, 2]) == [0, 1, 2]
+    # a run's first write fixes the kind for that run alone
+    assert go([2.5, 3.5]) == [0, 2.5, 3.5]
+    with pytest.raises(SimulationError, match="float -> int"):
+        go([2.5, 3])
+    with pytest.raises(SimulationError, match="int -> float"):
+        go([1, 1.5])
+
+
+def test_load_sets_the_registers_of_a_run():
+    def count(state, ins, tick):
+        (n,) = state
+        return (n + 1,), ()
+
+    spec = linear(2)
+    progs = {CellId(0, k): CellProgram(count, {"n": 0}) for k in range(2)}
+    arr = build_array(spec, progs)
+    arr.load([(10,), (20,)])
+    run(arr, None, 2)
+    assert arr.states() == [(12,), (22,)]
+    assert build_array(spec, progs).states() == [(0,), (0,)]  # the plan keeps init
+    with pytest.raises(SimulationError, match="before the first tick"):
+        arr.load([(0,), (0,)])
+    with pytest.raises(SimulationError, match="takes 2 register tuples"):
+        build_array(spec, progs).load([(0,)])

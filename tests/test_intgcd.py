@@ -1,11 +1,14 @@
 """Integer GCD: plus-minus iteration, Appendix-B cell, bit-serial pipeline."""
 
+import hashlib
 import random
 
 import pytest
+from test_golden_traces import RUNS
 
 from systolic import intgcd
-from systolic.engine import CellId, CellProgram, build_array, chain_wires, linear, run
+from systolic.engine import (CellId, CellProgram, SimulationError, build_array, chain_wires,
+                             linear, run)
 from systolic.intgcd import (
     CELL_PORTS,
     PORTS,
@@ -218,8 +221,43 @@ def test_activation_gating_is_equivalent(monkeypatch):
     def ungated_pipeline(n_cells, frame_len):
         # every cell clocked on every tick
         spec = linear(n_cells, chain_wires(n_cells, PORTS), ports=lambda cell: CELL_PORTS)
-        return build_array(spec, {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
-                                  for k in range(n_cells)})
+        return spec, {CellId(0, k): CellProgram(gcd_cell_step, gcd_cell_initial_state())
+                      for k in range(n_cells)}
 
     monkeypatch.setattr(intgcd, "_gcd_pipeline", ungated_pipeline)
     assert [systolic_int_gcd(a, b, n).raw_output for a, b, n in cases] == gated
+
+
+def test_reused_pipelines_run_as_fresh_builds(monkeypatch):
+    # pairs of a few widths, each width several times over, traced: a run on
+    # a reused plan gives the results and trace bytes of a fresh build
+    cases = [(RNG.randint(1, (1 << n) - 1), RNG.randint(1, (1 << n) - 1), n)
+             for n in (3, 9, 16, 9, 3, 16) for _ in range(3)]
+
+    def runs():
+        return [(r.raw_output, r.ticks, r.trace.to_jsonl())
+                for r in (systolic_int_gcd(a, b, n, trace=True) for a, b, n in cases)]
+
+    reused = runs()
+    monkeypatch.setattr(intgcd, "_gcd_pipeline", intgcd._gcd_pipeline.__wrapped__)
+    assert runs() == reused
+
+
+def test_a_reused_pipeline_gives_the_golden_trace():
+    make, records, digest = RUNS["intgcd"]
+    spec, progs = intgcd._gcd_pipeline(cell_count(16), 18)
+    for a, b in ((65535, 1), (12345, 54321), (46563, 31276), (2, 65534)):
+        assert systolic_int_gcd(a, b, 16).gcd == euclid_int_gcd(a, b)
+        assert systolic_int_gcd(a, b, 16, trace=True).gcd == euclid_int_gcd(a, b)
+    plan = spec._built[1]
+    # a run that a payload kind flip stops mid-way leaves nothing behind:
+    # the next run of the width still gives the golden trace, and the flip
+    # is still refused on the reused plan
+    flipped = encode_bitframe(46563, 31276, 16) | {"startin": (True,)}
+    for _ in range(2):
+        with pytest.raises(SimulationError, match="'startout'.*int -> bool"):
+            run(build_array(spec, progs), {CellId(0, 0): flipped}, 60)
+        tr = make()
+        assert len(tr) == records
+        assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
+    assert spec._built[1] is plan

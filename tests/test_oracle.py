@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from test_toeplitz import EXTREMES
 
 from systolic.gfield import Field, poly_divmod, poly_monic, poly_mul
 from systolic.oracle import (
@@ -143,3 +144,29 @@ def test_jacobi_averages_an_asymmetry_from_either_triangle():
     vals_upper, _, _ = serial_cyclic_jacobi(upper)
     vals_lower, _, _ = serial_cyclic_jacobi(lower)
     assert np.array_equal(vals_upper, vals_lower)
+
+
+def test_lu_refuses_what_an_overflow_makes_of_a_pivot_or_of_x():
+    # Toeplitz systems of order 2..4 with entries near both ends of the float
+    # range: each one solves to a finite x or is refused, never with a warning
+    rng = random.Random(0)
+    solved = 0
+    for _ in range(20_000):
+        n = rng.randint(1, 3)
+        diags = np.array(rng.choices(EXTREMES, k=2 * n + 1))
+        rhs = rng.choices(EXTREMES, k=n + 1)
+        idx = np.arange(n + 1)
+        try:
+            x, u = dense_lu_solve_nopivot(diags[idx[None, :] - idx[:, None] + n], rhs)
+        except SingularMatrixError:
+            continue
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(u)), (diags, rhs)
+        solved += 1
+    assert solved > 6000
+    # step 0 overflows the second pivot to inf, which leaves the third NaN
+    m = [[1e300, 1e308, 0.0], [-1e300, 1e308, 1e308], [1e300, -1e308, 1.0]]
+    with pytest.raises(SingularMatrixError, match="zero pivot at step 2"):
+        dense_lu_solve_nopivot(m, [1.0, 1.0, 1.0])
+    # an infinite last pivot would give a finite x of 0
+    with pytest.raises(SingularMatrixError, match="elimination overflows"):
+        dense_lu_solve_nopivot([[1e300, 1e308], [-1e300, 1e308]], [1.0, 1.0])
