@@ -352,9 +352,16 @@ def cmd_verify(args) -> int:
 
 
 def trace_stats(path) -> dict:
-    """Per-cell active-tick fractions from a JSONL trace file."""
+    """Per-cell active-tick fractions from a JSONL trace file.
+
+    The file may hold several runs, as ``verify --trace`` writes them: a
+    record that is not strictly after the one before it in (tick, row, col)
+    order starts a new run.  ``ticks`` sums the runs' lengths, each its last
+    tick plus one, and a cell's fraction is its records over ``ticks``.
+    """
     counts: dict = {}
-    max_tick = -1
+    ticks = 0  # the lengths of the runs before the current one
+    last = None  # (tick, row, col) of the record before
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -369,11 +376,13 @@ def trace_stats(path) -> dict:
                 raise ValueError(f"{path}: line {lineno} is not a trace record")
             key = (rec["row"], rec["col"])
             counts[key] = counts.get(key, 0) + 1
-            if rec["tick"] > max_tick:
-                max_tick = rec["tick"]
-    ticks = max_tick + 1
-    if not counts:
+            at = (rec["tick"], *key)
+            if last is not None and at <= last:
+                ticks += last[0] + 1
+            last = at
+    if last is None:
         return {"ticks": 0, "cells": {}, "mean_utilisation": 0.0}
+    ticks += last[0] + 1
     cells = {f"{r},{c}": counts[(r, c)] / ticks for (r, c) in sorted(counts)}
     mean = sum(cells.values()) / len(cells)
     return {"ticks": ticks, "cells": cells, "mean_utilisation": mean}

@@ -26,17 +26,21 @@ record).  The windows, which may be open-ended, are read once when the
 array is built and expanded a stretch of ticks at a time as it runs, so a
 tick visits only the cells that run on it.
 
-A build has two parts.  Its :class:`Plan` is fixed: cells, port names,
-latch slots, input gathers, output spans, boundary slots, initial registers
-and the validated windows.  Its :class:`Array` holds one run: registers,
-latches, payload kinds, the output type patterns each cell has shown,
-bound lines, the expanded schedule and the tick count.  ``build_array``
-keeps the plan on the spec and reuses it when given the same spec and
-programs objects again, as the integer GCD and delayed Jacobi drivers do
-for each shape: like the fixed hardware, one pipeline serves every operand
-pair of its width and one grid every matrix of its size, so a run pays only
-for its own state.  The polynomial GCD and Toeplitz drivers build fresh
-inputs for every run, whose plans go with their specs.
+A build has two parts.  Its :class:`Plan` is what the spec fixes, with the
+programs' register names: cells, port and register names, latch slots,
+input gathers, output spans, boundary slots and the validated windows.  Its
+:class:`Array` holds one run: steps, registers, latches, payload kinds, the
+output type patterns each cell has shown, bound lines, the expanded
+schedule and the tick count.  ``build_array`` keeps the plan on the spec
+and reuses it whenever that spec is built again with programs of the same
+cells and register names, so a run pays only for its own state: like the
+fixed hardware, one pipeline serves every operand pair of its width, one
+grid every matrix of its size and one Toeplitz array every system of its
+order.  The integer GCD and delayed Jacobi drivers cache their spec and
+programs per shape; the Toeplitz driver caches its spec and interior
+programs per order and makes only cell 0's step per system, since that step
+holds the system's pivot tolerance.  The polynomial GCD driver builds a
+fresh spec for every run, whose plan goes with it.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ class ArraySpec:
     wiring: tuple[Wire, ...] = ()
     activation: WindowFn | None = None
     ports: PortsFn | None = None
-    # (programs, plan) of the last build from this spec; see build_array
+    # (programs, plan, cells, registers) of the last build; see build_array
     _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def cells(self) -> list[CellId]:
@@ -231,8 +235,9 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 
 class Plan:
     """What a build fixes, shared by every array built from the same spec
-    and programs: cells, port names, latch slots, input gathers, output
-    spans, boundary slots, initial registers and the validated windows.
+    with programs of the same register names: cells, port and register
+    names, latch slots, input gathers, output spans, boundary slots and the
+    validated windows.
 
     Every declared output has a latch slot, a cell's output slots are
     contiguous, and every boundary input has one slot after them.  No wire
@@ -278,7 +283,6 @@ class Plan:
         self.idx = {c: i for i, c in enumerate(cells)}
         # every non-empty window, checked (None: every cell on every tick)
         self.windows = None if spec.activation is None else tuple(_windows(spec.activation, cells))
-        self.init = tuple(tuple(programs[c].init.values()) for c in cells)
         self.names = tuple((tuple(programs[c].init), ins_of[c], outs_of[c]) for c in cells)
         # boundary inputs take the slots after every output
         self.boundary_in: dict[tuple[CellId, str], int] = {}
@@ -297,18 +301,23 @@ class Plan:
                              for k, p in enumerate(outs_of[c]) if base[c] + k not in self.wired}
         self.n_out = n_out
         self.n_slots = n_out + len(self.boundary_in)
-        # per cell: input gather, step and output slots
-        self.cellv = tuple((_gather(slots), programs[c].step,
-                            slice(base[c], base[c] + len(outs_of[c])))
+        # per cell: input gather and output slots
+        self.cellv = tuple((_gather(slots), slice(base[c], base[c] + len(outs_of[c])))
                            for c, slots in zip(cells, in_slots))
+
+    def fits(self, programs: Mapping[CellId, CellProgram]) -> bool:
+        """Whether `programs` has exactly the plan's cells, each with the
+        register names the plan was built with."""
+        return programs.keys() == self.idx.keys() and all(
+            tuple(programs[c].init) == names[0] for c, names in zip(self.cells, self.names))
 
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
-    state (registers, latches, payload kinds, schedule and tick count); see
-    :func:`build_array`."""
+    state (steps, registers, latches, payload kinds, schedule and tick
+    count); see :func:`build_array`."""
 
-    def __init__(self, spec: ArraySpec, plan: Plan,
+    def __init__(self, spec: ArraySpec, plan: Plan, cellv: tuple, init: tuple,
                  eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
         self.spec = spec
         self.tick_count = 0
@@ -323,7 +332,7 @@ class Array:
         # expanded from them as ticks run (None: every cell on every tick)
         self._windows = plan.windows
         self._schedule = None if plan.windows is None else []
-        self._states = list(plan.init)
+        self._states = list(init)
         # (slot, line) of each boundary input, bound by run for its ticks;
         # None, which tick refuses, while boundary inputs have no lines
         self._lines: list[tuple[int, Sequence]] | None = None if plan.boundary_in else []
@@ -333,7 +342,7 @@ class Array:
         self._kinds: list[type | None] = [None] * plan.n_out
         # per cell: input gather, step, the output type tuples already
         # checked in this run (each with its write plan), and output slots
-        self._cellv = [(gather, step, {}, span) for gather, step, span in plan.cellv]
+        self._cellv = [(gather, step, {}, span) for gather, step, span in cellv]
         self._latch: list[Any] = [0] * plan.n_slots
 
     # -- public ----------------------------------------------------------
@@ -493,23 +502,31 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
                 eval_order=None) -> Array:
     """Validate the spec and return an array in reset state (tick 0, ports empty).
 
-    The plan is kept on the spec with the programs it was built from, and
-    reused when this same spec object is built again with this same
-    programs object, so it goes when the spec goes.  Neither may change
-    after its first build.  Every array gets its own registers, latches,
-    payload kinds and schedule.
+    The plan is kept on the spec, so it goes when the spec goes.  Building
+    the same spec object again with programs of the same cells and register
+    names reuses it; other programs get a plan of their own, which replaces
+    it.  The array runs the steps of the programs it is built with and
+    starts from their registers.  Those of the last programs object are
+    kept with the plan, so building again from it costs only the array's
+    own state.  Neither a spec nor a programs object may change after its
+    first build.  Every array gets its own registers, latches, payload
+    kinds and schedule.
 
     ``eval_order(cells, t)``, if given, returns the cells clocked on tick t
     in the order they are to be evaluated; results and traces never depend
     on it.
     """
     built = spec._built
-    if built is not None and built[0] is cell_programs:
-        plan = built[1]
-    else:
-        plan = Plan(spec, {CellId(*cell): prog for cell, prog in cell_programs.items()})
-        object.__setattr__(spec, "_built", (cell_programs, plan))
-    return Array(spec, plan, eval_order=eval_order)
+    if built is None or built[0] is not cell_programs:
+        programs = {CellId(*cell): prog for cell, prog in cell_programs.items()}
+        plan = built[1] if built is not None and built[1].fits(programs) else Plan(spec, programs)
+        programs = [programs[c] for c in plan.cells]
+        # per cell: the plan's input gather, the program's step, output slots
+        cellv = tuple((gather, p.step, span) for (gather, span), p in zip(plan.cellv, programs))
+        built = (cell_programs, plan, cellv, tuple(tuple(p.init.values()) for p in programs))
+        object.__setattr__(spec, "_built", built)
+    _, plan, cellv, init = built
+    return Array(spec, plan, cellv, init, eval_order)
 
 
 def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ticks: int,

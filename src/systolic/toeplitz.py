@@ -10,15 +10,19 @@ One update per phase for cell 0 and one for the interior cells, and one
 breakdown predicate, serve both paths; each works the same on Python floats
 and on numpy arrays.  On the array, cell k runs them on its registers on
 ticks of parity k inside two activity windows, and x ends in the xi
-registers after tick 4n.  The serial path runs them on numpy slices over a
-step's active cells: the array's operations in its order, so x is the same
-to the byte.  Cell 0's updates raise every breakdown, a pivot that fails
-the predicate or an x that is not finite, in words that name the step, so
-both paths fail alike and say so alike.
+registers after tick 4n.  One array serves every system of its order: its
+spec and interior cells' programs are made once per n, and a solve makes
+only cell 0's step, which holds the system's pivot tolerance, and loads the
+registers that ``toeplitz_registers`` builds.  The serial path runs the
+updates on numpy slices over a step's active cells: the array's operations
+in its order, so x is the same to the byte.  Cell 0's updates raise every
+breakdown, a pivot that fails the predicate or an x that is not finite, in
+words that name the step, so both paths fail alike and say so alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,19 +184,27 @@ def bareiss_solve(bands: ToeplitzBands) -> np.ndarray:
 # -- systolic array ----------------------------------------------------------
 
 
-def toeplitz_cell_state(bands: ToeplitzBands, k: int) -> dict:
-    """Cell P_k registers; out-of-range diagonals and b_{-1} read as zero."""
+_REGISTERS = ("alpha", "beta", "gamma", "delta", "lam", "mu", "xi", "eta")
+# the register names every cell's program declares; a run loads the values
+_REGISTER_NAMES = dict.fromkeys(_REGISTERS, 0.0)
+_XI = _REGISTERS.index("xi")
+
+
+def toeplitz_registers(bands: ToeplitzBands) -> list[tuple]:
+    """Every cell's register tuple, in the order of _REGISTERS, for cells
+    P_0 .. P_n: cell P_k holds alpha = a_{-(k+1)}, beta = a_k, gamma =
+    a_{-k}, delta = a_{k+1}, xi = b_{n-k-1} and eta = b_{n-k}, where
+    out-of-range diagonals and b_{-1} read as zero."""
     n = bands.n
-    return {
-        "alpha": float(bands.diag(-(k + 1))),
-        "beta": float(bands.diag(k)),
-        "gamma": float(bands.diag(-k)),
-        "delta": float(bands.diag(k + 1)),
-        "lam": 0.0,
-        "mu": 0.0,
-        "xi": float(bands.rhs[n - k - 1]) if k < n else 0.0,
-        "eta": float(bands.rhs[n - k]),
-    }
+    a = (0.0, *map(float, bands.diagonals), 0.0)  # a_d at index d + n + 1
+    b = (0.0, *map(float, bands.rhs))  # b_j at index j + 1
+    return [(a[n - k], a[n + 1 + k], a[n + 1 - k], a[n + 2 + k], 0.0, 0.0, b[n - k], b[n + 1 - k])
+            for k in range(n + 1)]
+
+
+def toeplitz_cell_state(bands: ToeplitzBands, k: int) -> dict:
+    """Cell P_k registers by name, as toeplitz_registers builds them."""
+    return dict(zip(_REGISTERS, toeplitz_registers(bands)[k]))
 
 
 _OUT_PORTS = ("outL1", "outL2", "outL3", "outR1", "outR2")
@@ -205,8 +217,9 @@ def _cell_ports(n: int, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return ins, _OUT_PORTS
 
 
-def make_toeplitz_step(n: int, tol: float, k: int):
-    """Appendix-C program of cell P_k in an order-(n+1) system."""
+def make_toeplitz_step(n: int, tol: float | None, k: int):
+    """Appendix-C program of cell P_k in an order-(n+1) system.  Only cell 0
+    reads the pivot tolerance ``tol``; the interior cells' steps take None."""
     r = 2 if k > 0 else 0  # where inR1 sits in the input tuple
 
     def step(state, ins, t):
@@ -239,8 +252,16 @@ def make_toeplitz_step(n: int, tol: float, k: int):
     return step
 
 
-def build_toeplitz_array(bands: ToeplitzBands):
-    n = bands.n
+@functools.lru_cache(maxsize=16)
+def _toeplitz_inputs(n: int):
+    """The spec of the order-(n+1) array and the programs of its interior
+    cells P_1 .. P_n.
+
+    Like the fixed hardware, one array serves every system of its order:
+    the same two objects come back for each n, so ``build_array`` reuses
+    their plan.  A solve adds only cell 0's program, whose step holds the
+    system's pivot tolerance, and loads its own registers.
+    """
     wiring = []
     for k in range(n):
         wiring.append(Wire(CellId(0, k), "outR1", CellId(0, k + 1), "inL1"))
@@ -253,10 +274,18 @@ def build_toeplitz_array(bands: ToeplitzBands):
         range(cell.col, 2 * n - cell.col, 2),
         range(2 * n + cell.col, 4 * n - cell.col + 1, 2),
     ), ports=lambda cell: _cell_ports(n, cell.col))
-    tol = _pivot_tol(bands)
-    progs = {CellId(0, k): CellProgram(make_toeplitz_step(n, tol, k), toeplitz_cell_state(bands, k))
-             for k in range(n + 1)}
-    return build_array(spec, progs)
+    return spec, {CellId(0, k): CellProgram(make_toeplitz_step(n, None, k), _REGISTER_NAMES)
+                  for k in range(1, n + 1)}
+
+
+def build_toeplitz_array(bands: ToeplitzBands):
+    """The order-(n+1) array with ``bands`` in its registers."""
+    n = bands.n
+    spec, interior = _toeplitz_inputs(n)
+    head = CellProgram(make_toeplitz_step(n, _pivot_tol(bands), 0), _REGISTER_NAMES)
+    arr = build_array(spec, {CellId(0, 0): head, **interior})
+    arr.load(toeplitz_registers(bands))
+    return arr
 
 
 @dataclass(frozen=True)
@@ -273,7 +302,7 @@ def systolic_toeplitz_solve(bands: ToeplitzBands, trace: bool = True) -> Toeplit
     arr = build_toeplitz_array(bands)
     n_ticks = 4 * n + 1
     _, tr = engine.run(arr, None, n_ticks, trace=trace)
-    x = np.array([arr.state_of((0, k))["xi"] for k in range(n + 1)])
+    x = np.array([regs[_XI] for regs in arr.states()])
     return ToeplitzRun(x=x, ticks=n_ticks, cells=n + 1, trace=tr)
 
 

@@ -51,6 +51,23 @@ def test_toeplitz_and_trace_stats(tmp_path, capsys):
     assert 0.0 < stats["mean_utilisation"] <= 1.0
 
 
+def test_trace_stats_sums_the_runs_of_a_verify_trace(tmp_path, capsys):
+    # five solves in one file: an order-n run takes 4n + 1 ticks, and cell 0
+    # is clocked on 2n + 1 of them
+    trace = tmp_path / "vt.jsonl"
+    code, out, _ = run_cli(capsys, "--trace", str(trace), "--format", "json",
+                           "verify", "toeplitz", "--count", "5", "--seed", "1")
+    assert code == 0
+    ns = [inst["n"] for inst in json.loads(out)["instances"] if "n" in inst]
+    assert len(set(ns)) > 1
+    code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
+    stats = json.loads(out)
+    assert code == 0
+    assert stats["ticks"] == sum(4 * n + 1 for n in ns)
+    assert stats["cells"]["0,0"] == sum(2 * n + 1 for n in ns) / stats["ticks"]
+    assert all(0.0 < f <= 1.0 for f in stats["cells"].values())
+
+
 def test_trace_stats_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -438,9 +438,16 @@ def test_a_plan_is_reused_only_for_the_same_spec_and_programs():
     assert len(calls) == 3
     second = build_array(spec, progs)  # the same two objects: no second plan
     assert len(calls) == 3
-    # another programs object, even an equal one, builds a plan of its own
-    build_array(spec, dict(progs))
+    # other programs of the same cells and register names reuse the plan,
+    # and the array runs their steps
+    negated = build_array(spec, {CellId(0, k): CellProgram(lambda state, ins, tick: (state, (-ins[0],)))
+                                 for k in range(3)})
+    assert len(calls) == 3
+    assert run(negated, impulse_schedule(5), 8)[0][CellId(0, 2), "aout"] == [0, 0, 0, -5, 0, 0, 0, 0, 0]
+    # programs with other register names get a plan of their own
+    named = build_array(spec, {CellId(0, k): CellProgram(passthrough, {"n": k}) for k in range(3)})
     assert len(calls) == 6
+    assert named.state_of((0, 2)) == {"n": 2}
     # arrays that share a plan share no state: interleaved runs give what
     # fresh builds give
     _, tr_first = run(first, impulse_schedule(5), 4, trace=True)
@@ -453,6 +460,18 @@ def test_a_plan_is_reused_only_for_the_same_spec_and_programs():
     # the evaluation order stays an array's own, also on a shared plan
     shuffled = build_array(spec, progs, eval_order=lambda cells, t: cells[::-1])
     assert run(shuffled, impulse_schedule(9), 8, trace=True)[1].to_jsonl() == tr_second.to_jsonl()
+
+
+def test_a_built_spec_refuses_programs_of_other_cells():
+    spec = linear(2, chain_wires(2, ("a",)), ports=chain_cell)
+    progs = {CellId(0, k): CellProgram(passthrough) for k in range(2)}
+    build_array(spec, progs)
+    with pytest.raises(ConstructionError, match="without a program"):
+        build_array(spec, {CellId(0, 0): CellProgram(passthrough)})
+    with pytest.raises(ConstructionError, match="outside the array"):
+        build_array(spec, {**progs, CellId(0, 2): CellProgram(passthrough)})
+    outs, _ = run(build_array(spec, progs), impulse_schedule(3), 3)
+    assert outs[CellId(0, 1), "aout"] == [0, 0, 3, 0]
 
 
 def test_payload_kinds_are_fixed_per_run_on_a_shared_plan():

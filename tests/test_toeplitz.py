@@ -1,5 +1,6 @@
 """Toeplitz solver: band recursions vs dense LU, and the two-phase array."""
 
+import hashlib
 import itertools
 import random
 import warnings
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from test_golden_traces import RUNS
 
+from systolic import toeplitz
 from systolic.oracle import SingularMatrixError, dense_lu_solve_nopivot
 from systolic.toeplitz import (
     SingularMinorError,
@@ -427,3 +430,74 @@ def test_serial_x_is_the_array_x_to_the_byte(family, n, u, k, seed):
     tb = ToeplitzBands(n, tuple(np.ldexp(diags, k)), tuple(np.ldexp(rhs, k)))
     serial, systolic = _solve_both(tb)
     assert serial == systolic
+
+
+def _near_singular(n):
+    """a_0 = 1e-9, a_{+-1} = 1, a_k = 0.1^|k|: every pivot passes until the
+    last regenerated one, on the last tick of the run."""
+    col = [1e-9, 1.0] + [0.1 ** k for k in range(2, n + 1)]
+    return ToeplitzBands(n, tuple(col[abs(k)] for k in range(-n, n + 1)),
+                         tuple(np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)))
+
+
+def _solve_traced(tb):
+    """(x bytes, trace bytes) of an array solve, or its breakdown message."""
+    try:
+        r = systolic_toeplitz_solve(tb)
+    except SingularMinorError as exc:
+        return str(exc)
+    return r.x.tobytes(), r.trace.to_jsonl()
+
+
+def test_reused_plans_solve_as_fresh_builds(monkeypatch):
+    # systems of a few orders, each order several times over and with
+    # breakdowns among them, traced: a solve on a reused plan gives the x,
+    # breakdown message and trace bytes of a fresh build
+    cases = [random_dominant(n) for n in (0, 1, 3, 8, 3, 0, 8, 1) for _ in range(2)]
+    cases[3:3] = [_near_singular(3), ToeplitzBands(3, (1.0,) * 3 + (0.0,) + (1.0,) * 3, (1.0,) * 4)]
+    cases[9:9] = [_near_singular(8), ToeplitzBands(1, (1.0, 1.0, 1.0), (1.0, 2.0))]
+
+    def runs():
+        return [_solve_traced(tb) for tb in cases]
+
+    reused = runs()
+    assert {type(r) for r in reused} == {str, tuple}
+    monkeypatch.setattr(toeplitz, "_toeplitz_inputs", toeplitz._toeplitz_inputs.__wrapped__)
+    assert runs() == reused
+
+
+def test_a_reused_plan_gives_the_golden_trace():
+    make, records, digest = RUNS["toeplitz"]
+    spec, _ = toeplitz._toeplitz_inputs(8)
+    for tb in (random_dominant(8), _near_singular(8), random_dominant(8)):
+        _solve_traced(tb)
+    plan = spec._built[1]
+    tr = make()
+    assert spec._built[1] is plan
+    assert len(tr) == records
+    assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
+
+
+def test_a_breakdown_between_two_clean_solves_changes_neither(monkeypatch):
+    # the near-singular system breaks down on its run's last tick, the a_0 =
+    # 0 one on its first: between two clean solves of the same order on one
+    # plan, neither leaves anything behind
+    n = 15
+    first, second = random_dominant(n), random_dominant(n)
+    zero_a0 = ToeplitzBands(n, (1.0,) * n + (0.0,) + (1.0,) * n, (1.0,) * (n + 1))
+    reused = [_solve_traced(tb) for tb in (first, _near_singular(n), second, zero_a0, first)]
+    assert reused[1] == "regenerated diagonal 0 is singular"
+    assert reused[3] == "a_0 is (numerically) zero"
+    monkeypatch.setattr(toeplitz, "_toeplitz_inputs", toeplitz._toeplitz_inputs.__wrapped__)
+    assert reused[0] == reused[4] == _solve_traced(first)
+    assert reused[2] == _solve_traced(second)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_the_smallest_orders_solve_on_a_reused_plan(n):
+    for _ in range(3):
+        tb = random_dominant(n)
+        r = systolic_toeplitz_solve(tb)
+        assert r.cells == n + 1 and r.ticks == 4 * n + 1
+        assert r.x.tobytes() == bareiss_solve(tb).tobytes()
+        assert np.allclose(tb.to_dense() @ r.x, tb.rhs, rtol=0, atol=1e-12)
