@@ -16,16 +16,16 @@ The working matrix is a plain array, physically permuted after each step;
 every sweep ends where the permutation's orbit closes, so eigenvalues are
 read from the diagonal in the original index order.
 
-The delayed array's spec and programs are made once per size, in one pass
+The delayed array's spec and steps are made once per size, in one pass
 over its cells, which gives each cell its wires, its input and output
-ports, its register names and, per parity, one ``itemgetter`` that reads its
-next block: out of ``ins`` alone, or out of ``state + ins`` for the corner
-cells, the only ones that keep an entry of their own.  A cell's inputs are
-its row and column rotations (off the diagonal), then the two parity ports
-of each neighbour's entry it takes, in the iteration order of the set of
-its four source entries; every trace record shows that order.  Each run
-builds its array from them, reusing their plan, and loads its matrix into
-the registers.
+ports and, per parity, one ``itemgetter`` that reads its next block: out
+of ``ins`` alone, or out of ``state + ins`` for the corner cells, the only
+ones that keep an entry of their own.  A cell's inputs are its row and
+column rotations (off the diagonal), then the two parity ports of each
+neighbour's entry it takes, in the iteration order of the set of its four
+source entries; every trace record shows that order.  Each run builds its
+array from them, reusing the spec's plan, with programs whose registers
+are its own matrix's 2x2 blocks.
 """
 
 from __future__ import annotations
@@ -264,10 +264,11 @@ _ROT_OUTS = {1: ("rowc_R", "rows_R", "colc_U", "cols_U"),
              -1: ("rowc_L", "rows_L", "colc_D", "cols_D"),
              0: ("rowc_R", "rows_R", "rowc_L", "rows_L", "colc_D", "cols_D", "colc_U", "cols_U")}
 _ROT_INS = ("rowc_in", "rows_in", "colc_in", "cols_in")
-# block outputs: b00..b11 of parity 0, then of parity 1
-_BLOCK_OUTS = tuple(f"b{r}{c}_{par}" for par in (0, 1) for r in (0, 1) for c in (0, 1))
+# a cell's registers, which hold its block, and its block outputs: the
+# registers' names with parity 0, then with parity 1
+_BLOCK = ("b00", "b01", "b10", "b11")
+_BLOCK_OUTS = tuple(f"{b}_{par}" for par in (0, 1) for b in _BLOCK)
 _NO_BLOCK = (None,) * 4
-_BLOCK_REGS = dict.fromkeys(("b00", "b01", "b10", "b11"), 0.0)
 
 
 def _make_delayed_step(d: int, reads, own: bool):
@@ -295,18 +296,18 @@ def _make_delayed_step(d: int, reads, own: bool):
 
 @functools.lru_cache(maxsize=4)
 def _delayed_inputs(size: int):
-    """The spec and programs of the delayed array on a size x size matrix,
-    built in one pass over its cells.
+    """The spec and steps of the delayed array on a size x size matrix,
+    built in one pass over its cells, the steps by cell in row-major order.
 
     Block (i, j)'s entry (r, c) comes, after the inter-step permutation,
     from entry (er, ec) of block (i + dr, j + dc); a neighbour's entry
     arrives on a wire per parity, the cell's own from its registers.  The
-    same two objects come back for each size, so ``build_array`` reuses
-    their plan; each run loads its own matrix into the registers.
+    same spec comes back for each size, so ``build_array`` reuses its plan;
+    each run's programs hold its own matrix's blocks.
     """
     h = size // 2
     inv = _inverse_permutation(size).tolist()
-    wiring, ports, progs = [], {}, {}
+    wiring, ports, steps = [], {}, {}
     for i in range(h):
         for j in range(h):
             cell = CellId(i, j)
@@ -337,21 +338,22 @@ def _delayed_inputs(size: int):
                     ins.append(port)
             ports[cell] = (ins, _ROT_OUTS[side] + _BLOCK_OUTS)
             reads = tuple(itemgetter(*(a[src] for src in entries)) for a in at)
-            progs[cell] = CellProgram(_make_delayed_step(abs(i - j), reads, own), _BLOCK_REGS)
+            steps[cell] = _make_delayed_step(abs(i - j), reads, own)
     # cell (i, j) runs step s on tick 3s + |i - j|, for every s the caller asks for
     spec = engine.grid(h, h, wiring,
                        activation=lambda cell: (range(abs(cell.row - cell.col), sys.maxsize, 3),),
                        ports=ports.__getitem__)
-    return spec, progs
+    return spec, steps
 
 
 def build_delayed_array(mat: np.ndarray):
     """The delayed array with ``mat``'s 2x2 blocks in its registers."""
     size = mat.shape[0]
     h = size // 2
-    arr = build_array(*_delayed_inputs(size))
-    arr.load(map(tuple, mat.reshape(h, 2, h, 2).swapaxes(1, 2).reshape(h * h, 4).tolist()))
-    return arr
+    spec, steps = _delayed_inputs(size)
+    blocks = mat.reshape(h, 2, h, 2).swapaxes(1, 2).reshape(h * h, 4).tolist()
+    return build_array(spec, {cell: CellProgram(step, dict(zip(_BLOCK, block)))
+                              for (cell, step), block in zip(steps.items(), blocks)})
 
 
 def _delayed_grids(mat: np.ndarray, tr: engine.Trace | None):

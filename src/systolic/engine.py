@@ -22,25 +22,19 @@ output as an output line, indexed the same way by the array's own tick.
 
 A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
-record).  The windows, which may be open-ended, are read once when the
-array is built and expanded a stretch of ticks at a time as it runs, so a
-tick visits only the cells that run on it.
+record).  The windows, which may be open-ended, are read once, on the
+spec's first build, and expanded a stretch of ticks at a time as an array
+runs, so a tick visits only the cells that run on it.
 
-A build has two parts.  Its :class:`Plan` is what the spec fixes, with the
-programs' register names: cells, port and register names, latch slots,
-input gathers, output spans, boundary slots and the validated windows.  Its
-:class:`Array` holds one run: steps, registers, latches, payload kinds, the
-output type patterns each cell has shown, bound lines, the expanded
-schedule and the tick count.  ``build_array`` keeps the plan on the spec
-and reuses it whenever that spec is built again with programs of the same
-cells and register names, so a run pays only for its own state: like the
-fixed hardware, one pipeline serves every operand pair of its width, one
-grid every matrix of its size and one Toeplitz array every system of its
-order.  The integer GCD and delayed Jacobi drivers cache their spec and
-programs per shape; the Toeplitz driver caches its spec and interior
-programs per order and makes only cell 0's step per system, since that step
-holds the system's pivot tolerance.  The polynomial GCD driver builds a
-fresh spec for every run, whose plan goes with it.
+A build has two parts.  Its :class:`Plan` is what the spec fixes: cells,
+ports, latch slots, input gathers, output spans, boundary slots and the
+validated windows.  Its :class:`Array` holds one run: steps, register names
+and registers, all taken from the programs it is built with, and latches,
+payload kinds, the output type patterns each cell has shown, bound lines,
+the expanded schedule and the tick count.  A spec builds its plan once and
+keeps it, whatever programs it is built with: like the fixed hardware, one
+wiring serves every operand, and only what each operand loads into the
+cells changes.
 """
 
 from __future__ import annotations
@@ -110,8 +104,8 @@ class ArraySpec:
     wiring: tuple[Wire, ...] = ()
     activation: WindowFn | None = None
     ports: PortsFn | None = None
-    # (programs, plan, cells, registers) of the last build; see build_array
-    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the spec's plan, made on its first build_array
+    _plan: Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     def cells(self) -> list[CellId]:
         _, rows, cols = self.topology
@@ -234,8 +228,7 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 
 
 class Plan:
-    """What a build fixes, shared by every array built from the same spec
-    with programs of the same register names: cells, port and register
+    """What a spec fixes, shared by every array built from it: cells, port
     names, latch slots, input gathers, output spans, boundary slots and the
     validated windows.
 
@@ -246,16 +239,8 @@ class Plan:
     own state.
     """
 
-    def __init__(self, spec: ArraySpec, programs: Mapping[CellId, CellProgram]):
+    def __init__(self, spec: ArraySpec):
         cells = spec.cells()
-        cellset = set(cells)
-        missing = cellset - set(programs)
-        if missing:
-            raise ConstructionError(f"cells without a program: {sorted(missing)}")
-        extra = set(programs) - cellset
-        if extra:
-            raise ConstructionError(f"programs for cells outside the array: {sorted(extra)}")
-
         ins_of, outs_of = {}, {}
         for c in cells:
             ins, outs = spec.ports(c) if spec.ports is not None else ((), ())
@@ -283,7 +268,8 @@ class Plan:
         self.idx = {c: i for i, c in enumerate(cells)}
         # every non-empty window, checked (None: every cell on every tick)
         self.windows = None if spec.activation is None else tuple(_windows(spec.activation, cells))
-        self.names = tuple((tuple(programs[c].init), ins_of[c], outs_of[c]) for c in cells)
+        self.ins = tuple(ins_of[c] for c in cells)
+        self.outs = tuple(outs_of[c] for c in cells)
         # boundary inputs take the slots after every output
         self.boundary_in: dict[tuple[CellId, str], int] = {}
         in_slots = []
@@ -305,34 +291,32 @@ class Plan:
         self.cellv = tuple((_gather(slots), slice(base[c], base[c] + len(outs_of[c])))
                            for c, slots in zip(cells, in_slots))
 
-    def fits(self, programs: Mapping[CellId, CellProgram]) -> bool:
-        """Whether `programs` has exactly the plan's cells, each with the
-        register names the plan was built with."""
-        return programs.keys() == self.idx.keys() and all(
-            tuple(programs[c].init) == names[0] for c, names in zip(self.cells, self.names))
-
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
     state (steps, registers, latches, payload kinds, schedule and tick
     count); see :func:`build_array`."""
 
-    def __init__(self, spec: ArraySpec, plan: Plan, cellv: tuple, init: tuple,
+    def __init__(self, spec: ArraySpec, plan: Plan, cell_programs: Mapping[CellId, CellProgram],
                  eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
+        if cell_programs.keys() != plan.idx.keys():
+            missing = plan.idx.keys() - cell_programs.keys()
+            if missing:
+                raise ConstructionError(f"cells without a program: {sorted(missing)}")
+            extra = cell_programs.keys() - plan.idx.keys()
+            raise ConstructionError(f"programs for cells outside the array: {sorted(extra)}")
+        programs = list(map(cell_programs.__getitem__, plan.cells))
         self.spec = spec
+        self.plan = plan
         self.tick_count = 0
-        self._cells = plan.cells
-        self._idx = plan.idx
-        self._names = plan.names
-        self._in_slots = plan.in_slots
-        self._boundary_in = plan.boundary_in
-        self._boundary_out = plan.boundary_out
+        # per cell: (register, input port, output port) names
+        self._names = tuple(zip([tuple(p.init) for p in programs], plan.ins, plan.outs))
         self._eval_order = eval_order
         # the windows not yet ended, and per tick the cells clocked on it,
         # expanded from them as ticks run (None: every cell on every tick)
         self._windows = plan.windows
         self._schedule = None if plan.windows is None else []
-        self._states = list(init)
+        self._states = [tuple(p.init.values()) for p in programs]
         # (slot, line) of each boundary input, bound by run for its ticks;
         # None, which tick refuses, while boundary inputs have no lines
         self._lines: list[tuple[int, Sequence]] | None = None if plan.boundary_in else []
@@ -342,27 +326,19 @@ class Array:
         self._kinds: list[type | None] = [None] * plan.n_out
         # per cell: input gather, step, the output type tuples already
         # checked in this run (each with its write plan), and output slots
-        self._cellv = [(gather, step, {}, span) for gather, step, span in cellv]
+        self._cellv = [(gather, p.step, {}, span)
+                       for (gather, span), p in zip(plan.cellv, programs)]
         self._latch: list[Any] = [0] * plan.n_slots
 
     # -- public ----------------------------------------------------------
 
     def state_of(self, cell) -> dict:
-        i = self._idx[CellId(*cell)]
+        i = self.plan.idx[CellId(*cell)]
         return dict(zip(self._names[i][0], self._states[i]))
 
     def states(self) -> list[tuple]:
         """Every cell's register tuple, in cell order (row-major)."""
         return list(self._states)
-
-    def load(self, states: Iterable[tuple]) -> None:
-        """Set every cell's register tuple, in cell order, before the first
-        tick: an array built from shared programs takes its run's registers."""
-        states = list(states)
-        if len(states) != len(self._states) or self.tick_count:
-            raise SimulationError(f"load takes {len(self._states)} register tuples "
-                                  "before the first tick")
-        self._states = states
 
     def tick(self, trace: Trace | None = None) -> None:
         """Advance one tick, appending its records to ``trace`` if given.
@@ -374,13 +350,14 @@ class Array:
         """
         t = self.tick_count
         lines = self._lines
+        plan = self.plan
         if lines is None:
-            ports = ", ".join(f"{tuple(c)} {p!r}" for c, p in self._boundary_in)
+            ports = ", ".join(f"{tuple(c)} {p!r}" for c, p in plan.boundary_in)
             raise SimulationError(f"tick {t}: boundary inputs {ports} are fed only by run")
         latch = self._latch
         for slot, line in lines:
             latch[slot] = line[t] if t < len(line) else 0
-        cells = self._cells
+        cells = plan.cells
         schedule = self._schedule
         if schedule is None:
             order = range(len(cells))
@@ -390,14 +367,14 @@ class Array:
             order = schedule[t] if t < len(schedule) else ()
         eval_order = self._eval_order
         if eval_order is not None:
-            idx = self._idx
+            idx = plan.idx
             order = [idx[c] for c in eval_order([cells[i] for i in order], t)]
         states = self._states
         cellv = self._cellv
         pending: list = []
         if trace is not None:
             names = self._names
-            in_slots = self._in_slots
+            in_slots = plan.in_slots
             # wired slots with no write before this tick read 0 and are marked
             unread = frozenset(self._unread)
             # builds a TraceRecord without a Python-level __new__ frame
@@ -410,13 +387,13 @@ class Array:
             state, outs = step(states[i], ins, t)
             states[i] = state
             try:
-                plan = checked[tuple(map(type, outs))]
+                write = checked[tuple(map(type, outs))]
             except KeyError:
-                plan = self._admit(i, outs)
-            if plan is None:
+                write = self._admit(i, outs)
+            if write is None:
                 pending.append((span, outs))
             else:
-                slots, pick = plan
+                slots, pick = write
                 pending.extend(zip(slots, pick(outs)))
             if trace is not None:
                 if unread and not unread.isdisjoint(in_slots[i]):
@@ -451,7 +428,7 @@ class Array:
         """Check an output tuple whose type pattern cell i has not shown
         before, and return its write plan: None writes the whole tuple,
         else (slots, pick) writes pick(outs) to slots."""
-        cell = self._cells[i]
+        cell = self.plan.cells[i]
         out_names = self._names[i][2]
         if len(outs) != len(out_names):
             raise SimulationError(f"cell {tuple(cell)} tick {self.tick_count}: "
@@ -473,11 +450,11 @@ class Array:
                     f"port {(cell, out_names[k])} changed payload kind "
                     f"{kind.__name__} -> {type(v).__name__}")
         if len(written) == len(outs):
-            plan = None
+            write = None
         else:
-            plan = (tuple(base + k for k in written), _gather(tuple(written)))
-        self._cellv[i][2][tuple(map(type, outs))] = plan
-        return plan
+            write = (tuple(base + k for k in written), _gather(tuple(written)))
+        self._cellv[i][2][tuple(map(type, outs))] = write
+        return write
 
     def _bind(self, feed: Mapping[CellId, Mapping[str, Sequence]]) -> list[tuple[int, Sequence]]:
         """(slot, line) for each port of `feed`, ``{cell: {port: line}}``,
@@ -485,13 +462,13 @@ class Array:
         bound = []
         for cell, ports in feed.items():
             for port, line in ports.items():
-                slot = self._boundary_in.get((CellId(*cell), port))
+                slot = self.plan.boundary_in.get((CellId(*cell), port))
                 if slot is None:
                     raise SimulationError(
                         f"cell {tuple(cell)}: {port!r} is not a boundary input port")
                 bound.append((slot, line))
         fed = {slot for slot, _ in bound}
-        for (cell, port), slot in self._boundary_in.items():
+        for (cell, port), slot in self.plan.boundary_in.items():
             if slot not in fed:
                 raise SimulationError(
                     f"cell {tuple(cell)} tick {self.tick_count}: no value on input port {port!r}")
@@ -502,31 +479,22 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
                 eval_order=None) -> Array:
     """Validate the spec and return an array in reset state (tick 0, ports empty).
 
-    The plan is kept on the spec, so it goes when the spec goes.  Building
-    the same spec object again with programs of the same cells and register
-    names reuses it; other programs get a plan of their own, which replaces
-    it.  The array runs the steps of the programs it is built with and
-    starts from their registers.  Those of the last programs object are
-    kept with the plan, so building again from it costs only the array's
-    own state.  Neither a spec nor a programs object may change after its
-    first build.  Every array gets its own registers, latches, payload
-    kinds and schedule.
+    The spec's first build makes its plan and keeps it on the spec, so it
+    goes when the spec goes; a spec may not change after that.  Every build
+    of the spec reuses the plan, and the array runs the steps of the
+    programs it is built with and starts from their ``init`` registers.
+    The programs must cover exactly the spec's cells.  Every array gets its
+    own registers, latches, payload kinds and schedule.
 
     ``eval_order(cells, t)``, if given, returns the cells clocked on tick t
     in the order they are to be evaluated; results and traces never depend
     on it.
     """
-    built = spec._built
-    if built is None or built[0] is not cell_programs:
-        programs = {CellId(*cell): prog for cell, prog in cell_programs.items()}
-        plan = built[1] if built is not None and built[1].fits(programs) else Plan(spec, programs)
-        programs = [programs[c] for c in plan.cells]
-        # per cell: the plan's input gather, the program's step, output slots
-        cellv = tuple((gather, p.step, span) for (gather, span), p in zip(plan.cellv, programs))
-        built = (cell_programs, plan, cellv, tuple(tuple(p.init.values()) for p in programs))
-        object.__setattr__(spec, "_built", built)
-    _, plan, cellv, init = built
-    return Array(spec, plan, cellv, init, eval_order)
+    plan = spec._plan
+    if plan is None:
+        plan = Plan(spec)
+        object.__setattr__(spec, "_plan", plan)
+    return Array(spec, plan, cell_programs, eval_order)
 
 
 def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ticks: int,
@@ -550,8 +518,9 @@ def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ti
     bound = array._bind(feed or {})
     latch = array._latch
     t0 = array.tick_count
-    lines = {key: [0] * (t0 + 1) for key in array._boundary_out}
-    collect = [(lines[key], slot) for key, slot in array._boundary_out.items()]
+    boundary_out = array.plan.boundary_out
+    lines = {key: [0] * (t0 + 1) for key in boundary_out}
+    collect = [(lines[key], slot) for key, slot in boundary_out.items()]
     for _, slot in collect:
         latch[slot] = 0
     saved, array._lines = array._lines, bound

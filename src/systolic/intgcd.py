@@ -208,8 +208,8 @@ def _gcd_pipeline(n_cells: int, frame_len: int):
     would only chew zeros or emit post-result garbage).
 
     Like the fixed hardware, one pipeline serves every pair of its width:
-    the same two objects come back for each shape, so ``build_array`` reuses
-    their plan, and a run pays only for its own registers and schedule.
+    the same spec comes back for each shape, so ``build_array`` reuses its
+    plan, and a run pays only for its own registers and schedule.
     """
     def activation(cell):
         return (range(cell.col, 2 * cell.col + frame_len + 9),)

@@ -11,11 +11,11 @@ breakdown predicate, serve both paths; each works the same on Python floats
 and on numpy arrays.  On the array, cell k runs them on its registers on
 ticks of parity k inside two activity windows, and x ends in the xi
 registers after tick 4n.  One array serves every system of its order: its
-spec and interior cells' programs are made once per n, and a solve makes
-only cell 0's step, which holds the system's pivot tolerance, and loads the
-registers that ``toeplitz_registers`` builds.  The serial path runs the
-updates on numpy slices over a step's active cells: the array's operations
-in its order, so x is the same to the byte.  Cell 0's updates raise every
+spec and interior cells' steps are made once per n, and a solve makes only
+cell 0's step, which holds the system's pivot tolerance, and programs whose
+registers ``toeplitz_registers`` builds.  The serial path runs the updates
+on numpy slices over a step's active cells: the array's operations in its
+order, so x is the same to the byte.  Cell 0's updates raise every
 breakdown, a pivot that fails the predicate or an x that is not finite, in
 words that name the step, so both paths fail alike and say so alike.
 """
@@ -184,27 +184,19 @@ def bareiss_solve(bands: ToeplitzBands) -> np.ndarray:
 # -- systolic array ----------------------------------------------------------
 
 
-_REGISTERS = ("alpha", "beta", "gamma", "delta", "lam", "mu", "xi", "eta")
-# the register names every cell's program declares; a run loads the values
-_REGISTER_NAMES = dict.fromkeys(_REGISTERS, 0.0)
-_XI = _REGISTERS.index("xi")
+_XI = 6  # where xi sits in a cell's registers
 
 
-def toeplitz_registers(bands: ToeplitzBands) -> list[tuple]:
-    """Every cell's register tuple, in the order of _REGISTERS, for cells
+def toeplitz_registers(bands: ToeplitzBands) -> list[dict]:
+    """Every cell's registers by name, its program's ``init``, for cells
     P_0 .. P_n: cell P_k holds alpha = a_{-(k+1)}, beta = a_k, gamma =
     a_{-k}, delta = a_{k+1}, xi = b_{n-k-1} and eta = b_{n-k}, where
     out-of-range diagonals and b_{-1} read as zero."""
     n = bands.n
     a = (0.0, *map(float, bands.diagonals), 0.0)  # a_d at index d + n + 1
     b = (0.0, *map(float, bands.rhs))  # b_j at index j + 1
-    return [(a[n - k], a[n + 1 + k], a[n + 1 - k], a[n + 2 + k], 0.0, 0.0, b[n - k], b[n + 1 - k])
-            for k in range(n + 1)]
-
-
-def toeplitz_cell_state(bands: ToeplitzBands, k: int) -> dict:
-    """Cell P_k registers by name, as toeplitz_registers builds them."""
-    return dict(zip(_REGISTERS, toeplitz_registers(bands)[k]))
+    return [{"alpha": a[n - k], "beta": a[n + 1 + k], "gamma": a[n + 1 - k], "delta": a[n + 2 + k],
+             "lam": 0.0, "mu": 0.0, "xi": b[n - k], "eta": b[n + 1 - k]} for k in range(n + 1)]
 
 
 _OUT_PORTS = ("outL1", "outL2", "outL3", "outR1", "outR2")
@@ -254,13 +246,13 @@ def make_toeplitz_step(n: int, tol: float | None, k: int):
 
 @functools.lru_cache(maxsize=16)
 def _toeplitz_inputs(n: int):
-    """The spec of the order-(n+1) array and the programs of its interior
-    cells P_1 .. P_n.
+    """The spec of the order-(n+1) array and the steps of its interior cells
+    P_1 .. P_n.
 
     Like the fixed hardware, one array serves every system of its order:
-    the same two objects come back for each n, so ``build_array`` reuses
-    their plan.  A solve adds only cell 0's program, whose step holds the
-    system's pivot tolerance, and loads its own registers.
+    the same spec comes back for each n, so ``build_array`` reuses its
+    plan.  A solve adds only cell 0's step, which holds the system's pivot
+    tolerance, and its own registers.
     """
     wiring = []
     for k in range(n):
@@ -274,18 +266,16 @@ def _toeplitz_inputs(n: int):
         range(cell.col, 2 * n - cell.col, 2),
         range(2 * n + cell.col, 4 * n - cell.col + 1, 2),
     ), ports=lambda cell: _cell_ports(n, cell.col))
-    return spec, {CellId(0, k): CellProgram(make_toeplitz_step(n, None, k), _REGISTER_NAMES)
-                  for k in range(1, n + 1)}
+    return spec, {CellId(0, k): make_toeplitz_step(n, None, k) for k in range(1, n + 1)}
 
 
 def build_toeplitz_array(bands: ToeplitzBands):
     """The order-(n+1) array with ``bands`` in its registers."""
     n = bands.n
     spec, interior = _toeplitz_inputs(n)
-    head = CellProgram(make_toeplitz_step(n, _pivot_tol(bands), 0), _REGISTER_NAMES)
-    arr = build_array(spec, {CellId(0, 0): head, **interior})
-    arr.load(toeplitz_registers(bands))
-    return arr
+    steps = {CellId(0, 0): make_toeplitz_step(n, _pivot_tol(bands), 0), **interior}
+    return build_array(spec, {cell: CellProgram(step, regs) for (cell, step), regs
+                              in zip(steps.items(), toeplitz_registers(bands))})
 
 
 @dataclass(frozen=True)
@@ -314,10 +304,9 @@ def count_trace_multiplications(tr: engine.Trace, n: int) -> int:
     in either phase (its other ops are the divisions).
     """
     total = 0
-    for rec in tr:
-        k = rec.cell.col
-        if rec.tick < 2 * n:
-            total += 2 if k == 0 else 6
+    for rec in tr:  # the raw fields: rec[0] is the tick, rec[1][1] the column
+        if rec[0] < 2 * n:
+            total += 2 if rec[1][1] == 0 else 6
         else:
-            total += 2 if k == 0 else 3
+            total += 2 if rec[1][1] == 0 else 3
     return total

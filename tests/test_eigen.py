@@ -566,8 +566,8 @@ def test_a_reused_delayed_plan_gives_the_golden_trace():
     for a in (random_symmetric(6), random_symmetric(5), np.ones((6, 6))):
         assert as_bytes(run_sweeps(a, mode="delayed").eigenvalues) == \
             as_bytes(run_sweeps(a, mode="broadcast").eigenvalues)
-    plan = spec._built[1]
+    plan = spec._plan
     tr = make()
-    assert spec._built[1] is plan
+    assert spec._plan is plan
     assert len(tr) == records
     assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest

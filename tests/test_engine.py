@@ -425,7 +425,7 @@ def test_declared_input_without_wire_or_feed_raises():
     assert calls == [0, 0, 1, 1]
 
 
-def test_a_plan_is_reused_only_for_the_same_spec_and_programs():
+def test_a_plan_is_reused_for_every_build_of_its_spec():
     calls = []
 
     def windows(cell):
@@ -436,18 +436,21 @@ def test_a_plan_is_reused_only_for_the_same_spec_and_programs():
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(3)}
     first = build_array(spec, progs)
     assert len(calls) == 3
-    second = build_array(spec, progs)  # the same two objects: no second plan
+    second = build_array(spec, progs)  # the same spec: no second plan
     assert len(calls) == 3
-    # other programs of the same cells and register names reuse the plan,
-    # and the array runs their steps
+    assert second.plan is first.plan is spec._plan
+    # other programs reuse the plan, and the array runs their steps
     negated = build_array(spec, {CellId(0, k): CellProgram(lambda state, ins, tick: (state, (-ins[0],)))
                                  for k in range(3)})
     assert len(calls) == 3
     assert run(negated, impulse_schedule(5), 8)[0][CellId(0, 2), "aout"] == [0, 0, 0, -5, 0, 0, 0, 0, 0]
-    # programs with other register names get a plan of their own
+    # programs with other register names reuse it too, and the array shows
+    # their names
     named = build_array(spec, {CellId(0, k): CellProgram(passthrough, {"n": k}) for k in range(3)})
-    assert len(calls) == 6
+    assert len(calls) == 3
+    assert named.plan is spec._plan
     assert named.state_of((0, 2)) == {"n": 2}
+    assert first.state_of((0, 2)) == {}
     # arrays that share a plan share no state: interleaved runs give what
     # fresh builds give
     _, tr_first = run(first, impulse_schedule(5), 4, trace=True)
@@ -493,19 +496,39 @@ def test_payload_kinds_are_fixed_per_run_on_a_shared_plan():
         go([1, 1.5])
 
 
-def test_load_sets_the_registers_of_a_run():
-    def count(state, ins, tick):
-        (n,) = state
-        return (n + 1,), ()
+def count(state, ins, tick):
+    (n,) = state
+    return (n + 1,), ()
 
+
+def test_interleaved_arrays_on_one_plan_start_from_their_own_init():
     spec = linear(2)
-    progs = {CellId(0, k): CellProgram(count, {"n": 0}) for k in range(2)}
+    tens = build_array(spec, {CellId(0, k): CellProgram(count, {"n": 10 * k + 10}) for k in range(2)})
+    zeros = build_array(spec, {CellId(0, k): CellProgram(count, {"m": 0}) for k in range(2)})
+    assert tens.plan is zeros.plan
+    for _ in range(2):
+        tens.tick()
+        zeros.tick()
+    zeros.tick()
+    assert tens.states() == [(12,), (22,)]
+    assert zeros.states() == [(3,), (3,)]
+    assert tens.state_of((0, 1)) == {"n": 22} and zeros.state_of((0, 1)) == {"m": 3}
+
+
+def test_a_build_runs_its_programs_as_they_are_now():
+    # a programs dict edited after a build: the next build of the spec runs
+    # the edited steps from the edited registers, as a fresh build does
+    def double(state, ins, tick):
+        (n,) = state
+        return (2 * n,), ()
+
+    progs = {CellId(0, 0): CellProgram(count, {"n": 0})}
+    spec = linear(1)
+    run(build_array(spec, progs), None, 3)
+    progs[CellId(0, 0)] = CellProgram(double, {"n": 5})
     arr = build_array(spec, progs)
-    arr.load([(10,), (20,)])
-    run(arr, None, 2)
-    assert arr.states() == [(12,), (22,)]
-    assert build_array(spec, progs).states() == [(0,), (0,)]  # the plan keeps init
-    with pytest.raises(SimulationError, match="before the first tick"):
-        arr.load([(0,), (0,)])
-    with pytest.raises(SimulationError, match="takes 2 register tuples"):
-        build_array(spec, progs).load([(0,)])
+    run(arr, None, 3)
+    assert arr.states() == [(40,)]
+    fresh = build_array(linear(1), progs)
+    run(fresh, None, 3)
+    assert fresh.states() == arr.states()

@@ -22,7 +22,7 @@ from systolic.toeplitz import (
     count_trace_multiplications,
     make_toeplitz_step,
     systolic_toeplitz_solve,
-    toeplitz_cell_state,
+    toeplitz_registers,
 )
 
 RNG = np.random.default_rng(123)
@@ -41,7 +41,7 @@ def regenerate_u(tb):
     holding U[n-r-j, n-r] in beta, so step r rebuilds column n-r.  Read from
     the array's trace; the serial path runs the same updates."""
     n = tb.n
-    beta = [toeplitz_cell_state(tb, j)["beta"] for j in range(n + 1)]
+    beta = [regs["beta"] for regs in toeplitz_registers(tb)]
     u = np.zeros((n + 1, n + 1))
     for rec in systolic_toeplitz_solve(tb).trace:
         j = rec.cell.col
@@ -184,7 +184,7 @@ def test_symmetric_initialisation_relations():
     d[n + 1:] = d[:n][::-1]  # a_k = a_{-k}
     d[n] = np.sum(np.abs(d)) + 1.0
     tb = ToeplitzBands(n, tuple(d), tuple(RNG.uniform(-1, 1, n + 1)))
-    states = [toeplitz_cell_state(tb, k) for k in range(n + 1)]
+    states = toeplitz_registers(tb)
     for k in range(n + 1):
         assert states[k]["alpha"] == states[k]["delta"]  # a_{-(k+1)} = a_{k+1}
         assert states[k]["beta"] == states[k]["gamma"]  # a_k = a_{-k}
@@ -196,7 +196,7 @@ def test_symmetric_initialisation_relations():
 def test_cell0_first_activation_identity():
     # identity bands: lambda = a_{-1}/a_0 = 0 and mu = 0 on the first tick
     tb = ToeplitzBands(3, (0.0,) * 3 + (1.0,) + (0.0,) * 3, (1.0,) * 4)
-    init = toeplitz_cell_state(tb, 0)
+    init = toeplitz_registers(tb)[0]
     step = make_toeplitz_step(3, 1e-12, 0)
     st, outs = step(tuple(init.values()), (0.0,) * 3, 0)  # inR1..inR3, not read at tick 0
     st = dict(zip(init, st))
@@ -208,7 +208,7 @@ def test_cell0_first_activation_identity():
 def test_interior_cell_zero_multipliers_keep_bands():
     tb = random_dominant(3)
     step = make_toeplitz_step(3, 1e-12, 2)
-    before = toeplitz_cell_state(tb, 2)
+    before = toeplitz_registers(tb)[2]
     ins = (0.0, 0.0) + (0.0,) * 3  # inL1, inL2; inR1..inR3 are not read at tick 2
     st, _ = step(tuple(before.values()), ins, 2)
     st = dict(zip(before, st))
@@ -223,7 +223,7 @@ def straight_line_appendix_c(bands):
     evaluating the same phase windows tick by tick.
     """
     n = bands.n
-    regs = [toeplitz_cell_state(bands, k) for k in range(n + 1)]
+    regs = toeplitz_registers(bands)
     ports = {}  # (k, name) -> value written last tick or earlier
     history = []
     for t in range(4 * n + 1):
@@ -471,9 +471,9 @@ def test_a_reused_plan_gives_the_golden_trace():
     spec, _ = toeplitz._toeplitz_inputs(8)
     for tb in (random_dominant(8), _near_singular(8), random_dominant(8)):
         _solve_traced(tb)
-    plan = spec._built[1]
+    plan = spec._plan
     tr = make()
-    assert spec._built[1] is plan
+    assert spec._plan is plan
     assert len(tr) == records
     assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
 
