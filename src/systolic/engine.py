@@ -23,23 +23,29 @@ output as an output line, indexed the same way by the array's own tick.
 A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
 record).  The windows, which may be open-ended, are read once, on the
-spec's first build, and expanded a stretch of ticks at a time as an array
-runs, so a tick visits only the cells that run on it.
+spec's first build, and expanded into a schedule a stretch of ticks at a
+time, only as far as a run reaches, so a tick visits only the cells that
+run on it.
 
 A build has two parts.  Its :class:`Plan` is what the spec fixes: cells,
 ports, latch slots, input gathers, output spans, boundary slots and the
-validated windows.  Its :class:`Array` holds one run: steps, register names
-and registers, all taken from the programs it is built with, and latches,
-payload kinds, the output type patterns each cell has shown, bound lines,
-the expanded schedule and the tick count.  A spec builds its plan once and
-keeps it, whatever programs it is built with: like the fixed hardware, one
-wiring serves every operand, and only what each operand loads into the
-cells changes.
+schedule, which every array of the plan shares and which grows only as far
+as the longest run so far.  Its :class:`Array` holds one run: steps and
+registers, taken from the programs it is built with, and latches, payload
+kinds, the output type patterns each cell has shown, bound lines and the
+tick count.  A spec builds its plan once and keeps it, whatever programs it
+is built with: like the fixed hardware, one wiring serves every operand,
+and only what each operand loads into the cells changes.  Specs and plans
+also share their equal parts: a position's ``CellId``, a pipeline's links
+and a cell's gather and output span are each made once (in bounded caches),
+so plans of pipelines of many lengths cost little more than the longest.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -56,6 +62,10 @@ class SimulationError(RuntimeError):
 class CellId(NamedTuple):
     row: int
     col: int
+
+
+# the one CellId of each position, shared by every spec and plan that names it
+_cell = functools.lru_cache(maxsize=4096)(CellId)
 
 
 class Wire(NamedTuple):
@@ -109,7 +119,7 @@ class ArraySpec:
 
     def cells(self) -> list[CellId]:
         _, rows, cols = self.topology
-        return [CellId(r, c) for r in range(rows) for c in range(cols)]
+        return [_cell(r, c) for r in range(rows) for c in range(cols)]
 
     def contains(self, cell: CellId) -> bool:
         _, rows, cols = self.topology
@@ -128,9 +138,16 @@ def linear(length: int, wiring: Iterable[Wire] = (), activation=None, ports=None
 
 def chain_wires(length: int, ports: Iterable[str]) -> list[Wire]:
     """Left-to-right wiring of a pipeline: cell k's `<p>out` feeds cell k+1's `<p>in`."""
-    ports = [(p + "out", p + "in") for p in ports]
-    cells = [CellId(0, k) for k in range(length)]
-    return [Wire(src, out, dst, in_) for src, dst in zip(cells, cells[1:]) for out, in_ in ports]
+    ports = tuple(ports)
+    return [w for k in range(length - 1) for w in _link(k, ports)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _link(k: int, ports: tuple[str, ...]) -> tuple[Wire, ...]:
+    """The wires from cell k of a pipeline to cell k+1, shared by every
+    pipeline of these ports that reaches that far."""
+    src, dst = _cell(0, k), _cell(0, k + 1)
+    return tuple(Wire(src, sys.intern(p + "out"), dst, sys.intern(p + "in")) for p in ports)
 
 
 def chain_ports(ports: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -220,6 +237,13 @@ def _gather(slots: tuple[int, ...]):
     return lambda latch: ()
 
 
+@functools.lru_cache(maxsize=4096)
+def _access(slots: tuple[int, ...], start: int, stop: int) -> tuple:
+    """A cell's input gather, output span and input slots, shared by every
+    plan in which a cell reads those slots and writes from ``start`` on."""
+    return _gather(slots), slice(start, stop), slots
+
+
 def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
     names = tuple(names)
     if len(set(names)) != len(names):
@@ -230,13 +254,14 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 class Plan:
     """What a spec fixes, shared by every array built from it: cells, port
     names, latch slots, input gathers, output spans, boundary slots and the
-    validated windows.
+    schedule.
 
     Every declared output has a latch slot, a cell's output slots are
     contiguous, and every boundary input has one slot after them.  No wire
     reads a boundary output's slot, so ``run`` may clear it between ticks.
-    Nothing here changes once built; an :class:`Array` keeps its run in its
-    own state.
+    Only the schedule changes once built, and only by growing: it is the
+    same for every array, so an :class:`Array` keeps its run in its own
+    state and reads the schedule as far as it has run.
     """
 
     def __init__(self, spec: ArraySpec):
@@ -266,8 +291,14 @@ class Plan:
 
         self.cells = cells
         self.idx = {c: i for i, c in enumerate(cells)}
-        # every non-empty window, checked (None: every cell on every tick)
-        self.windows = None if spec.activation is None else tuple(_windows(spec.activation, cells))
+        # per tick, the cells clocked on it (None: every cell on every
+        # tick), expanded from the windows that end after it as runs reach
+        # its end
+        self.schedule: list[tuple[int, ...]] | None = None
+        self._pending: list[tuple[int, range]] = []
+        if spec.activation is not None:
+            self.schedule = []
+            self._pending = _windows(spec.activation, cells)
         self.ins = tuple(ins_of[c] for c in cells)
         self.outs = tuple(outs_of[c] for c in cells)
         # boundary inputs take the slots after every output
@@ -281,21 +312,39 @@ class Plan:
                     slot = self.boundary_in[(c, p)] = n_out + len(self.boundary_in)
                 slots.append(slot)
             in_slots.append(tuple(slots))
-        self.in_slots = tuple(in_slots)
-        self.wired = frozenset(src_of.values())
+        wired = set(src_of.values())
         self.boundary_out = {(c, p): base[c] + k for c in cells
-                             for k, p in enumerate(outs_of[c]) if base[c] + k not in self.wired}
+                             for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
         self.n_out = n_out
         self.n_slots = n_out + len(self.boundary_in)
-        # per cell: input gather and output slots
-        self.cellv = tuple((_gather(slots), slice(base[c], base[c] + len(outs_of[c])))
+        # per cell: input gather, output slots and input slots
+        self.cellv = tuple(_access(slots, base[c], base[c] + len(outs_of[c]))
                            for c, slots in zip(cells, in_slots))
+        self.in_slots = tuple(slots for _, _, slots in self.cellv)
+
+    def expand(self) -> None:
+        """Extend the schedule by up to 256 ticks, at most to the end of the
+        last window, and drop the windows that end within them.  Equal
+        ticks share one tuple, so a periodic schedule costs a pointer a
+        tick."""
+        lo = len(self.schedule)
+        hi = min(lo + 256, max(w[-1] for _, w in self._pending) + 1)
+        by_tick: list[list[int]] = [[] for _ in range(hi - lo)]
+        for i, w in self._pending:
+            first = max(w.start, lo + (w.start - lo) % w.step)
+            for t in range(first - lo, min(w.stop, hi) - lo, w.step):
+                on = by_tick[t]
+                if not on or on[-1] != i:  # overlapping windows clock a cell once
+                    on.append(i)
+        shared: dict[tuple, tuple] = {}
+        self.schedule += [shared.setdefault(on, on) for on in map(tuple, by_tick)]
+        self._pending = [(i, w) for i, w in self._pending if w[-1] >= hi]
 
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
-    state (steps, registers, latches, payload kinds, schedule and tick
-    count); see :func:`build_array`."""
+    state (steps, registers, latches, payload kinds and tick count); see
+    :func:`build_array`."""
 
     def __init__(self, spec: ArraySpec, plan: Plan, cell_programs: Mapping[CellId, CellProgram],
                  eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
@@ -309,32 +358,28 @@ class Array:
         self.spec = spec
         self.plan = plan
         self.tick_count = 0
-        # per cell: (register, input port, output port) names
-        self._names = tuple(zip([tuple(p.init) for p in programs], plan.ins, plan.outs))
+        self._programs = programs
         self._eval_order = eval_order
-        # the windows not yet ended, and per tick the cells clocked on it,
-        # expanded from them as ticks run (None: every cell on every tick)
-        self._windows = plan.windows
-        self._schedule = None if plan.windows is None else []
         self._states = [tuple(p.init.values()) for p in programs]
         # (slot, line) of each boundary input, bound by run for its ticks;
         # None, which tick refuses, while boundary inputs have no lines
         self._lines: list[tuple[int, Sequence]] | None = None if plan.boundary_in else []
-        # output slots a wire reads that no step has written yet
-        self._unread = set(plan.wired)
+        # output slots a wire reads that no step has written yet, kept from
+        # the first traced tick on (None before it)
+        self._unread: set[int] | None = None
         # a slot's payload kind is fixed by its first write in this run
         self._kinds: list[type | None] = [None] * plan.n_out
         # per cell: input gather, step, the output type tuples already
         # checked in this run (each with its write plan), and output slots
         self._cellv = [(gather, p.step, {}, span)
-                       for (gather, span), p in zip(plan.cellv, programs)]
+                       for (gather, span, _), p in zip(plan.cellv, programs)]
         self._latch: list[Any] = [0] * plan.n_slots
 
     # -- public ----------------------------------------------------------
 
     def state_of(self, cell) -> dict:
         i = self.plan.idx[CellId(*cell)]
-        return dict(zip(self._names[i][0], self._states[i]))
+        return dict(zip(self._programs[i].init, self._states[i]))
 
     def states(self) -> list[tuple]:
         """Every cell's register tuple, in cell order (row-major)."""
@@ -358,12 +403,12 @@ class Array:
         for slot, line in lines:
             latch[slot] = line[t] if t < len(line) else 0
         cells = plan.cells
-        schedule = self._schedule
+        schedule = plan.schedule
         if schedule is None:
             order = range(len(cells))
         else:
-            if t == len(schedule) and self._windows:
-                self._expand()
+            if t == len(schedule) and plan._pending:
+                plan.expand()
             order = schedule[t] if t < len(schedule) else ()
         eval_order = self._eval_order
         if eval_order is not None:
@@ -376,6 +421,10 @@ class Array:
             names = self._names
             in_slots = plan.in_slots
             # wired slots with no write before this tick read 0 and are marked
+            if self._unread is None:
+                n_out, kinds = plan.n_out, self._kinds
+                self._unread = {s for slots in in_slots for s in slots
+                                if s < n_out and kinds[s] is None}
             unread = frozenset(self._unread)
             # builds a TraceRecord without a Python-level __new__ frame
             new_tuple = tuple.__new__
@@ -409,27 +458,19 @@ class Array:
 
     # -- internals -------------------------------------------------------
 
-    def _expand(self) -> None:
-        """Extend the schedule by up to 256 ticks, at most to the end of the
-        last window, and drop the windows that end within them."""
-        lo = len(self._schedule)
-        hi = min(lo + 256, max(w[-1] for _, w in self._windows) + 1)
-        by_tick: list[list[int]] = [[] for _ in range(hi - lo)]
-        for i, w in self._windows:
-            first = max(w.start, lo + (w.start - lo) % w.step)
-            for t in range(first - lo, min(w.stop, hi) - lo, w.step):
-                on = by_tick[t]
-                if not on or on[-1] != i:  # overlapping windows clock a cell once
-                    on.append(i)
-        self._schedule += map(tuple, by_tick)
-        self._windows = [(i, w) for i, w in self._windows if w[-1] >= hi]
+    @functools.cached_property
+    def _names(self) -> tuple:
+        """Per cell, its (register, input port, output port) names, which
+        trace records carry; made on the first traced tick."""
+        plan = self.plan
+        return tuple(zip([tuple(p.init) for p in self._programs], plan.ins, plan.outs))
 
     def _admit(self, i: int, outs) -> tuple | None:
         """Check an output tuple whose type pattern cell i has not shown
         before, and return its write plan: None writes the whole tuple,
         else (slots, pick) writes pick(outs) to slots."""
         cell = self.plan.cells[i]
-        out_names = self._names[i][2]
+        out_names = self.plan.outs[i]
         if len(outs) != len(out_names):
             raise SimulationError(f"cell {tuple(cell)} tick {self.tick_count}: "
                                   f"{len(outs)} outputs for ports {out_names}")
@@ -444,7 +485,8 @@ class Array:
             kind = kinds[slot]
             if kind is None:
                 kinds[slot] = type(v)
-                self._unread.discard(slot)
+                if self._unread is not None:
+                    self._unread.discard(slot)
             elif type(v) is not kind:
                 raise SimulationError(
                     f"port {(cell, out_names[k])} changed payload kind "
@@ -484,7 +526,8 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
     of the spec reuses the plan, and the array runs the steps of the
     programs it is built with and starts from their ``init`` registers.
     The programs must cover exactly the spec's cells.  Every array gets its
-    own registers, latches, payload kinds and schedule.
+    own registers, latches and payload kinds, and reads the plan's schedule,
+    which grows only as far as the longest run of the plan so far.
 
     ``eval_order(cells, t)``, if given, returns the cells clocked on tick t
     in the order they are to be evaluated; results and traces never depend

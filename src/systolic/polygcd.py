@@ -21,10 +21,16 @@ full speed (shortening that distance by one), so sig reaching the start
 slot flags the last division step of a round and triggers the swap; the
 shift state re-aligns the next divisor when a remainder drops in degree by
 more than one.
+
+Like the fixed hardware, one chain of m+n+1 cells serves pair after pair:
+the spec of each (cells, variant) shape is kept, so its plan is built once,
+and a run makes only its field's step and its registers.  The spec does not
+depend on p, so one plan serves every field.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import engine
@@ -174,13 +180,27 @@ def _build_schedule(pairs, variant: str) -> tuple[dict[str, list], list[int]]:
             "sigin": sig}, lengths
 
 
-def _poly_array(field: Field, n_cells: int, variant: str):
+# at most 128 shapes, (cells, variant).  Sharing their wires, cells and
+# gathers, they take about 0.2 KB a cell (tracemalloc): 1.3 MB for the 122
+# shapes of a pass of the polygcd-stream bench, 1.9 MB when all 128 are of
+# 66 to 129 cells
+@functools.lru_cache(maxsize=128)
+def _chain_spec(n_cells: int, variant: str):
+    """The spec of a chain of ``n_cells`` cells of ``variant``, and its cells.
+
+    The same spec comes back for each shape, over any field, so
+    ``build_array`` reuses its plan.
+    """
     decl = CELL_PORTS[variant]
     spec = engine.linear(n_cells, chain_wires(n_cells, STREAMS[variant]), ports=lambda cell: decl)
+    return spec, spec.cells()
+
+
+def _poly_array(field: Field, n_cells: int, variant: str):
+    spec, cells = _chain_spec(n_cells, variant)
     step = make_fig4_step(field) if variant == "fig4" else make_appA_step(field)
     init = fig4_initial_state() if variant == "fig4" else appA_initial_state()
-    progs = {CellId(0, k): CellProgram(step, dict(init)) for k in range(n_cells)}
-    return build_array(spec, progs)
+    return build_array(spec, dict.fromkeys(cells, CellProgram(step, init)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Parallel Jacobi: rotations, the pairing permutation, both schedules."""
 
+import functools
 import hashlib
 import itertools
 import warnings
@@ -571,3 +572,22 @@ def test_a_reused_delayed_plan_gives_the_golden_trace():
     assert spec._plan is plan
     assert len(tr) == records
     assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
+
+
+def test_a_delayed_run_longer_than_any_before_runs_as_a_fresh_build(monkeypatch):
+    # short runs first, then one that runs past the schedule they expanded
+    # on the shared plan: every run gives the trace of a fresh build
+    monkeypatch.setattr(eigen, "_delayed_inputs",
+                        functools.lru_cache(maxsize=4)(eigen._delayed_inputs.__wrapped__))
+    cases = [(random_symmetric(6), sweeps) for sweeps in (1, 2, 1, 40)]
+
+    def runs():
+        return [(as_bytes(r.eigenvalues), r.report.ticks, r.report.trace.to_jsonl())
+                for r in (run_sweeps(a, mode="delayed", tol=0.0, max_sweeps=sweeps, trace=True)
+                          for a, sweeps in cases)]
+
+    reused = runs()
+    spec, _ = eigen._delayed_inputs(6)
+    assert max(ticks for _, ticks, _ in reused[:3]) + 256 < reused[3][1] <= len(spec._plan.schedule)
+    monkeypatch.setattr(eigen, "_delayed_inputs", eigen._delayed_inputs.__wrapped__)
+    assert runs() == reused

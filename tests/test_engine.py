@@ -465,6 +465,47 @@ def test_a_plan_is_reused_for_every_build_of_its_spec():
     assert run(shuffled, impulse_schedule(9), 8, trace=True)[1].to_jsonl() == tr_second.to_jsonl()
 
 
+def test_interleaved_arrays_on_one_windowed_plan_run_as_fresh_builds():
+    # finite windows, two of which end on the last tick of the schedule's
+    # first stretch, and open-ended ones; two arrays take turns of 90 ticks
+    # on one plan, the second running on after the first stops, so a turn
+    # reads what the other expanded of the shared schedule or expands it
+    def windows(cell):
+        return (range(cell.col, 257, 2), range(500 + cell.col, sys.maxsize, 3))
+
+    spec = linear(3, chain_wires(3, ("a",)), activation=windows, ports=chain_cell)
+    progs = {CellId(0, k): CellProgram(passthrough) for k in range(3)}
+    feeds = [{CellId(0, 0): {"ain": list(range(1, 700))}},
+             {CellId(0, 0): {"ain": list(range(-1, -900, -1))}}]
+    arrays = [build_array(spec, progs), build_array(spec, progs)]
+    ends, traces = [450, 810], ["", ""]
+    while arrays[1].tick_count < ends[1]:
+        for k, arr in enumerate(arrays):
+            if arr.tick_count < ends[k]:
+                traces[k] += run(arr, feeds[k], min(90, ends[k] - arr.tick_count),
+                                 trace=True)[1].to_jsonl()
+    for k in range(2):
+        assert traces[k] == run(make_chain(3, windows), feeds[k], ends[k], trace=True)[1].to_jsonl()
+        clocked = [(t, c) for t in range(ends[k]) for c in range(3)
+                   if any(t in w for w in windows(CellId(0, c)))]
+        assert [(r["tick"], r["col"]) for r in map(json.loads, traces[k].splitlines())] == clocked
+    # expanded a stretch at a time, only as far as the longest run
+    assert ends[1] <= len(spec._plan.schedule) < ends[1] + 256
+
+
+def test_a_trace_begun_mid_run_shows_what_a_whole_trace_shows():
+    # traced from tick 1 on: cell 1's input was written on tick 0, before
+    # the trace began, and cell 2's is not written until tick 4
+    windows = lambda cell: ((range(0, 9), range(4, 9), range(2, 9))[cell.col],)
+    feed = {CellId(0, 0): {"ain": list(range(5, 14))}}
+    arr = make_chain(3, windows)
+    run(arr, feed, 1)
+    _, tail = run(arr, feed, 8, trace=True)
+    _, whole = run(make_chain(3, windows), feed, 9, trace=True)
+    assert tail == whole[len(whole) - len(tail):] and tail[0].tick == 1
+    assert [r.inputs for r in tail if r.cell.col == 2][:4] == [{}, {}, {}, {"ain": 8}]
+
+
 def test_a_built_spec_refuses_programs_of_other_cells():
     spec = linear(2, chain_wires(2, ("a",)), ports=chain_cell)
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(2)}

@@ -1,12 +1,15 @@
 """Systolic polynomial GCD: cell programs, framing, drivers, properties."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden_traces import RUNS
 
+from systolic import polygcd
 from systolic.gfield import (
     Field,
     poly_degree,
@@ -411,3 +414,59 @@ def test_single_run_equals_euclid_property(pair, variant):
     run = systolic_poly_gcd(field, a, b, variant)
     assert run.gcd == euclid_poly_gcd(field, a, b)
     assert run.latency <= 2 * run.cells
+
+
+# -- one plan per chain shape -----------------------------------------------
+
+
+def _pairs_of_cells(field, n_cells, count):
+    """`count` pairs, a nonzero constant term each, whose chain has `n_cells` cells."""
+    def poly(degree):
+        c = [RNG.randrange(field.p) for _ in range(degree + 1)]
+        c[0], c[-1] = RNG.randrange(1, field.p), RNG.randrange(1, field.p)
+        return tuple(c)
+
+    return [(poly(da), poly(n_cells - 1 - da))
+            for da in (RNG.randrange(n_cells) for _ in range(count))]
+
+
+def _streamed(field, pairs, variant):
+    runs = polygcd._run_stream(field, pairs, variant, trace=True)
+    return [(r.gcd, r.latency, r.cells, r.ticks) for r in runs], runs[0].trace.to_jsonl()
+
+
+def test_reused_chains_run_as_fresh_builds(monkeypatch):
+    # one cell count in turn over GF(2), GF(7) and GF(257), and a few
+    # others, in single runs and streamed batches of both variants: a run on
+    # a reused plan gives the GCDs, latencies and trace bytes of a fresh build
+    cases = []
+    for n_cells, p in itertools.product((9, 4, 9, 1), (2, 7, 257)):
+        f = Field(p)
+        cases += [(f, [pair], v) for pair in _pairs_of_cells(f, n_cells, 2) for v in ("fig4", "appA")]
+        cases += [(f, _pairs_of_cells(f, n_cells, 3), v) for v in ("fig4", "appA")]
+
+    def runs():
+        return [_streamed(f, pairs, v) for f, pairs, v in cases]
+
+    reused = runs()
+    monkeypatch.setattr(polygcd, "_chain_spec", polygcd._chain_spec.__wrapped__)
+    assert runs() == reused
+    for f, pairs, v in cases:
+        assert pipeline_batch(f, pairs, v) == [euclid_poly_gcd(f, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("variant", ["fig4", "appA"])
+def test_a_reused_chain_gives_the_golden_trace(variant):
+    make, records, digest = RUNS[f"polygcd-{variant}"]
+    spec, _ = polygcd._chain_spec(23, variant)  # the golden pair's m + n + 1
+    for p in (2, 257, 7):
+        f = Field(p)
+        for a, b in _pairs_of_cells(f, 23, 2):
+            assert systolic_poly_gcd(f, a, b, variant, trace=True).gcd == euclid_poly_gcd(f, a, b)
+        pairs = _pairs_of_cells(f, 23, 3)
+        assert pipeline_batch(f, pairs, variant) == [euclid_poly_gcd(f, a, b) for a, b in pairs]
+    plan = spec._plan
+    tr = make()
+    assert spec._plan is plan
+    assert len(tr) == records
+    assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
