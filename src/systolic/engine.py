@@ -33,12 +33,14 @@ schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  Its :class:`Array` holds one run: steps and
 registers, taken from the programs it is built with, and latches, payload
 kinds, the output type patterns each cell has shown, bound lines and the
-tick count.  A spec builds its plan once and keeps it, whatever programs it
-is built with: like the fixed hardware, one wiring serves every operand,
-and only what each operand loads into the cells changes.  Specs and plans
-also share their equal parts: a position's ``CellId``, a pipeline's links
-and a cell's gather and output span are each made once (in bounded caches),
-so plans of pipelines of many lengths cost little more than the longest.
+tick count.  A spec makes its plan once, on first use, and keeps it as
+``spec.plan``, whatever programs it is built with: like the fixed hardware,
+one wiring serves every operand, and only what each operand loads into the
+cells changes.  A spec made with ``dataclasses.replace`` is a new spec with
+a plan of its own.  Specs and plans also share their equal parts: a
+position's ``CellId``, a pipeline's links and a cell's gather and output
+span are each made once (in bounded caches), so plans of pipelines of many
+lengths cost little more than the longest.
 """
 
 from __future__ import annotations
@@ -114,8 +116,12 @@ class ArraySpec:
     wiring: tuple[Wire, ...] = ()
     activation: WindowFn | None = None
     ports: PortsFn | None = None
-    # the spec's plan, made on its first build_array
-    _plan: Plan | None = field(default=None, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def plan(self) -> Plan:
+        """The spec's plan, made on first use and kept with the spec, so a
+        spec may not change after it; a replaced spec makes its own."""
+        return Plan(self)
 
     def cells(self) -> list[CellId]:
         _, rows, cols = self.topology
@@ -346,8 +352,9 @@ class Array:
     state (steps, registers, latches, payload kinds and tick count); see
     :func:`build_array`."""
 
-    def __init__(self, spec: ArraySpec, plan: Plan, cell_programs: Mapping[CellId, CellProgram],
+    def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
                  eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
+        plan = spec.plan
         if cell_programs.keys() != plan.idx.keys():
             missing = plan.idx.keys() - cell_programs.keys()
             if missing:
@@ -376,10 +383,6 @@ class Array:
         self._latch: list[Any] = [0] * plan.n_slots
 
     # -- public ----------------------------------------------------------
-
-    def state_of(self, cell) -> dict:
-        i = self.plan.idx[CellId(*cell)]
-        return dict(zip(self._programs[i].init, self._states[i]))
 
     def states(self) -> list[tuple]:
         """Every cell's register tuple, in cell order (row-major)."""
@@ -521,10 +524,9 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
                 eval_order=None) -> Array:
     """Validate the spec and return an array in reset state (tick 0, ports empty).
 
-    The spec's first build makes its plan and keeps it on the spec, so it
-    goes when the spec goes; a spec may not change after that.  Every build
-    of the spec reuses the plan, and the array runs the steps of the
-    programs it is built with and starts from their ``init`` registers.
+    Every build of the spec reuses its plan, ``spec.plan``, made on the
+    first, and the array runs the steps of the programs it is built with
+    and starts from their ``init`` registers.
     The programs must cover exactly the spec's cells.  Every array gets its
     own registers, latches and payload kinds, and reads the plan's schedule,
     which grows only as far as the longest run of the plan so far.
@@ -533,11 +535,7 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
     in the order they are to be evaluated; results and traces never depend
     on it.
     """
-    plan = spec._plan
-    if plan is None:
-        plan = Plan(spec)
-        object.__setattr__(spec, "_plan", plan)
-    return Array(spec, plan, cell_programs, eval_order)
+    return Array(spec, cell_programs, eval_order)
 
 
 def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ticks: int,

@@ -45,9 +45,6 @@ class Field:
     def __hash__(self):
         return hash(("Field", self.p))
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -56,11 +53,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by 0 in GF(p)")
-        return (a * self.inv(b)) % self.p
 
 
 # -- polynomials -----------------------------------------------------------
@@ -76,11 +68,6 @@ def poly_normalize(field: Field, raw) -> Poly:
     return tuple(c)
 
 
-def poly_degree(a: Poly) -> int:
-    """Degree with the zero polynomial taken as degree -1."""
-    return len(a) - 1
-
-
 def poly_is_zero(a: Poly) -> bool:
     return len(a) == 0
 
@@ -93,23 +80,6 @@ def poly_monic(field: Field, a: Poly) -> Poly:
         return a
     inv = field.inv(lead)
     return tuple(field.mul(inv, x) for x in a)
-
-
-def poly_sub(field: Field, a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    return poly_normalize(field, out)
-
-
-def poly_mul(field: Field, a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly_normalize(field, out)
 
 
 def poly_divmod(field: Field, a: Poly, b: Poly) -> tuple[Poly, Poly]:

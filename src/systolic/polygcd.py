@@ -186,21 +186,20 @@ def _build_schedule(pairs, variant: str) -> tuple[dict[str, list], list[int]]:
 # 66 to 129 cells
 @functools.lru_cache(maxsize=128)
 def _chain_spec(n_cells: int, variant: str):
-    """The spec of a chain of ``n_cells`` cells of ``variant``, and its cells.
+    """The spec of a chain of ``n_cells`` cells of ``variant``.
 
     The same spec comes back for each shape, over any field, so
     ``build_array`` reuses its plan.
     """
     decl = CELL_PORTS[variant]
-    spec = engine.linear(n_cells, chain_wires(n_cells, STREAMS[variant]), ports=lambda cell: decl)
-    return spec, spec.cells()
+    return engine.linear(n_cells, chain_wires(n_cells, STREAMS[variant]), ports=lambda cell: decl)
 
 
 def _poly_array(field: Field, n_cells: int, variant: str):
-    spec, cells = _chain_spec(n_cells, variant)
+    spec = _chain_spec(n_cells, variant)
     step = make_fig4_step(field) if variant == "fig4" else make_appA_step(field)
     init = fig4_initial_state() if variant == "fig4" else appA_initial_state()
-    return build_array(spec, dict.fromkeys(cells, CellProgram(step, init)))
+    return build_array(spec, dict.fromkeys(spec.plan.cells, CellProgram(step, init)))
 
 
 @dataclass(frozen=True)

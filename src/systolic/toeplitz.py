@@ -16,8 +16,9 @@ cell 0's step, which holds the system's pivot tolerance, and programs whose
 registers ``toeplitz_registers`` builds.  The serial path runs the updates
 on numpy slices over a step's active cells: the array's operations in its
 order, so x is the same to the byte.  Cell 0's updates raise every
-breakdown, a pivot that fails the predicate or an x that is not finite, in
-words that name the step, so both paths fail alike and say so alike.
+breakdown, a pivot that fails the predicate, a multiplier that grows past
+2^26 or an x that is not finite, in words that name the step, so both
+paths fail alike and say so alike.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .oracle import SingularMatrixError
 
 class SingularMinorError(SingularMatrixError):
     """A leading principal minor is (numerically) singular, for which no
-    pivoting exists, or the solution overflows."""
+    pivoting exists, a multiplier grows past the bound, or the solution
+    overflows."""
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,6 @@ class ToeplitzBands:
         if not all(math.isfinite(x) for x in (*self.diagonals, *self.rhs)):
             raise ValueError("diagonals and rhs must be finite")
 
-    def diag(self, d: int) -> float:
-        """Value on diagonal d (entry (i, i+d)); zero outside [-n, n]."""
-        if -self.n <= d <= self.n:
-            return self.diagonals[d + self.n]
-        return 0.0
-
     def to_dense(self) -> np.ndarray:
         idx = np.arange(self.n + 1)
         return np.array(self.diagonals, dtype=float)[idx[None, :] - idx[:, None] + self.n]
@@ -78,6 +74,12 @@ def _singular(p, tol: float) -> bool:
     return not abs(p) > tol
 
 
+# Bareiss without pivoting loses about u * max|m| of relative accuracy to
+# multiplier growth, so a multiplier above u^(-1/2) = 2^26 leaves fewer than
+# half of a double's digits and is a breakdown.  The bound is scale-free.
+_MAX_MULTIPLIER = 2.0 ** 26
+
+
 def _eliminate_head(alpha, beta, gamma, delta, xi, eta, tol, k):
     """Elimination step k (1..n) of cell 0: the multipliers lam and mu, and
     the two registers they eliminate against.  Returns (lam, mu, beta, eta)."""
@@ -87,7 +89,10 @@ def _eliminate_head(alpha, beta, gamma, delta, xi, eta, tol, k):
     beta = beta - lam * delta
     if _singular(beta, tol):
         raise SingularMinorError(f"leading principal minor {k} is singular")
-    return lam, delta / beta, beta, eta - lam * xi
+    mu = delta / beta
+    if not (abs(lam) <= _MAX_MULTIPLIER and abs(mu) <= _MAX_MULTIPLIER):
+        raise SingularMinorError(f"a multiplier of elimination step {k} exceeds 2^26")
+    return lam, mu, beta, eta - lam * xi
 
 
 def _eliminate(lam, mu, alpha, beta, gamma, delta, xi, eta):

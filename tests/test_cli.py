@@ -15,6 +15,15 @@ def run_cli(capsys, *args):
     return code, out.out, out.err
 
 
+def toeplitz_args(tmp_path, n, bands, rhs):
+    """The toeplitz command's arguments, its band and rhs files written from
+    the texts given."""
+    (tmp_path / "bands.txt").write_text(bands)
+    (tmp_path / "rhs.txt").write_text(rhs)
+    return ("toeplitz", "--n", str(n), "--bands", str(tmp_path / "bands.txt"),
+            "--rhs", str(tmp_path / "rhs.txt"))
+
+
 def test_polygcd_command(capsys):
     code, out, _ = run_cli(capsys, "polygcd", "--p", "7", "--a", "6,5,1", "--b", "3,0,1")
     assert code == 0
@@ -36,13 +45,9 @@ def test_intgcd_modes(capsys):
 
 
 def test_toeplitz_and_trace_stats(tmp_path, capsys):
-    bands = tmp_path / "bands.txt"
-    rhs = tmp_path / "rhs.txt"
     trace = tmp_path / "trace.jsonl"
-    bands.write_text("0\n2\n4\n1\n0\n")
-    rhs.write_text("5\n7\n6\n")
-    code, out, _ = run_cli(capsys, "--trace", str(trace), "toeplitz",
-                           "--n", "2", "--bands", str(bands), "--rhs", str(rhs))
+    code, out, _ = run_cli(capsys, "--trace", str(trace),
+                           *toeplitz_args(tmp_path, 2, "0\n2\n4\n1\n0\n", "5\n7\n6\n"))
     assert code == 0 and trace.exists()
     code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
     stats = json.loads(out)
@@ -229,12 +234,8 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_numerical_breakdown_exit_3(tmp_path, capsys):
-    bands = tmp_path / "bands.txt"
-    rhs = tmp_path / "rhs.txt"
-    bands.write_text("1\n1\n0\n1\n1\n")  # a_0 = 0
-    rhs.write_text("1\n1\n1\n")
-    code, _, err = run_cli(capsys, "toeplitz", "--n", "2",
-                           "--bands", str(bands), "--rhs", str(rhs))
+    a0_zero = "1\n1\n0\n1\n1\n"
+    code, _, err = run_cli(capsys, *toeplitz_args(tmp_path, 2, a0_zero, "1\n1\n1\n"))
     assert code == 3
     assert "breakdown" in err
 
@@ -251,12 +252,8 @@ def test_simulation_error_exit_3(capsys, monkeypatch):
     assert err == "simulation error: no GCD emerged for pair 0\n"
 
 
-def _toeplitz_with_bands(tmp_path, capsys, bands_text):
-    bands = tmp_path / "bands.txt"
-    rhs = tmp_path / "rhs.txt"
-    bands.write_text(bands_text)
-    rhs.write_text("1\n1\n1\n")
-    return run_cli(capsys, "toeplitz", "--n", "2", "--bands", str(bands), "--rhs", str(rhs))
+def _toeplitz_with_bands(tmp_path, capsys, bands_text, *args):
+    return run_cli(capsys, *toeplitz_args(tmp_path, 2, bands_text, "1\n1\n1\n"), *args)
 
 
 @pytest.mark.parametrize("bands_text, mode, why", [
@@ -278,31 +275,39 @@ def _toeplitz_with_bands(tmp_path, capsys, bands_text):
 def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode, why):
     # the pivot rule 1e-12 * max|a_k| has no floor; a zero pivot still fails
     # it, and both modes name the failing step in the same words
-    bands = tmp_path / "bands.txt"
-    rhs = tmp_path / "rhs.txt"
-    bands.write_text(bands_text)
-    rhs.write_text("1\n1\n1\n")
-    code, out, err = run_cli(capsys, "toeplitz", "--n", "2", "--mode", mode,
-                             "--bands", str(bands), "--rhs", str(rhs))
+    code, out, err = _toeplitz_with_bands(tmp_path, capsys, bands_text, "--mode", mode)
     assert code == 3 and out == ""
     assert err == f"numerical breakdown: {why}\n"
 
 
+GROWTH = "numerical breakdown: a multiplier of elimination step 1 exceeds 2^26\n"
+
+
+def near_singular_args(tmp_path, n, a0, seed):
+    """toeplitz arguments for a_0 = a0, a_{+-1} = 1, a_k = 0.1^|k| and a
+    seeded right-hand side."""
+    col = [a0, 1.0] + [0.1 ** k for k in range(2, n + 1)]
+    return toeplitz_args(tmp_path, n, "\n".join(repr(col[abs(k)]) for k in range(-n, n + 1)),
+                         "\n".join(map(str, np.random.default_rng(seed).uniform(-1.0, 1.0, n + 1))))
+
+
 @pytest.mark.parametrize("mode", ["serial", "systolic"])
 def test_near_singular_leading_minor_breaks_down_in_both_modes(tmp_path, capsys, mode):
-    # a_0 = 1e-9, a_{+-1} = 1, a_k = 0.1^|k| (n = 15, kappa = 12): a_0 passes
-    # the pivot rule 1e-12 * max|a_k|, but the multipliers reach 1e18 and the
-    # last regenerated pivot fails it, on the array and serially alike
-    n = 15
-    col = [1e-9, 1.0] + [0.1 ** k for k in range(2, n + 1)]
-    bands = tmp_path / "bands.txt"
-    rhs = tmp_path / "rhs.txt"
-    bands.write_text("\n".join(repr(col[abs(k)]) for k in range(-n, n + 1)))
-    rhs.write_text("\n".join(str(v) for v in np.random.default_rng(0).uniform(-1.0, 1.0, n + 1)))
-    code, out, err = run_cli(capsys, "toeplitz", "--n", str(n), "--mode", mode,
-                             "--bands", str(bands), "--rhs", str(rhs))
+    # a_0 = 1e-9 (n = 15, kappa = 12): a_0 passes the pivot rule
+    # 1e-12 * max|a_k|, but the first multiplier, 1e9, exceeds the growth
+    # bound, on the array and serially alike
+    code, out, err = run_cli(capsys, *near_singular_args(tmp_path, 15, 1e-9, 0), "--mode", mode)
     assert code == 3 and out == ""
-    assert err == "numerical breakdown: regenerated diagonal 0 is singular\n"
+    assert err == GROWTH
+
+
+@pytest.mark.parametrize("n, a0", [(31, 1e-9), (63, 1e-9), (15, 1e-11)])
+def test_the_near_singular_family_breaks_down_alike_in_both_modes(tmp_path, capsys, n, a0):
+    # multipliers reach 1e18 to 1e29, and unchecked both modes solved to an
+    # x with a relative error of 1e5 to 1e14
+    args = near_singular_args(tmp_path, n, a0, n)
+    for mode in ("serial", "systolic"):
+        assert run_cli(capsys, *args, "--mode", mode) == (3, "", GROWTH)
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -326,12 +331,7 @@ def test_a_bad_number_is_a_usage_error_naming_its_input(tmp_path, capsys, argv, 
 
 
 def test_negative_order_is_a_usage_error(tmp_path, capsys):
-    bands = tmp_path / "bands.txt"
-    rhs = tmp_path / "rhs.txt"
-    bands.write_text("")
-    rhs.write_text("")
-    code, out, err = run_cli(capsys, "toeplitz", "--n", "-1", "--bands", str(bands),
-                             "--rhs", str(rhs))
+    code, out, err = run_cli(capsys, *toeplitz_args(tmp_path, -1, "", ""))
     assert code == 2 and out == ""
     assert err == "error: n must be at least 0, got -1\n"
 
@@ -441,12 +441,7 @@ def test_toeplitz_traces_only_when_asked(tmp_path, capsys, monkeypatch):
         return real(bands, *args, trace=trace, **kwargs)
 
     monkeypatch.setattr(toeplitz, "systolic_toeplitz_solve", spy)
-    bands = tmp_path / "bands.txt"
-    rhs = tmp_path / "rhs.txt"
-    bands.write_text("0\n2\n4\n1\n0\n")
-    rhs.write_text("5\n7\n6\n")
-    assert run_cli(capsys, "toeplitz", "--n", "2", "--bands", str(bands),
-                   "--rhs", str(rhs))[0] == 0
+    assert run_cli(capsys, *toeplitz_args(tmp_path, 2, "0\n2\n4\n1\n0\n", "5\n7\n6\n"))[0] == 0
     assert run_cli(capsys, "verify", "toeplitz", "--count", "2")[0] == 0
     assert asked and not any(asked)
     asked.clear()

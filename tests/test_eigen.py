@@ -567,9 +567,9 @@ def test_a_reused_delayed_plan_gives_the_golden_trace():
     for a in (random_symmetric(6), random_symmetric(5), np.ones((6, 6))):
         assert as_bytes(run_sweeps(a, mode="delayed").eigenvalues) == \
             as_bytes(run_sweeps(a, mode="broadcast").eigenvalues)
-    plan = spec._plan
+    plan = spec.plan
     tr = make()
-    assert spec._plan is plan
+    assert spec.plan is plan
     assert len(tr) == records
     assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
 
@@ -588,6 +588,6 @@ def test_a_delayed_run_longer_than_any_before_runs_as_a_fresh_build(monkeypatch)
 
     reused = runs()
     spec, _ = eigen._delayed_inputs(6)
-    assert max(ticks for _, ticks, _ in reused[:3]) + 256 < reused[3][1] <= len(spec._plan.schedule)
+    assert max(ticks for _, ticks, _ in reused[:3]) + 256 < reused[3][1] <= len(spec.plan.schedule)
     monkeypatch.setattr(eigen, "_delayed_inputs", eigen._delayed_inputs.__wrapped__)
     assert runs() == reused

@@ -7,8 +7,6 @@ import sys
 import pytest
 
 from systolic.engine import (
-    Array,
-    ArraySpec,
     CellId,
     CellProgram,
     ConstructionError,
@@ -43,7 +41,7 @@ def impulse_schedule(value=7):
 def test_build_linear_chain():
     arr = make_chain(3)
     assert arr.tick_count == 0
-    assert arr.state_of((0, 0)) == {}
+    assert arr.states() == [(), (), ()]
 
 
 def test_build_grid():
@@ -181,8 +179,7 @@ def test_inactive_cell_state_unchanged_and_untraced():
     progs = {CellId(0, k): CellProgram(counter, {"n": 0}) for k in range(2)}
     arr = build_array(spec, progs)
     _, tr = run(arr, None, 4, trace=True)
-    assert arr.state_of((0, 0)) == {"n": 4}
-    assert arr.state_of((0, 1)) == {"n": 0}
+    assert arr.states() == [(4,), (0,)]
     assert all(rec.cell == CellId(0, 0) for rec in tr)
 
 
@@ -208,7 +205,7 @@ def test_step_never_called_outside_windows():
     arr, tr = windowed_counters(windows, 12)
     ticks = {k: sorted(r.tick for r in tr if r.cell.col == k) for k in range(3)}
     assert ticks == {0: [0, 1, 2], 1: [2, 5, 8], 2: [1, 5, 6]}
-    assert [arr.state_of((0, k))["n"] for k in range(3)] == [3, 3, 3]
+    assert [n for n, _ in arr.states()] == [3, 3, 3]
 
 
 def test_stride_empty_and_late_windows():
@@ -217,15 +214,14 @@ def test_stride_empty_and_late_windows():
                (range(5, 5),),          # empty range
                (range(7, 100),)]        # starts late, outlasts the run
     arr, tr = windowed_counters(windows, 10)
-    assert [(arr.state_of((0, k))["n"], arr.state_of((0, k))["last"]) for k in range(4)] == \
-        [(3, 9), (0, -1), (0, -1), (3, 9)]
+    assert arr.states() == [(3, 9), (0, -1), (0, -1), (3, 9)]
     # records of one tick come out in cell order
     assert [(r.tick, r.cell.col) for r in tr] == [(1, 0), (5, 0), (7, 3), (8, 3), (9, 0), (9, 3)]
 
 
 def test_overlapping_windows_clock_once():
     arr, tr = windowed_counters([(range(0, 4), range(2, 6), range(3, 4))], 8)
-    assert arr.state_of((0, 0))["n"] == 6
+    assert arr.states()[0][0] == 6
     assert [r.tick for r in tr] == [0, 1, 2, 3, 4, 5]
 
 
@@ -233,7 +229,7 @@ def test_open_ended_window():
     # a window's ticks are expanded only as they run, so it may never close
     arr, tr = windowed_counters([(range(2, sys.maxsize, 3),)], 10)
     assert [r.tick for r in tr] == [2, 5, 8]
-    assert arr.state_of((0, 0)) == {"n": 3, "last": 8}
+    assert arr.states() == [(3, 8)]
 
 
 def test_windows_expand_alike_across_stretches():
@@ -249,7 +245,7 @@ def test_windows_expand_alike_across_stretches():
     for k, ws in enumerate(windows):
         want = [t for t in range(n_ticks) if any(t in w for w in ws)]
         assert [r.tick for r in tr if r.cell.col == k] == want, k
-        assert arr.state_of((0, k))["n"] == len(want)
+        assert arr.states()[k][0] == len(want)
     # tick by tick, in cell order within a tick
     assert [(r.tick, r.cell.col) for r in tr] == sorted((r.tick, r.cell.col) for r in tr)
 
@@ -388,19 +384,6 @@ def test_kind_guard_on_the_tuple_path():
         arr.tick()
 
 
-def test_state_of_returns_the_named_dict():
-    def step(state, ins, tick):
-        n, last, flag = state
-        return (n + 1, tick, not flag), ()
-
-    arr = build_array(linear(2), {CellId(0, k): CellProgram(step, {"n": 0, "last": -1, "flag": False})
-                                  for k in range(2)})
-    run(arr, None, 3)
-    assert arr.state_of((0, 1)) == {"n": 3, "last": 2, "flag": True}
-    assert list(arr.state_of(CellId(0, 0))) == ["n", "last", "flag"]
-    assert arr.states() == [(3, 2, True), (3, 2, True)]
-
-
 def test_declared_input_without_wire_or_feed_raises():
     calls = []
 
@@ -438,19 +421,18 @@ def test_a_plan_is_reused_for_every_build_of_its_spec():
     assert len(calls) == 3
     second = build_array(spec, progs)  # the same spec: no second plan
     assert len(calls) == 3
-    assert second.plan is first.plan is spec._plan
+    assert second.plan is first.plan is spec.plan
     # other programs reuse the plan, and the array runs their steps
     negated = build_array(spec, {CellId(0, k): CellProgram(lambda state, ins, tick: (state, (-ins[0],)))
                                  for k in range(3)})
     assert len(calls) == 3
     assert run(negated, impulse_schedule(5), 8)[0][CellId(0, 2), "aout"] == [0, 0, 0, -5, 0, 0, 0, 0, 0]
-    # programs with other register names reuse it too, and the array shows
-    # their names
+    # programs with other registers reuse it too, and the array holds them
     named = build_array(spec, {CellId(0, k): CellProgram(passthrough, {"n": k}) for k in range(3)})
     assert len(calls) == 3
-    assert named.plan is spec._plan
-    assert named.state_of((0, 2)) == {"n": 2}
-    assert first.state_of((0, 2)) == {}
+    assert named.plan is spec.plan
+    assert named.states() == [(0,), (1,), (2,)]
+    assert first.states() == [(), (), ()]
     # arrays that share a plan share no state: interleaved runs give what
     # fresh builds give
     _, tr_first = run(first, impulse_schedule(5), 4, trace=True)
@@ -490,7 +472,7 @@ def test_interleaved_arrays_on_one_windowed_plan_run_as_fresh_builds():
                    if any(t in w for w in windows(CellId(0, c)))]
         assert [(r["tick"], r["col"]) for r in map(json.loads, traces[k].splitlines())] == clocked
     # expanded a stretch at a time, only as far as the longest run
-    assert ends[1] <= len(spec._plan.schedule) < ends[1] + 256
+    assert ends[1] <= len(spec.plan.schedule) < ends[1] + 256
 
 
 def test_a_trace_begun_mid_run_shows_what_a_whole_trace_shows():
@@ -553,7 +535,9 @@ def test_interleaved_arrays_on_one_plan_start_from_their_own_init():
     zeros.tick()
     assert tens.states() == [(12,), (22,)]
     assert zeros.states() == [(3,), (3,)]
-    assert tens.state_of((0, 1)) == {"n": 22} and zeros.state_of((0, 1)) == {"m": 3}
+    # and trace records name each array's own registers
+    traced = run(tens, None, 1, trace=True)[1] + run(zeros, None, 1, trace=True)[1]
+    assert [r.state for r in traced if r.cell.col == 1] == [{"n": 23}, {"m": 4}]
 
 
 def test_a_build_runs_its_programs_as_they_are_now():

@@ -249,7 +249,7 @@ def test_a_reused_pipeline_gives_the_golden_trace():
     for a, b in ((65535, 1), (12345, 54321), (46563, 31276), (2, 65534)):
         assert systolic_int_gcd(a, b, 16).gcd == euclid_int_gcd(a, b)
         assert systolic_int_gcd(a, b, 16, trace=True).gcd == euclid_int_gcd(a, b)
-    plan = spec._plan
+    plan = spec.plan
     # a run that a payload kind flip stops mid-way leaves nothing behind:
     # the next run of the width still gives the golden trace, and the flip
     # is still refused on the reused plan
@@ -260,4 +260,4 @@ def test_a_reused_pipeline_gives_the_golden_trace():
         tr = make()
         assert len(tr) == records
         assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
-    assert spec._plan is plan
+    assert spec.plan is plan

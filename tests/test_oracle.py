@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from gf_tools import poly_mul
 from test_toeplitz import EXTREMES
 
-from systolic.gfield import Field, poly_divmod, poly_monic, poly_mul
+from systolic.gfield import Field, poly_divmod, poly_monic
 from systolic.oracle import (
     SingularMatrixError,
     dense_lu_solve_nopivot,

@@ -6,19 +6,12 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from gf_tools import div, poly_mul
 from hypothesis import strategies as st
 from test_golden_traces import RUNS
 
 from systolic import polygcd
-from systolic.gfield import (
-    Field,
-    poly_degree,
-    poly_divmod,
-    poly_monic,
-    poly_mul,
-    poly_normalize,
-    poly_shift,
-)
+from systolic.gfield import Field, poly_divmod, poly_monic, poly_normalize, poly_shift
 from systolic.oracle import euclid_poly_gcd
 from systolic.polygcd import (
     A_INITIAL,
@@ -240,7 +233,7 @@ def test_oracle_equivalence_sample(p):
         for variant in ("fig4", "appA"):
             run = systolic_poly_gcd(f, a, b, variant)
             assert run.gcd == want
-            assert run.cells == poly_degree(a) + poly_degree(b) + 1
+            assert run.cells == len(a) + len(b) - 1
             assert run.latency <= 2 * run.cells
 
 
@@ -255,33 +248,33 @@ def test_divisibility_and_coprime_quotients():
         assert euclid_poly_gcd(f, qa, qb) == (1,)
 
 
+def _reduce(field, a, b):
+    """One transformation, deg a >= deg b: a less the multiple of b that
+    cancels a's leading term."""
+    q = div(field, a[-1], b[-1])
+    shifted = (0,) * (len(a) - len(b)) + tuple(field.mul(q, x) for x in b)
+    return poly_normalize(field, [x - y for x, y in zip(a, shifted)])
+
+
 def _reduction_sequence(field, a, b):
     """Desk replication of the transformation sequence; yields degree drops."""
     while a and b:
-        da, db = poly_degree(a), poly_degree(b)
-        total = da + db
-        if da - db >= 0:
-            q = field.div(a[-1], b[-1])
-            shifted = (0,) * (da - db) + tuple(field.mul(q, x) for x in b)
-            a = poly_normalize(field, [x - y for x, y in zip(a, shifted)])
+        total = len(a) + len(b)
+        if len(a) >= len(b):
+            a = _reduce(field, a, b)
         else:
-            q = field.div(b[-1], a[-1])
-            shifted = (0,) * (db - da) + tuple(field.mul(q, x) for x in a)
-            b = poly_normalize(field, [x - y for x, y in zip(b, shifted)])
-        yield total - poly_degree(a) - poly_degree(b)
+            b = _reduce(field, b, a)
+        yield total - len(a) - len(b)
 
 
 def test_single_reduction_preserves_gcd_and_drops_degree():
     f = Field(7)
     for _ in range(40):
         a, b = rand_poly(f, 6), rand_poly(f, 6)
-        if poly_degree(a) < poly_degree(b):
+        if len(a) < len(b):
             a, b = b, a
-        da = poly_degree(a)
-        q = f.div(a[-1], b[-1])
-        shifted = (0,) * (da - poly_degree(b)) + tuple(f.mul(q, x) for x in b)
-        a_bar = poly_normalize(f, [x - y for x, y in zip(a, shifted)])
-        assert poly_degree(a_bar) < da
+        a_bar = _reduce(f, a, b)
+        assert len(a_bar) < len(a)
         if a_bar or b:
             assert euclid_poly_gcd(f, a_bar, b) == euclid_poly_gcd(f, a, b)
 
@@ -290,8 +283,7 @@ def test_reduction_value_budget():
     f = Field(2)
     for _ in range(60):
         a, b = rand_poly(f, 9), rand_poly(f, 9)
-        n, m = poly_degree(a), poly_degree(b)
-        assert sum(_reduction_sequence(f, a, b)) <= n + m + 1
+        assert sum(_reduction_sequence(f, a, b)) <= len(a) + len(b) - 1
 
 
 def test_cross_variant_agreement():
@@ -458,15 +450,15 @@ def test_reused_chains_run_as_fresh_builds(monkeypatch):
 @pytest.mark.parametrize("variant", ["fig4", "appA"])
 def test_a_reused_chain_gives_the_golden_trace(variant):
     make, records, digest = RUNS[f"polygcd-{variant}"]
-    spec, _ = polygcd._chain_spec(23, variant)  # the golden pair's m + n + 1
+    spec = polygcd._chain_spec(23, variant)  # the golden pair's m + n + 1
     for p in (2, 257, 7):
         f = Field(p)
         for a, b in _pairs_of_cells(f, 23, 2):
             assert systolic_poly_gcd(f, a, b, variant, trace=True).gcd == euclid_poly_gcd(f, a, b)
         pairs = _pairs_of_cells(f, 23, 3)
         assert pipeline_batch(f, pairs, variant) == [euclid_poly_gcd(f, a, b) for a, b in pairs]
-    plan = spec._plan
+    plan = spec.plan
     tr = make()
-    assert spec._plan is plan
+    assert spec.plan is plan
     assert len(tr) == records
     assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest

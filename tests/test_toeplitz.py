@@ -433,11 +433,17 @@ def test_serial_x_is_the_array_x_to_the_byte(family, n, u, k, seed):
 
 
 def _near_singular(n):
-    """a_0 = 1e-9, a_{+-1} = 1, a_k = 0.1^|k|: every pivot passes until the
-    last regenerated one, on the last tick of the run."""
+    """a_0 = 1e-9, a_{+-1} = 1, a_k = 0.1^|k|: every pivot passes, but the
+    first multiplier, 1e9, exceeds the growth bound on the first tick."""
     col = [1e-9, 1.0] + [0.1 ** k for k in range(2, n + 1)]
     return ToeplitzBands(n, tuple(col[abs(k)] for k in range(-n, n + 1)),
                          tuple(np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)))
+
+
+def _last_tick_breakdown(n):
+    """a_0 = 1e-300 alone, b_0 = 1e10 and every other b_j = 1: x_0, which
+    cell 0 yields on the last tick of the run, overflows."""
+    return ToeplitzBands(n, (0.0,) * n + (1e-300,) + (0.0,) * n, (1e10,) + (1.0,) * n)
 
 
 def _solve_traced(tb):
@@ -454,7 +460,8 @@ def test_reused_plans_solve_as_fresh_builds(monkeypatch):
     # breakdowns among them, traced: a solve on a reused plan gives the x,
     # breakdown message and trace bytes of a fresh build
     cases = [random_dominant(n) for n in (0, 1, 3, 8, 3, 0, 8, 1) for _ in range(2)]
-    cases[3:3] = [_near_singular(3), ToeplitzBands(3, (1.0,) * 3 + (0.0,) + (1.0,) * 3, (1.0,) * 4)]
+    zero_a0 = ToeplitzBands(3, (1.0,) * 3 + (0.0,) + (1.0,) * 3, (1.0,) * 4)
+    cases[3:3] = [_last_tick_breakdown(3), zero_a0]
     cases[9:9] = [_near_singular(8), ToeplitzBands(1, (1.0, 1.0, 1.0), (1.0, 2.0))]
 
     def runs():
@@ -469,24 +476,24 @@ def test_reused_plans_solve_as_fresh_builds(monkeypatch):
 def test_a_reused_plan_gives_the_golden_trace():
     make, records, digest = RUNS["toeplitz"]
     spec, _ = toeplitz._toeplitz_inputs(8)
-    for tb in (random_dominant(8), _near_singular(8), random_dominant(8)):
+    for tb in (random_dominant(8), _last_tick_breakdown(8), _near_singular(8), random_dominant(8)):
         _solve_traced(tb)
-    plan = spec._plan
+    plan = spec.plan
     tr = make()
-    assert spec._plan is plan
+    assert spec.plan is plan
     assert len(tr) == records
     assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
 
 
 def test_a_breakdown_between_two_clean_solves_changes_neither(monkeypatch):
-    # the near-singular system breaks down on its run's last tick, the a_0 =
-    # 0 one on its first: between two clean solves of the same order on one
-    # plan, neither leaves anything behind
+    # one system breaks down on its run's last tick, the a_0 = 0 one on its
+    # first: between two clean solves of the same order on one plan,
+    # neither leaves anything behind
     n = 15
     first, second = random_dominant(n), random_dominant(n)
     zero_a0 = ToeplitzBands(n, (1.0,) * n + (0.0,) + (1.0,) * n, (1.0,) * (n + 1))
-    reused = [_solve_traced(tb) for tb in (first, _near_singular(n), second, zero_a0, first)]
-    assert reused[1] == "regenerated diagonal 0 is singular"
+    reused = [_solve_traced(tb) for tb in (first, _last_tick_breakdown(n), second, zero_a0, first)]
+    assert reused[1] == "x_0 is not finite"
     assert reused[3] == "a_0 is (numerically) zero"
     monkeypatch.setattr(toeplitz, "_toeplitz_inputs", toeplitz._toeplitz_inputs.__wrapped__)
     assert reused[0] == reused[4] == _solve_traced(first)
