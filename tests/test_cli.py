@@ -99,7 +99,7 @@ def test_intgcd_negative_bits_is_a_usage_error(capsys, mode, bits):
     code, out, err = run_cli(capsys, "intgcd", "--a", "3", "--b", "5",
                              "--bits", bits, "--mode", mode)
     assert code == 2 and out == ""
-    assert "--bits must not be negative" in err
+    assert err == "error: intgcd: --bits must not be negative\n"
 
 
 def test_eigen_command(tmp_path, capsys):
@@ -174,9 +174,42 @@ def test_verify_trace_covers_every_family(tmp_path, capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def failing(rng, count, trace):
         yield {"index": 0, "pass": False}, []
-    monkeypatch.setitem(cli.VERIFIERS, "polygcd", (failing, lambda instances: {}))
+    monkeypatch.setitem(cli.VERIFIERS, "polygcd", (failing, {}))
     code, _, _ = run_cli(capsys, "verify", "polygcd", "--count", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("family", ["polygcd", "intgcd", "toeplitz", "eigen"])
+def test_a_failing_verify_still_writes_every_runs_trace(tmp_path, capsys, monkeypatch, family):
+    # the report and the trace go out together, after the verdict
+    runner, fields = cli.VERIFIERS[family]
+
+    def last_fails(rng, count, trace):
+        for inst, traces in runner(rng, count, trace):
+            yield {**inst, "pass": inst["index"] != count - 1}, traces
+
+    passing, failing = tmp_path / "pass.jsonl", tmp_path / "fail.jsonl"
+    assert run_cli(capsys, "--trace", str(passing), "verify", family, "--count", "2")[0] == 0
+    monkeypatch.setitem(cli.VERIFIERS, family, (last_fails, fields))
+    code, out, _ = run_cli(capsys, "--trace", str(failing), "verify", family, "--count", "2")
+    assert code == 1 and f"{family}[1] " in out and "FAIL" in out
+    assert failing.read_bytes() == passing.read_bytes() != b""
+
+
+def test_verify_eigen_fails_a_run_that_did_not_converge(capsys, monkeypatch):
+    # right eigenvalues from a sweep loop that ran out of sweeps still fail
+    from systolic import eigen
+    real = eigen.run_sweeps
+
+    def unconverged(a, **kwargs):
+        res = real(a, **kwargs)
+        res.report.converged = False
+        return res
+
+    monkeypatch.setattr(eigen, "run_sweeps", unconverged)
+    code, out, _ = run_cli(capsys, "verify", "eigen", "--count", "1")
+    assert code == 1
+    assert out.splitlines()[0].endswith(" FAIL") and "0/1 pass" in out
 
 
 # sha256 of verify's human stdout, json stdout and trace file for
