@@ -51,6 +51,9 @@ class RotationPair(NamedTuple):
 
 IDENTITY_ROTATION = RotationPair(1.0, 0.0)
 
+# the fixed working accuracy: sweeps run until off(A) < TOL * |A|_F
+TOL = 1e-10
+
 
 def jacobi_rotation(alpha: float, beta: float, delta: float) -> RotationPair:
     """Inner rotation (|angle| <= pi/4) annihilating the off-diagonal of
@@ -186,11 +189,10 @@ class EigenResult:
     report: SweepReport
 
 
-def run_sweeps(a, max_sweeps: int = 10,
-               mode: str = "broadcast", compute_vectors: bool = False,
-               tol: float = 1e-10, trace: bool = False) -> EigenResult:
-    """Diagonalise symmetric a; sweeps of size-1 steps until off(A) < tol*|A|_F
-    (a zero matrix needs no sweep).
+def run_sweeps(a, max_sweeps: int = 10, mode: str = "broadcast",
+               compute_vectors: bool = False, trace: bool = False) -> EigenResult:
+    """Diagonalise symmetric a; sweeps of size-1 steps until off(A) < TOL*|A|_F
+    or ``max_sweeps`` have run (a zero matrix needs no sweep).
 
     Both modes take each step's rotations from the host grid.  Broadcast
     mode rotates the grid on the host; delayed mode reads the rotated grid
@@ -210,7 +212,7 @@ def run_sweeps(a, max_sweeps: int = 10,
     mat, n = pack_grid(np.ldexp(a, -e) if e else a)
     size = mat.shape[0]
     fro = float(np.linalg.norm(mat))
-    stop_at = tol * fro
+    stop_at = TOL * fro
     tr = engine.Trace() if trace and mode == "delayed" else None
     report = SweepReport(sweeps_used=0, trace=tr,
                          converged=fro == 0.0 or off_norm(mat) < stop_at)

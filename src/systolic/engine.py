@@ -18,29 +18,33 @@ boundary output.
 input from an input line, ``{cell: {port: sequence}}``, on tick t the value
 ``line[t]`` (0 once the line has run out), and returns every boundary
 output as an output line, indexed the same way by the array's own tick.
-``Array.tick`` is a bare clock for an array without boundary inputs.
+It binds the input lines once and hands them to each tick it runs, so an
+array keeps no lines between runs: ``Array.tick`` on its own is a bare
+clock for an array without boundary inputs.
 
 A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
 record).  The windows, which may be open-ended, are read once, on the
-spec's first build, and expanded into a schedule a stretch of ticks at a
-time, only as far as a run reaches, so a tick visits only the cells that
-run on it.
+spec's first build, and the plan expands them into a schedule a stretch of
+ticks at a time, only as far as a run reaches, so a tick visits only the
+cells that run on it.
 
 A build has two parts.  Its :class:`Plan` is what the spec fixes: cells,
 ports, latch slots, input gathers, output spans, boundary slots and the
 schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  Its :class:`Array` holds one run: steps and
 registers, taken from the programs it is built with, and latches, payload
-kinds, the output type patterns each cell has shown, bound lines and the
-tick count.  A spec makes its plan once, on first use, and keeps it as
-``spec.plan``, whatever programs it is built with: like the fixed hardware,
-one wiring serves every operand, and only what each operand loads into the
-cells changes.  A spec made with ``dataclasses.replace`` is a new spec with
-a plan of its own.  Specs and plans also share their equal parts: a
-position's ``CellId``, a pipeline's links and a cell's gather and output
-span are each made once (in bounded caches), so plans of pipelines of many
-lengths cost little more than the longest.
+kinds, the output type patterns each cell has shown, the wired slots not
+yet written (the unread set, which starts as the plan's wired slots and
+marks the inputs a trace record leaves out) and the tick count.  A spec
+makes its plan once, on first use, and keeps it as ``spec.plan``, whatever
+programs it is built with: like the fixed hardware, one wiring serves every
+operand, and only what each operand loads into the cells changes.  A spec
+made with ``dataclasses.replace`` is a new spec with a plan of its own.
+Specs and plans also share their equal parts: a position's ``CellId``, a
+pipeline's links and a cell's gather and output span are each made once
+(in bounded caches), so plans of pipelines of many lengths cost little
+more than the longest.
 """
 
 from __future__ import annotations
@@ -127,10 +131,6 @@ class ArraySpec:
         _, rows, cols = self.topology
         return [_cell(r, c) for r in range(rows) for c in range(cols)]
 
-    def contains(self, cell: CellId) -> bool:
-        _, rows, cols = self.topology
-        return 0 <= cell.row < rows and 0 <= cell.col < cols
-
 
 def grid(rows: int, cols: int, wiring: Iterable[Wire] = (), activation=None,
          ports=None) -> ArraySpec:
@@ -211,7 +211,8 @@ class Trace(list):
 
 
 def _check_wire_geometry(spec: ArraySpec, w: Wire):
-    if not spec.contains(w.src) or not spec.contains(w.dst):
+    _, rows, cols = spec.topology
+    if not all(0 <= c.row < rows and 0 <= c.col < cols for c in (w.src, w.dst)):
         raise ConstructionError(f"wire {w} references cell outside {spec.topology}")
     if abs(w.src.row - w.dst.row) > 1 or abs(w.src.col - w.dst.col) > 1:
         raise ConstructionError(f"wire {w} is not nearest-neighbour")
@@ -259,8 +260,8 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 
 class Plan:
     """What a spec fixes, shared by every array built from it: cells, port
-    names, latch slots, input gathers, output spans, boundary slots and the
-    schedule.
+    names, latch slots, input gathers, output spans, boundary and wired
+    slots and the schedule.
 
     Every declared output has a latch slot, a cell's output slots are
     contiguous, and every boundary input has one slot after them.  No wire
@@ -318,15 +319,18 @@ class Plan:
                     slot = self.boundary_in[(c, p)] = n_out + len(self.boundary_in)
                 slots.append(slot)
             in_slots.append(tuple(slots))
-        wired = set(src_of.values())
-        self.boundary_out = {(c, p): base[c] + k for c in cells
-                             for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
         self.n_out = n_out
         self.n_slots = n_out + len(self.boundary_in)
         # per cell: input gather, output slots and input slots
         self.cellv = tuple(_access(slots, base[c], base[c] + len(outs_of[c]))
                            for c, slots in zip(cells, in_slots))
         self.in_slots = tuple(slots for _, _, slots in self.cellv)
+        # the output slots a wire reads, each once; a tuple of the ints the
+        # shared input slots hold takes about a tenth of a frozenset's memory
+        wired = {s for slots in self.in_slots for s in slots if s < n_out}
+        self.wired = tuple(sorted(wired))
+        self.boundary_out = {(c, p): base[c] + k for c in cells
+                             for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
 
     def expand(self) -> None:
         """Extend the schedule by up to 256 ticks, at most to the end of the
@@ -349,8 +353,8 @@ class Plan:
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
-    state (steps, registers, latches, payload kinds and tick count); see
-    :func:`build_array`."""
+    state (steps, registers, latches, payload kinds, unread slots and tick
+    count), all set when it is built; see :func:`build_array`."""
 
     def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
                  eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
@@ -368,12 +372,8 @@ class Array:
         self._programs = programs
         self._eval_order = eval_order
         self._states = [tuple(p.init.values()) for p in programs]
-        # (slot, line) of each boundary input, bound by run for its ticks;
-        # None, which tick refuses, while boundary inputs have no lines
-        self._lines: list[tuple[int, Sequence]] | None = None if plan.boundary_in else []
-        # output slots a wire reads that no step has written yet, kept from
-        # the first traced tick on (None before it)
-        self._unread: set[int] | None = None
+        # output slots a wire reads that no step has written yet
+        self._unread = set(plan.wired)
         # a slot's payload kind is fixed by its first write in this run
         self._kinds: list[type | None] = [None] * plan.n_out
         # per cell: input gather, step, the output type tuples already
@@ -388,18 +388,19 @@ class Array:
         """Every cell's register tuple, in cell order (row-major)."""
         return list(self._states)
 
-    def tick(self, trace: Trace | None = None) -> None:
+    def tick(self, trace: Trace | None = None, lines: Sequence = ()) -> None:
         """Advance one tick, appending its records to ``trace`` if given.
 
         Values written here are readable by wired neighbours from the next
-        tick onward; a written port holds its value until overwritten.  An
-        array with boundary inputs is clocked only by ``run``, which feeds
-        them: called on its own, ``tick`` refuses it before any step runs.
+        tick onward; a written port holds its value until overwritten.
+        ``lines`` holds a (slot, line) for each boundary input, as ``run``
+        binds them, and feeds the slot ``line[t]``, or 0 once the line has
+        run out.  An array with boundary inputs is clocked only by ``run``:
+        called without its lines, ``tick`` refuses it before any step runs.
         """
         t = self.tick_count
-        lines = self._lines
         plan = self.plan
-        if lines is None:
+        if len(lines) != len(plan.boundary_in):
             ports = ", ".join(f"{tuple(c)} {p!r}" for c, p in plan.boundary_in)
             raise SimulationError(f"tick {t}: boundary inputs {ports} are fed only by run")
         latch = self._latch
@@ -424,10 +425,6 @@ class Array:
             names = self._names
             in_slots = plan.in_slots
             # wired slots with no write before this tick read 0 and are marked
-            if self._unread is None:
-                n_out, kinds = plan.n_out, self._kinds
-                self._unread = {s for slots in in_slots for s in slots
-                                if s < n_out and kinds[s] is None}
             unread = frozenset(self._unread)
             # builds a TraceRecord without a Python-level __new__ frame
             new_tuple = tuple.__new__
@@ -488,8 +485,7 @@ class Array:
             kind = kinds[slot]
             if kind is None:
                 kinds[slot] = type(v)
-                if self._unread is not None:
-                    self._unread.discard(slot)
+                self._unread.discard(slot)
             elif type(v) is not kind:
                 raise SimulationError(
                     f"port {(cell, out_names[k])} changed payload kind "
@@ -551,6 +547,8 @@ def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ti
     the port showed at tick t, the value written during tick t-1, or 0 where
     nothing was written then.  An impulse fed at tick 0 to a pipeline of k
     unit-delay cells shows at index k.  The trace is empty unless ``trace``.
+    Each tick is handed the bound lines, so the array keeps none once
+    ``run`` returns or raises.
     """
     if n_ticks < 0:
         raise ValueError("n_ticks must be >= 0")
@@ -564,13 +562,9 @@ def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ti
     collect = [(lines[key], slot) for key, slot in boundary_out.items()]
     for _, slot in collect:
         latch[slot] = 0
-    saved, array._lines = array._lines, bound
-    try:
-        for _ in range(n_ticks):
-            array.tick(sink)
-            for line, slot in collect:
-                line.append(latch[slot])
-                latch[slot] = 0
-    finally:
-        array._lines = saved
+    for _ in range(n_ticks):
+        array.tick(sink, bound)
+        for line, slot in collect:
+            line.append(latch[slot])
+            latch[slot] = 0
     return lines, tr

@@ -6,6 +6,7 @@ trailing zeros; the empty tuple is the zero polynomial (degree -1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import isqrt
 
 MAX_PRIME = 1 << 31
@@ -24,26 +25,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class Field:
     """GF(p) for prime p, 2 <= p < 2**31.  Elements are ints in [0, p)."""
 
-    __slots__ = ("p",)
+    p: int
 
-    def __init__(self, p: int):
-        if not (2 <= p < MAX_PRIME):
-            raise ValueError(f"modulus {p} out of range [2, 2**31)")
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def __repr__(self):
-        return f"Field({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Field", self.p))
+    def __post_init__(self):
+        if not (2 <= self.p < MAX_PRIME):
+            raise ValueError(f"modulus {self.p} out of range [2, 2**31)")
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -66,10 +58,6 @@ def poly_normalize(field: Field, raw) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def poly_is_zero(a: Poly) -> bool:
-    return len(a) == 0
 
 
 def poly_monic(field: Field, a: Poly) -> Poly:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .gfield import Field, Poly, poly_divmod, poly_is_zero, poly_monic
+from .gfield import Field, Poly, poly_divmod, poly_monic
 
 
 class SingularMatrixError(ArithmeticError):
@@ -19,9 +19,9 @@ class SingularMatrixError(ArithmeticError):
 
 def euclid_poly_gcd(field: Field, a: Poly, b: Poly) -> Poly:
     """Monic GCD by repeated polynomial division with remainder."""
-    if poly_is_zero(a) and poly_is_zero(b):
+    if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    while not poly_is_zero(b):
+    while b:
         _, r = poly_divmod(field, a, b)
         a, b = b, r
     return poly_monic(field, a)

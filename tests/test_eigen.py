@@ -327,12 +327,13 @@ def test_schedules_agree_byte_for_byte(lower):
     assert as_bytes(rd.report.off_norms) == as_bytes(rb.report.off_norms)
 
 
-def test_overflowing_rotation_is_silent_in_both_schedules():
-    # with tol = 0 an off-diagonal entry decays until (delta - alpha) / (2 beta)
+def test_overflowing_rotation_is_silent_in_both_schedules(monkeypatch):
+    # with TOL = 0 an off-diagonal entry decays until (delta - alpha) / (2 beta)
     # overflows; both schedules then take the identity rotation, unwarned
+    monkeypatch.setattr(eigen, "TOL", 0.0)
     a = np.array([[-2.0, 2.0, -1.0], [2.0, 2.0, -2.0], [-1.0, -2.0, 1.0]])
-    rb = run_sweeps(a, mode="broadcast", tol=0.0)
-    rd = run_sweeps(a, mode="delayed", tol=0.0)
+    rb = run_sweeps(a, mode="broadcast")
+    rd = run_sweeps(a, mode="delayed")
     assert as_bytes(rd.eigenvalues) == as_bytes(rb.eigenvalues)
     assert as_bytes(rd.report.off_norms) == as_bytes(rb.report.off_norms)
 
@@ -350,9 +351,11 @@ def test_eigenvalues_stay_with_their_index_after_one_sweep(n):
         assert np.max(np.abs(res.eigenvalues - np.diag(a))) < 1e-4, mode
 
 
-def test_delayed_stops_after_converged_sweep():
+def test_delayed_stops_after_converged_sweep(monkeypatch):
     a = random_symmetric(6)
-    full = run_sweeps(a, mode="delayed", tol=0.0, trace=True)
+    with monkeypatch.context() as m:
+        m.setattr(eigen, "TOL", 0.0)  # never converges, so all ten sweeps run
+        full = run_sweeps(a, mode="delayed", trace=True)
     early = run_sweeps(a, mode="delayed", trace=True)
     assert full.report.sweeps_used == 10 and early.report.sweeps_used < 10
     # the farthest cell from the diagonal runs step s on tick 3s + h - 1
@@ -471,10 +474,11 @@ def test_hard_spectra(spectrum):
 
 
 @pytest.mark.parametrize("n", [16, 32])
-def test_ultimately_quadratic_convergence(n):
+def test_ultimately_quadratic_convergence(n, monkeypatch):
+    monkeypatch.setattr(eigen, "TOL", 0.0)
     for seed in range(3):
         a = _with_spectrum(seed, np.random.default_rng(seed).uniform(-5, 5, n))
-        res = run_sweeps(a, tol=0.0)
+        res = run_sweeps(a)
         fro = np.linalg.norm(a)
         r = [x / fro for x in res.report.off_norms[n - 2::n - 1]]  # sweep ends
         tail = [(before, after) for before, after in zip(r, r[1:])
@@ -577,13 +581,14 @@ def test_a_reused_delayed_plan_gives_the_golden_trace():
 def test_a_delayed_run_longer_than_any_before_runs_as_a_fresh_build(monkeypatch):
     # short runs first, then one that runs past the schedule they expanded
     # on the shared plan: every run gives the trace of a fresh build
+    monkeypatch.setattr(eigen, "TOL", 0.0)
     monkeypatch.setattr(eigen, "_delayed_inputs",
                         functools.lru_cache(maxsize=4)(eigen._delayed_inputs.__wrapped__))
     cases = [(random_symmetric(6), sweeps) for sweeps in (1, 2, 1, 40)]
 
     def runs():
         return [(as_bytes(r.eigenvalues), r.report.ticks, r.report.trace.to_jsonl())
-                for r in (run_sweeps(a, mode="delayed", tol=0.0, max_sweeps=sweeps, trace=True)
+                for r in (run_sweeps(a, mode="delayed", max_sweeps=sweeps, trace=True)
                           for a, sweeps in cases)]
 
     reused = runs()

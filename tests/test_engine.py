@@ -171,6 +171,26 @@ def test_tick_refuses_an_array_with_a_boundary_input():
     assert calls == [0, 0] and arr.tick_count == 1
 
 
+def test_tick_refuses_an_array_whose_run_a_step_stopped():
+    calls = []
+
+    def step(state, ins, tick):
+        calls.append(tick)
+        if tick == 1:
+            raise ZeroDivisionError("stopped in tick 1")
+        return state, ins
+
+    arr = build_array(linear(2, chain_wires(2, ("a",)), ports=chain_cell),
+                      {CellId(0, k): CellProgram(step) for k in range(2)})
+    with pytest.raises(ZeroDivisionError):
+        run(arr, impulse_schedule(), 3)
+    assert calls == [0, 0, 1] and arr.tick_count == 1
+    # the stopped run left the array no input lines to clock it with
+    with pytest.raises(SimulationError, match=r"\(0, 0\) 'ain' are fed only by run"):
+        arr.tick()
+    assert calls == [0, 0, 1] and arr.tick_count == 1
+
+
 def test_inactive_cell_state_unchanged_and_untraced():
     def counter(state, ins, tick):
         return (state[0] + 1,), ()

@@ -1,5 +1,6 @@
 """GF(p) arithmetic and polynomial plumbing."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,15 @@ def test_modulus_must_be_prime_and_small():
         with pytest.raises(ValueError):
             Field(bad)
     Field(2), Field(2147483647)  # Mersenne prime just under the bound
+
+
+def test_fields_of_one_modulus_are_one_value():
+    a, b = Field(7), Field(7)
+    assert a == b and hash(a) == hash(b) and a != Field(5)
+    assert {a: "GF(7)"}[b] == "GF(7)" and len({a, b}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.p = 5
+    assert a.p == 7
 
 
 def test_normalize_examples():

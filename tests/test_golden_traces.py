@@ -5,6 +5,7 @@ tick, cell, state, inputs, outputs or their order) changes these digests.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ def _toeplitz_trace():
 def _eigen_trace():
     m = np.array([[1 / (1 + i + j) + (i if i == j else 0) for j in range(6)]
                   for i in range(6)])
-    # tol=0 never converges, so all ten sweeps run
-    return eigen.run_sweeps(m, mode="delayed", tol=0.0, trace=True).report.trace
+    # TOL = 0 never converges, so all ten sweeps run
+    with mock.patch.object(eigen, "TOL", 0.0):
+        return eigen.run_sweeps(m, mode="delayed", trace=True).report.trace
 
 
 RUNS = {
