@@ -34,17 +34,16 @@ ports, latch slots, input gathers, output spans, boundary slots and the
 schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  Its :class:`Array` holds one run: steps and
 registers, taken from the programs it is built with, and latches, payload
-kinds, the output type patterns each cell has shown, the wired slots not
-yet written (the unread set, which starts as the plan's wired slots and
-marks the inputs a trace record leaves out) and the tick count.  A spec
-makes its plan once, on first use, and keeps it as ``spec.plan``, whatever
-programs it is built with: like the fixed hardware, one wiring serves every
-operand, and only what each operand loads into the cells changes.  A spec
-made with ``dataclasses.replace`` is a new spec with a plan of its own.
-Specs and plans also share their equal parts: a position's ``CellId``, a
-pipeline's links and a cell's gather and output span are each made once
-(in bounded caches), so plans of pipelines of many lengths cost little
-more than the longest.
+kinds, the tick at which each slot was first written (which decides the
+inputs a trace record shows), the output type patterns each cell has shown
+and the tick count.  A spec makes its plan once, on first use, and keeps it
+as ``spec.plan``, whatever programs it is built with: like the fixed
+hardware, one wiring serves every operand, and only what each operand loads
+into the cells changes.  A spec made with ``dataclasses.replace`` is a
+new spec with a plan of its own.  Specs and plans also share their equal
+parts: a position's ``CellId``, a pipeline's links and a cell's gather and
+output span are each made once (in bounded caches), so plans of pipelines
+of many lengths cost little more than the longest.
 """
 
 from __future__ import annotations
@@ -162,20 +161,20 @@ def chain_ports(ports: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]
     return tuple(p + "in" for p in ports), tuple(p + "out" for p in ports)
 
 
-_EMPTY = object()  # marks, in a trace record, a wired input not yet written
-
-
 class TraceRecord(tuple):
     """One activation: tick, cell, and the raw register and port tuples.
 
     The ``state``, ``inputs`` and ``outputs`` dicts are built from the
     cell's names each time they are read.  ``inputs`` leaves out a wired
-    port whose source had not yet written it, ``outputs`` a port the step
-    did not write.
+    port whose source had not written it before the record's tick, which
+    the run's first-write ticks tell (a later first write comes on a later
+    tick, so the answer never changes); ``outputs`` leaves out a port the
+    step did not write.
     """
 
     __slots__ = ()
-    # (tick, cell, state, ins, outs, (state names, input names, output names))
+    # (tick, cell, state, ins, outs,
+    #  (state names, input names, output names, input slots, first-write ticks))
     tick = property(itemgetter(0))
     cell = property(itemgetter(1))
 
@@ -185,7 +184,9 @@ class TraceRecord(tuple):
 
     @property
     def inputs(self) -> dict:
-        return {p: v for p, v in zip(self[5][1], self[3]) if v is not _EMPTY}
+        t, names = self[0], self[5]
+        first = names[4]
+        return {p: v for p, s, v in zip(names[1], names[3], self[3]) if first[s] < t}
 
     @property
     def outputs(self) -> dict:
@@ -260,8 +261,8 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 
 class Plan:
     """What a spec fixes, shared by every array built from it: cells, port
-    names, latch slots, input gathers, output spans, boundary and wired
-    slots and the schedule.
+    names, latch slots, input gathers, output spans, boundary slots and the
+    schedule.
 
     Every declared output has a latch slot, a cell's output slots are
     contiguous, and every boundary input has one slot after them.  No wire
@@ -324,11 +325,7 @@ class Plan:
         # per cell: input gather, output slots and input slots
         self.cellv = tuple(_access(slots, base[c], base[c] + len(outs_of[c]))
                            for c, slots in zip(cells, in_slots))
-        self.in_slots = tuple(slots for _, _, slots in self.cellv)
-        # the output slots a wire reads, each once; a tuple of the ints the
-        # shared input slots hold takes about a tenth of a frozenset's memory
-        wired = {s for slots in self.in_slots for s in slots if s < n_out}
-        self.wired = tuple(sorted(wired))
+        wired = set(src_of.values())
         self.boundary_out = {(c, p): base[c] + k for c in cells
                              for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
 
@@ -353,8 +350,8 @@ class Plan:
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
-    state (steps, registers, latches, payload kinds, unread slots and tick
-    count), all set when it is built; see :func:`build_array`."""
+    state (steps, registers, latches, payload kinds, first-write ticks and
+    tick count), all set when it is built; see :func:`build_array`."""
 
     def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
                  eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
@@ -372,10 +369,10 @@ class Array:
         self._programs = programs
         self._eval_order = eval_order
         self._states = [tuple(p.init.values()) for p in programs]
-        # output slots a wire reads that no step has written yet
-        self._unread = set(plan.wired)
-        # a slot's payload kind is fixed by its first write in this run
+        # a slot's payload kind and first-write tick are fixed by its first
+        # write in this run; boundary inputs count as written before tick 0
         self._kinds: list[type | None] = [None] * plan.n_out
+        self._first = [sys.maxsize] * plan.n_out + [-1] * len(plan.boundary_in)
         # per cell: input gather, step, the output type tuples already
         # checked in this run (each with its write plan), and output slots
         self._cellv = [(gather, p.step, {}, span)
@@ -423,9 +420,6 @@ class Array:
         pending: list = []
         if trace is not None:
             names = self._names
-            in_slots = plan.in_slots
-            # wired slots with no write before this tick read 0 and are marked
-            unread = frozenset(self._unread)
             # builds a TraceRecord without a Python-level __new__ frame
             new_tuple = tuple.__new__
             record = trace.append
@@ -445,8 +439,6 @@ class Array:
                 slots, pick = write
                 pending.extend(zip(slots, pick(outs)))
             if trace is not None:
-                if unread and not unread.isdisjoint(in_slots[i]):
-                    ins = tuple(_EMPTY if s in unread else v for s, v in zip(in_slots[i], ins))
                 record(new_tuple(TraceRecord, (t, cells[i], state, ins, outs, names[i])))
         if trace is not None and eval_order is not None:
             # canonical record order: the trace must not expose the (free)
@@ -460,10 +452,12 @@ class Array:
 
     @functools.cached_property
     def _names(self) -> tuple:
-        """Per cell, its (register, input port, output port) names, which
-        trace records carry; made on the first traced tick."""
+        """Per cell, its (register, input port, output port) names, its
+        input slots and the run's first-write ticks, which trace records
+        carry; made on the first traced tick."""
         plan = self.plan
-        return tuple(zip([tuple(p.init) for p in self._programs], plan.ins, plan.outs))
+        return tuple(zip([tuple(p.init) for p in self._programs], plan.ins, plan.outs,
+                         [slots for _, _, slots in plan.cellv], [self._first] * len(plan.cells)))
 
     def _admit(self, i: int, outs) -> tuple | None:
         """Check an output tuple whose type pattern cell i has not shown
@@ -485,7 +479,7 @@ class Array:
             kind = kinds[slot]
             if kind is None:
                 kinds[slot] = type(v)
-                self._unread.discard(slot)
+                self._first[slot] = self.tick_count
             elif type(v) is not kind:
                 raise SimulationError(
                     f"port {(cell, out_names[k])} changed payload kind "

@@ -94,13 +94,6 @@ def poly_valuation(a: Poly) -> int:
     return 0
 
 
-def poly_shift(field: Field, a: Poly, e: int) -> Poly:
-    """Multiply by x**e (e >= 0)."""
-    if not a:
-        return a
-    return poly_normalize(field, (0,) * e + a)
-
-
 def poly_to_str(field: Field, a: Poly) -> str:
     """Text form: comma-separated coefficients, constant term first, `mod p` suffix."""
     coeffs = ",".join(str(x) for x in a) if a else "0"

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import engine
 from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
-from .gfield import Field, Poly, poly_monic, poly_normalize, poly_shift, poly_valuation
+from .gfield import Field, Poly, poly_monic, poly_normalize, poly_valuation
 
 VARIANTS = ("fig4", "appA")
 
@@ -267,7 +267,7 @@ def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[
         if not coeffs:
             raise engine.SimulationError(f"no GCD emerged for pair {f}")
         g = poly_normalize(field, tuple(reversed(coeffs)))
-        runs.append(GcdRun(gcd=poly_monic(field, poly_shift(field, g, e)),
+        runs.append(GcdRun(gcd=poly_monic(field, (0,) * e + g),
                            latency=first_t - entry, cells=n_cells, ticks=n_ticks, trace=tr))
         entry += n
     return runs

@@ -29,16 +29,6 @@ def criterion(number, title):
     print(f"ACCEPTANCE {number:2d} {title}: PASS")
 
 
-def _poly_pair(rng, p, max_deg=16):
-    def poly():
-        d = rng.randint(0, max_deg)
-        c = [rng.randrange(p) for _ in range(d + 1)]
-        c[0] = rng.randrange(1, p)  # nonzero constant term
-        c[-1] = rng.randrange(1, p)
-        return tuple(c)
-    return poly(), poly()
-
-
 # criteria 1-3 share the random pair population per field
 POLY_PAIRS_PER_FIELD = 500
 
@@ -52,7 +42,7 @@ def poly_runs():
         field = Field(p)
         entries = []
         for _ in range(POLY_PAIRS_PER_FIELD):
-            a, b = _poly_pair(rng, p)
+            a, b = cli.gen_poly_pair(rng, p, 16)
             want = euclid_poly_gcd(field, a, b)
             per_variant = {}
             for variant in ("fig4", "appA"):
@@ -90,7 +80,7 @@ def test_criterion_3_pipelining_batches():
         for p in (2, 7, 257):
             field = Field(p)
             for variant in ("fig4", "appA"):
-                pairs = [_poly_pair(rng, p, 10) for _ in range(5)]
+                pairs = [cli.gen_poly_pair(rng, p, 10) for _ in range(5)]
                 batch = polygcd.pipeline_batch(field, pairs, variant)
                 single = [polygcd.systolic_poly_gcd(field, a, b, variant).gcd
                           for a, b in pairs]
@@ -137,19 +127,12 @@ def test_criterion_5_systolic_int_gcd():
             assert run.gcd == euclid_int_gcd(a, b), (a, b, n)
 
 
-def _dominant_bands(rng, n):
-    d = [rng.uniform(-1.0, 1.0) for _ in range(2 * n + 1)]
-    d[n] = sum(abs(x) for x in d) + 1.0
-    rhs = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
-    return ToeplitzBands(n, tuple(d), tuple(rhs))
-
-
 def test_criterion_6_toeplitz_accuracy_and_costs():
     rng = random.Random(6)
     with criterion(6, "Toeplitz systolic vs dense LU, 4n steps, 8 registers"):
         for n in (4, 8, 16, 32, 64):
             for _ in range(40):
-                tb = _dominant_bands(rng, n)
+                tb = cli.gen_toeplitz(rng, n)
                 run = toeplitz.systolic_toeplitz_solve(tb)
                 x_o, _ = oracle.dense_lu_solve_nopivot(tb.to_dense(),
                                                        np.array(tb.rhs))

@@ -508,6 +508,38 @@ def test_a_trace_begun_mid_run_shows_what_a_whole_trace_shows():
     assert [r.inputs for r in tail if r.cell.col == 2][:4] == [{}, {}, {}, {"ain": 8}]
 
 
+@pytest.mark.parametrize("eval_order", [None, lambda cells, t: cells[::-1]])
+def test_a_record_shows_an_input_from_the_tick_after_its_first_write(eval_order):
+    # cell 0 first writes aout on tick 3 and writes bout only as None; cell
+    # 1 reads both, and cin from the boundary, until its step stops on tick 7
+    def source(state, ins, tick, since=3):
+        return state, (tick if tick >= since else None, None)
+
+    def sink(state, ins, tick):
+        if tick == 7:
+            raise RuntimeError("stopped")
+        return state, ()
+
+    wires = [Wire(CellId(0, 0), p + "out", CellId(0, 1), p + "in") for p in "ab"]
+    decl = (((), ("aout", "bout")), (("ain", "bin", "cin"), ()))
+    spec = linear(2, wires, ports=lambda cell: decl[cell.col])
+    arr = build_array(spec, {CellId(0, 0): CellProgram(source), CellId(0, 1): CellProgram(sink)},
+                      eval_order=eval_order)
+    feed = {CellId(0, 1): {"cin": [9] * 8}}
+    traces = [run(arr, feed, 2, trace=True)[1], run(arr, feed, 3, trace=True)[1]]
+    texts = [tr.to_jsonl() for tr in traces]
+    # the traces read the same after the array runs on into a stopped run,
+    # and after another array of the plan writes aout sooner
+    with pytest.raises(RuntimeError, match="stopped"):
+        run(arr, feed, 3, trace=True)
+    early = lambda state, ins, tick: source(state, ins, tick, since=0)
+    run(build_array(spec, {CellId(0, 0): CellProgram(early), CellId(0, 1): CellProgram(sink)}),
+        feed, 3, trace=True)
+    assert [tr.to_jsonl() for tr in traces] == texts
+    assert [r.inputs for tr in traces for r in tr if r.cell.col == 1] == [
+        {"cin": 9}, {"cin": 9}, {"cin": 9}, {"cin": 9}, {"ain": 3, "cin": 9}]
+
+
 def test_a_built_spec_refuses_programs_of_other_cells():
     spec = linear(2, chain_wires(2, ("a",)), ports=chain_cell)
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(2)}

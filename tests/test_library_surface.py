@@ -6,6 +6,11 @@ public method of a class there, must be named somewhere under ``src/`` or
 bench looks some functions up by name).  A definition does not name
 itself, and dunders are exempt.  What only the tests use belongs in the
 tests.
+
+Likewise every attribute that a class there stores on ``self`` must be
+read, as an attribute, somewhere under ``src/`` or ``bench/``; an
+augmented assignment such as ``self.n += 1`` stores and does not count as
+a read.
 """
 
 import ast
@@ -47,6 +52,23 @@ def _named(tree: ast.Module) -> set[str]:
     return names
 
 
+def _stored(tree: ast.Module):
+    """(qualified name, attribute) of each attribute that a top-level class
+    stores on ``self``, once each."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            attrs = {sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                     and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+            for attr in sorted(attrs):
+                yield f"{node.name}.{attr}", attr
+
+
+def _read(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_definition_is_named_by_the_program():
     named = set().union(*(_named(ast.parse(p.read_text())) for p in PROGRAM))
     unnamed = [f"{path.name}: {qual}" for path in LIBRARY
@@ -66,3 +88,25 @@ def test_the_scan_sees_an_unnamed_definition():
                      "getattr(Box, 'looked_up')\n")
     named = _named(tree)
     assert [q for q, n in _definitions(tree) if n not in named] == ["unused", "Box.get"]
+
+
+def test_every_stored_attribute_is_read_by_the_program():
+    read = set().union(*(_read(ast.parse(p.read_text())) for p in PROGRAM))
+    stored = [(f"{path.name}: {qual}", attr) for path in LIBRARY
+              for qual, attr in _stored(ast.parse(path.read_text()))]
+    assert stored  # the scan sees the engine's plans and arrays
+    assert [qual for qual, attr in stored if attr not in read] == []
+
+
+def test_the_scan_sees_an_unread_attribute():
+    tree = ast.parse("class Box:\n"
+                     "    def __init__(self):\n"
+                     "        self.kept, self.dropped = 1, 2\n"
+                     "        self.count = 0\n"
+                     "        self._seen: set = set()\n"
+                     "    def get(self, other):\n"
+                     "        self.count += 1\n"
+                     "        other.dropped = 3\n"
+                     "        return self.kept, self._seen\n")
+    read = _read(tree)
+    assert [q for q, attr in _stored(tree) if attr not in read] == ["Box.count", "Box.dropped"]
