@@ -8,11 +8,11 @@ A ``None`` in ``outs`` leaves that port as it was.  Constants a cell needs,
 such as its position, are bound into its step when the array is built.
 
 Outputs written at tick T become readable by wired neighbours at tick T+1
-and stay latched until overwritten (registered outputs), so permuting the
-evaluation order of cells within one tick can never change the result.  A
-wired input reads 0 until its source first writes it.  A declared input
-without a wire is a boundary input, a declared output without a wire a
-boundary output.
+and stay latched until overwritten (registered outputs), so the order of
+the cells within one tick can never change the result: a tick steps them
+in the plan's schedule order, cell order.  A wired input reads 0 until its
+source first writes it.  A declared input without a wire is a boundary
+input, a declared output without a wire a boundary output.
 
 ``run`` is the one way in and out at the boundary: it feeds every boundary
 input from an input line, ``{cell: {port: sequence}}``, on tick t the value
@@ -33,17 +33,17 @@ A build has two parts.  Its :class:`Plan` is what the spec fixes: cells,
 ports, latch slots, input gathers, output spans, boundary slots and the
 schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  Its :class:`Array` holds one run: steps and
-registers, taken from the programs it is built with, and latches, payload
-kinds, the tick at which each slot was first written (which decides the
-inputs a trace record shows), the output type patterns each cell has shown
-and the tick count.  A spec makes its plan once, on first use, and keeps it
-as ``spec.plan``, whatever programs it is built with: like the fixed
-hardware, one wiring serves every operand, and only what each operand loads
-into the cells changes.  A spec made with ``dataclasses.replace`` is a
-new spec with a plan of its own.  Specs and plans also share their equal
-parts: a position's ``CellId``, a pipeline's links and a cell's gather and
-output span are each made once (in bounded caches), so plans of pipelines
-of many lengths cost little more than the longest.
+registers, taken from the programs it is built with, and latches, each
+written slot's first-write tick (which decides the inputs a trace record
+shows) and payload kind, the output type patterns each cell has shown and
+the tick count.  A spec makes its plan once, on first use, and keeps it as
+``spec.plan``, whatever programs it is built with: like the fixed hardware,
+one wiring serves every operand, and only what each operand loads into the
+cells changes.  A spec made with ``dataclasses.replace`` is a new spec with
+a plan of its own.  Specs and plans also share their equal parts: a
+position's ``CellId``, a pipeline's links and a cell's gather and output
+span are each made once (in bounded caches), so plans of pipelines of many
+lengths cost little more than the longest.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -169,7 +169,8 @@ class TraceRecord(tuple):
     port whose source had not written it before the record's tick, which
     the run's first-write ticks tell (a later first write comes on a later
     tick, so the answer never changes); ``outputs`` leaves out a port the
-    step did not write.
+    step did not write.  Two records are equal when their tick, cell,
+    ``state``, ``inputs`` and ``outputs`` are.
     """
 
     __slots__ = ()
@@ -177,6 +178,7 @@ class TraceRecord(tuple):
     #  (state names, input names, output names, input slots, first-write ticks))
     tick = property(itemgetter(0))
     cell = property(itemgetter(1))
+    _shown = property(attrgetter("tick", "cell", "state", "inputs", "outputs"))
 
     @property
     def state(self) -> dict:
@@ -191,6 +193,12 @@ class TraceRecord(tuple):
     @property
     def outputs(self) -> dict:
         return {p: v for p, v in zip(self[5][2], self[4]) if v is not None}
+
+    def __eq__(self, other):
+        return isinstance(other, TraceRecord) and self._shown == other._shown
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def _render(v):
@@ -298,10 +306,9 @@ class Plan:
             src_of[key] = base[w.src] + outs_of[w.src].index(w.src_port)
 
         self.cells = cells
-        self.idx = {c: i for i, c in enumerate(cells)}
-        # per tick, the cells clocked on it (None: every cell on every
-        # tick), expanded from the windows that end after it as runs reach
-        # its end
+        # per tick, the cells clocked on it in cell order (None: every cell
+        # on every tick), expanded from the windows that end after it as
+        # runs reach its end
         self.schedule: list[tuple[int, ...]] | None = None
         self._pending: list[tuple[int, range]] = []
         if spec.activation is not None:
@@ -353,25 +360,25 @@ class Array:
     state (steps, registers, latches, payload kinds, first-write ticks and
     tick count), all set when it is built; see :func:`build_array`."""
 
-    def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
-                 eval_order: Callable[[list[CellId], int], list[CellId]] | None = None):
+    def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram]):
         plan = spec.plan
-        if cell_programs.keys() != plan.idx.keys():
-            missing = plan.idx.keys() - cell_programs.keys()
-            if missing:
-                raise ConstructionError(f"cells without a program: {sorted(missing)}")
-            extra = cell_programs.keys() - plan.idx.keys()
+        try:
+            programs = list(map(cell_programs.__getitem__, plan.cells))
+        except KeyError:
+            missing = set(plan.cells) - cell_programs.keys()
+            raise ConstructionError(f"cells without a program: {sorted(missing)}") from None
+        if len(cell_programs) != len(programs):
+            extra = cell_programs.keys() - set(plan.cells)
             raise ConstructionError(f"programs for cells outside the array: {sorted(extra)}")
-        programs = list(map(cell_programs.__getitem__, plan.cells))
         self.spec = spec
         self.plan = plan
         self.tick_count = 0
         self._programs = programs
-        self._eval_order = eval_order
         self._states = [tuple(p.init.values()) for p in programs]
-        # a slot's payload kind and first-write tick are fixed by its first
-        # write in this run; boundary inputs count as written before tick 0
-        self._kinds: list[type | None] = [None] * plan.n_out
+        # a slot's first write in this run fixes its first-write tick (an
+        # unwritten slot's is sys.maxsize) and its payload kind; boundary
+        # inputs count as written before tick 0
+        self._kinds: dict[int, type] = {}
         self._first = [sys.maxsize] * plan.n_out + [-1] * len(plan.boundary_in)
         # per cell: input gather, step, the output type tuples already
         # checked in this run (each with its write plan), and output slots
@@ -411,10 +418,6 @@ class Array:
             if t == len(schedule) and plan._pending:
                 plan.expand()
             order = schedule[t] if t < len(schedule) else ()
-        eval_order = self._eval_order
-        if eval_order is not None:
-            idx = plan.idx
-            order = [idx[c] for c in eval_order([cells[i] for i in order], t)]
         states = self._states
         cellv = self._cellv
         pending: list = []
@@ -423,7 +426,6 @@ class Array:
             # builds a TraceRecord without a Python-level __new__ frame
             new_tuple = tuple.__new__
             record = trace.append
-            first = len(trace)
         for i in order:
             gather, step, checked, span = cellv[i]
             ins = gather(latch)
@@ -440,10 +442,6 @@ class Array:
                 pending.extend(zip(slots, pick(outs)))
             if trace is not None:
                 record(new_tuple(TraceRecord, (t, cells[i], state, ins, outs, names[i])))
-        if trace is not None and eval_order is not None:
-            # canonical record order: the trace must not expose the (free)
-            # evaluation order of cells within a tick
-            trace[first:] = sorted(trace[first:], key=lambda r: r.cell)
         for where, v in pending:
             latch[where] = v
         self.tick_count = t + 1
@@ -468,7 +466,7 @@ class Array:
         if len(outs) != len(out_names):
             raise SimulationError(f"cell {tuple(cell)} tick {self.tick_count}: "
                                   f"{len(outs)} outputs for ports {out_names}")
-        kinds = self._kinds
+        kinds, first = self._kinds, self._first
         base = self._cellv[i][3].start
         written = []
         for k, v in enumerate(outs):
@@ -476,14 +474,13 @@ class Array:
                 continue
             written.append(k)
             slot = base + k
-            kind = kinds[slot]
-            if kind is None:
+            if first[slot] == sys.maxsize:
                 kinds[slot] = type(v)
-                self._first[slot] = self.tick_count
-            elif type(v) is not kind:
+                first[slot] = self.tick_count
+            elif type(v) is not kinds[slot]:
                 raise SimulationError(
                     f"port {(cell, out_names[k])} changed payload kind "
-                    f"{kind.__name__} -> {type(v).__name__}")
+                    f"{kinds[slot].__name__} -> {type(v).__name__}")
         if len(written) == len(outs):
             write = None
         else:
@@ -521,11 +518,13 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
     own registers, latches and payload kinds, and reads the plan's schedule,
     which grows only as far as the longest run of the plan so far.
 
-    ``eval_order(cells, t)``, if given, returns the cells clocked on tick t
-    in the order they are to be evaluated; results and traces never depend
-    on it.
+    No result depends on the order of a tick's cells, so ``eval_order`` is
+    no option: it stays only for callers that pass it through, as the
+    benchmark's tracer does, and anything but None raises ``TypeError``.
     """
-    return Array(spec, cell_programs, eval_order)
+    if eval_order is not None:
+        raise TypeError("eval_order takes only None: a tick's cells run in schedule order")
+    return Array(spec, cell_programs)
 
 
 def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ticks: int,

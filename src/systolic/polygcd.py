@@ -181,8 +181,8 @@ def _build_schedule(pairs, variant: str) -> tuple[dict[str, list], list[int]]:
 
 
 # at most 128 shapes, (cells, variant).  Sharing their wires, cells and
-# gathers, they take about 0.2 KB a cell (tracemalloc): 1.3 MB for the 122
-# shapes of a pass of the polygcd-stream bench, 1.9 MB when all 128 are of
+# gathers, they take 125 to 190 B a cell (tracemalloc): 1.0 MB for the 122
+# shapes of a pass of the polygcd-stream bench, 1.6 MB when all 128 are of
 # 66 to 129 cells
 @functools.lru_cache(maxsize=128)
 def _chain_spec(n_cells: int, variant: str):

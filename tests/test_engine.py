@@ -1,16 +1,20 @@
 """Engine kernel: construction checks, two-phase timing, determinism."""
 
+import dataclasses
 import json
 import random
 import sys
 
+import numpy as np
 import pytest
 
+from systolic import cli, eigen, intgcd, polygcd, toeplitz
 from systolic.engine import (
     CellId,
     CellProgram,
     ConstructionError,
     SimulationError,
+    Trace,
     Wire,
     build_array,
     chain_wires,
@@ -18,6 +22,7 @@ from systolic.engine import (
     grid,
     run,
 )
+from systolic.gfield import Field
 
 
 def passthrough(state, ins, tick):
@@ -28,10 +33,37 @@ def chain_cell(cell):
     return ("ain",), ("aout",)
 
 
-def make_chain(n, activation=None, eval_order=None):
+def make_chain(n, activation=None):
     spec = linear(n, chain_wires(n, ("a",)), activation=activation, ports=chain_cell)
     progs = {CellId(0, k): CellProgram(passthrough) for k in range(n)}
-    return build_array(spec, progs, eval_order=eval_order)
+    return build_array(spec, progs)
+
+
+def in_order(spec, order):
+    """``spec``, its plan made to step each tick's cells in the order
+    ``order(cells, t)`` puts them, by permuting each per-tick tuple of its
+    schedule as it is expanded; a spec without windows first gets an
+    always-on one, so that it has a schedule.  None keeps the plan's order."""
+    if order is None:
+        return spec
+    if spec.activation is None:
+        spec = dataclasses.replace(spec, activation=lambda cell: (range(sys.maxsize),))
+    plan = spec.plan
+    expand = plan.expand
+
+    def permuted():
+        lo = len(plan.schedule)
+        expand()
+        plan.schedule[lo:] = [tuple(order(list(on), t))
+                              for t, on in enumerate(plan.schedule[lo:], lo)]
+
+    plan.expand = permuted
+    return spec
+
+
+def by_cell(trace):
+    """The records of ``trace`` in cell order within each tick."""
+    return Trace(sorted(trace, key=lambda r: (r.tick, r.cell)))
 
 
 def impulse_schedule(value=7):
@@ -309,23 +341,67 @@ def test_unit_delay_law_random_passthrough():
 
 
 def test_evaluation_order_independence():
-    rng = random.Random(11)
-
+    # a tick's cells stepped in a shuffled order leave the same output
+    # lines and, put back in cell order, the same records
     def shuffled(cells, t):
-        cells = list(cells)
         random.Random((t * 2654435761) & 0xFFFF).shuffle(cells)
         return cells
 
     def go(order, activation=None):
-        arr = make_chain(5, activation=activation, eval_order=order)
-        _, tr = run(arr, impulse_schedule(), 12, trace=True)
-        return tr.to_jsonl()
+        spec = linear(5, chain_wires(5, ("a",)), activation=activation, ports=chain_cell)
+        arr = build_array(in_order(spec, order), {CellId(0, k): CellProgram(passthrough)
+                                                  for k in range(5)})
+        outs, tr = run(arr, impulse_schedule(), 12, trace=True)
+        if order is not None:  # the shuffle did reorder the steps
+            assert [r.cell for r in tr] != [r.cell for r in by_cell(tr)]
+        return outs, by_cell(tr).to_jsonl()
 
     assert go(None) == go(shuffled)
     # cell k clocked on ticks k..k+5 and then on every second tick
     windows = lambda cell: (range(cell.col, cell.col + 6), range(cell.col + 6, 12, 2))
     assert go(None, windows) == go(shuffled, windows)
     assert go(None, windows) != go(None)
+
+
+def test_build_array_takes_no_evaluation_order():
+    spec = linear(2, chain_wires(2, ("a",)), ports=chain_cell)
+    progs = {CellId(0, k): CellProgram(passthrough) for k in range(2)}
+    for order in (lambda cells, t: cells[::-1], sorted, False):
+        with pytest.raises(TypeError, match="eval_order takes only None"):
+            build_array(spec, progs, order)
+    assert run(build_array(spec, progs, None), impulse_schedule(3), 2)[0] == \
+        run(build_array(spec, progs), impulse_schedule(3), 2)[0]
+
+
+def test_every_schedule_lists_a_tick_s_cells_in_ascending_order(monkeypatch):
+    # a tick's records come out in the order its cells are stepped, so only
+    # the schedule's order keeps them in cell order; every family's plan is
+    # checked after its runs, past the 256-tick stretch boundary where
+    # windows reach it
+    specs = {}
+    for module in (polygcd, intgcd, toeplitz, eigen):
+        def recording(spec, progs, real=module.build_array, name=module.__name__):
+            specs.setdefault(name, []).append(spec)
+            return real(spec, progs)
+        monkeypatch.setattr(module, "build_array", recording)
+    for variant in polygcd.VARIANTS:
+        polygcd.systolic_poly_gcd(Field(7), [6, 5, 1, 2], [3, 0, 1], variant)
+    intgcd.systolic_int_gcd(132, 36, 8)
+    rng = random.Random(4)
+    for n in range(64, 86):  # 4n ticks, from 256 to 340
+        toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(rng, n), trace=False)
+    m = np.random.default_rng(16).standard_normal((16, 16))
+    assert eigen.run_sweeps(m + m.T, mode="delayed").report.ticks > 256
+    # polynomial GCD chains have no windows: every tick steps range(cells)
+    assert all(spec.plan.schedule is None for spec in specs["systolic.polygcd"])
+    assert len(specs["systolic.polygcd"]) == 2
+    longest = {}
+    for name in ("systolic.intgcd", "systolic.toeplitz", "systolic.eigen"):
+        for spec in specs[name]:
+            schedule = spec.plan.schedule
+            assert all(a < b for on in schedule for a, b in zip(on, on[1:]))
+            longest[name] = max(longest.get(name, 0), len(schedule))
+    assert longest["systolic.toeplitz"] > 256 and longest["systolic.eigen"] > 256
 
 
 def test_trace_jsonl_fields_and_rendering():
@@ -462,9 +538,6 @@ def test_a_plan_is_reused_for_every_build_of_its_spec():
         run(make_chain(3, windows), impulse_schedule(5), 8, trace=True)[1].to_jsonl()
     assert tr_second.to_jsonl() == \
         run(make_chain(3, windows), impulse_schedule(9), 8, trace=True)[1].to_jsonl()
-    # the evaluation order stays an array's own, also on a shared plan
-    shuffled = build_array(spec, progs, eval_order=lambda cells, t: cells[::-1])
-    assert run(shuffled, impulse_schedule(9), 8, trace=True)[1].to_jsonl() == tr_second.to_jsonl()
 
 
 def test_interleaved_arrays_on_one_windowed_plan_run_as_fresh_builds():
@@ -508,8 +581,8 @@ def test_a_trace_begun_mid_run_shows_what_a_whole_trace_shows():
     assert [r.inputs for r in tail if r.cell.col == 2][:4] == [{}, {}, {}, {"ain": 8}]
 
 
-@pytest.mark.parametrize("eval_order", [None, lambda cells, t: cells[::-1]])
-def test_a_record_shows_an_input_from_the_tick_after_its_first_write(eval_order):
+@pytest.mark.parametrize("order", [None, lambda cells, t: cells[::-1]])
+def test_a_record_shows_an_input_from_the_tick_after_its_first_write(order):
     # cell 0 first writes aout on tick 3 and writes bout only as None; cell
     # 1 reads both, and cin from the boundary, until its step stops on tick 7
     def source(state, ins, tick, since=3):
@@ -522,9 +595,8 @@ def test_a_record_shows_an_input_from_the_tick_after_its_first_write(eval_order)
 
     wires = [Wire(CellId(0, 0), p + "out", CellId(0, 1), p + "in") for p in "ab"]
     decl = (((), ("aout", "bout")), (("ain", "bin", "cin"), ()))
-    spec = linear(2, wires, ports=lambda cell: decl[cell.col])
-    arr = build_array(spec, {CellId(0, 0): CellProgram(source), CellId(0, 1): CellProgram(sink)},
-                      eval_order=eval_order)
+    spec = in_order(linear(2, wires, ports=lambda cell: decl[cell.col]), order)
+    arr = build_array(spec, {CellId(0, 0): CellProgram(source), CellId(0, 1): CellProgram(sink)})
     feed = {CellId(0, 1): {"cin": [9] * 8}}
     traces = [run(arr, feed, 2, trace=True)[1], run(arr, feed, 3, trace=True)[1]]
     texts = [tr.to_jsonl() for tr in traces]
@@ -538,6 +610,31 @@ def test_a_record_shows_an_input_from_the_tick_after_its_first_write(eval_order)
     assert [tr.to_jsonl() for tr in traces] == texts
     assert [r.inputs for tr in traces for r in tr if r.cell.col == 1] == [
         {"cin": 9}, {"cin": 9}, {"cin": 9}, {"cin": 9}, {"ain": 3, "cin": 9}]
+
+
+def test_records_are_equal_when_they_show_the_same():
+    # cell 0 first writes aout on tick `since`, and cell 1 reads it
+    def traced(n_ticks, since):
+        def source(state, ins, tick):
+            return state, (tick if tick >= since else None,)
+
+        progs = {CellId(0, 0): CellProgram(source),
+                 CellId(0, 1): CellProgram(lambda state, ins, tick: (state, ()))}
+        return run(build_array(spec, progs), None, n_ticks, trace=True)[1]
+
+    decl = (((), ("aout",)), (("ain",), ()))
+    spec = linear(2, chain_wires(2, ("a",)), ports=lambda cell: decl[cell.col])
+    # a 2-tick run and the first records of a 5-tick run show the same,
+    # though the longer run has first written aout by its end
+    short, long = traced(2, 3), traced(5, 3)
+    assert short.to_jsonl() == Trace(long[:len(short)]).to_jsonl()
+    assert short == long[:len(short)] and not short != long[:len(short)]
+    # cell 1 reads 0 on tick 1 in both runs, but shows it only where cell 0
+    # wrote that 0 on tick 0: the records differ in that input alone
+    early = traced(2, 0)
+    assert (short[3].tick, short[3].cell) == (early[3].tick, early[3].cell) == (1, CellId(0, 1))
+    assert short[3].inputs == {} and early[3].inputs == {"ain": 0}
+    assert short[3] != early[3] and not short[3] == early[3]
 
 
 def test_a_built_spec_refuses_programs_of_other_cells():
