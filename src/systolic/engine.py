@@ -35,25 +35,38 @@ schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  Its :class:`Array` holds one run: steps and
 registers, taken from the programs it is built with, and latches, each
 written slot's first-write tick (which decides the inputs a trace record
-shows) and payload kind, the output type patterns each cell has shown and
-the tick count.  A spec makes its plan once, on first use, and keeps it as
-``spec.plan``, whatever programs it is built with: like the fixed hardware,
-one wiring serves every operand, and only what each operand loads into the
-cells changes.  A spec made with ``dataclasses.replace`` is a new spec with
-a plan of its own.  Specs and plans also share their equal parts: a
-position's ``CellId``, a pipeline's links and a cell's gather and output
-span are each made once (in bounded caches), so plans of pipelines of many
-lengths cost little more than the longest.
+shows), the output type patterns each cell has shown (which hold the
+payload kinds of the ports it wrote) and the tick count.  A spec makes its
+plan once, on first use, and keeps it as ``spec.plan``, whatever programs
+it is built with: like the fixed hardware, one wiring serves every operand,
+and only what each operand loads into the cells changes.  A spec made with
+``dataclasses.replace`` is a new spec with a plan of its own.  Specs and
+plans also share their equal parts: a position's ``CellId``, a pipeline's
+links and a cell's gather and output span are each made once (in bounded
+caches), so plans of pipelines of many lengths cost little more than the
+longest.
+
+A :class:`Trace` keeps one flat row per activation: the tick, a context
+index (its array's base in the trace plus the cell's index), then the
+cell's registers, inputs and outputs.  It keeps each array's context once:
+its cells, their register, port and input-slot names, and the run's
+first-write ticks.  A row holds only what the cell read and made, so the
+cyclic collector stops tracking it the first time it looks, and a kept
+trace costs the collector next to nothing.  Records are made from the rows
+only when the trace is read.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from types import NoneType
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ConstructionError(ValueError):
@@ -205,8 +218,98 @@ def _render(v):
     return int(v) if isinstance(v, bool) else v
 
 
-class Trace(list):
-    """Every active cell's record, tick by tick, in cell order within a tick."""
+def _record(row: tuple, cell: CellId, names: tuple) -> TraceRecord:
+    """The record of ``row``, an activation of ``cell``, whose port names
+    tell where the row's inputs and outputs start."""
+    outs = len(row) - len(names[2])
+    ins = outs - len(names[1])
+    return tuple.__new__(TraceRecord, (row[0], cell, row[2:ins], row[ins:outs], row[outs:], names))
+
+
+class Trace:
+    """Every active cell's record, tick by tick, in cell order within a tick.
+
+    Each record is kept as a flat row, ``(tick, context index, *state,
+    *ins, *outs)``, and made when the trace is read (iterated or indexed);
+    slices and ``+`` are traces.  ``Trace(records)`` keeps any records, and
+    two traces are equal when their records are.
+    """
+
+    __slots__ = ("_rows", "_contexts")
+
+    def __init__(self, records: Iterable[TraceRecord] = ()):
+        self._rows: list[tuple] = []
+        # per array, the context index of its first cell and its context:
+        # (cells, register names, input names, output names, input slots,
+        # first-write ticks), each but the last per cell
+        self._contexts: list[tuple[int, tuple]] = []
+        seen = {}  # (cell, id(names)) -> (names, kept so the id stays theirs, context index)
+        for t, cell, state, ins, outs, names in records:
+            key = cell, id(names)
+            if key not in seen:
+                seen[key] = names, self._add(((cell,), *((n,) for n in names[:4]), names[4]))
+            self._rows.append((t, seen[key][1], *state, *ins, *outs))
+
+    def _enter(self, context: tuple) -> int:
+        """The context index of ``context``'s first cell, which is added
+        if the trace does not hold it yet."""
+        for base, known in reversed(self._contexts):
+            if known is context:
+                return base
+        return self._add(context)
+
+    def _add(self, context: tuple) -> int:
+        """Add ``context`` after the trace's last and return its base."""
+        base = 0
+        if self._contexts:
+            last, (cells, *_) = self._contexts[-1]
+            base = last + len(cells)
+        self._contexts.append((base, context))
+        return base
+
+    def _named(self, c: int) -> tuple[CellId, tuple]:
+        """The cell of context index ``c`` and the names its records carry."""
+        k = bisect.bisect_right(self._contexts, c, key=itemgetter(0)) - 1
+        base, (cells, *per_cell, first) = self._contexts[k]
+        return cells[c - base], (*(names[c - base] for names in per_cell), first)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        named: dict[int, tuple] = {}
+        for row in self._rows:
+            if row[1] not in named:
+                named[row[1]] = self._named(row[1])
+            yield _record(row, *named[row[1]])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            part = Trace()
+            part._rows, part._contexts = self._rows[k], self._contexts[:]
+            return part
+        row = self._rows[k]
+        return _record(row, *self._named(row[1]))
+
+    def __add__(self, other: Trace) -> Trace:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return Trace(itertools.chain(self, other))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+    def activations(self) -> Iterator[tuple[int, CellId]]:
+        """(tick, cell) of each record in turn, read from the rows without
+        making records."""
+        cells = [cell for _, context in self._contexts for cell in context[0]]
+        rows = self._rows
+        return zip(map(itemgetter(0), rows), map(cells.__getitem__, map(itemgetter(1), rows)))
 
     def to_jsonl(self) -> str:
         lines = []
@@ -357,8 +460,9 @@ class Plan:
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
-    state (steps, registers, latches, payload kinds, first-write ticks and
-    tick count), all set when it is built; see :func:`build_array`."""
+    state (steps, registers, latches, first-write ticks, the output
+    patterns each cell has shown and tick count), all set when it is
+    built; see :func:`build_array`."""
 
     def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram]):
         plan = spec.plan
@@ -376,9 +480,8 @@ class Array:
         self._programs = programs
         self._states = [tuple(p.init.values()) for p in programs]
         # a slot's first write in this run fixes its first-write tick (an
-        # unwritten slot's is sys.maxsize) and its payload kind; boundary
-        # inputs count as written before tick 0
-        self._kinds: dict[int, type] = {}
+        # unwritten slot's is sys.maxsize); boundary inputs count as
+        # written before tick 0
         self._first = [sys.maxsize] * plan.n_out + [-1] * len(plan.boundary_in)
         # per cell: input gather, step, the output type tuples already
         # checked in this run (each with its write plan), and output slots
@@ -410,10 +513,9 @@ class Array:
         latch = self._latch
         for slot, line in lines:
             latch[slot] = line[t] if t < len(line) else 0
-        cells = plan.cells
         schedule = plan.schedule
         if schedule is None:
-            order = range(len(cells))
+            order = range(len(plan.cells))
         else:
             if t == len(schedule) and plan._pending:
                 plan.expand()
@@ -422,10 +524,8 @@ class Array:
         cellv = self._cellv
         pending: list = []
         if trace is not None:
-            names = self._names
-            # builds a TraceRecord without a Python-level __new__ frame
-            new_tuple = tuple.__new__
-            record = trace.append
+            base = trace._enter(self._context)
+            record = trace._rows.append
         for i in order:
             gather, step, checked, span = cellv[i]
             ins = gather(latch)
@@ -441,7 +541,7 @@ class Array:
                 slots, pick = write
                 pending.extend(zip(slots, pick(outs)))
             if trace is not None:
-                record(new_tuple(TraceRecord, (t, cells[i], state, ins, outs, names[i])))
+                record((t, base + i, *state, *ins, *outs))
         for where, v in pending:
             latch[where] = v
         self.tick_count = t + 1
@@ -449,13 +549,13 @@ class Array:
     # -- internals -------------------------------------------------------
 
     @functools.cached_property
-    def _names(self) -> tuple:
-        """Per cell, its (register, input port, output port) names, its
-        input slots and the run's first-write ticks, which trace records
-        carry; made on the first traced tick."""
+    def _context(self) -> tuple:
+        """The run's context in a trace: its cells, their register, input
+        port and output port names and input slots, and the run's
+        first-write ticks; made on the first traced tick."""
         plan = self.plan
-        return tuple(zip([tuple(p.init) for p in self._programs], plan.ins, plan.outs,
-                         [slots for _, _, slots in plan.cellv], [self._first] * len(plan.cells)))
+        return (plan.cells, tuple(tuple(p.init) for p in self._programs), plan.ins, plan.outs,
+                tuple(slots for _, _, slots in plan.cellv), self._first)
 
     def _admit(self, i: int, outs) -> tuple | None:
         """Check an output tuple whose type pattern cell i has not shown
@@ -466,26 +566,32 @@ class Array:
         if len(outs) != len(out_names):
             raise SimulationError(f"cell {tuple(cell)} tick {self.tick_count}: "
                                   f"{len(outs)} outputs for ports {out_names}")
-        kinds, first = self._kinds, self._first
-        base = self._cellv[i][3].start
-        written = []
+        first = self._first
+        _, _, checked, span = self._cellv[i]
+        base = span.start
+        written, fresh = [], []
         for k, v in enumerate(outs):
             if v is None:
                 continue
             written.append(k)
-            slot = base + k
-            if first[slot] == sys.maxsize:
-                kinds[slot] = type(v)
-                first[slot] = self.tick_count
-            elif type(v) is not kinds[slot]:
+            if first[base + k] == sys.maxsize:
+                fresh.append(base + k)
+                continue
+            # the run wrote this port before, in a pattern the cell has shown
+            kind = next(p[k] for p in checked if p[k] is not NoneType)
+            if type(v) is not kind:
                 raise SimulationError(
                     f"port {(cell, out_names[k])} changed payload kind "
-                    f"{kinds[slot].__name__} -> {type(v).__name__}")
+                    f"{kind.__name__} -> {type(v).__name__}")
+        # only a pattern that passed fixes first writes, so every written
+        # port's kind is in a pattern the cell has shown
+        for slot in fresh:
+            first[slot] = self.tick_count
         if len(written) == len(outs):
             write = None
         else:
             write = (tuple(base + k for k in written), _gather(tuple(written)))
-        self._cellv[i][2][tuple(map(type, outs))] = write
+        checked[tuple(map(type, outs))] = write
         return write
 
     def _bind(self, feed: Mapping[CellId, Mapping[str, Sequence]]) -> list[tuple[int, Sequence]]:
@@ -515,7 +621,8 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
     first, and the array runs the steps of the programs it is built with
     and starts from their ``init`` registers.
     The programs must cover exactly the spec's cells.  Every array gets its
-    own registers, latches and payload kinds, and reads the plan's schedule,
+    own registers, latches, first-write ticks and output patterns, which
+    fix its payload kinds, and reads the plan's schedule,
     which grows only as far as the longest run of the plan so far.
 
     No result depends on the order of a tick's cells, so ``eval_order`` is

@@ -309,9 +309,9 @@ def count_trace_multiplications(tr: engine.Trace, n: int) -> int:
     in either phase (its other ops are the divisions).
     """
     total = 0
-    for rec in tr:  # the raw fields: rec[0] is the tick, rec[1][1] the column
-        if rec[0] < 2 * n:
-            total += 2 if rec[1][1] == 0 else 6
+    for tick, cell in tr.activations():  # cell[1] is its column
+        if tick < 2 * n:
+            total += 2 if cell[1] == 0 else 6
         else:
-            total += 2 if rec[1][1] == 0 else 3
+            total += 2 if cell[1] == 0 else 3
     return total

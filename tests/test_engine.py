@@ -1,6 +1,7 @@
 """Engine kernel: construction checks, two-phase timing, determinism."""
 
 import dataclasses
+import gc
 import json
 import random
 import sys
@@ -706,3 +707,82 @@ def test_a_build_runs_its_programs_as_they_are_now():
     fresh = build_array(linear(1), progs)
     run(fresh, None, 3)
     assert fresh.states() == arr.states()
+
+
+GOLDEN_A = (2, 1, 5, 1, 6, 1, 6, 2, 4, 0, 2, 5, 3, 4)
+GOLDEN_B = (5, 6, 3, 0, 5, 5, 2, 6, 3, 5)
+
+
+def toeplitz_trace(n=32, seed=1):
+    return toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(random.Random(seed), n)).trace
+
+
+# one traced run per family: engine.run under the three drivers that use
+# it, and delayed Jacobi's tick-by-tick Array.tick(trace)
+TRACED = {
+    "intgcd": lambda: intgcd.systolic_int_gcd(46563, 31276, 16, trace=True).trace,
+    "polygcd": lambda: polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, "appA",
+                                                 trace=True).trace,
+    "toeplitz": toeplitz_trace,
+    "eigen-delayed": lambda: eigen.run_sweeps(cli.gen_symmetric(random.Random(1), 8),
+                                              mode="delayed", trace=True).report.trace,
+}
+
+
+def tracked_objects_added(make):
+    """A kept result of ``make()`` and the objects the cyclic collector
+    tracks beyond those before it, after one collection; the first call
+    fills the drivers' caches."""
+    make()
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = make()
+    gc.collect()
+    return kept, len(gc.get_objects()) - before
+
+
+@pytest.mark.parametrize("family", sorted(TRACED) + ["from-records"])
+def test_a_kept_trace_leaves_the_collector_little_to_track(family):
+    if family == "from-records":
+        source = toeplitz_trace()
+        make = lambda: Trace(r for r in source if r.tick % 2 == 0)
+    else:
+        make = TRACED[family]
+    tr, added = tracked_objects_added(make)
+    assert len(tr) > 90 and added < len(tr) / 10
+
+
+def records(tr):
+    return [(r.tick, r.cell, r.state, r.inputs, r.outputs) for r in tr]
+
+
+@pytest.mark.parametrize("family", sorted(TRACED))
+def test_a_trace_reads_the_same_every_time(family):
+    tr = TRACED[family]()
+    assert list(tr) == list(tr) and records(tr) == records(tr)
+    assert tr.to_jsonl() == tr.to_jsonl()
+    assert [tr[k] for k in (0, 1, -1)] == [list(tr)[k] for k in (0, 1, -1)]
+    # two arrays on one plan that show the same records give equal traces
+    again = TRACED[family]()
+    assert again is not tr and again == tr and not again != tr
+    assert again.to_jsonl() == tr.to_jsonl()
+
+
+def test_slices_sums_and_filtered_traces_give_their_records():
+    tr, other = toeplitz_trace(4), toeplitz_trace(3, seed=2)
+    whole = records(tr)
+    k = len(tr) // 3
+    assert isinstance(tr[:k], Trace) and records(tr[:k]) == whole[:k]
+    assert records(tr[k::5]) == whole[k::5]
+    assert tr[:k] + tr[k:] == tr and (tr[:k] + tr[k:]).to_jsonl() == tr.to_jsonl()
+    # a sum of two arrays' traces reads each array's names, in either order
+    assert records(tr + other) == whole + records(other)
+    assert records(other + tr) == records(other) + whole
+    assert (other + tr)[len(other):] == tr and (tr + other)[len(tr):] == other
+    assert (tr + other).to_jsonl() == tr.to_jsonl() + other.to_jsonl()
+    odd = Trace(r for r in tr + other if r.tick % 2)
+    assert records(odd) == [r for r in whole + records(other) if r[0] % 2]
+    assert Trace(tr) == tr and Trace(list(tr)) == tr
+    assert Trace(list(tr)).to_jsonl() == tr.to_jsonl()
+    assert tr != other and tr[:k] != tr and tr != list(tr)
+    assert len(Trace()) == 0 and not Trace() and Trace() == Trace() and Trace() + tr == tr
