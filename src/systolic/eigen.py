@@ -379,5 +379,5 @@ def _delayed_grids(mat: np.ndarray, tr: engine.Trace | None):
         regs = [after[3 * s + d][k] for k, d in enumerate(dist)]
         for t in range(3 * s, 3 * s + 3):  # no later step reads these ticks
             after.pop(t, None)
-        yield (np.array(regs).reshape(h, h, 2, 2).swapaxes(1, 2).reshape(size, size),
-               arr.tick_count)
+        grid = np.fromiter(itertools.chain.from_iterable(regs), float, size * size)
+        yield grid.reshape(h, h, 2, 2).swapaxes(1, 2).reshape(size, size), arr.tick_count

@@ -36,7 +36,12 @@ as the longest run so far.  Its :class:`Array` holds one run: steps and
 registers, taken from the programs it is built with, and latches, each
 written slot's first-write tick (which decides the inputs a trace record
 shows), the output type patterns each cell has shown (which hold the
-payload kinds of the ports it wrote) and the tick count.  A spec makes its
+payload kinds of the ports it wrote), each with its write plan, and the
+tick count.  A write plan is made once per pattern: a pattern without
+``None`` writes the whole output tuple to the cell's output slots, any
+other one ``(latch slice, outs slice)`` per contiguous run of written
+ports, so a tick writes a cell's outputs in one slice assignment per run,
+never one per port.  A spec makes its
 plan once, on first use, and keeps it as ``spec.plan``, whatever programs
 it is built with: like the fixed hardware, one wiring serves every operand,
 and only what each operand loads into the cells changes.  A spec made with
@@ -304,12 +309,19 @@ class Trace:
     def __repr__(self) -> str:
         return f"Trace({list(self)!r})"
 
-    def activations(self) -> Iterator[tuple[int, CellId]]:
-        """(tick, cell) of each record in turn, read from the rows without
-        making records."""
+    def activations(self) -> dict[CellId, list[int]]:
+        """Each traced cell's activation ticks, in trace order within each
+        run (a cell of several runs lists one run's ticks after the
+        other's), read from the rows without making records."""
         cells = [cell for _, context in self._contexts for cell in context[0]]
-        rows = self._rows
-        return zip(map(itemgetter(0), rows), map(cells.__getitem__, map(itemgetter(1), rows)))
+        ticks: list[list[int]] = [[] for _ in cells]
+        for row in self._rows:
+            ticks[row[1]].append(row[0])
+        by_cell: dict[CellId, list[int]] = {}
+        for cell, t in zip(cells, ticks):
+            if t:
+                by_cell.setdefault(cell, []).extend(t)
+        return by_cell
 
     def to_jsonl(self) -> str:
         lines = []
@@ -538,8 +550,8 @@ class Array:
             if write is None:
                 pending.append((span, outs))
             else:
-                slots, pick = write
-                pending.extend(zip(slots, pick(outs)))
+                for where, part in write:
+                    pending.append((where, outs[part]))
             if trace is not None:
                 record((t, base + i, *state, *ins, *outs))
         for where, v in pending:
@@ -559,8 +571,10 @@ class Array:
 
     def _admit(self, i: int, outs) -> tuple | None:
         """Check an output tuple whose type pattern cell i has not shown
-        before, and return its write plan: None writes the whole tuple,
-        else (slots, pick) writes pick(outs) to slots."""
+        before, and return its write plan: None writes the whole tuple to
+        the cell's output slots, else one ``(latch slice, outs slice)`` per
+        contiguous run of written ports writes ``outs[outs slice]`` to
+        ``latch[latch slice]`` (no runs when no port is written)."""
         cell = self.plan.cells[i]
         out_names = self.plan.outs[i]
         if len(outs) != len(out_names):
@@ -590,7 +604,11 @@ class Array:
         if len(written) == len(outs):
             write = None
         else:
-            write = (tuple(base + k for k in written), _gather(tuple(written)))
+            # a run starts at each written port whose left neighbour is not
+            # written, and ends after each whose right neighbour is not
+            starts = [k for k in written if k - 1 not in written]
+            ends = [k + 1 for k in written if k + 1 not in written]
+            write = tuple((slice(base + a, base + b), slice(a, b)) for a, b in zip(starts, ends))
         checked[tuple(map(type, outs))] = write
         return write
 

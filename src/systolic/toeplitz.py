@@ -23,6 +23,7 @@ paths fail alike and say so alike.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -309,9 +310,10 @@ def count_trace_multiplications(tr: engine.Trace, n: int) -> int:
     in either phase (its other ops are the divisions).
     """
     total = 0
-    for tick, cell in tr.activations():  # cell[1] is its column
-        if tick < 2 * n:
-            total += 2 if cell[1] == 0 else 6
+    for cell, ticks in tr.activations().items():
+        elimination = bisect.bisect_left(sorted(ticks), 2 * n)  # its ticks before 2n
+        if cell.col == 0:
+            total += 2 * len(ticks)
         else:
-            total += 2 if cell[1] == 0 else 3
+            total += 6 * elimination + 3 * (len(ticks) - elimination)
     return total

@@ -308,6 +308,21 @@ def test_delayed_report_equals_broadcast():
         assert as_bytes(rd.eigenvectors) == as_bytes(rb.eigenvectors)
 
 
+@pytest.mark.parametrize("n", [31, 32])
+def test_schedules_agree_byte_for_byte_at_the_benchmark_s_large_size(n):
+    # a 16 x 16 grid, where every cell sends both parities' blocks in turn;
+    # the odd size is padded to the same grid
+    a = np.random.default_rng(1).normal(size=(n, n))
+    a = a + a.T
+    rb = run_sweeps(a, mode="broadcast")
+    rd = run_sweeps(a, mode="delayed")
+    assert as_bytes(rd.eigenvalues) == as_bytes(rb.eigenvalues)
+    assert as_bytes(rd.report.off_norms) == as_bytes(rb.report.off_norms)
+    assert rd.report.sweeps_used == rb.report.sweeps_used
+    assert rd.report.rotations_performed == rb.report.rotations_performed > 0
+    assert rd.report.ticks > 0
+
+
 _ZEROS = st.sampled_from([0.0, -0.0])
 _ENTRIES = st.one_of(_ZEROS, _ZEROS, st.sampled_from([1.0, -1.0, 2.0, -2.0]),
                      st.floats(-4.0, 4.0, allow_subnormal=False))

@@ -18,6 +18,7 @@ from systolic.engine import (
     Trace,
     Wire,
     build_array,
+    chain_ports,
     chain_wires,
     linear,
     grid,
@@ -481,6 +482,74 @@ def test_kind_guard_on_the_tuple_path():
         arr.tick()
 
 
+# which of five ports a writer cell writes, by tick mod 4: two patterns of
+# two runs each (one run ends at the last port), none of them, all of them
+FIVE_PORTS = ((1, 0, 1, 1, 0), (0, 1, 0, 1, 1), (0, 0, 0, 0, 0), (1, 1, 1, 1, 1))
+FIVE = tuple(f"p{k}" for k in range(5))
+
+
+def five_port_array(writer):
+    """Cell 0 steps ``writer`` on five outputs, all wired to cell 1, whose
+    register holds the five inputs it read last."""
+    ins, outs = chain_ports(FIVE)
+    spec = linear(2, chain_wires(2, FIVE),
+                  ports=lambda cell: ((), outs) if cell.col == 0 else (ins, ()))
+    return build_array(spec, {CellId(0, 0): CellProgram(writer),
+                              CellId(0, 1): CellProgram(lambda state, ins, tick: ((ins,), ()),
+                                                        {"seen": ()})})
+
+
+def five_port_writer(state, ins, tick):
+    # port k writes 10 (t + 1) + k on tick t, a value no other write repeats
+    return state, tuple(10 * (tick + 1) + k if on else None
+                        for k, on in enumerate(FIVE_PORTS[tick % 4]))
+
+
+def test_a_partial_output_pattern_writes_only_its_ports():
+    arr = five_port_array(five_port_writer)
+    tr = Trace()
+    seen = []
+    for _ in range(9):
+        arr.tick(tr)
+        seen.append(arr.states()[1][0])
+    # what cell 1 read on ticks 0-8: the latches after ticks -1 to 7
+    assert seen == [(0, 0, 0, 0, 0),
+                    (10, 0, 12, 13, 0),
+                    (10, 21, 12, 23, 24),
+                    (10, 21, 12, 23, 24),
+                    (40, 41, 42, 43, 44),
+                    (50, 41, 52, 53, 44),
+                    (50, 61, 52, 63, 64),
+                    (50, 61, 52, 63, 64),
+                    (80, 81, 82, 83, 84)]
+    assert [r.outputs for r in tr if r.cell.col == 0] == [
+        {"p0out": 10, "p2out": 12, "p3out": 13},
+        {"p1out": 21, "p3out": 23, "p4out": 24},
+        {},
+        {"p0out": 40, "p1out": 41, "p2out": 42, "p3out": 43, "p4out": 44},
+        {"p0out": 50, "p2out": 52, "p3out": 53},
+        {"p1out": 61, "p3out": 63, "p4out": 64},
+        {},
+        {"p0out": 80, "p1out": 81, "p2out": 82, "p3out": 83, "p4out": 84},
+        {"p0out": 90, "p2out": 92, "p3out": 93}]
+
+
+def test_a_kind_change_inside_a_partial_pattern_raises_on_its_tick():
+    # on tick 5, the second run of (None, v, None, v, v) carries a float
+    def writer(state, ins, tick):
+        state, outs = five_port_writer(state, ins, tick)
+        return state, (outs[:3] + (outs[3] + 0.5, outs[4]) if tick == 5 else outs)
+
+    arr = five_port_array(writer)
+    for _ in range(5):
+        arr.tick()
+    with pytest.raises(SimulationError) as err:
+        arr.tick()
+    assert arr.tick_count == 5
+    assert str(err.value) == ("port (CellId(row=0, col=0), 'p3out') "
+                              "changed payload kind int -> float")
+
+
 def test_declared_input_without_wire_or_feed_raises():
     calls = []
 
@@ -786,3 +855,17 @@ def test_slices_sums_and_filtered_traces_give_their_records():
     assert Trace(list(tr)).to_jsonl() == tr.to_jsonl()
     assert tr != other and tr[:k] != tr and tr != list(tr)
     assert len(Trace()) == 0 and not Trace() and Trace() == Trace() and Trace() + tr == tr
+
+
+def test_activations_list_each_cell_s_ticks():
+    tr = toeplitz_trace(4)
+    ticks = {}
+    for r in tr:
+        ticks.setdefault(r.cell, []).append(r.tick)
+    assert tr.activations() == ticks and len(ticks) == 5
+    # a cell of two runs lists the first run's ticks, then the second's
+    # (a system of the same order runs on the same windows)
+    other = toeplitz_trace(4, seed=2)
+    assert (tr + other).activations() == {c: t + t for c, t in ticks.items()}
+    assert tr[len(tr) // 2:].activations() == Trace(list(tr)[len(tr) // 2:]).activations()
+    assert Trace().activations() == {}
