@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import eigen, intgcd, oracle, polygcd, toeplitz
-from .engine import SimulationError
+from .engine import SimulationError, to_jsonl
 from .gfield import Field, poly_normalize, poly_to_str
 from .oracle import SingularMatrixError
 
@@ -32,7 +32,7 @@ def _emit(args, human_lines, payload, traces=()):
     if args.trace is not None:
         with open(args.trace, "w") as fh:
             for tr in traces:
-                fh.write(tr.to_jsonl())
+                fh.write(to_jsonl(tr))
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

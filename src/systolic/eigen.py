@@ -179,7 +179,8 @@ class SweepReport:
     off_norms: list = field(default_factory=list)  # after each step
     rotations_performed: int = 0
     ticks: int = 0  # delayed mode only
-    trace: engine.Trace | None = None  # delayed mode with trace=True only
+    # delayed mode with trace=True only
+    trace: engine.Trace | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

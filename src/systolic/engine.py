@@ -51,25 +51,24 @@ links and a cell's gather and output span are each made once (in bounded
 caches), so plans of pipelines of many lengths cost little more than the
 longest.
 
-A :class:`Trace` keeps one flat row per activation: the tick, a context
-index (its array's base in the trace plus the cell's index), then the
-cell's registers, inputs and outputs.  It keeps each array's context once:
+A :class:`Trace` records one array's run.  It keeps one flat row per
+activation: the tick, the cell's index, then the cell's registers, inputs
+and outputs, and, from the array's first traced tick, the run's context:
 its cells, their register, port and input-slot names, and the run's
 first-write ticks.  A row holds only what the cell read and made, so the
 cyclic collector stops tracking it the first time it looks, and a kept
 trace costs the collector next to nothing.  Records are made from the rows
-only when the trace is read.
+only as the trace is iterated, and :func:`to_jsonl` renders any records,
+one JSON line each.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -179,159 +178,81 @@ def chain_ports(ports: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]
     return tuple(p + "in" for p in ports), tuple(p + "out" for p in ports)
 
 
-class TraceRecord(tuple):
-    """One activation: tick, cell, and the raw register and port tuples.
+class TraceRecord(NamedTuple):
+    """One activation: its tick and cell, the cell's registers after it,
+    the inputs it read and the outputs it wrote, each by name.  ``inputs``
+    leaves out a wired port whose source had not written it before the
+    record's tick, which the run's first-write ticks tell (a later first
+    write comes on a later tick, so the answer never changes); ``outputs``
+    leaves out a port the step did not write.  Two records are equal when
+    they show the same."""
 
-    The ``state``, ``inputs`` and ``outputs`` dicts are built from the
-    cell's names each time they are read.  ``inputs`` leaves out a wired
-    port whose source had not written it before the record's tick, which
-    the run's first-write ticks tell (a later first write comes on a later
-    tick, so the answer never changes); ``outputs`` leaves out a port the
-    step did not write.  Two records are equal when their tick, cell,
-    ``state``, ``inputs`` and ``outputs`` are.
+    tick: int
+    cell: CellId
+    state: dict
+    inputs: dict
+    outputs: dict
+
+
+class Trace:
+    """One array's run: every active cell's record, tick by tick, in cell
+    order within a tick.
+
+    Each record is kept as a flat row, ``(tick, cell index, *state, *ins,
+    *outs)``, and made when the trace is iterated.  The array's first
+    traced tick sets the trace's context, which names the rows; a tick of
+    another array is refused.
     """
 
-    __slots__ = ()
-    # (tick, cell, state, ins, outs,
-    #  (state names, input names, output names, input slots, first-write ticks))
-    tick = property(itemgetter(0))
-    cell = property(itemgetter(1))
-    _shown = property(attrgetter("tick", "cell", "state", "inputs", "outputs"))
+    __slots__ = ("_rows", "_context")
 
-    @property
-    def state(self) -> dict:
-        return dict(zip(self[5][0], self[2]))
+    def __init__(self):
+        self._rows: list[tuple] = []
+        # (cells, register names, input names, output names, input slots,
+        # first-write ticks), each but the last per cell
+        self._context: tuple | None = None
 
-    @property
-    def inputs(self) -> dict:
-        t, names = self[0], self[5]
-        first = names[4]
-        return {p: v for p, s, v in zip(names[1], names[3], self[3]) if first[s] < t}
+    def __len__(self) -> int:
+        return len(self._rows)
 
-    @property
-    def outputs(self) -> dict:
-        return {p: v for p, v in zip(self[5][2], self[4]) if v is not None}
+    def __iter__(self) -> Iterator[TraceRecord]:
+        if self._context is None:
+            return
+        cells, regs, ins, outs, slots, first = self._context
+        for row in self._rows:
+            t, i = row[0], row[1]
+            a = 2 + len(regs[i])
+            b = a + len(ins[i])
+            yield TraceRecord(t, cells[i], dict(zip(regs[i], row[2:a])),
+                              {p: v for p, s, v in zip(ins[i], slots[i], row[a:b]) if first[s] < t},
+                              {p: v for p, v in zip(outs[i], row[b:]) if v is not None})
 
-    def __eq__(self, other):
-        return isinstance(other, TraceRecord) and self._shown == other._shown
-
-    def __ne__(self, other):
-        return not self == other
+    def activations(self) -> dict[CellId, list[int]]:
+        """Each traced cell's activation ticks, read from the rows without
+        making records."""
+        if self._context is None:
+            return {}
+        cells = self._context[0]
+        ticks: list[list[int]] = [[] for _ in cells]
+        for row in self._rows:
+            ticks[row[1]].append(row[0])
+        return {cell: t for cell, t in zip(cells, ticks) if t}
 
 
 def _render(v):
     return int(v) if isinstance(v, bool) else v
 
 
-def _record(row: tuple, cell: CellId, names: tuple) -> TraceRecord:
-    """The record of ``row``, an activation of ``cell``, whose port names
-    tell where the row's inputs and outputs start."""
-    outs = len(row) - len(names[2])
-    ins = outs - len(names[1])
-    return tuple.__new__(TraceRecord, (row[0], cell, row[2:ins], row[ins:outs], row[outs:], names))
-
-
-class Trace:
-    """Every active cell's record, tick by tick, in cell order within a tick.
-
-    Each record is kept as a flat row, ``(tick, context index, *state,
-    *ins, *outs)``, and made when the trace is read (iterated or indexed);
-    slices and ``+`` are traces.  ``Trace(records)`` keeps any records, and
-    two traces are equal when their records are.
-    """
-
-    __slots__ = ("_rows", "_contexts")
-
-    def __init__(self, records: Iterable[TraceRecord] = ()):
-        self._rows: list[tuple] = []
-        # per array, the context index of its first cell and its context:
-        # (cells, register names, input names, output names, input slots,
-        # first-write ticks), each but the last per cell
-        self._contexts: list[tuple[int, tuple]] = []
-        seen = {}  # (cell, id(names)) -> (names, kept so the id stays theirs, context index)
-        for t, cell, state, ins, outs, names in records:
-            key = cell, id(names)
-            if key not in seen:
-                seen[key] = names, self._add(((cell,), *((n,) for n in names[:4]), names[4]))
-            self._rows.append((t, seen[key][1], *state, *ins, *outs))
-
-    def _enter(self, context: tuple) -> int:
-        """The context index of ``context``'s first cell, which is added
-        if the trace does not hold it yet."""
-        for base, known in reversed(self._contexts):
-            if known is context:
-                return base
-        return self._add(context)
-
-    def _add(self, context: tuple) -> int:
-        """Add ``context`` after the trace's last and return its base."""
-        base = 0
-        if self._contexts:
-            last, (cells, *_) = self._contexts[-1]
-            base = last + len(cells)
-        self._contexts.append((base, context))
-        return base
-
-    def _named(self, c: int) -> tuple[CellId, tuple]:
-        """The cell of context index ``c`` and the names its records carry."""
-        k = bisect.bisect_right(self._contexts, c, key=itemgetter(0)) - 1
-        base, (cells, *per_cell, first) = self._contexts[k]
-        return cells[c - base], (*(names[c - base] for names in per_cell), first)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        named: dict[int, tuple] = {}
-        for row in self._rows:
-            if row[1] not in named:
-                named[row[1]] = self._named(row[1])
-            yield _record(row, *named[row[1]])
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            part = Trace()
-            part._rows, part._contexts = self._rows[k], self._contexts[:]
-            return part
-        row = self._rows[k]
-        return _record(row, *self._named(row[1]))
-
-    def __add__(self, other: Trace) -> Trace:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return Trace(itertools.chain(self, other))
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"Trace({list(self)!r})"
-
-    def activations(self) -> dict[CellId, list[int]]:
-        """Each traced cell's activation ticks, in trace order within each
-        run (a cell of several runs lists one run's ticks after the
-        other's), read from the rows without making records."""
-        cells = [cell for _, context in self._contexts for cell in context[0]]
-        ticks: list[list[int]] = [[] for _ in cells]
-        for row in self._rows:
-            ticks[row[1]].append(row[0])
-        by_cell: dict[CellId, list[int]] = {}
-        for cell, t in zip(cells, ticks):
-            if t:
-                by_cell.setdefault(cell, []).extend(t)
-        return by_cell
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for r in self:
-            obj = {"tick": r.tick, "row": r.cell.row, "col": r.cell.col,
-                   "state": {k: _render(v) for k, v in r.state.items()},
-                   "in": {k: _render(v) for k, v in r.inputs.items()},
-                   "out": {k: _render(v) for k, v in r.outputs.items()}}
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
+def to_jsonl(records: Iterable[TraceRecord]) -> str:
+    """One JSON line per record, bits written as 0 and 1."""
+    lines = []
+    for r in records:
+        obj = {"tick": r.tick, "row": r.cell.row, "col": r.cell.col,
+               "state": {k: _render(v) for k, v in r.state.items()},
+               "in": {k: _render(v) for k, v in r.inputs.items()},
+               "out": {k: _render(v) for k, v in r.outputs.items()}}
+        lines.append(json.dumps(obj, separators=(",", ":")))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _check_wire_geometry(spec: ArraySpec, w: Wire):
@@ -508,7 +429,9 @@ class Array:
         return list(self._states)
 
     def tick(self, trace: Trace | None = None, lines: Sequence = ()) -> None:
-        """Advance one tick, appending its records to ``trace`` if given.
+        """Advance one tick, appending its records to ``trace`` if given;
+        a trace holds one array's run, so one that another array has
+        written is refused before any step runs.
 
         Values written here are readable by wired neighbours from the next
         tick onward; a written port holds its value until overwritten.
@@ -522,6 +445,12 @@ class Array:
         if len(lines) != len(plan.boundary_in):
             ports = ", ".join(f"{tuple(c)} {p!r}" for c, p in plan.boundary_in)
             raise SimulationError(f"tick {t}: boundary inputs {ports} are fed only by run")
+        if trace is not None:
+            if trace._context is None:
+                trace._context = self._context
+            elif trace._context is not self._context:
+                raise SimulationError(f"tick {t}: the trace holds another array's run")
+            record = trace._rows.append
         latch = self._latch
         for slot, line in lines:
             latch[slot] = line[t] if t < len(line) else 0
@@ -535,9 +464,6 @@ class Array:
         states = self._states
         cellv = self._cellv
         pending: list = []
-        if trace is not None:
-            base = trace._enter(self._context)
-            record = trace._rows.append
         for i in order:
             gather, step, checked, span = cellv[i]
             ins = gather(latch)
@@ -553,7 +479,7 @@ class Array:
                 for where, part in write:
                     pending.append((where, outs[part]))
             if trace is not None:
-                record((t, base + i, *state, *ins, *outs))
+                record((t, i, *state, *ins, *outs))
         for where, v in pending:
             latch[where] = v
         self.tick_count = t + 1

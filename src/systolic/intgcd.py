@@ -11,7 +11,7 @@ published delta <= 0 form loops forever on inputs like a=5, b=3).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import engine
 from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
@@ -189,7 +189,7 @@ class IntGcdRun:
     cells: int
     ticks: int
     raw_output: int  # signed word as decoded from the pipeline
-    trace: engine.Trace
+    trace: engine.Trace = field(compare=False)
 
 
 PORTS = ("a", "b", "start", "startodd", "eps", "neg")

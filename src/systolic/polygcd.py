@@ -31,7 +31,7 @@ depend on p, so one plan serves every field.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import engine
 from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
@@ -210,7 +210,7 @@ class GcdRun:
     latency: int  # ticks from leading-term entry to first GCD coefficient out
     cells: int
     ticks: int
-    trace: engine.Trace
+    trace: engine.Trace = field(compare=False)
 
 
 def _decode_window(a_out, b_out, lo, hi):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -289,7 +289,7 @@ class ToeplitzRun:
     x: np.ndarray
     ticks: int
     cells: int
-    trace: engine.Trace
+    trace: engine.Trace = field(compare=False)
 
 
 def systolic_toeplitz_solve(bands: ToeplitzBands, trace: bool = True) -> ToeplitzRun:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from systolic import cli
+from systolic.engine import to_jsonl
 
 
 def run_cli(capsys, *args):
@@ -513,7 +514,7 @@ def test_trace_stats_toeplitz_quarter_utilisation(tmp_path, capsys):
     d[n] = np.sum(np.abs(d)) + 1.0
     tb = ToeplitzBands(n, tuple(d), tuple(rng.uniform(-1, 1, n + 1)))
     trace = tmp_path / "toep.jsonl"
-    trace.write_text(systolic_toeplitz_solve(tb).trace.to_jsonl())
+    trace.write_text(to_jsonl(systolic_toeplitz_solve(tb).trace))
     code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
     stats = json.loads(out)
     assert code == 0
@@ -529,7 +530,7 @@ def test_trace_stats_delayed_jacobi_third_utilisation(tmp_path, capsys):
     a = 0.5 * (a + a.T)
     res = run_sweeps(a, mode="delayed", trace=True)
     trace = tmp_path / "jac.jsonl"
-    trace.write_text(res.report.trace.to_jsonl())
+    trace.write_text(to_jsonl(res.report.trace))
     code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
     stats = json.loads(out)
     assert code == 0

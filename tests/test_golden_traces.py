@@ -1,4 +1,4 @@
-"""Traces pinned byte for byte: sha256 of ``Trace.to_jsonl()`` per family.
+"""Traces pinned byte for byte: sha256 of ``engine.to_jsonl(trace)`` per family.
 
 A change to the engine or a cell program that alters any trace record (its
 tick, cell, state, inputs, outputs or their order) changes these digests.
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from systolic import eigen, intgcd, polygcd, toeplitz
+from systolic.engine import to_jsonl
 from systolic.gfield import Field
 
 A = (2, 1, 5, 1, 6, 1, 6, 2, 4, 0, 2, 5, 3, 4)
@@ -52,4 +53,4 @@ def test_golden_trace(name):
     make, records, digest = RUNS[name]
     tr = make()
     assert len(tr) == records
-    assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == digest
+    assert hashlib.sha256(to_jsonl(tr).encode()).hexdigest() == digest

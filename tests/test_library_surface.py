@@ -1,11 +1,11 @@
-"""The library holds no public code that the program never names.
+"""The library holds no code that the program never names.
 
-Every public module-level function or class in ``src/systolic``, and every
-public method of a class there, must be named somewhere under ``src/`` or
-``bench/``: as a name, an attribute or a string constant equal to it (the
-bench looks some functions up by name).  A definition does not name
-itself, and dunders are exempt.  What only the tests use belongs in the
-tests.
+Every module-level function or class in ``src/systolic``, and every method
+of a class there, public or private, must be named somewhere under
+``src/`` or ``bench/``: as a name, an attribute or a string constant equal
+to it (the bench looks some functions up by name).  A definition does not
+name itself, and dunders are exempt.  What only the tests use belongs in
+the tests.
 
 Likewise every attribute that a class there stores on ``self`` must be
 read, as an attribute, somewhere under ``src/`` or ``bench/``; an
@@ -21,22 +21,22 @@ LIBRARY = sorted((ROOT / "src" / "systolic").glob("*.py"))
 PROGRAM = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
 
 
-def _public(name: str) -> bool:
-    return not name.startswith("_")
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each public top-level def and class, and
-    of each public method of a top-level class."""
+    """(qualified name, name) of each top-level def and class, and of each
+    method of a top-level class, but the dunders."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, defs):
             continue
-        if _public(node.name):
+        if not _dunder(node.name):
             yield node.name, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs[:2]) and _public(item.name):
+                if isinstance(item, defs[:2]) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name
 
 
@@ -69,12 +69,21 @@ def _read(tree: ast.Module) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def test_every_public_definition_is_named_by_the_program():
+def _unnamed(private: bool) -> list[str]:
+    """Each public, or each private, definition that the program never names."""
     named = set().union(*(_named(ast.parse(p.read_text())) for p in PROGRAM))
-    unnamed = [f"{path.name}: {qual}" for path in LIBRARY
-               for qual, name in _definitions(ast.parse(path.read_text()))
-               if name not in named]
-    assert unnamed == []
+    return [f"{path.name}: {qual}" for path in LIBRARY
+            for qual, name in _definitions(ast.parse(path.read_text()))
+            if name.startswith("_") == private and name not in named]
+
+
+def test_every_public_definition_is_named_by_the_program():
+    assert _unnamed(private=False) == []
+
+
+def test_every_private_definition_is_named_by_the_program():
+    # a private name the tests alone call is test-only code too
+    assert _unnamed(private=True) == []
 
 
 def test_the_scan_sees_an_unnamed_definition():
@@ -85,9 +94,12 @@ def test_the_scan_sees_an_unnamed_definition():
                      "    def get(self): return self.put\n"
                      "    def put(self): pass\n"
                      "    def _hidden(self): pass\n"
+                     "    def _kept(self): return self._hidden\n"
+                     "def _helper(): pass\n"
                      "getattr(Box, 'looked_up')\n")
     named = _named(tree)
-    assert [q for q, n in _definitions(tree) if n not in named] == ["unused", "Box.get"]
+    assert [q for q, n in _definitions(tree) if n not in named] == \
+        ["unused", "Box.get", "Box._kept", "_helper"]
 
 
 def test_every_stored_attribute_is_read_by_the_program():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from systolic import cli, eigen, engine, intgcd, oracle, polygcd, toeplitz
-from systolic.engine import CellId, CellProgram, SimulationError, Trace
+from systolic.engine import CellId, CellProgram, SimulationError
 from systolic.gfield import Field
 from systolic.oracle import SingularMatrixError
 
@@ -94,7 +94,7 @@ def outcome(run, since, patches):
             result, trace = run()
         except (SimulationError, SingularMatrixError) as exc:
             return type(exc).__name__, str(exc)
-    return result, Trace(r for r in trace if r.tick >= since).to_jsonl()
+    return result, engine.to_jsonl(r for r in trace if r.tick >= since)
 
 
 def toeplitz_system(kind, n, seed):
@@ -177,7 +177,7 @@ class PlanReuse(RuleBasedStateMachine):
 
         def run():
             result, res = sweeps("delayed")
-            return (result, res.report.ticks), res.report.trace or Trace()
+            return (result, res.report.ticks), res.report.trace or ()
 
         self.check(eigen, run, 0, fail, lambda: sweeps("broadcast")[0])
 
