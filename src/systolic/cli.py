@@ -23,7 +23,7 @@ import numpy as np
 
 from . import eigen, intgcd, oracle, polygcd, toeplitz
 from .engine import SimulationError, to_jsonl
-from .gfield import Field, poly_normalize, poly_to_str
+from .gfield import Field, poly_to_str
 from .oracle import SingularMatrixError
 
 
@@ -114,8 +114,7 @@ def gen_symmetric(rng: random.Random, n: int) -> np.ndarray:
 
 def cmd_polygcd(args) -> int:
     field = Field(args.p)
-    a = poly_normalize(field, _parse_coeffs(args.a, "--a"))
-    b = poly_normalize(field, _parse_coeffs(args.b, "--b"))
+    a, b = _parse_coeffs(args.a, "--a"), _parse_coeffs(args.b, "--b")
     run = polygcd.systolic_poly_gcd(field, a, b, variant=args.variant,
                                     trace=args.trace is not None)
     _emit(args, [f"gcd: {poly_to_str(field, run.gcd)}",

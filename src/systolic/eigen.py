@@ -349,28 +349,22 @@ def _delayed_inputs(size: int):
     return spec, steps
 
 
-def build_delayed_array(mat: np.ndarray):
-    """The delayed array with ``mat``'s 2x2 blocks in its registers."""
-    size = mat.shape[0]
-    h = size // 2
-    spec, steps = _delayed_inputs(size)
-    blocks = mat.reshape(h, 2, h, 2).swapaxes(1, 2).reshape(h * h, 4).tolist()
-    return build_array(spec, {cell: CellProgram(step, dict(zip(_BLOCK, block)))
-                              for (cell, step), block in zip(steps.items(), blocks)})
-
-
 def _delayed_grids(mat: np.ndarray, tr: engine.Trace | None):
     """Yield the rotated (pre-permutation) grid of steps 0, 1, ... in turn,
     each with the ticks run so far, for as long as the caller asks.
 
-    The array on ``mat`` is built on the first request, and advances one
-    tick at a time, only as far as the step asked for.  Cell (i, j) runs
-    step s on tick 3s + |i - j| and not again for three ticks, so its
-    step-s block is in the registers read right after that tick.
+    The array, with ``mat``'s 2x2 blocks in its registers, is built on the
+    first request, and advances one tick at a time, only as far as the
+    step asked for.  Cell (i, j) runs step s on tick 3s + |i - j| and not
+    again for three ticks, so its step-s block is in the registers read
+    right after that tick.
     """
-    arr = build_delayed_array(mat)
     size = mat.shape[0]
     h = size // 2
+    spec, steps = _delayed_inputs(size)
+    blocks = mat.reshape(h, 2, h, 2).swapaxes(1, 2).reshape(h * h, 4).tolist()
+    arr = build_array(spec, {cell: CellProgram(step, dict(zip(_BLOCK, block)))
+                             for (cell, step), block in zip(steps.items(), blocks)})
     dist = [abs(i - j) for i in range(h) for j in range(h)]
     after: dict[int, list] = {}  # tick -> every cell's registers right after it
     for s in itertools.count():

@@ -143,10 +143,6 @@ class ArraySpec:
         spec may not change after it; a replaced spec makes its own."""
         return Plan(self)
 
-    def cells(self) -> list[CellId]:
-        _, rows, cols = self.topology
-        return [_cell(r, c) for r in range(rows) for c in range(cols)]
-
 
 def grid(rows: int, cols: int, wiring: Iterable[Wire] = (), activation=None,
          ports=None) -> ArraySpec:
@@ -317,7 +313,8 @@ class Plan:
     """
 
     def __init__(self, spec: ArraySpec):
-        cells = spec.cells()
+        _, rows, cols = spec.topology
+        cells = [_cell(r, c) for r in range(rows) for c in range(cols)]
         ins_of, outs_of = {}, {}
         for c in cells:
             ins, outs = spec.ports(c) if spec.ports is not None else ((), ())

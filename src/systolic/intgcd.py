@@ -215,7 +215,7 @@ def _gcd_pipeline(n_cells: int, frame_len: int):
         return (range(cell.col, 2 * cell.col + frame_len + 9),)
     spec = engine.linear(n_cells, chain_wires(n_cells, PORTS), activation=activation,
                          ports=lambda cell: CELL_PORTS)
-    return spec, dict.fromkeys(spec.cells(), CellProgram(gcd_cell_step, gcd_cell_initial_state()))
+    return spec, dict.fromkeys(spec.plan.cells, CellProgram(gcd_cell_step, gcd_cell_initial_state()))
 
 
 def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:

@@ -37,8 +37,6 @@ from . import engine
 from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
 from .gfield import Field, Poly, poly_monic, poly_normalize, poly_valuation
 
-VARIANTS = ("fig4", "appA")
-
 # the streams each cell passes on, and its ports: `<stream>in`, `<stream>out`
 STREAMS = {"fig4": ("a", "b", "start", "d"), "appA": ("a", "b", "start", "stop", "sig")}
 CELL_PORTS = {variant: chain_ports(streams) for variant, streams in STREAMS.items()}
@@ -144,6 +142,13 @@ def make_appA_step(field: Field):
     return step
 
 
+# each cell design's step maker, initial registers and decode lag: how many
+# slots after the start bit a frame's output window opens
+DESIGNS = {"fig4": (make_fig4_step, fig4_initial_state(), 1),
+           "appA": (make_appA_step, appA_initial_state(), 0)}
+VARIANTS = tuple(DESIGNS)
+
+
 # -- stream layout ----------------------------------------------------------
 
 
@@ -195,13 +200,6 @@ def _chain_spec(n_cells: int, variant: str):
     return engine.linear(n_cells, chain_wires(n_cells, STREAMS[variant]), ports=lambda cell: decl)
 
 
-def _poly_array(field: Field, n_cells: int, variant: str):
-    spec = _chain_spec(n_cells, variant)
-    step = make_fig4_step(field) if variant == "fig4" else make_appA_step(field)
-    init = fig4_initial_state() if variant == "fig4" else appA_initial_state()
-    return build_array(spec, dict.fromkeys(spec.plan.cells, CellProgram(step, init)))
-
-
 @dataclass(frozen=True)
 class GcdRun:
     """Decoded result of one systolic GCD run."""
@@ -231,7 +229,7 @@ def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[
     largest stripped pair.  All runs share the cell count, tick count and
     trace of the one array run.
     """
-    if variant not in VARIANTS:
+    if variant not in DESIGNS:
         raise ValueError(f"unknown variant {variant!r}")
     stripped = []
     shifts = []
@@ -250,7 +248,9 @@ def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[
         return []
     lines, lengths = _build_schedule(stripped, variant)
     n_ticks = 2 * n_cells + sum(lengths) + 6
-    arr = _poly_array(field, n_cells, variant)
+    make_step, init, lag = DESIGNS[variant]
+    spec = _chain_spec(n_cells, variant)
+    arr = build_array(spec, dict.fromkeys(spec.plan.cells, CellProgram(make_step(field), init)))
     outputs, tr = engine.run(arr, {CellId(0, 0): lines}, n_ticks, trace=trace)
     a_out, b_out, s_out = (outputs[CellId(0, n_cells - 1), port]
                            for port in ("aout", "bout", "startout"))
@@ -261,8 +261,7 @@ def _run_stream(field: Field, pairs, variant: str, trace: bool = False) -> list[
     runs = []
     entry = 1  # the tick at which a frame's leading terms enter the leftmost cell
     for f, (n, e) in enumerate(zip(lengths, shifts)):
-        # fig4's window starts one observation slot after the start bit
-        lo = starts[f] + 1 if variant == "fig4" else starts[f]
+        lo = starts[f] + lag
         coeffs, first_t = _decode_window(a_out, b_out, lo, lo + n - 1)
         if not coeffs:
             raise engine.SimulationError(f"no GCD emerged for pair {f}")

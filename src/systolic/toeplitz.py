@@ -205,14 +205,12 @@ def toeplitz_registers(bands: ToeplitzBands) -> list[dict]:
              "lam": 0.0, "mu": 0.0, "xi": b[n - k], "eta": b[n + 1 - k]} for k in range(n + 1)]
 
 
+# (output, input, d): cell P_k's output feeds cell P_{k+d}'s input, listed
+# in the order a step reads its inputs
+_LINKS = (("outR1", "inL1", 1), ("outR2", "inL2", 1),
+          ("outL1", "inR1", -1), ("outL2", "inR2", -1), ("outL3", "inR3", -1))
+# a step's outputs, in the order every trace record shows them
 _OUT_PORTS = ("outL1", "outL2", "outL3", "outR1", "outR2")
-
-
-def _cell_ports(n: int, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Cell P_k reads inL1, inL2 from P_{k-1} and inR1..inR3 from P_{k+1};
-    an edge cell declares only the ports that have a neighbour."""
-    ins = (("inL1", "inL2") if k > 0 else ()) + (("inR1", "inR2", "inR3") if k < n else ())
-    return ins, _OUT_PORTS
 
 
 def make_toeplitz_step(n: int, tol: float | None, k: int):
@@ -260,28 +258,18 @@ def _toeplitz_inputs(n: int):
     plan.  A solve adds only cell 0's step, which holds the system's pivot
     tolerance, and its own registers.
     """
-    wiring = []
-    for k in range(n):
-        wiring.append(Wire(CellId(0, k), "outR1", CellId(0, k + 1), "inL1"))
-        wiring.append(Wire(CellId(0, k), "outR2", CellId(0, k + 1), "inL2"))
-        wiring.append(Wire(CellId(0, k + 1), "outL1", CellId(0, k), "inR1"))
-        wiring.append(Wire(CellId(0, k + 1), "outL2", CellId(0, k), "inR2"))
-        wiring.append(Wire(CellId(0, k + 1), "outL3", CellId(0, k), "inR3"))
+    wiring, ports = [], []
+    for k in range(n + 1):
+        # an edge cell declares only the inputs a neighbour feeds
+        links = [(out, inp, d) for out, inp, d in _LINKS if 0 <= k - d <= n]
+        wiring += [Wire(CellId(0, k - d), out, CellId(0, k), inp) for out, inp, d in links]
+        ports.append((tuple(inp for _, inp, _ in links), _OUT_PORTS))
     spec = engine.linear(n + 1, wiring, activation=lambda cell: (
         # cell k runs on ticks of its own parity: elimination, then back-substitution
         range(cell.col, 2 * n - cell.col, 2),
         range(2 * n + cell.col, 4 * n - cell.col + 1, 2),
-    ), ports=lambda cell: _cell_ports(n, cell.col))
+    ), ports=lambda cell: ports[cell.col])
     return spec, {CellId(0, k): make_toeplitz_step(n, None, k) for k in range(1, n + 1)}
-
-
-def build_toeplitz_array(bands: ToeplitzBands):
-    """The order-(n+1) array with ``bands`` in its registers."""
-    n = bands.n
-    spec, interior = _toeplitz_inputs(n)
-    steps = {CellId(0, 0): make_toeplitz_step(n, _pivot_tol(bands), 0), **interior}
-    return build_array(spec, {cell: CellProgram(step, regs) for (cell, step), regs
-                              in zip(steps.items(), toeplitz_registers(bands))})
 
 
 @dataclass(frozen=True)
@@ -293,9 +281,13 @@ class ToeplitzRun:
 
 
 def systolic_toeplitz_solve(bands: ToeplitzBands, trace: bool = True) -> ToeplitzRun:
-    """Run the 4n+1-tick schedule and read x_k from register xi of cell P_k."""
+    """Run the 4n+1-tick schedule on the order-(n+1) array with ``bands`` in
+    its registers, and read x_k from register xi of cell P_k."""
     n = bands.n
-    arr = build_toeplitz_array(bands)
+    spec, interior = _toeplitz_inputs(n)
+    steps = {CellId(0, 0): make_toeplitz_step(n, _pivot_tol(bands), 0), **interior}
+    arr = build_array(spec, {cell: CellProgram(step, regs) for (cell, step), regs
+                             in zip(steps.items(), toeplitz_registers(bands))})
     n_ticks = 4 * n + 1
     _, tr = engine.run(arr, None, n_ticks, trace=trace)
     x = np.array([regs[_XI] for regs in arr.states()])
@@ -311,7 +303,7 @@ def count_trace_multiplications(tr: engine.Trace, n: int) -> int:
     """
     total = 0
     for cell, ticks in tr.activations().items():
-        elimination = bisect.bisect_left(sorted(ticks), 2 * n)  # its ticks before 2n
+        elimination = bisect.bisect_left(ticks, 2 * n)  # its ticks before 2n
         if cell.col == 0:
             total += 2 * len(ticks)
         else:

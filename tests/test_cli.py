@@ -39,6 +39,23 @@ def test_polygcd_json(capsys):
     assert code == 0 and payload["gcd"] == [1, 1] and payload["cells"] == 3
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_polygcd_reduces_coefficients_mod_p(capsys, fmt):
+    # 13,-2,8,0 and 10,7,1 are 6,5,1 and 3,0,1 mod 7, one with a zero top term
+    raw = run_cli(capsys, "--format", fmt, "polygcd", "--p", "7",
+                  "--a", "13,-2,8,0", "--b", "10,7,1")
+    reduced = run_cli(capsys, "--format", fmt, "polygcd", "--p", "7",
+                      "--a", "6,5,1", "--b", "3,0,1")
+    assert raw == reduced and raw[0] == 0
+
+
+def test_polygcd_of_two_zero_polynomials_mod_p_is_a_usage_error(capsys):
+    # 0,7 and 14 are both zero mod 7
+    code, out, err = run_cli(capsys, "polygcd", "--p", "7", "--a", "0,7", "--b", "14")
+    assert code == 2 and out == ""
+    assert err == "error: gcd(0, 0) is undefined\n"
+
+
 def test_intgcd_modes(capsys):
     for mode in ("serial", "precursor", "systolic"):
         code, out, _ = run_cli(capsys, "intgcd", "--a", "12", "--b", "18", "--mode", mode)

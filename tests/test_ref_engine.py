@@ -16,7 +16,7 @@ import random
 import sys
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ref_engine import RefArray, Refused
@@ -125,7 +125,10 @@ def ref_turn(ref, feed, via, n_ticks, traced):
     return outs, records if traced else []
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# no shrink phase: a failure is reported on the example that found it, in
+# seconds, where shrinking these large examples takes minutes
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(scenarios())
 def test_random_specs_run_as_the_reference_runs(scenario):
     spec, arrays, turns = scenario
