@@ -51,15 +51,17 @@ links and a cell's gather and output span are each made once (in bounded
 caches), so plans of pipelines of many lengths cost little more than the
 longest.
 
-A :class:`Trace` records one array's run.  It keeps one flat row per
-activation: the tick, the cell's index, then the cell's registers, inputs
-and outputs, and, from the array's first traced tick, the run's context:
-its cells, their register, port and input-slot names, and the run's
-first-write ticks.  A row holds only what the cell read and made, so the
-cyclic collector stops tracking it the first time it looks, and a kept
-trace costs the collector next to nothing.  Records are made from the rows
-only as the trace is iterated, and :func:`to_jsonl` renders any records,
-one JSON line each.
+A :class:`Trace` records one array's run in two flat lists: per
+activation, one list gets the tick and the cell's index, the other the
+cell's registers, inputs and outputs, extended from the tuples the tick
+already holds, so recording makes no object.  From the array's first
+traced tick the trace also keeps the run's context: its cells, their
+register, port and input-slot names, and the run's first-write ticks,
+whose per-cell counts divide the values list into records.  The lists
+hold only what the cells read and made, so a kept trace gives the cyclic
+collector two lists to track, whatever its length.  Records are made only
+as the trace is iterated, and :func:`to_jsonl` renders any records, one
+JSON line each.
 """
 
 from __future__ import annotations
@@ -194,45 +196,53 @@ class Trace:
     """One array's run: every active cell's record, tick by tick, in cell
     order within a tick.
 
-    Each record is kept as a flat row, ``(tick, cell index, *state, *ins,
-    *outs)``, and made when the trace is iterated.  The array's first
-    traced tick sets the trace's context, which names the rows; a tick of
-    another array is refused.
+    A record is kept in two flat lists, its tick and cell index in one and
+    the cell's registers, inputs and outputs in the other, and made when
+    the trace is iterated.  The array's first traced tick sets the trace's
+    context, whose per-cell register, input and output counts divide the
+    values into records, so a step keeps as many registers as its program's
+    ``init`` has; a tick of another array is refused.
     """
 
-    __slots__ = ("_rows", "_context")
+    __slots__ = ("_ticks", "_values", "_context")
 
     def __init__(self):
-        self._rows: list[tuple] = []
+        # tick, cell index, per record
+        self._ticks: list[int] = []
+        # registers, inputs, outputs, per record
+        self._values: list = []
         # (cells, register names, input names, output names, input slots,
         # first-write ticks), each but the last per cell
         self._context: tuple | None = None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ticks) // 2
 
     def __iter__(self) -> Iterator[TraceRecord]:
         if self._context is None:
             return
         cells, regs, ins, outs, slots, first = self._context
-        for row in self._rows:
-            t, i = row[0], row[1]
-            a = 2 + len(regs[i])
+        values = self._values
+        end = 0
+        for t, i in zip(*[iter(self._ticks)] * 2):
+            start = end
+            a = start + len(regs[i])
             b = a + len(ins[i])
-            yield TraceRecord(t, cells[i], dict(zip(regs[i], row[2:a])),
-                              {p: v for p, s, v in zip(ins[i], slots[i], row[a:b]) if first[s] < t},
-                              {p: v for p, v in zip(outs[i], row[b:]) if v is not None})
+            end = b + len(outs[i])
+            yield TraceRecord(t, cells[i], dict(zip(regs[i], values[start:a])),
+                              {p: v for p, s, v in zip(ins[i], slots[i], values[a:b]) if first[s] < t},
+                              {p: v for p, v in zip(outs[i], values[b:end]) if v is not None})
 
     def activations(self) -> dict[CellId, list[int]]:
-        """Each traced cell's activation ticks, read from the rows without
-        making records."""
+        """Each traced cell's activation ticks, read from the tick list
+        without making records."""
         if self._context is None:
             return {}
         cells = self._context[0]
-        ticks: list[list[int]] = [[] for _ in cells]
-        for row in self._rows:
-            ticks[row[1]].append(row[0])
-        return {cell: t for cell, t in zip(cells, ticks) if t}
+        per_cell: list[list[int]] = [[] for _ in cells]
+        for t, i in zip(*[iter(self._ticks)] * 2):
+            per_cell[i].append(t)
+        return {cell: t for cell, t in zip(cells, per_cell) if t}
 
 
 def _render(v):
@@ -447,7 +457,8 @@ class Array:
                 trace._context = self._context
             elif trace._context is not self._context:
                 raise SimulationError(f"tick {t}: the trace holds another array's run")
-            record = trace._rows.append
+            mark = trace._ticks.append
+            keep = trace._values.extend
         latch = self._latch
         for slot, line in lines:
             latch[slot] = line[t] if t < len(line) else 0
@@ -476,7 +487,13 @@ class Array:
                 for where, part in write:
                     pending.append((where, outs[part]))
             if trace is not None:
-                record((t, i, *state, *ins, *outs))
+                # values first: a state that is no tuple raises before
+                # either list grows
+                keep(state)
+                keep(ins)
+                keep(outs)
+                mark(t)
+                mark(i)
         for where, v in pending:
             latch[where] = v
         self.tick_count = t + 1

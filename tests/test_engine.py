@@ -1,15 +1,17 @@
 """Engine kernel: construction checks, two-phase timing, determinism."""
 
 import dataclasses
+import functools
 import gc
 import json
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from systolic import cli, eigen, intgcd, polygcd, toeplitz
+from systolic import cli, eigen, engine, intgcd, polygcd, toeplitz
 from systolic.engine import (
     CellId,
     CellProgram,
@@ -827,16 +829,26 @@ def toeplitz_trace(n=32, seed=1):
     return toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(random.Random(seed), n)).trace
 
 
-# one traced run per family: engine.run under the three drivers that use
-# it, and delayed Jacobi's tick-by-tick Array.tick(trace)
-TRACED = {
-    "intgcd": lambda: intgcd.systolic_int_gcd(46563, 31276, 16, trace=True).trace,
-    "polygcd": lambda: polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, "appA",
-                                                 trace=True).trace,
-    "toeplitz": toeplitz_trace,
-    "eigen-delayed": lambda: eigen.run_sweeps(cli.gen_symmetric(random.Random(1), 8),
-                                              mode="delayed", trace=True).report.trace,
+# one run per family, traced or not: engine.run under the three drivers
+# that use it, and delayed Jacobi's tick-by-tick Array.tick(trace)
+RUNS = {
+    "intgcd": lambda trace: intgcd.systolic_int_gcd(46563, 31276, 16, trace=trace),
+    "polygcd": lambda trace: polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, "appA",
+                                                       trace=trace),
+    "toeplitz": lambda trace: toeplitz.systolic_toeplitz_solve(
+        cli.gen_toeplitz(random.Random(1), 32), trace=trace),
+    "eigen-delayed": lambda trace: eigen.run_sweeps(cli.gen_symmetric(random.Random(1), 8),
+                                                    mode="delayed", trace=trace),
 }
+
+
+def traced(family):
+    """The trace of a traced run of ``family``."""
+    result = RUNS[family](True)
+    return getattr(result, "report", result).trace
+
+
+TRACED = {family: functools.partial(traced, family) for family in RUNS}
 
 
 def tracked_objects_added(make):
@@ -881,3 +893,85 @@ def test_activations_list_each_cell_s_ticks():
     # a system of the same order runs on the same windows
     assert toeplitz_trace(4, seed=2).activations() == ticks
     assert Trace().activations() == {}
+
+
+def exact(v):
+    """``v`` with each float as its hex form and each numpy array as its
+    dtype, shape and bytes, so that two values are equal only bit for bit;
+    a result's trace is left out."""
+    if dataclasses.is_dataclass(v):
+        return {f.name: exact(getattr(v, f.name)) for f in dataclasses.fields(v)
+                if f.name != "trace"}
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, float):
+        return float.hex(v)
+    if isinstance(v, (list, tuple)):
+        return [exact(x) for x in v]
+    return v
+
+
+@pytest.mark.parametrize("family", sorted(RUNS))
+def test_tracing_is_pure_observation(family, monkeypatch):
+    # a traced and an untraced run of one input give the same results, and
+    # every array they build ends with the same registers, bit for bit
+    built = []
+
+    class Kept(engine.Array):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(engine, "Array", Kept)
+    seen = []
+    for trace in (True, False):
+        built.clear()
+        result = RUNS[family](trace)
+        seen.append((exact(result), [exact(arr.states()) for arr in built]))
+    assert seen[0] == seen[1] and seen[0][1]
+
+
+def test_a_tick_that_raises_keeps_the_records_of_the_cells_stepped_before():
+    # three chained counters; cell 1 writes a float in place of its int on
+    # tick 2, after cell 0 has stepped
+    def counter(flip):
+        def step(state, ins, tick):
+            (n,) = state
+            return (n + 1,), (n + 1.5 if tick == flip else n + 1,)
+        return step
+
+    spec = linear(3, chain_wires(3, ("a",)),
+                  ports=lambda cell: (("ain",) if cell.col else (), ("aout",)))
+
+    def array(flip):
+        return build_array(spec, {CellId(0, k): CellProgram(counter(flip if k == 1 else None),
+                                                            {"n": 0}) for k in range(3)})
+
+    steady, flips = array(None), array(2)
+    whole, cut = Trace(), Trace()
+    for _ in range(3):
+        steady.tick(whole)
+    flips.tick(cut)
+    flips.tick(cut)
+    with pytest.raises(SimulationError, match="col=1.*'aout'.*int -> float"):
+        flips.tick(cut)
+    kept = records(cut)
+    assert len(cut) == len(kept) == 7
+    assert kept == records(whole)[:7] and kept[-1][:2] == (2, CellId(0, 0))
+    assert to_jsonl(cut) == to_jsonl(list(whole)[:7])
+    assert [json.loads(line)["tick"] for line in to_jsonl(cut).splitlines()] == [0] * 3 + [1] * 3 + [2]
+
+
+def test_a_kept_traced_toeplitz_solve_holds_under_300_bytes_a_record():
+    # a flat row tuple per record held 317 B a record, two flat lists per
+    # trace hold 282 (tracemalloc, Python 3.11)
+    bands = cli.gen_toeplitz(random.Random(1), 128)
+    toeplitz.systolic_toeplitz_solve(bands)  # fills the drivers' caches
+    tracemalloc.start()
+    try:
+        run = toeplitz.systolic_toeplitz_solve(bands)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(run.trace) == 16641 and held / len(run.trace) < 300
