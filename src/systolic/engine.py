@@ -32,19 +32,36 @@ cells that run on it.
 A build has two parts.  Its :class:`Plan` is what the spec fixes: cells,
 ports, latch slots, input gathers, output spans, boundary slots and the
 schedule, which every array of the plan shares and which grows only as far
-as the longest run so far.  Its :class:`Array` holds one run: steps and
-registers, taken from the programs it is built with, and latches, each
-written slot's first-write tick (which decides the inputs a trace record
-shows), the output type patterns each cell has shown (which hold the
-payload kinds of the ports it wrote), each with its write plan, and the
-tick count.  A write plan is made once per pattern: a pattern without
-``None`` writes the whole output tuple to the cell's output slots, any
-other one ``(latch slice, outs slice)`` per contiguous run of written
-ports, so a tick writes a cell's outputs in one slice assignment per run,
-never one per port.  A spec makes its
-plan once, on first use, and keeps it as ``spec.plan``, whatever programs
-it is built with: like the fixed hardware, one wiring serves every operand,
-and only what each operand loads into the cells changes.  A spec made with
+as the longest run so far.  The output slots of cells whose windows share
+phase and period lie side by side, in cell order, so the cells that one
+tick clocks usually write one run of slots; the plan keeps that run per
+tick, one slice per distinct schedule tuple.  Its :class:`Array` holds one
+run: steps and registers, taken from the programs it is built with, and
+latches, each written slot's payload kind and first-write tick (which
+decides the inputs a trace record shows), the output type patterns each
+cell has shown, each with its write plan, and the tick count.
+
+A tick whose cells write one run, as every tick of the integer GCD,
+polynomial GCD and Toeplitz arrays does, latches like the paper's arrays,
+on one clock edge: it steps every cell, then checks all their outputs at
+once, their types against the slots' kinds in one list comparison and
+their counts against the plan's, and writes them in one slice assignment.
+A slot written for the first time takes its kind and first-write tick
+there.  A ``None`` output, a kind change, a wrong output count or a step
+that raised is settled cell by cell, with the same error on the same tick
+and the same trace records as a tick checked cell by cell.  Any other tick
+checks and writes each cell's outputs as it steps, and so does every tick
+of a run once a cell has left a port unwritten, as delayed Jacobi's cells
+do on one parity's ports.  A write plan is made once per pattern: a
+pattern without ``None`` writes the whole output tuple to the cell's output
+slots, any other one ``(latch slice, outs slice)`` per contiguous run of
+written ports, so a cell's outputs go in one slice assignment per run,
+never one per port.
+
+A spec makes its plan once, on first use, and keeps it as ``spec.plan``,
+whatever programs it is built with: like the fixed hardware, one wiring
+serves every operand, and only what each operand loads into the cells
+changes.  A spec made with
 ``dataclasses.replace`` is a new spec with a plan of its own.  Specs and
 plans also share their equal parts: a position's ``CellId``, a pipeline's
 links and a cell's gather and output span are each made once (in bounded
@@ -70,7 +87,8 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, compress
+from operator import is_not, itemgetter
 from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -312,14 +330,17 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 class Plan:
     """What a spec fixes, shared by every array built from it: cells, port
     names, latch slots, input gathers, output spans, boundary slots and the
-    schedule.
+    schedule, with each tick's run of output slots.
 
     Every declared output has a latch slot, a cell's output slots are
-    contiguous, and every boundary input has one slot after them.  No wire
-    reads a boundary output's slot, so ``run`` may clear it between ticks.
-    Only the schedule changes once built, and only by growing: it is the
-    same for every array, so an :class:`Array` keeps its run in its own
-    state and reads the schedule as far as it has run.
+    contiguous, and every boundary input has one slot after them.  The
+    output slots are laid out by groups of cells whose windows share phase
+    and period, in cell order within a group, so a tick that clocks a
+    stretch of one group's cells writes one run of slots.  No wire reads a
+    boundary output's slot, so ``run`` may clear it between ticks.  Only
+    the schedule and its runs change once built, and only by growing: they
+    are the same for every array, so an :class:`Array` keeps its run in
+    its own state and reads the schedule as far as it has run.
     """
 
     def __init__(self, spec: ArraySpec):
@@ -330,10 +351,23 @@ class Plan:
             ins, outs = spec.ports(c) if spec.ports is not None else ((), ())
             ins_of[c] = _declared(c, ins, "input")
             outs_of[c] = _declared(c, outs, "output")
-        # cell c's outputs take the latch slots base[c], base[c] + 1, ...
+        self._pending: list[tuple[int, range]] = []
+        if spec.activation is not None:
+            self._pending = _windows(spec.activation, cells)
+        # cells whose windows share phase and period take adjacent output
+        # slots, in cell order within a group, so that the cells of a tick
+        # write one run of slots; cell c's are base[c], base[c] + 1, ...
+        phases: list[set] = [set() for _ in cells]
+        for i, w in self._pending:
+            phases[i].add((w.start % w.step, w.step))
+        groups: dict[frozenset, list[int]] = {}
+        for i, p in enumerate(phases):
+            groups.setdefault(frozenset(p), []).append(i)
+        layout = [i for group in groups.values() for i in group]
         base: dict[CellId, int] = {}
         n_out = 0
-        for c in cells:
+        for i in layout:
+            c = cells[i]
             base[c] = n_out
             n_out += len(outs_of[c])
         src_of: dict[tuple[CellId, str], int] = {}
@@ -353,10 +387,11 @@ class Plan:
         # on every tick), expanded from the windows that end after it as
         # runs reach its end
         self.schedule: list[tuple[int, ...]] | None = None
-        self._pending: list[tuple[int, range]] = []
+        # per tick, the output slots its cells write if they are one run
+        # (None if not), one slice per distinct schedule tuple
+        self.runs: list[slice | None] = []
         if spec.activation is not None:
             self.schedule = []
-            self._pending = _windows(spec.activation, cells)
         self.ins = tuple(ins_of[c] for c in cells)
         self.outs = tuple(outs_of[c] for c in cells)
         # boundary inputs take the slots after every output
@@ -378,12 +413,31 @@ class Plan:
         wired = set(src_of.values())
         self.boundary_out = {(c, p): base[c] + k for c in cells
                              for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
+        # each cell's place in the slot layout, and the output counts in
+        # layout order, which a run's output tuples must match
+        self.place = [0] * len(cells)
+        for k, i in enumerate(layout):
+            self.place[i] = k
+        self.counts = [len(outs_of[cells[i]]) for i in layout]
+        # the run of a tick that clocks every cell, on a plan without windows
+        self.whole = self.run_of(range(len(cells)))
+
+    def run_of(self, on: Sequence[int]) -> slice | None:
+        """The output slots that the cells ``on`` write, in order, if they
+        are adjacent in the slot layout, else None (so is an empty tick's)."""
+        if not on:
+            return None
+        place = self.place
+        p = place[on[0]]
+        if any(place[i] != k for k, i in enumerate(on, p)):
+            return None
+        return slice(self.cellv[on[0]][1].start, self.cellv[on[-1]][1].stop)
 
     def expand(self) -> None:
         """Extend the schedule by up to 256 ticks, at most to the end of the
         last window, and drop the windows that end within them.  Equal
-        ticks share one tuple, so a periodic schedule costs a pointer a
-        tick."""
+        ticks share one tuple and one run, so a periodic schedule costs two
+        pointers a tick."""
         lo = len(self.schedule)
         hi = min(lo + 256, max(w[-1] for _, w in self._pending) + 1)
         by_tick: list[list[int]] = [[] for _ in range(hi - lo)]
@@ -394,15 +448,20 @@ class Plan:
                 if not on or on[-1] != i:  # overlapping windows clock a cell once
                     on.append(i)
         shared: dict[tuple, tuple] = {}
-        self.schedule += [shared.setdefault(on, on) for on in map(tuple, by_tick)]
+        for on in map(tuple, by_tick):
+            kept = shared.get(on)
+            if kept is None:
+                kept = shared[on] = (on, self.run_of(on))
+            self.schedule.append(kept[0])
+            self.runs.append(kept[1])
         self._pending = [(i, w) for i, w in self._pending if w[-1] >= hi]
 
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
-    state (steps, registers, latches, first-write ticks, the output
-    patterns each cell has shown and tick count), all set when it is
-    built; see :func:`build_array`."""
+    state (steps, registers, latches, payload kinds and first-write ticks,
+    the output patterns each cell has shown and tick count), all set when
+    it is built; see :func:`build_array`."""
 
     def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram]):
         plan = spec.plan
@@ -423,11 +482,17 @@ class Array:
         # unwritten slot's is sys.maxsize); boundary inputs count as
         # written before tick 0
         self._first = [sys.maxsize] * plan.n_out + [-1] * len(plan.boundary_in)
+        # per output slot, the payload kind its first write fixed (None
+        # while unwritten)
+        self._kinds: list[type | None] = [None] * plan.n_out
         # per cell: input gather, step, the output type tuples already
         # checked in this run (each with its write plan), and output slots
         self._cellv = [(gather, p.step, {}, span)
                        for (gather, span, _), p in zip(plan.cellv, programs)]
         self._latch: list[Any] = [0] * plan.n_slots
+        # the plan's runs, until a cell leaves a port unwritten: from then
+        # on the run's ticks write cell by cell
+        self._runs = True
 
     # -- public ----------------------------------------------------------
 
@@ -446,6 +511,13 @@ class Array:
         binds them, and feeds the slot ``line[t]``, or 0 once the line has
         run out.  An array with boundary inputs is clocked only by ``run``:
         called without its lines, ``tick`` refuses it before any step runs.
+
+        A tick refused for a cell's outputs, or stopped by a step that
+        raised, keeps the trace records of the cells stepped before that
+        cell, writes no latch and leaves ``tick_count`` as it was.  A tick
+        whose cells write one run of slots checks their outputs only once
+        every cell has stepped, so it may also have stepped the registers
+        of the cells after the refused one.
         """
         t = self.tick_count
         plan = self.plan
@@ -464,11 +536,15 @@ class Array:
             latch[slot] = line[t] if t < len(line) else 0
         schedule = plan.schedule
         if schedule is None:
-            order = range(len(plan.cells))
+            order, run = range(len(plan.cells)), plan.whole
         else:
             if t == len(schedule) and plan._pending:
                 plan.expand()
-            order = schedule[t] if t < len(schedule) else ()
+            order, run = (schedule[t], plan.runs[t]) if t < len(schedule) else ((), None)
+        if run is not None and self._runs:
+            self._step_run(t, order, run, trace)
+            self.tick_count = t + 1
+            return
         states = self._states
         cellv = self._cellv
         pending: list = []
@@ -511,16 +587,18 @@ class Array:
 
     def _admit(self, i: int, outs) -> tuple | None:
         """Check an output tuple whose type pattern cell i has not shown
-        before, and return its write plan: None writes the whole tuple to
-        the cell's output slots, else one ``(latch slice, outs slice)`` per
-        contiguous run of written ports writes ``outs[outs slice]`` to
-        ``latch[latch slice]`` (no runs when no port is written)."""
+        before against its slots' kinds, fix the kinds and first-write
+        ticks of its first writes, and return its write plan: None writes
+        the whole tuple to the cell's output slots, else one ``(latch
+        slice, outs slice)`` per contiguous run of written ports writes
+        ``outs[outs slice]`` to ``latch[latch slice]`` (no runs when no
+        port is written), and the array's later ticks go cell by cell."""
         cell = self.plan.cells[i]
         out_names = self.plan.outs[i]
         if len(outs) != len(out_names):
             raise SimulationError(f"cell {tuple(cell)} tick {self.tick_count}: "
                                   f"{len(outs)} outputs for ports {out_names}")
-        first = self._first
+        kinds = self._kinds
         _, _, checked, span = self._cellv[i]
         base = span.start
         written, fresh = [], []
@@ -528,22 +606,21 @@ class Array:
             if v is None:
                 continue
             written.append(k)
-            if first[base + k] == sys.maxsize:
-                fresh.append(base + k)
-                continue
-            # the run wrote this port before, in a pattern the cell has shown
-            kind = next(p[k] for p in checked if p[k] is not NoneType)
-            if type(v) is not kind:
+            kind = kinds[base + k]
+            if kind is None:
+                fresh.append(k)
+            elif type(v) is not kind:
                 raise SimulationError(
                     f"port {(cell, out_names[k])} changed payload kind "
                     f"{kind.__name__} -> {type(v).__name__}")
-        # only a pattern that passed fixes first writes, so every written
-        # port's kind is in a pattern the cell has shown
-        for slot in fresh:
-            first[slot] = self.tick_count
+        # only a pattern that passed fixes first writes
+        for k in fresh:
+            kinds[base + k] = type(outs[k])
+            self._first[base + k] = self.tick_count
         if len(written) == len(outs):
             write = None
         else:
+            self._runs = False
             # a run starts at each written port whose left neighbour is not
             # written, and ends after each whose right neighbour is not
             starts = [k for k in written if k - 1 not in written]
@@ -551,6 +628,92 @@ class Array:
             write = tuple((slice(base + a, base + b), slice(a, b)) for a, b in zip(starts, ends))
         checked[tuple(map(type, outs))] = write
         return write
+
+    def _step_run(self, t: int, order: Sequence[int], run: slice, trace: Trace | None) -> None:
+        """Step the cells ``order`` of tick t, which write the output slots
+        ``run`` in order, then check and latch all their outputs at once:
+        their kinds against the slots' kinds in one list comparison, their
+        counts against the plan's.  A first write takes its slot's kind and
+        first-write tick; anything else, or a step that raised, is settled
+        cell by cell."""
+        plan = self.plan
+        latch = self._latch
+        states = self._states
+        cellv = self._cellv
+        marks = None
+        if trace is not None:
+            marks = (len(trace._ticks), len(trace._values))
+            mark = trace._ticks.append
+            keep = trace._values.extend
+        made: list = []
+        put = made.append
+        try:
+            for i in order:
+                gather, step, _, _ = cellv[i]
+                ins = gather(latch)
+                state, outs = step(states[i], ins, t)
+                states[i] = state
+                put(outs)
+                if trace is not None:
+                    keep(state)
+                    keep(ins)
+                    keep(outs)
+                    mark(t)
+                    mark(i)
+            p = plan.place[order[0]]
+            counted = list(map(len, made)) == plan.counts[p:p + len(made)]
+            flat = list(chain.from_iterable(made))
+        except BaseException:
+            # a cell stepped before the failure may be refused first
+            self._settle(order, made, trace, marks)
+            raise
+        have = self._kinds[run]
+        types = list(map(type, flat))
+        if counted and (types == have or self._first_writes(t, run, have, types)):
+            latch[run] = flat
+        else:
+            for where, v in self._settle(order, made, trace, marks):
+                latch[where] = v
+
+    def _first_writes(self, t: int, run: slice, have: list, types: list) -> bool:
+        """Whether every slot of ``run`` whose kind in ``have`` differs from
+        its write's in ``types`` is written for the first time, and not left
+        as it is; if so, fix those slots' kinds and first-write ticks."""
+        fresh = list(compress(range(len(types)), map(is_not, have, types)))
+        if any(have[j] is not None or types[j] is NoneType for j in fresh):
+            return False
+        for j in fresh:
+            self._kinds[run.start + j] = types[j]
+            self._first[run.start + j] = t
+        return True
+
+    def _settle(self, order: Sequence[int], made: list, trace: Trace | None,
+                marks: tuple | None) -> list:
+        """Check the outputs ``made`` by the cells ``order`` of a run tick
+        cell by cell, as a tick without a run does, and return their writes.
+        At the first cell refused, cut ``trace`` back to the records of the
+        cells before it, from ``marks``, the lengths of its lists when the
+        tick began, and raise."""
+        cellv = self._cellv
+        pending: list = []
+        for q, (i, outs) in enumerate(zip(order, made)):
+            _, _, checked, span = cellv[i]
+            try:
+                key = tuple(map(type, outs))
+                write = checked[key] if key in checked else self._admit(i, outs)
+            except BaseException as refusal:
+                if trace is not None:
+                    kept = order[:q]
+                    size = (sum(len(self._states[k]) + len(self.plan.cellv[k][2]) for k in kept)
+                            + sum(map(len, made[:q])))
+                    del trace._ticks[marks[0] + 2 * q:]
+                    del trace._values[marks[1] + size:]
+                raise refusal from None
+            if write is None:
+                pending.append((span, outs))
+            else:
+                pending += [(where, outs[part]) for where, part in write]
+        return pending
 
     def _bind(self, feed: Mapping[CellId, Mapping[str, Sequence]]) -> list[tuple[int, Sequence]]:
         """(slot, line) for each port of `feed`, ``{cell: {port: line}}``,
@@ -579,9 +742,9 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
     first, and the array runs the steps of the programs it is built with
     and starts from their ``init`` registers.
     The programs must cover exactly the spec's cells.  Every array gets its
-    own registers, latches, first-write ticks and output patterns, which
-    fix its payload kinds, and reads the plan's schedule,
-    which grows only as far as the longest run of the plan so far.
+    own registers, latches, payload kinds, first-write ticks and output
+    patterns, and reads the plan's schedule and runs, which grow only as
+    far as the longest run of the plan so far.
 
     No result depends on the order of a tick's cells, so ``eval_order`` is
     no option: it stays only for callers that pass it through, as the

@@ -61,6 +61,8 @@ def in_order(spec, order):
         expand()
         plan.schedule[lo:] = [tuple(order(list(on), t))
                               for t, on in enumerate(plan.schedule[lo:], lo)]
+        # a tick's cells write one run of slots only in the layout's order
+        plan.runs[lo:] = map(plan.run_of, plan.schedule[lo:])
 
     plan.expand = permuted
     return spec
@@ -975,3 +977,162 @@ def test_a_kept_traced_toeplitz_solve_holds_under_300_bytes_a_record():
     finally:
         tracemalloc.stop()
     assert len(run.trace) == 16641 and held / len(run.trace) < 300
+
+
+# A tick whose cells write one run of latch slots, in the plan's layout,
+# checks and latches their outputs at once; any other tick, and a run tick
+# whose outputs are not all as before or first writes, goes cell by cell.
+# Each test below runs one scenario both ways and must see the same.
+
+def cell_by_cell(spec):
+    """``spec``, its plan made to record no run for any tick, so that every
+    tick checks and latches cell by cell."""
+    plan = spec.plan
+    plan.whole = None
+    expand = plan.expand
+
+    def expand_without_runs():
+        expand()
+        plan.runs[:] = [None] * len(plan.runs)
+
+    plan.expand = expand_without_runs
+    return spec
+
+
+def quirky(col, quirk):
+    """A counter cell whose two outputs carry ints made from its inputs,
+    its count and the tick, as ``quirk(col, tick, outs)`` changes them."""
+    def step(state, ins, tick):
+        (n,) = state
+        x = n + tick + 10 * col + sum(int(v) for v in ins)
+        return (n + 1,), quirk(col, tick, (x, x + 1))
+    return step
+
+
+def both_ways(quirk, n_ticks=6, traced_from=0, windows=None):
+    """A 4-cell chain of ``quirky`` cells run as run ticks and cell by cell:
+    the error (type and message), tick count, kept records, latches, kinds
+    and first-write ticks of each, and its registers if nothing failed."""
+    seen = []
+    for one_run in (True, False):
+        spec = linear(4, chain_wires(4, ("a", "b")), activation=windows,
+                      ports=lambda cell: chain_ports(("a", "b")) if cell.col else ((), ("aout", "bout")))
+        if not one_run:
+            spec = cell_by_cell(spec)
+        arr = build_array(spec, {CellId(0, k): CellProgram(quirky(k, quirk), {"n": 0})
+                                 for k in range(4)})
+        tr, err = Trace(), None
+        try:
+            for t in range(n_ticks):
+                arr.tick(tr if t >= traced_from else None)
+        except Exception as e:
+            err = (type(e), str(e))
+        plan = arr.plan
+        runs = [plan.whole] if plan.schedule is None else [
+            r for r, on in zip(plan.runs, plan.schedule) if on]
+        assert all(r is not None for r in runs) == one_run
+        seen.append((err, arr.tick_count, to_jsonl(tr), arr._latch, arr._kinds, arr._first,
+                     arr.states() if err is None else None))
+    assert seen[0] == seen[1]
+    return seen[0]
+
+
+def test_a_run_tick_fixes_first_writes_as_cell_by_cell():
+    # cell k joins on tick k, so ticks 1-3 mix first writes with rewrites
+    def joining(cell):
+        return (range(cell.col, 9),)
+
+    plain = lambda col, tick, outs: outs
+    for traced_from in (0, 2, 5):
+        err, ticks, jsonl, _, _, first, _ = both_ways(plain, 9, traced_from, joining)
+        assert err is None and ticks == 9
+        assert first[:8] == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert len(jsonl.splitlines()) == sum(min(4, t + 1) for t in range(traced_from, 9))
+    # a record shows an input from the tick after its source's first write
+    _, _, jsonl, *_ = both_ways(plain, 3, 0, joining)
+    assert [json.loads(line)["in"] for line in jsonl.splitlines()] == [
+        {}, {}, {"ain": 0, "bin": 1}, {}, {"ain": 2, "bin": 3}, {"ain": 12, "bin": 13}]
+
+
+def test_a_kind_change_in_a_run_tick_raises_as_cell_by_cell():
+    def floats(col, tick, outs):
+        return (outs[0], outs[1] + 0.5) if col == 2 and tick == 3 else outs
+
+    err, ticks, jsonl, *_ = both_ways(floats)
+    assert err == (SimulationError,
+                   "port (CellId(row=0, col=2), 'bout') changed payload kind int -> float")
+    assert ticks == 3 and [json.loads(line)["tick"] for line in jsonl.splitlines()][-2:] == [3, 3]
+
+
+@pytest.mark.parametrize("counts", [{1: 1}, {1: 3, 2: 1}])
+def test_a_wrong_output_count_in_a_run_tick_raises_as_cell_by_cell(counts):
+    # one cell short, or one cell long and the next short by as many
+    def miscounted(col, tick, outs):
+        return (outs * 2)[:counts[col]] if tick == 2 and col in counts else outs
+
+    err, ticks, jsonl, *_ = both_ways(miscounted)
+    assert err[0] is SimulationError and err[1].startswith("cell (0, 1) tick 2: ")
+    assert ticks == 2 and len(jsonl.splitlines()) == 9
+
+
+@pytest.mark.parametrize("hole", [0, 3])
+def test_a_none_output_in_a_run_tick_is_latched_as_cell_by_cell(hole):
+    # cell 2 leaves its second port unwritten on its first tick or a later one
+    def holding(col, tick, outs):
+        return (outs[0], None) if col == 2 and tick == hole else outs
+
+    err, ticks, jsonl, _, kinds, first, _ = both_ways(holding)
+    assert err is None and ticks == 6 and all(kind is int for kind in kinds)
+    assert first[:8] == [0] * 5 + [int(hole == 0)] + [0] * 2
+    assert list(json.loads(jsonl.splitlines()[4 * hole + 2])["out"]) == ["aout"]
+
+
+def test_a_step_that_raises_after_a_kind_change_raises_the_kind_change():
+    def stopping(col, tick, outs):
+        if tick == 2 and col == 3:
+            raise ZeroDivisionError("cell 3 stopped")
+        return outs
+
+    def failing(col, tick, outs):
+        outs = stopping(col, tick, outs)
+        return (outs[0] + 0.5, outs[1]) if tick == 2 and col == 1 else outs
+
+    err, ticks, jsonl, *_ = both_ways(failing)
+    assert err == (SimulationError,
+                   "port (CellId(row=0, col=1), 'aout') changed payload kind int -> float")
+    assert ticks == 2 and len(jsonl.splitlines()) == 9
+    # without the kind change, the step's own error comes through
+    err, ticks, jsonl, *_ = both_ways(stopping)
+    assert err == (ZeroDivisionError, "cell 3 stopped") and ticks == 2
+    assert len(jsonl.splitlines()) == 11
+
+
+def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s(monkeypatch):
+    # a slot layout that splits a tick's cells would only slow these runs,
+    # so it is pinned here; delayed Jacobi's cells leave one parity's ports
+    # unwritten, so its ticks go cell by cell
+    built = []
+
+    class Kept(engine.Array):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(engine, "Array", Kept)
+    for variant in polygcd.VARIANTS:
+        polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, variant)
+    intgcd.systolic_int_gcd(46563, 31276, 16)
+    toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(random.Random(1), 32))
+    assert len(built) == 4
+    for arr in built:
+        plan = arr.plan
+        ticks = range(arr.tick_count)
+        if plan.schedule is None:
+            assert plan.whole == slice(0, plan.n_out)
+        else:
+            assert all(plan.runs[t] is not None for t in ticks if plan.schedule[t])
+        assert arr._runs and arr.tick_count > 20
+    a = cli.gen_symmetric(random.Random(1), 8)
+    eigen.run_sweeps(a, mode="delayed")
+    arr = built[-1]
+    assert arr.plan.runs[0] is None and not arr._runs and arr.tick_count > 20
