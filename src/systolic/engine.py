@@ -41,22 +41,22 @@ latches, each written slot's payload kind and first-write tick (which
 decides the inputs a trace record shows), the output type patterns each
 cell has shown, each with its write plan, and the tick count.
 
-A tick whose cells write one run, as every tick of the integer GCD,
-polynomial GCD and Toeplitz arrays does, latches like the paper's arrays,
-on one clock edge: it steps every cell, then checks all their outputs at
-once, their types against the slots' kinds in one list comparison and
-their counts against the plan's, and writes them in one slice assignment.
-A slot written for the first time takes its kind and first-write tick
-there.  A ``None`` output, a kind change, a wrong output count or a step
-that raised is settled cell by cell, with the same error on the same tick
-and the same trace records as a tick checked cell by cell.  Any other tick
-checks and writes each cell's outputs as it steps, and so does every tick
+Every tick latches like the paper's arrays, on one clock edge: it steps
+all its cells in schedule order, then checks and writes their outputs.  A
+tick whose cells write one run, as every tick of the integer GCD,
+polynomial GCD and Toeplitz arrays does, checks them at once, their types
+against the slots' kinds in one list comparison and their counts against
+the plan's, and writes them in one slice assignment.  A slot written for
+the first time takes its kind and first-write tick there.  Any other tick
+is settled cell by cell, and so is a run tick with a ``None`` output, a
+kind change, a wrong output count or a step that raised, and every tick
 of a run once a cell has left a port unwritten, as delayed Jacobi's cells
-do on one parity's ports.  A write plan is made once per pattern: a
-pattern without ``None`` writes the whole output tuple to the cell's output
-slots, any other one ``(latch slice, outs slice)`` per contiguous run of
-written ports, so a cell's outputs go in one slice assignment per run,
-never one per port.
+do on one parity's ports.  Settled cell by cell, a cell's outputs are
+checked against the write plan made the first time it showed their type
+pattern: one ``(latch slice, outs slice)`` per contiguous run of written
+ports, so a cell's outputs go in one slice assignment per run, never one
+per port.  The first refused cell gives the tick's error, and the trace
+keeps the records of the cells before it.
 
 A spec makes its plan once, on first use, and keeps it as ``spec.plan``,
 whatever programs it is built with: like the fixed hardware, one wiring
@@ -512,23 +512,24 @@ class Array:
         run out.  An array with boundary inputs is clocked only by ``run``:
         called without its lines, ``tick`` refuses it before any step runs.
 
-        A tick refused for a cell's outputs, or stopped by a step that
+        Every cell of the tick steps before any output is checked.  A
+        tick refused for a cell's outputs, or stopped by a step that
         raised, keeps the trace records of the cells stepped before that
-        cell, writes no latch and leaves ``tick_count`` as it was.  A tick
-        whose cells write one run of slots checks their outputs only once
-        every cell has stepped, so it may also have stepped the registers
-        of the cells after the refused one.
+        cell, writes no latch and leaves ``tick_count`` as it was; the
+        registers of the cells after the refused one may have stepped.
         """
         t = self.tick_count
         plan = self.plan
         if len(lines) != len(plan.boundary_in):
             ports = ", ".join(f"{tuple(c)} {p!r}" for c, p in plan.boundary_in)
             raise SimulationError(f"tick {t}: boundary inputs {ports} are fed only by run")
+        marks = None
         if trace is not None:
             if trace._context is None:
                 trace._context = self._context
             elif trace._context is not self._context:
                 raise SimulationError(f"tick {t}: the trace holds another array's run")
+            marks = (len(trace._ticks), len(trace._values))
             mark = trace._ticks.append
             keep = trace._values.extend
         latch = self._latch
@@ -541,36 +542,40 @@ class Array:
             if t == len(schedule) and plan._pending:
                 plan.expand()
             order, run = (schedule[t], plan.runs[t]) if t < len(schedule) else ((), None)
-        if run is not None and self._runs:
-            self._step_run(t, order, run, trace)
-            self.tick_count = t + 1
-            return
         states = self._states
         cellv = self._cellv
-        pending: list = []
-        for i in order:
-            gather, step, checked, span = cellv[i]
-            ins = gather(latch)
-            state, outs = step(states[i], ins, t)
-            states[i] = state
-            try:
-                write = checked[tuple(map(type, outs))]
-            except KeyError:
-                write = self._admit(i, outs)
-            if write is None:
-                pending.append((span, outs))
-            else:
-                for where, part in write:
-                    pending.append((where, outs[part]))
-            if trace is not None:
-                # values first: a state that is no tuple raises before
-                # either list grows
-                keep(state)
-                keep(ins)
-                keep(outs)
-                mark(t)
-                mark(i)
-        for where, v in pending:
+        made: list = []
+        put = made.append
+        try:
+            for i in order:
+                gather, step, _, _ = cellv[i]
+                ins = gather(latch)
+                state, outs = step(states[i], ins, t)
+                states[i] = state
+                put(outs)
+                if trace is not None:
+                    # values first: a state that is no tuple raises before
+                    # either list grows
+                    keep(state)
+                    keep(ins)
+                    keep(outs)
+                    mark(t)
+                    mark(i)
+            if run is not None and self._runs:
+                p = plan.place[order[0]]
+                if list(map(len, made)) == plan.counts[p:p + len(made)]:
+                    flat = list(chain.from_iterable(made))
+                    have = self._kinds[run]
+                    types = list(map(type, flat))
+                    if types == have or self._first_writes(t, run, have, types):
+                        latch[run] = flat
+                        self.tick_count = t + 1
+                        return
+        except BaseException:
+            # a cell stepped before the failure may be refused first
+            self._settle(order, made, trace, marks)
+            raise
+        for where, v in self._settle(order, made, trace, marks):
             latch[where] = v
         self.tick_count = t + 1
 
@@ -585,14 +590,14 @@ class Array:
         return (plan.cells, tuple(tuple(p.init) for p in self._programs), plan.ins, plan.outs,
                 tuple(slots for _, _, slots in plan.cellv), self._first)
 
-    def _admit(self, i: int, outs) -> tuple | None:
+    def _admit(self, i: int, outs) -> tuple:
         """Check an output tuple whose type pattern cell i has not shown
         before against its slots' kinds, fix the kinds and first-write
-        ticks of its first writes, and return its write plan: None writes
-        the whole tuple to the cell's output slots, else one ``(latch
+        ticks of its first writes, and return its write plan: one ``(latch
         slice, outs slice)`` per contiguous run of written ports writes
-        ``outs[outs slice]`` to ``latch[latch slice]`` (no runs when no
-        port is written), and the array's later ticks go cell by cell."""
+        ``outs[outs slice]`` to ``latch[latch slice]`` (one run when every
+        port is written, none when no port is).  Once a port is left
+        unwritten, the array's later ticks are settled cell by cell."""
         cell = self.plan.cells[i]
         out_names = self.plan.outs[i]
         if len(outs) != len(out_names):
@@ -617,63 +622,15 @@ class Array:
         for k in fresh:
             kinds[base + k] = type(outs[k])
             self._first[base + k] = self.tick_count
-        if len(written) == len(outs):
-            write = None
-        else:
+        if len(written) < len(outs):
             self._runs = False
-            # a run starts at each written port whose left neighbour is not
-            # written, and ends after each whose right neighbour is not
-            starts = [k for k in written if k - 1 not in written]
-            ends = [k + 1 for k in written if k + 1 not in written]
-            write = tuple((slice(base + a, base + b), slice(a, b)) for a, b in zip(starts, ends))
+        # a run starts at each written port whose left neighbour is not
+        # written, and ends after each whose right neighbour is not
+        starts = [k for k in written if k - 1 not in written]
+        ends = [k + 1 for k in written if k + 1 not in written]
+        write = tuple((slice(base + a, base + b), slice(a, b)) for a, b in zip(starts, ends))
         checked[tuple(map(type, outs))] = write
         return write
-
-    def _step_run(self, t: int, order: Sequence[int], run: slice, trace: Trace | None) -> None:
-        """Step the cells ``order`` of tick t, which write the output slots
-        ``run`` in order, then check and latch all their outputs at once:
-        their kinds against the slots' kinds in one list comparison, their
-        counts against the plan's.  A first write takes its slot's kind and
-        first-write tick; anything else, or a step that raised, is settled
-        cell by cell."""
-        plan = self.plan
-        latch = self._latch
-        states = self._states
-        cellv = self._cellv
-        marks = None
-        if trace is not None:
-            marks = (len(trace._ticks), len(trace._values))
-            mark = trace._ticks.append
-            keep = trace._values.extend
-        made: list = []
-        put = made.append
-        try:
-            for i in order:
-                gather, step, _, _ = cellv[i]
-                ins = gather(latch)
-                state, outs = step(states[i], ins, t)
-                states[i] = state
-                put(outs)
-                if trace is not None:
-                    keep(state)
-                    keep(ins)
-                    keep(outs)
-                    mark(t)
-                    mark(i)
-            p = plan.place[order[0]]
-            counted = list(map(len, made)) == plan.counts[p:p + len(made)]
-            flat = list(chain.from_iterable(made))
-        except BaseException:
-            # a cell stepped before the failure may be refused first
-            self._settle(order, made, trace, marks)
-            raise
-        have = self._kinds[run]
-        types = list(map(type, flat))
-        if counted and (types == have or self._first_writes(t, run, have, types)):
-            latch[run] = flat
-        else:
-            for where, v in self._settle(order, made, trace, marks):
-                latch[where] = v
 
     def _first_writes(self, t: int, run: slice, have: list, types: list) -> bool:
         """Whether every slot of ``run`` whose kind in ``have`` differs from
@@ -689,30 +646,30 @@ class Array:
 
     def _settle(self, order: Sequence[int], made: list, trace: Trace | None,
                 marks: tuple | None) -> list:
-        """Check the outputs ``made`` by the cells ``order`` of a run tick
-        cell by cell, as a tick without a run does, and return their writes.
+        """Check the outputs ``made`` by the cells ``order`` of this tick
+        cell by cell and return their writes, ``(latch slice, outputs)``.
         At the first cell refused, cut ``trace`` back to the records of the
         cells before it, from ``marks``, the lengths of its lists when the
         tick began, and raise."""
         cellv = self._cellv
         pending: list = []
-        for q, (i, outs) in enumerate(zip(order, made)):
-            _, _, checked, span = cellv[i]
-            try:
-                key = tuple(map(type, outs))
-                write = checked[key] if key in checked else self._admit(i, outs)
-            except BaseException as refusal:
-                if trace is not None:
-                    kept = order[:q]
-                    size = (sum(len(self._states[k]) + len(self.plan.cellv[k][2]) for k in kept)
-                            + sum(map(len, made[:q])))
-                    del trace._ticks[marks[0] + 2 * q:]
-                    del trace._values[marks[1] + size:]
-                raise refusal from None
-            if write is None:
-                pending.append((span, outs))
-            else:
-                pending += [(where, outs[part]) for where, part in write]
+        put = pending.append
+        try:
+            for i, outs in zip(order, made):
+                write = cellv[i][2].get(tuple(map(type, outs)))
+                if write is None:
+                    write = self._admit(i, outs)
+                for where, part in write:
+                    put((where, outs[part]))
+        except BaseException as refusal:
+            if trace is not None:
+                q = order.index(i)
+                kept = order[:q]
+                size = (sum(len(self._states[k]) + len(self.plan.cellv[k][2]) for k in kept)
+                        + sum(map(len, made[:q])))
+                del trace._ticks[marks[0] + 2 * q:]
+                del trace._values[marks[1] + size:]
+            raise refusal from None
         return pending
 
     def _bind(self, feed: Mapping[CellId, Mapping[str, Sequence]]) -> list[tuple[int, Sequence]]:

@@ -1,0 +1,167 @@
+"""Mutations of the engine that the tests must catch, and their runner.
+
+Each mutant replaces one exact text of a source file with another, and
+names the test files that must fail on it and where it was first reported:
+the commit whose tests were first shown to catch it, or the ROADMAP item
+that first described it.  Run from the repository root:
+
+    python tests/mutants.py
+
+The runner copies ``src/`` and ``tests/`` to a temporary directory and runs
+every test file of the table there once, unmutated, which must pass.  Then
+it applies one mutant at a time to the copy and runs its test files with
+``pytest -x`` under a timeout; the mutant is killed if they fail or time
+out.  An old text that does not occur exactly once in its file is an error,
+so a change to the code a mutant targets updates the mutant in the same
+diff.  A mutant shown equivalent is kept with its reason and not run.  The
+last line gives killed/total and the time taken; the exit status is 1 if a
+mutant survives or its text does not match.
+
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    origin: str
+    # why the mutant cannot change what the program does, if it cannot
+    equivalent: str = ""
+
+
+ENGINE = "src/systolic/engine.py"
+# the engine's own tests, its reference interpreter and the golden traces
+CORE = ("tests/test_engine.py", "tests/test_ref_engine.py", "tests/test_ref_engine_runs.py",
+        "tests/test_golden_traces.py")
+
+MUTANTS = (
+    Mutant("a record shows an input first written on its own tick", ENGINE,
+           "if first[s] < t}", "if first[s] <= t}", CORE, "ROADMAP item 10"),
+    Mutant("expand drops a window that ends on a stretch's last tick", ENGINE,
+           "if w[-1] >= hi]", "if w[-1] > hi]", CORE, "ROADMAP item 10"),
+    Mutant("a run tick leaves a fresh slot's first-write tick unset", ENGINE,
+           "            self._first[run.start + j] = t\n", "", CORE, "ROADMAP item 10, dfbb5ac"),
+    Mutant("a settled tick leaves a fresh slot's first-write tick unset", ENGINE,
+           "            self._first[base + k] = self.tick_count\n", "", CORE,
+           "one tick loop for every tick"),
+    Mutant("a cell's outputs are latched as soon as it steps", ENGINE,
+           "                put(outs)\n",
+           "                put(outs)\n                latch[cellv[i][3]] = outs\n", CORE,
+           "ROADMAP item 10, 4220f2e"),
+    Mutant("a run tick latches before it compares kinds", ENGINE,
+           "                    have = self._kinds[run]\n",
+           "                    latch[run] = flat\n                    have = self._kinds[run]\n",
+           CORE, "dfbb5ac"),
+    Mutant("expand reverses each tick's cells past tick 256", ENGINE,
+           "        for on in map(tuple, by_tick):\n",
+           "        for on in (tuple(on[::-1] if lo >= 256 else on) for on in by_tick):\n",
+           CORE, "9b5b011"),
+    Mutant("a write run ends one port early", ENGINE,
+           "ends = [k + 1 for k in written if k + 1 not in written]",
+           "ends = [k for k in written if k + 1 not in written]", CORE, "7d0458d"),
+    Mutant("a write run ends one port late", ENGINE,
+           "ends = [k + 1 for k in written if k + 1 not in written]",
+           "ends = [k + 2 for k in written if k + 1 not in written]", CORE, "7d0458d"),
+    Mutant("a write run's latch slice is one slot off", ENGINE,
+           "slice(base + a, base + b), slice(a, b)",
+           "slice(base + a + 1, base + b + 1), slice(a, b)", CORE, "7d0458d"),
+    Mutant("a write run's outputs slice is one port off", ENGINE,
+           "slice(base + a, base + b), slice(a, b)",
+           "slice(base + a, base + b), slice(a + 1, b + 1)", CORE, "7d0458d"),
+    Mutant("a refused tick keeps the records of the refused cell and those after it", ENGINE,
+           "                del trace._ticks[marks[0] + 2 * q:]\n"
+           "                del trace._values[marks[1] + size:]\n",
+           "                pass\n", CORE, "one tick loop for every tick"),
+    Mutant("an unwritten port leaves the array taking runs", ENGINE,
+           "            self._runs = False\n", "            pass\n", CORE,
+           "one tick loop for every tick"),
+)
+
+# reported mutations that have no code left to mutate, with the reason
+DROPPED = {
+    "trace capture moved before the kind check (e97b5be)":
+        "every tick now captures each record as its cell steps, before any check; the "
+        "trace cut-back on a refusal, a mutant above, keeps the refused cell's record out",
+    "a lazy unread set that ignores payload kinds (6da2978)":
+        "the set is gone: a record reads the run's first-write ticks",
+}
+
+TIMEOUT = 120
+
+
+def pytest(root: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
+    """Whether ``tests`` pass in the copy at ``root``, and how long they took;
+    a run that times out fails."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    try:
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *tests], cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+        passed = done.returncode == 0
+    except subprocess.TimeoutExpired:
+        passed = False
+    return passed, time.perf_counter() - start
+
+
+def main() -> int:
+    repo = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(repo / part, root / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(repo / "pyproject.toml", root)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        where = subprocess.run([sys.executable, "-c", "import systolic; print(systolic.__file__)"],
+                               env=env, capture_output=True, text=True, check=True).stdout
+        if not Path(where.strip()).is_relative_to(root):
+            print(f"the copy's tests would import systolic from {where.strip()}")
+            return 1
+        every = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+        passed, took = pytest(root, every)
+        print(f"unmutated: {'pass' if passed else 'FAIL'} in {took:.1f} s")
+        if not passed:
+            return 1
+        killed = counted = bad = 0
+        for m in MUTANTS:
+            if m.equivalent:
+                print(f"equivalent  {m.name} [{m.origin}]: {m.equivalent}")
+                continue
+            path = root / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"NO MATCH    {m.name} [{m.origin}]: its old text occurs "
+                      f"{text.count(m.old)} times in {m.file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            try:
+                survived, took = pytest(root, m.tests)
+            finally:
+                path.write_text(text)
+            counted += 1
+            killed += not survived
+            print(f"{'SURVIVED' if survived else 'killed':11} {m.name} [{m.origin}] in {took:.1f} s")
+        for name, reason in DROPPED.items():
+            print(f"dropped     {name}: {reason}")
+    print(f"{killed}/{counted} mutants killed in {time.perf_counter() - start:.0f} s")
+    return int(killed < counted or bad > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

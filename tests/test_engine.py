@@ -979,10 +979,12 @@ def test_a_kept_traced_toeplitz_solve_holds_under_300_bytes_a_record():
     assert len(run.trace) == 16641 and held / len(run.trace) < 300
 
 
+# Every tick steps all its cells, then checks and latches their outputs.
 # A tick whose cells write one run of latch slots, in the plan's layout,
-# checks and latches their outputs at once; any other tick, and a run tick
-# whose outputs are not all as before or first writes, goes cell by cell.
-# Each test below runs one scenario both ways and must see the same.
+# checks them at once; any other tick, and a run tick whose outputs are not
+# all as before or first writes, is settled cell by cell.  Each test below
+# runs one scenario both ways, as the plan gives its ticks and with a plan
+# that records no run, and must see the same.
 
 def cell_by_cell(spec):
     """``spec``, its plan made to record no run for any tick, so that every
@@ -1009,14 +1011,21 @@ def quirky(col, quirk):
     return step
 
 
-def both_ways(quirk, n_ticks=6, traced_from=0, windows=None):
-    """A 4-cell chain of ``quirky`` cells run as run ticks and cell by cell:
-    the error (type and message), tick count, kept records, latches, kinds
-    and first-write ticks of each, and its registers if nothing failed."""
+def quirky_chain(windows=None):
+    """The spec of a 4-cell chain of ``quirky`` cells."""
+    return linear(4, chain_wires(4, ("a", "b")), activation=windows,
+                  ports=lambda cell: chain_ports(("a", "b")) if cell.col else ((), ("aout", "bout")))
+
+
+def both_ways(quirk, n_ticks=6, traced_from=0, windows=None, every_tick_a_run=True):
+    """A 4-cell chain of ``quirky`` cells run as its plan gives its ticks
+    (every clocked tick a run tick unless ``every_tick_a_run`` is false)
+    and cell by cell: the error (type and message), tick count, kept
+    records, latches, kinds and first-write ticks of each, and its
+    registers if nothing failed."""
     seen = []
     for one_run in (True, False):
-        spec = linear(4, chain_wires(4, ("a", "b")), activation=windows,
-                      ports=lambda cell: chain_ports(("a", "b")) if cell.col else ((), ("aout", "bout")))
+        spec = quirky_chain(windows)
         if not one_run:
             spec = cell_by_cell(spec)
         arr = build_array(spec, {CellId(0, k): CellProgram(quirky(k, quirk), {"n": 0})
@@ -1030,7 +1039,8 @@ def both_ways(quirk, n_ticks=6, traced_from=0, windows=None):
         plan = arr.plan
         runs = [plan.whole] if plan.schedule is None else [
             r for r, on in zip(plan.runs, plan.schedule) if on]
-        assert all(r is not None for r in runs) == one_run
+        assert all(r is not None for r in runs) == (one_run and every_tick_a_run)
+        assert one_run or not any(runs)
         seen.append((err, arr.tick_count, to_jsonl(tr), arr._latch, arr._kinds, arr._first,
                      arr.states() if err is None else None))
     assert seen[0] == seen[1]
@@ -1085,6 +1095,32 @@ def test_a_none_output_in_a_run_tick_is_latched_as_cell_by_cell(hole):
     assert err is None and ticks == 6 and all(kind is int for kind in kinds)
     assert first[:8] == [0] * 5 + [int(hole == 0)] + [0] * 2
     assert list(json.loads(jsonl.splitlines()[4 * hole + 2])["out"]) == ["aout"]
+
+
+def test_a_kind_change_in_a_tick_of_scattered_cells_raises_as_cell_by_cell():
+    # cells 0 and 2 run on every tick, 1 and 3 on even ones, so the layout
+    # puts 0 and 2 side by side: an odd tick writes one run, an even one
+    # clocks cells whose slots are not adjacent, as delayed Jacobi's do
+    def scattered(cell):
+        return (range(0, 9, 1 + cell.col % 2),)
+
+    plan = quirky_chain(scattered).plan
+    plan.expand()
+    assert plan.runs[1] is not None and plan.runs[2] is None and plan.schedule[2] == (0, 1, 2, 3)
+
+    def floats(col, tick, outs):
+        return (outs[0] + 0.5, outs[1]) if col == 2 and tick == 4 else outs
+
+    err, ticks, jsonl, _, kinds, first, _ = both_ways(floats, 9, 0, scattered, False)
+    assert err == (SimulationError,
+                   "port (CellId(row=0, col=2), 'aout') changed payload kind int -> float")
+    assert ticks == 4 and all(kind is int for kind in kinds) and first[:8] == [0] * 8
+    # ticks 0-3 clock 4, 2, 4 and 2 cells; tick 4 keeps cells 0 and 1
+    assert [json.loads(line)["tick"] for line in jsonl.splitlines()] == (
+        [0] * 4 + [1] * 2 + [2] * 4 + [3] * 2 + [4] * 2)
+    # without the kind change the run ends as cell by cell, registers too
+    err, ticks, *_, states = both_ways(lambda col, tick, outs: outs, 9, 0, scattered, False)
+    assert err is None and ticks == 9 and [n for (n,) in states] == [9, 5, 9, 5]
 
 
 def test_a_step_that_raises_after_a_kind_change_raises_the_kind_change():
