@@ -49,14 +49,16 @@ against the slots' kinds in one list comparison and their counts against
 the plan's, and writes them in one slice assignment.  A slot written for
 the first time takes its kind and first-write tick there.  Any other tick
 is settled cell by cell, and so is a run tick with a ``None`` output, a
-kind change, a wrong output count or a step that raised, and every tick
-of a run once a cell has left a port unwritten, as delayed Jacobi's cells
-do on one parity's ports.  Settled cell by cell, a cell's outputs are
-checked against the write plan made the first time it showed their type
-pattern: one ``(latch slice, outs slice)`` per contiguous run of written
-ports, so a cell's outputs go in one slice assignment per run, never one
-per port.  The first refused cell gives the tick's error, and the trace
-keeps the records of the cells before it.
+kind change or a wrong output count, and every tick of a run once a cell
+has left a port unwritten, as delayed Jacobi's cells do on one parity's
+ports.  Settled cell by cell, a cell's outputs are checked against the
+write plan made the first time it showed their type pattern: one ``(latch
+slice, outs slice)`` per contiguous run of written ports, so a cell's
+outputs go in one slice assignment per run, never one per port.  A step
+that raises stops its tick with its own exception, before any check; a
+tick refused for its outputs raises the first refused cell's error once
+every cell has stepped.  Either way no latch is written, and every cell
+that stepped keeps its registers and its trace record.
 
 A spec makes its plan once, on first use, and keeps it as ``spec.plan``,
 whatever programs it is built with: like the fixed hardware, one wiring
@@ -263,19 +265,11 @@ class Trace:
         return {cell: t for cell, t in zip(cells, per_cell) if t}
 
 
-def _render(v):
-    return int(v) if isinstance(v, bool) else v
-
-
 def to_jsonl(records: Iterable[TraceRecord]) -> str:
-    """One JSON line per record, bits written as 0 and 1."""
-    lines = []
-    for r in records:
-        obj = {"tick": r.tick, "row": r.cell.row, "col": r.cell.col,
-               "state": {k: _render(v) for k, v in r.state.items()},
-               "in": {k: _render(v) for k, v in r.inputs.items()},
-               "out": {k: _render(v) for k, v in r.outputs.items()}}
-        lines.append(json.dumps(obj, separators=(",", ":")))
+    """One JSON line per record."""
+    lines = [json.dumps({"tick": r.tick, "row": r.cell.row, "col": r.cell.col,
+                         "state": r.state, "in": r.inputs, "out": r.outputs},
+                        separators=(",", ":")) for r in records]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -513,23 +507,22 @@ class Array:
         called without its lines, ``tick`` refuses it before any step runs.
 
         Every cell of the tick steps before any output is checked.  A
-        tick refused for a cell's outputs, or stopped by a step that
-        raised, keeps the trace records of the cells stepped before that
-        cell, writes no latch and leaves ``tick_count`` as it was; the
-        registers of the cells after the refused one may have stepped.
+        step that raises stops the tick with its own exception, and no
+        check runs; a tick refused for its outputs raises the first
+        refused cell's error.  Either way the tick writes no latch and
+        leaves ``tick_count`` as it was, and every cell that stepped keeps
+        its registers and its trace record.
         """
         t = self.tick_count
         plan = self.plan
         if len(lines) != len(plan.boundary_in):
             ports = ", ".join(f"{tuple(c)} {p!r}" for c, p in plan.boundary_in)
             raise SimulationError(f"tick {t}: boundary inputs {ports} are fed only by run")
-        marks = None
         if trace is not None:
             if trace._context is None:
                 trace._context = self._context
             elif trace._context is not self._context:
                 raise SimulationError(f"tick {t}: the trace holds another array's run")
-            marks = (len(trace._ticks), len(trace._values))
             mark = trace._ticks.append
             keep = trace._values.extend
         latch = self._latch
@@ -546,36 +539,31 @@ class Array:
         cellv = self._cellv
         made: list = []
         put = made.append
-        try:
-            for i in order:
-                gather, step, _, _ = cellv[i]
-                ins = gather(latch)
-                state, outs = step(states[i], ins, t)
-                states[i] = state
-                put(outs)
-                if trace is not None:
-                    # values first: a state that is no tuple raises before
-                    # either list grows
-                    keep(state)
-                    keep(ins)
-                    keep(outs)
-                    mark(t)
-                    mark(i)
-            if run is not None and self._runs:
-                p = plan.place[order[0]]
-                if list(map(len, made)) == plan.counts[p:p + len(made)]:
-                    flat = list(chain.from_iterable(made))
-                    have = self._kinds[run]
-                    types = list(map(type, flat))
-                    if types == have or self._first_writes(t, run, have, types):
-                        latch[run] = flat
-                        self.tick_count = t + 1
-                        return
-        except BaseException:
-            # a cell stepped before the failure may be refused first
-            self._settle(order, made, trace, marks)
-            raise
-        for where, v in self._settle(order, made, trace, marks):
+        for i in order:
+            gather, step, _, _ = cellv[i]
+            ins = gather(latch)
+            state, outs = step(states[i], ins, t)
+            states[i] = state
+            put(outs)
+            if trace is not None:
+                # values first: a state that is no tuple raises before
+                # either list grows
+                keep(state)
+                keep(ins)
+                keep(outs)
+                mark(t)
+                mark(i)
+        if run is not None and self._runs:
+            p = plan.place[order[0]]
+            if list(map(len, made)) == plan.counts[p:p + len(made)]:
+                flat = list(chain.from_iterable(made))
+                have = self._kinds[run]
+                types = list(map(type, flat))
+                if types == have or self._first_writes(t, run, have, types):
+                    latch[run] = flat
+                    self.tick_count = t + 1
+                    return
+        for where, v in self._settle(order, made):
             latch[where] = v
         self.tick_count = t + 1
 
@@ -644,32 +632,19 @@ class Array:
             self._first[run.start + j] = t
         return True
 
-    def _settle(self, order: Sequence[int], made: list, trace: Trace | None,
-                marks: tuple | None) -> list:
+    def _settle(self, order: Sequence[int], made: list) -> list:
         """Check the outputs ``made`` by the cells ``order`` of this tick
-        cell by cell and return their writes, ``(latch slice, outputs)``.
-        At the first cell refused, cut ``trace`` back to the records of the
-        cells before it, from ``marks``, the lengths of its lists when the
-        tick began, and raise."""
+        cell by cell and return their writes, ``(latch slice, outputs)``;
+        the first cell refused raises."""
         cellv = self._cellv
         pending: list = []
         put = pending.append
-        try:
-            for i, outs in zip(order, made):
-                write = cellv[i][2].get(tuple(map(type, outs)))
-                if write is None:
-                    write = self._admit(i, outs)
-                for where, part in write:
-                    put((where, outs[part]))
-        except BaseException as refusal:
-            if trace is not None:
-                q = order.index(i)
-                kept = order[:q]
-                size = (sum(len(self._states[k]) + len(self.plan.cellv[k][2]) for k in kept)
-                        + sum(map(len, made[:q])))
-                del trace._ticks[marks[0] + 2 * q:]
-                del trace._values[marks[1] + size:]
-            raise refusal from None
+        for i, outs in zip(order, made):
+            write = cellv[i][2].get(tuple(map(type, outs)))
+            if write is None:
+                write = self._admit(i, outs)
+            for where, part in write:
+                put((where, outs[part]))
         return pending
 
     def _bind(self, feed: Mapping[CellId, Mapping[str, Sequence]]) -> list[tuple[int, Sequence]]:

@@ -1,4 +1,5 @@
-"""Mutations of the engine that the tests must catch, and their runner.
+"""Mutations of the engine and of each family's cell that the tests must
+catch, and their runner.
 
 Each mutant replaces one exact text of a source file with another, and
 names the test files that must fail on it and where it was first reported:
@@ -44,6 +45,10 @@ class Mutant(NamedTuple):
 
 
 ENGINE = "src/systolic/engine.py"
+INTGCD = "src/systolic/intgcd.py"
+POLYGCD = "src/systolic/polygcd.py"
+TOEPLITZ = "src/systolic/toeplitz.py"
+EIGEN = "src/systolic/eigen.py"
 # the engine's own tests, its reference interpreter and the golden traces
 CORE = ("tests/test_engine.py", "tests/test_ref_engine.py", "tests/test_ref_engine_runs.py",
         "tests/test_golden_traces.py")
@@ -59,12 +64,12 @@ MUTANTS = (
            "            self._first[base + k] = self.tick_count\n", "", CORE,
            "one tick loop for every tick"),
     Mutant("a cell's outputs are latched as soon as it steps", ENGINE,
-           "                put(outs)\n",
-           "                put(outs)\n                latch[cellv[i][3]] = outs\n", CORE,
+           "            put(outs)\n",
+           "            put(outs)\n            latch[cellv[i][3]] = outs\n", CORE,
            "ROADMAP item 10, 4220f2e"),
     Mutant("a run tick latches before it compares kinds", ENGINE,
-           "                    have = self._kinds[run]\n",
-           "                    latch[run] = flat\n                    have = self._kinds[run]\n",
+           "                have = self._kinds[run]\n",
+           "                latch[run] = flat\n                have = self._kinds[run]\n",
            CORE, "dfbb5ac"),
     Mutant("expand reverses each tick's cells past tick 256", ENGINE,
            "        for on in map(tuple, by_tick):\n",
@@ -82,20 +87,41 @@ MUTANTS = (
     Mutant("a write run's outputs slice is one port off", ENGINE,
            "slice(base + a, base + b), slice(a, b)",
            "slice(base + a, base + b), slice(a + 1, b + 1)", CORE, "7d0458d"),
-    Mutant("a refused tick keeps the records of the refused cell and those after it", ENGINE,
-           "                del trace._ticks[marks[0] + 2 * q:]\n"
-           "                del trace._values[marks[1] + size:]\n",
-           "                pass\n", CORE, "one tick loop for every tick"),
     Mutant("an unwritten port leaves the array taking runs", ENGINE,
            "            self._runs = False\n", "            pass\n", CORE,
            "one tick loop for every tick"),
+    Mutant("a run tick compares one output count too few, so it is settled cell by cell",
+           ENGINE, "plan.counts[p:p + len(made)]", "plan.counts[p:p + len(made) - 1]", CORE,
+           "a failed tick keeps what ran"),
+    # one per family cell
+    Mutant("the integer GCD cell's carry skips the minus bit", INTGCD,
+           "carry = _majority(b, carry, a ^ minus)", "carry = _majority(b, carry, a)",
+           ("tests/test_intgcd.py",), "ROADMAP item 14"),
+    Mutant("the integer GCD cell's sign update ands where it ors", INTGCD,
+           "neg = neg | (1 - eps2)", "neg = neg & (1 - eps2)",
+           ("tests/test_intgcd.py", "tests/test_golden_traces.py"), "ROADMAP item 14"),
+    Mutant("the fig4 cell's quotient uses the wrong inverse power", POLYGCD,
+           "pow(bin_, p - 2, p)", "pow(bin_, p - 3, p)", ("tests/test_polygcd.py",),
+           "ROADMAP item 14"),
+    Mutant("the appA cell's quotient uses the wrong inverse power", POLYGCD,
+           "pow(b, p - 2, p)", "pow(b, p - 3, p)", ("tests/test_polygcd.py",),
+           "ROADMAP item 14"),
+    Mutant("Toeplitz elimination adds the multiple it should subtract", TOEPLITZ,
+           "eta = eta - lam * xi", "eta = eta + lam * xi", ("tests/test_toeplitz.py",),
+           "ROADMAP item 14"),
+    Mutant("rotate_block's row transform flips a sign", EIGEN,
+           "t10 = si * b00 + ci * b10", "t10 = si * b00 - ci * b10", ("tests/test_eigen.py",),
+           "ROADMAP item 14"),
 )
 
 # reported mutations that have no code left to mutate, with the reason
 DROPPED = {
     "trace capture moved before the kind check (e97b5be)":
-        "every tick now captures each record as its cell steps, before any check; the "
-        "trace cut-back on a refusal, a mutant above, keeps the refused cell's record out",
+        "every tick now captures each record as its cell steps, before any check, and a "
+        "refused tick keeps every record it captured",
+    "a refused tick keeps the records of the refused cell and those after it (699feb4)":
+        "that is now the contract: a refused tick keeps the record of every cell that "
+        "stepped, as it keeps their registers, so there is no trace cut-back to mutate",
     "a lazy unread set that ignores payload kinds (6da2978)":
         "the set is gone: a record reads the run's first-write ticks",
 }
