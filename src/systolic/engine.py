@@ -38,27 +38,25 @@ tick clocks usually write one run of slots; the plan keeps that run per
 tick, one slice per distinct schedule tuple.  Its :class:`Array` holds one
 run: steps and registers, taken from the programs it is built with, and
 latches, each written slot's payload kind and first-write tick (which
-decides the inputs a trace record shows), the output type patterns each
-cell has shown, each with its write plan, and the tick count.
+decides the inputs a trace record shows), and the tick count.
 
 Every tick latches like the paper's arrays, on one clock edge: it steps
-all its cells in schedule order, then checks and writes their outputs.  A
-tick whose cells write one run, as every tick of the integer GCD,
-polynomial GCD and Toeplitz arrays does, checks them at once, their types
-against the slots' kinds in one list comparison and their counts against
-the plan's, and writes them in one slice assignment.  A slot written for
-the first time takes its kind and first-write tick there.  Any other tick
-is settled cell by cell, and so is a run tick with a ``None`` output, a
-kind change or a wrong output count, and every tick of a run once a cell
-has left a port unwritten, as delayed Jacobi's cells do on one parity's
-ports.  Settled cell by cell, a cell's outputs are checked against the
-write plan made the first time it showed their type pattern: one ``(latch
-slice, outs slice)`` per contiguous run of written ports, so a cell's
-outputs go in one slice assignment per run, never one per port.  A step
-that raises stops its tick with its own exception, before any check; a
-tick refused for its outputs raises the first refused cell's error once
-every cell has stepped.  Either way no latch is written, and every cell
-that stepped keeps its registers and its trace record.
+all its cells in schedule order, then checks and writes their outputs, in
+one check for every tick.  Cells that write one run of slots, with the
+plan's output counts, are checked as one run, as every clocked tick of
+the integer GCD, polynomial GCD and Toeplitz arrays and all but delayed
+Jacobi's ramp ticks are; any other tick checks each cell as its own run.
+A run's types are compared with its slots' kinds in one list comparison
+and, where they differ, position by position: a ``None`` output takes its
+slot's latched value, so the slot keeps it (delayed Jacobi's cells leave
+one parity's ports so), a slot without a kind is written for the first
+time, and any other difference is a kind change.  Each run is written in
+one slice assignment, and the kinds and first-write ticks of first
+writes are fixed once the whole tick has passed.  A step that raises
+stops its tick with its own exception, before any check; a tick refused
+for its outputs raises the first refused cell's error once every cell
+has stepped.  Either way no latch, kind or first-write tick changes, and
+every cell that stepped keeps its registers and its trace record.
 
 A spec makes its plan once, on first use, and keeps it as ``spec.plan``,
 whatever programs it is built with: like the fixed hardware, one wiring
@@ -89,9 +87,8 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import is_not, itemgetter
-from types import NoneType
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -453,9 +450,8 @@ class Plan:
 
 class Array:
     """A synchronous array in a run: a :class:`Plan` plus the run's own
-    state (steps, registers, latches, payload kinds and first-write ticks,
-    the output patterns each cell has shown and tick count), all set when
-    it is built; see :func:`build_array`."""
+    state (steps, registers, latches, payload kinds and first-write ticks
+    and tick count), all set when it is built; see :func:`build_array`."""
 
     def __init__(self, spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram]):
         plan = spec.plan
@@ -479,14 +475,9 @@ class Array:
         # per output slot, the payload kind its first write fixed (None
         # while unwritten)
         self._kinds: list[type | None] = [None] * plan.n_out
-        # per cell: input gather, step, the output type tuples already
-        # checked in this run (each with its write plan), and output slots
-        self._cellv = [(gather, p.step, {}, span)
-                       for (gather, span, _), p in zip(plan.cellv, programs)]
+        # per cell: input gather and step
+        self._cellv = [(gather, p.step) for (gather, _, _), p in zip(plan.cellv, programs)]
         self._latch: list[Any] = [0] * plan.n_slots
-        # the plan's runs, until a cell leaves a port unwritten: from then
-        # on the run's ticks write cell by cell
-        self._runs = True
 
     # -- public ----------------------------------------------------------
 
@@ -506,12 +497,13 @@ class Array:
         run out.  An array with boundary inputs is clocked only by ``run``:
         called without its lines, ``tick`` refuses it before any step runs.
 
-        Every cell of the tick steps before any output is checked.  A
-        step that raises stops the tick with its own exception, and no
-        check runs; a tick refused for its outputs raises the first
-        refused cell's error.  Either way the tick writes no latch and
-        leaves ``tick_count`` as it was, and every cell that stepped keeps
-        its registers and its trace record.
+        Every cell of the tick steps before any output is checked, and
+        one check serves every tick (see ``_check``).  A step that raises
+        stops the tick with its own exception, and no check runs; a tick
+        refused for its outputs raises the first refused cell's error.
+        Either way the tick writes no latch, fixes no payload kind or
+        first-write tick and leaves ``tick_count`` as it was, and every
+        cell that stepped keeps its registers and its trace record.
         """
         t = self.tick_count
         plan = self.plan
@@ -540,7 +532,7 @@ class Array:
         made: list = []
         put = made.append
         for i in order:
-            gather, step, _, _ = cellv[i]
+            gather, step = cellv[i]
             ins = gather(latch)
             state, outs = step(states[i], ins, t)
             states[i] = state
@@ -553,18 +545,8 @@ class Array:
                 keep(outs)
                 mark(t)
                 mark(i)
-        if run is not None and self._runs:
-            p = plan.place[order[0]]
-            if list(map(len, made)) == plan.counts[p:p + len(made)]:
-                flat = list(chain.from_iterable(made))
-                have = self._kinds[run]
-                types = list(map(type, flat))
-                if types == have or self._first_writes(t, run, have, types):
-                    latch[run] = flat
-                    self.tick_count = t + 1
-                    return
-        for where, v in self._settle(order, made):
-            latch[where] = v
+        for where, values in self._check(t, order, run, made):
+            latch[where] = values
         self.tick_count = t + 1
 
     # -- internals -------------------------------------------------------
@@ -578,74 +560,49 @@ class Array:
         return (plan.cells, tuple(tuple(p.init) for p in self._programs), plan.ins, plan.outs,
                 tuple(slots for _, _, slots in plan.cellv), self._first)
 
-    def _admit(self, i: int, outs) -> tuple:
-        """Check an output tuple whose type pattern cell i has not shown
-        before against its slots' kinds, fix the kinds and first-write
-        ticks of its first writes, and return its write plan: one ``(latch
-        slice, outs slice)`` per contiguous run of written ports writes
-        ``outs[outs slice]`` to ``latch[latch slice]`` (one run when every
-        port is written, none when no port is).  Once a port is left
-        unwritten, the array's later ticks are settled cell by cell."""
-        cell = self.plan.cells[i]
-        out_names = self.plan.outs[i]
-        if len(outs) != len(out_names):
-            raise SimulationError(f"cell {tuple(cell)} tick {self.tick_count}: "
-                                  f"{len(outs)} outputs for ports {out_names}")
+    def _check(self, t: int, order: Sequence[int], run: slice | None, made: list) -> list:
+        """Check the outputs ``made`` by the cells ``order`` of tick ``t``
+        against their slots' kinds and return their writes, ``(latch slice,
+        values)``.  Cells that write one run of slots, ``run``, with the
+        plan's output counts are checked as one run, any others each as its
+        own run, in schedule order; the first refused raises.  A ``None``
+        output takes its slot's latched value, so the slot keeps it, and a
+        slot without a kind takes its write's.  Kinds and first-write
+        ticks are fixed only once every run has passed."""
+        plan = self.plan
+        p = plan.place[order[0]] if order else 0
+        if run is not None and list(map(len, made)) == plan.counts[p:p + len(made)]:
+            runs = [(run, list(chain.from_iterable(made)))]
+        else:
+            runs = [(plan.cellv[i][1], list(outs)) for i, outs in zip(order, made)]
         kinds = self._kinds
-        _, _, checked, span = self._cellv[i]
-        base = span.start
-        written, fresh = [], []
-        for k, v in enumerate(outs):
-            if v is None:
+        fresh = []
+        for k, (where, flat) in enumerate(runs):
+            have = kinds[where]
+            types = list(map(type, flat))
+            if types == have:
                 continue
-            written.append(k)
-            kind = kinds[base + k]
-            if kind is None:
-                fresh.append(k)
-            elif type(v) is not kind:
-                raise SimulationError(
-                    f"port {(cell, out_names[k])} changed payload kind "
-                    f"{kind.__name__} -> {type(v).__name__}")
-        # only a pattern that passed fixes first writes
-        for k in fresh:
-            kinds[base + k] = type(outs[k])
-            self._first[base + k] = self.tick_count
-        if len(written) < len(outs):
-            self._runs = False
-        # a run starts at each written port whose left neighbour is not
-        # written, and ends after each whose right neighbour is not
-        starts = [k for k in written if k - 1 not in written]
-        ends = [k + 1 for k in written if k + 1 not in written]
-        write = tuple((slice(base + a, base + b), slice(a, b)) for a, b in zip(starts, ends))
-        checked[tuple(map(type, outs))] = write
-        return write
-
-    def _first_writes(self, t: int, run: slice, have: list, types: list) -> bool:
-        """Whether every slot of ``run`` whose kind in ``have`` differs from
-        its write's in ``types`` is written for the first time, and not left
-        as it is; if so, fix those slots' kinds and first-write ticks."""
-        fresh = list(compress(range(len(types)), map(is_not, have, types)))
-        if any(have[j] is not None or types[j] is NoneType for j in fresh):
-            return False
-        for j in fresh:
-            self._kinds[run.start + j] = types[j]
-            self._first[run.start + j] = t
-        return True
-
-    def _settle(self, order: Sequence[int], made: list) -> list:
-        """Check the outputs ``made`` by the cells ``order`` of this tick
-        cell by cell and return their writes, ``(latch slice, outputs)``;
-        the first cell refused raises."""
-        cellv = self._cellv
-        pending: list = []
-        put = pending.append
-        for i, outs in zip(order, made):
-            write = cellv[i][2].get(tuple(map(type, outs)))
-            if write is None:
-                write = self._admit(i, outs)
-            for where, part in write:
-                put((where, outs[part]))
-        return pending
+            if len(flat) != len(have):
+                i = order[k]
+                raise SimulationError(f"cell {tuple(plan.cells[i])} tick {t}: "
+                                      f"{len(flat)} outputs for ports {plan.outs[i]}")
+            latch = self._latch
+            start = where.start
+            for j in range(len(flat)):
+                if types[j] is not have[j]:
+                    if flat[j] is None:
+                        flat[j] = latch[start + j]
+                    elif have[j] is None:
+                        fresh.append((start + j, types[j]))
+                    else:
+                        port = {plan.cellv[i][1].start + n: (plan.cells[i], name)
+                                for i in order for n, name in enumerate(plan.outs[i])}[start + j]
+                        raise SimulationError(f"port {port} changed payload kind "
+                                              f"{have[j].__name__} -> {types[j].__name__}")
+        for s, kind in fresh:
+            kinds[s] = kind
+            self._first[s] = t
+        return runs
 
     def _bind(self, feed: Mapping[CellId, Mapping[str, Sequence]]) -> list[tuple[int, Sequence]]:
         """(slot, line) for each port of `feed`, ``{cell: {port: line}}``,
@@ -674,9 +631,9 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
     first, and the array runs the steps of the programs it is built with
     and starts from their ``init`` registers.
     The programs must cover exactly the spec's cells.  Every array gets its
-    own registers, latches, payload kinds, first-write ticks and output
-    patterns, and reads the plan's schedule and runs, which grow only as
-    far as the longest run of the plan so far.
+    own registers, latches, payload kinds and first-write ticks, and reads
+    the plan's schedule and runs, which grow only as far as the longest
+    run of the plan so far.
 
     No result depends on the order of a tick's cells, so ``eval_order`` is
     no option: it stays only for callers that pass it through, as the

@@ -58,39 +58,35 @@ MUTANTS = (
            "if first[s] < t}", "if first[s] <= t}", CORE, "ROADMAP item 10"),
     Mutant("expand drops a window that ends on a stretch's last tick", ENGINE,
            "if w[-1] >= hi]", "if w[-1] > hi]", CORE, "ROADMAP item 10"),
-    Mutant("a run tick leaves a fresh slot's first-write tick unset", ENGINE,
-           "            self._first[run.start + j] = t\n", "", CORE, "ROADMAP item 10, dfbb5ac"),
-    Mutant("a settled tick leaves a fresh slot's first-write tick unset", ENGINE,
-           "            self._first[base + k] = self.tick_count\n", "", CORE,
-           "one tick loop for every tick"),
+    Mutant("a first write leaves its slot's first-write tick unset", ENGINE,
+           "            self._first[s] = t\n", "", CORE, "ROADMAP item 10, dfbb5ac"),
     Mutant("a cell's outputs are latched as soon as it steps", ENGINE,
            "            put(outs)\n",
-           "            put(outs)\n            latch[cellv[i][3]] = outs\n", CORE,
+           "            put(outs)\n            latch[plan.cellv[i][1]] = outs\n", CORE,
            "ROADMAP item 10, 4220f2e"),
-    Mutant("a run tick latches before it compares kinds", ENGINE,
-           "                have = self._kinds[run]\n",
-           "                latch[run] = flat\n                have = self._kinds[run]\n",
-           CORE, "dfbb5ac"),
+    Mutant("a tick latches before it compares kinds", ENGINE,
+           "            have = kinds[where]\n",
+           "            self._latch[where] = flat\n            have = kinds[where]\n", CORE,
+           "dfbb5ac"),
     Mutant("expand reverses each tick's cells past tick 256", ENGINE,
            "        for on in map(tuple, by_tick):\n",
            "        for on in (tuple(on[::-1] if lo >= 256 else on) for on in by_tick):\n",
            CORE, "9b5b011"),
-    Mutant("a write run ends one port early", ENGINE,
-           "ends = [k + 1 for k in written if k + 1 not in written]",
-           "ends = [k for k in written if k + 1 not in written]", CORE, "7d0458d"),
-    Mutant("a write run ends one port late", ENGINE,
-           "ends = [k + 1 for k in written if k + 1 not in written]",
-           "ends = [k + 2 for k in written if k + 1 not in written]", CORE, "7d0458d"),
-    Mutant("a write run's latch slice is one slot off", ENGINE,
-           "slice(base + a, base + b), slice(a, b)",
-           "slice(base + a + 1, base + b + 1), slice(a, b)", CORE, "7d0458d"),
-    Mutant("a write run's outputs slice is one port off", ENGINE,
-           "slice(base + a, base + b), slice(a, b)",
-           "slice(base + a, base + b), slice(a + 1, b + 1)", CORE, "7d0458d"),
-    Mutant("an unwritten port leaves the array taking runs", ENGINE,
-           "            self._runs = False\n", "            pass\n", CORE,
-           "one tick loop for every tick"),
-    Mutant("a run tick compares one output count too few, so it is settled cell by cell",
+    Mutant("an unwritten port takes the latched value of the slot after it", ENGINE,
+           "flat[j] = latch[start + j]", "flat[j] = latch[start + j + 1]", CORE,
+           "one output check for every tick"),
+    Mutant("an unwritten port is latched as None", ENGINE,
+           "                        flat[j] = latch[start + j]\n", "                        pass\n",
+           CORE, "one output check for every tick"),
+    Mutant("first writes are fixed before the whole tick has passed", ENGINE,
+           "                        fresh.append((start + j, types[j]))\n",
+           "                        fresh.append((start + j, types[j]))\n"
+           "                        kinds[start + j], self._first[start + j] = types[j], t\n",
+           CORE, "one output check for every tick"),
+    Mutant("a kind-change error names the port before the changed one", ENGINE,
+           "port = {plan.cellv[i][1].start + n:", "port = {plan.cellv[i][1].start + n + 1:", CORE,
+           "one output check for every tick"),
+    Mutant("a run tick compares one output count too few, so it is checked cell by cell",
            ENGINE, "plan.counts[p:p + len(made)]", "plan.counts[p:p + len(made) - 1]", CORE,
            "a failed tick keeps what ran"),
     # one per family cell
@@ -124,6 +120,18 @@ DROPPED = {
         "stepped, as it keeps their registers, so there is no trace cut-back to mutate",
     "a lazy unread set that ignores payload kinds (6da2978)":
         "the set is gone: a record reads the run's first-write ticks",
+    "a settled tick leaves a fresh slot's first-write tick unset (699feb4)":
+        "one check fixes the first writes of every tick, on one line, whose mutant "
+        "\"a first write leaves its slot's first-write tick unset\" is kept",
+    "a write run ends one port early, or late (7d0458d)":
+        "writes are no longer split at unwritten ports: an unwritten port writes its "
+        "slot's own latched value, so a run is written in one slice",
+    "a write run's latch slice, or its outputs slice, is one slot off (7d0458d)":
+        "there is no per-port write plan to slice; the latch copy that replaced it has a "
+        "mutant of its own, one slot off",
+    "an unwritten port leaves the array taking runs (699feb4)":
+        "the array no longer stops taking runs: a tick with an unwritten port is checked "
+        "as one run, so there is no flag to mutate",
 }
 
 TIMEOUT = 120

@@ -987,10 +987,10 @@ def test_a_kept_traced_toeplitz_solve_holds_under_300_bytes_a_record():
 
 # Every tick steps all its cells, then checks and latches their outputs.
 # A tick whose cells write one run of latch slots, in the plan's layout,
-# checks them at once; any other tick, and a run tick whose outputs are not
-# all as before or first writes, is settled cell by cell.  Each test below
-# runs one scenario both ways, as the plan gives its ticks and with a plan
-# that records no run, and must see the same.
+# with the plan's output counts, checks them as one run; any other tick
+# checks each cell as its own run.  Each test below runs one scenario both
+# ways, as the plan gives its ticks and with a plan that records no run,
+# and must see the same.
 
 def cell_by_cell(spec):
     """``spec``, its plan made to record no run for any tick, so that every
@@ -1148,23 +1148,47 @@ def test_a_step_that_raises_after_a_kind_change_raises_its_own_error():
         assert len(jsonl.splitlines()) == 11 and all(kind is int for kind in kinds)
 
 
+@pytest.mark.parametrize("joins", [0, 3])
+def test_a_refused_tick_fixes_no_kind_or_first_write_tick(joins):
+    # cell 1 first writes on tick ``joins``, and on that tick cell 2 is
+    # refused: for three outputs on its first tick, or for a kind change
+    def joining(cell):
+        return (range(joins if cell.col == 1 else 0, 9),)
+
+    def refused(col, tick, outs):
+        if col != 2 or tick != joins:
+            return outs
+        return outs + outs[:1] if joins == 0 else (outs[0] + 0.5, outs[1])
+
+    err, ticks, _, latch, kinds, first, _ = both_ways(refused, 9, 0, joining, joins == 0)
+    assert err[0] is SimulationError and ticks == joins
+    # the slots unwritten before the refused tick, cell 1's 2 and 3 among
+    # them, are left without a kind, a first-write tick or a value
+    unset = [k for k in range(8) if joins == 0 or k in (2, 3)]
+    assert [k for k, kind in enumerate(kinds) if kind is None] == unset
+    assert [k for k in range(8) if first[k] == sys.maxsize] == unset
+    assert [latch[k] for k in unset] == [0] * len(unset)
+
+
 def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s(monkeypatch):
     # a slot layout that splits a tick's cells, or a run check that refuses
     # a clean tick, would only slow these runs, so both are pinned here:
-    # none of their clocked ticks is settled cell by cell.  Delayed
-    # Jacobi's cells leave one parity's ports unwritten, so every clocked
-    # tick of its run is settled cell by cell
+    # none of their clocked ticks is checked cell by cell, which returns a
+    # write per cell where a run returns one.  Delayed Jacobi's ramp ticks
+    # clock cells whose slots are not adjacent, so those alone are checked
+    # cell by cell
     built = []
 
     class Kept(engine.Array):
         def __init__(self, *args):
             super().__init__(*args)
-            self.settled = 0
+            self.split = 0
             built.append(self)
 
-        def _settle(self, order, made):
-            self.settled += bool(order)
-            return super()._settle(order, made)
+        def _check(self, t, order, run, made):
+            writes = super()._check(t, order, run, made)
+            self.split += len(writes) > 1
+            return writes
 
     monkeypatch.setattr(engine, "Array", Kept)
     for variant in polygcd.VARIANTS:
@@ -1179,9 +1203,10 @@ def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s(monkeypatch
             assert plan.whole == slice(0, plan.n_out)
         else:
             assert all(plan.runs[t] is not None for t in ticks if plan.schedule[t])
-        assert arr._runs and arr.tick_count > 20 and arr.settled == 0
+        assert arr.tick_count > 20 and arr.split == 0
     a = cli.gen_symmetric(random.Random(1), 8)
     eigen.run_sweeps(a, mode="delayed")
     arr = built[-1]
-    assert arr.plan.runs[0] is None and not arr._runs and arr.tick_count > 20
-    assert arr.settled == sum(map(bool, arr.plan.schedule[:arr.tick_count])) > 0
+    schedule = arr.plan.schedule[:arr.tick_count]
+    assert sum(map(bool, schedule)) == 106 and arr.plan.runs[0] is None
+    assert arr.split == sum(bool(on) and r is None for on, r in zip(schedule, arr.plan.runs)) == 1
