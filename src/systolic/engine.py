@@ -20,7 +20,8 @@ input from an input line, ``{cell: {port: sequence}}``, on tick t the value
 output as an output line, indexed the same way by the array's own tick.
 It binds the input lines once and hands them to each tick it runs, so an
 array keeps no lines between runs: ``Array.tick`` on its own is a bare
-clock for an array without boundary inputs.
+clock for an array without boundary inputs.  ``Array.tick`` is the only
+code that writes a latch; ``run`` only reads them.
 
 A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
@@ -34,11 +35,12 @@ ports, latch slots, input gathers, output spans, boundary slots and the
 schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  The output slots of cells whose windows share
 phase and period lie side by side, in cell order, so the cells that one
-tick clocks usually write one run of slots; the plan keeps that run per
-tick, one slice per distinct schedule tuple.  Its :class:`Array` holds one
-run: steps and registers, taken from the programs it is built with, and
-latches, each written slot's payload kind and first-write tick (which
-decides the inputs a trace record shows), and the tick count.
+tick clocks usually write one run of slots; each schedule entry holds a
+tick's cells and that run, one entry per distinct tick.  Its
+:class:`Array` holds one run: steps and registers, taken from the programs
+it is built with, and latches, each written slot's payload kind and
+first-write tick (which decides the inputs a trace record shows), and the
+tick count.
 
 Every tick latches like the paper's arrays, on one clock edge: it steps
 all its cells in schedule order, then checks and writes their outputs, in
@@ -321,17 +323,16 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 class Plan:
     """What a spec fixes, shared by every array built from it: cells, port
     names, latch slots, input gathers, output spans, boundary slots and the
-    schedule, with each tick's run of output slots.
+    schedule, each tick's cells with their run of output slots.
 
     Every declared output has a latch slot, a cell's output slots are
     contiguous, and every boundary input has one slot after them.  The
     output slots are laid out by groups of cells whose windows share phase
     and period, in cell order within a group, so a tick that clocks a
-    stretch of one group's cells writes one run of slots.  No wire reads a
-    boundary output's slot, so ``run`` may clear it between ticks.  Only
-    the schedule and its runs change once built, and only by growing: they
-    are the same for every array, so an :class:`Array` keeps its run in
-    its own state and reads the schedule as far as it has run.
+    stretch of one group's cells writes one run of slots.  Only the
+    schedule changes once built, and only by growing: it is the same for
+    every array, so an :class:`Array` keeps its run in its own state and
+    reads the schedule as far as it has run.
     """
 
     def __init__(self, spec: ArraySpec):
@@ -374,13 +375,11 @@ class Plan:
             src_of[key] = base[w.src] + outs_of[w.src].index(w.src_port)
 
         self.cells = cells
-        # per tick, the cells clocked on it in cell order (None: every cell
-        # on every tick), expanded from the windows that end after it as
-        # runs reach its end
-        self.schedule: list[tuple[int, ...]] | None = None
-        # per tick, the output slots its cells write if they are one run
-        # (None if not), one slice per distinct schedule tuple
-        self.runs: list[slice | None] = []
+        # per tick, the cells clocked on it in cell order and the output
+        # slots they write if they are one run, else None (no schedule:
+        # every cell on every tick), expanded from the windows that end
+        # after it as runs reach its end
+        self.schedule: list[tuple[tuple[int, ...], slice | None]] | None = None
         if spec.activation is not None:
             self.schedule = []
         self.ins = tuple(ins_of[c] for c in cells)
@@ -427,8 +426,8 @@ class Plan:
     def expand(self) -> None:
         """Extend the schedule by up to 256 ticks, at most to the end of the
         last window, and drop the windows that end within them.  Equal
-        ticks share one tuple and one run, so a periodic schedule costs two
-        pointers a tick."""
+        ticks share one entry, so a periodic schedule costs a pointer a
+        tick."""
         lo = len(self.schedule)
         hi = min(lo + 256, max(w[-1] for _, w in self._pending) + 1)
         by_tick: list[list[int]] = [[] for _ in range(hi - lo)]
@@ -440,11 +439,10 @@ class Plan:
                     on.append(i)
         shared: dict[tuple, tuple] = {}
         for on in map(tuple, by_tick):
-            kept = shared.get(on)
-            if kept is None:
-                kept = shared[on] = (on, self.run_of(on))
-            self.schedule.append(kept[0])
-            self.runs.append(kept[1])
+            entry = shared.get(on)
+            if entry is None:
+                entry = shared[on] = (on, self.run_of(on))
+            self.schedule.append(entry)
         self._pending = [(i, w) for i, w in self._pending if w[-1] >= hi]
 
 
@@ -526,7 +524,7 @@ class Array:
         else:
             if t == len(schedule) and plan._pending:
                 plan.expand()
-            order, run = (schedule[t], plan.runs[t]) if t < len(schedule) else ((), None)
+            order, run = schedule[t] if t < len(schedule) else ((), None)
         states = self._states
         cellv = self._cellv
         made: list = []
@@ -632,8 +630,8 @@ def build_array(spec: ArraySpec, cell_programs: Mapping[CellId, CellProgram],
     and starts from their ``init`` registers.
     The programs must cover exactly the spec's cells.  Every array gets its
     own registers, latches, payload kinds and first-write ticks, and reads
-    the plan's schedule and runs, which grow only as far as the longest
-    run of the plan so far.
+    the plan's schedule, which grows only as far as the longest run of the
+    plan so far.
 
     No result depends on the order of a tick's cells, so ``eval_order`` is
     no option: it stays only for callers that pass it through, as the
@@ -654,11 +652,13 @@ def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ti
 
     The output lines map every boundary output ``(cell, port)`` to a list
     indexed by the array's tick, as the input lines are: index t holds what
-    the port showed at tick t, the value written during tick t-1, or 0 where
-    nothing was written then.  An impulse fed at tick 0 to a pipeline of k
-    unit-delay cells shows at index k.  The trace is empty unless ``trace``.
-    Each tick is handed the bound lines, so the array keeps none once
-    ``run`` returns or raises.
+    the port holds at tick t, as a wired neighbour would read it, its last
+    write before tick t or 0 if it has none.  Index t0, the array's tick
+    count when the run starts, shows the port as the run finds it, and the
+    ticks before the run read 0.  An impulse fed at tick 0 to a pipeline of
+    k unit-delay cells shows at index k.  The trace is empty unless
+    ``trace``.  Each tick is handed the bound lines, so the array keeps
+    none once ``run`` returns or raises; ``run`` writes no latch.
     """
     if n_ticks < 0:
         raise ValueError("n_ticks must be >= 0")
@@ -668,13 +668,10 @@ def run(array: Array, feed: Mapping[CellId, Mapping[str, Sequence]] | None, n_ti
     latch = array._latch
     t0 = array.tick_count
     boundary_out = array.plan.boundary_out
-    lines = {key: [0] * (t0 + 1) for key in boundary_out}
+    lines = {key: [0] * t0 + [latch[slot]] for key, slot in boundary_out.items()}
     collect = [(lines[key], slot) for key, slot in boundary_out.items()]
-    for _, slot in collect:
-        latch[slot] = 0
     for _ in range(n_ticks):
         array.tick(sink, bound)
         for line, slot in collect:
             line.append(latch[slot])
-            latch[slot] = 0
     return lines, tr

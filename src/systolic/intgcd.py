@@ -18,6 +18,9 @@ from .engine import CellId, CellProgram, build_array, chain_ports, chain_wires
 
 STATE_BITS = ("a", "b", "start", "startodd", "eps", "neg",
               "wait", "shift", "carry", "swap", "eps2", "minus")
+# the widest word the pipeline and its precursor take, cell_count(1024) =
+# 3187 cells; range checks compare bit lengths, so no n builds 2**n
+MAX_BITS = 1024
 
 
 def _check_serial_args(a: int, b: int):
@@ -28,16 +31,18 @@ def _check_serial_args(a: int, b: int):
 
 
 def pm_precursor(a: int, b: int, n: int) -> tuple[int, int]:
-    """Bounded plus-minus iteration; returns (gcd, iterations), iterations <= 2n+1.
+    """Bounded plus-minus iteration for a word size n <= MAX_BITS; returns
+    (gcd, iterations), iterations <= 2n+1.
 
     The precursor keeps bounds |a| <= 2**alpha and |b| <= 2**beta, both n at
     the start, and swaps when alpha >= beta.  Only delta = alpha - beta
     matters to the swap, so it runs as ``pm_steps``, whose iterations it counts.
     """
     _check_serial_args(a, b)
-    if n < 0:
-        raise ValueError(f"word size n must not be negative, got {n}")
-    if abs(a) > (1 << n) or abs(b) > (1 << n):
+    if not 0 <= n <= MAX_BITS:
+        raise ValueError(f"word size n must not be negative or exceed {MAX_BITS}, got {n}")
+    # |x| <= 2**n, compared by bit lengths (a is odd and b nonzero)
+    if (abs(a) - 1).bit_length() > n or (abs(b) - 1).bit_length() > n:
         raise ValueError(f"|a|, |b| must be <= 2**{n}")
     iterations = 0
     for a, _, _ in pm_steps(a, b):
@@ -170,7 +175,7 @@ def encode_bitframe(a: int, b: int, n: int) -> dict[str, tuple]:
     b go LSB first in 2's complement, the start bit marks the first slot and
     the three other control lanes stay 0.
     """
-    if not (0 < a < (1 << n) and 0 < b < (1 << n)):
+    if not (a > 0 and b > 0 and a.bit_length() <= n and b.bit_length() <= n):
         raise ValueError(f"inputs must lie in (0, 2**{n})")
     length = n + 2
     return {"ain": _to_bits(a, length), "bin": _to_bits(b, length), "startin": (1,),
@@ -196,7 +201,8 @@ PORTS = ("a", "b", "start", "startodd", "eps", "neg")
 CELL_PORTS = chain_ports(PORTS)
 
 
-@functools.lru_cache(maxsize=16)
+# 32 shapes, as `verify intgcd` draws the 29 word sizes 4 to 32
+@functools.lru_cache(maxsize=32)
 def _gcd_pipeline(n_cells: int, frame_len: int):
     """The spec and programs of a pipeline of Appendix-B cells for one frame
     of ``frame_len`` bits.
@@ -219,7 +225,7 @@ def _gcd_pipeline(n_cells: int, frame_len: int):
 
 
 def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
-    """Pipeline GCD of positive a, b < 2**n.
+    """Pipeline GCD of positive a, b < 2**n, for a word size n <= MAX_BITS.
 
     The host strips the common power of two and swaps to make the first
     operand odd before streaming; the decoded output word may be negative,
@@ -227,9 +233,9 @@ def systolic_int_gcd(a: int, b: int, n: int, trace: bool = False) -> IntGcdRun:
     """
     if a <= 0 or b <= 0:
         raise ValueError("inputs must be positive")
-    if n < 1:
-        raise ValueError(f"word size n must be at least 1, got {n}")
-    if a >= (1 << n) or b >= (1 << n):
+    if not 1 <= n <= MAX_BITS:
+        raise ValueError(f"word size n must be at least 1 and at most {MAX_BITS}, got {n}")
+    if a.bit_length() > n or b.bit_length() > n:
         raise ValueError(f"inputs must be < 2**{n}")
     a, b, e = strip_twos(a, b)
     lines = encode_bitframe(a, b, n)

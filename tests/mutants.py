@@ -89,6 +89,13 @@ MUTANTS = (
     Mutant("a run tick compares one output count too few, so it is checked cell by cell",
            ENGINE, "plan.counts[p:p + len(made)]", "plan.counts[p:p + len(made) - 1]", CORE,
            "a failed tick keeps what ran"),
+    Mutant("run zeroes a boundary output after reading it", ENGINE,
+           "            line.append(latch[slot])\n",
+           "            line.append(latch[slot])\n            latch[slot] = 0\n", CORE,
+           "a run only reads the array"),
+    Mutant("expand stores every schedule entry with run None", ENGINE,
+           "entry = shared[on] = (on, self.run_of(on))", "entry = shared[on] = (on, None)", CORE,
+           "a run only reads the array"),
     # one per family cell
     Mutant("the integer GCD cell's carry skips the minus bit", INTGCD,
            "carry = _majority(b, carry, a ^ minus)", "carry = _majority(b, carry, a)",

@@ -45,7 +45,6 @@ class RefArray:
         self.state = {c: tuple(programs[c].init.values()) for c in self.cells}
         self.latch = {}  # (cell, port) -> its last write, from the tick after it
         self.kind = {}  # (cell, port) -> the type of its first write
-        self.written = {}  # the writes of the last tick
         self.t = 0
 
     def tick(self, lines: dict) -> list[Record]:
@@ -77,19 +76,20 @@ class RefArray:
             pending.update(((c, p), v) for p, v in outs.items())
             records.append(Record(t, c, dict(zip(prog.init, state)), shown, outs))
         self.latch.update(pending)
-        self.written = pending
         self.t += 1
         return records
 
     def run(self, feed, n_ticks: int) -> tuple[dict, list[Record]]:
         """``n_ticks`` ticks fed from ``feed``, ``{cell: {port: line}}``:
-        every boundary output's line, indexed by tick, and the records."""
+        every boundary output's line, indexed by tick, and the records.  A
+        line holds the port's latch from the run's first tick on, and 0
+        before it."""
         lines = {(CellId(*c), p): line for c, ports in (feed or {}).items()
                  for p, line in ports.items()}
-        outs = {key: [0] * (self.t + 1) for key in self.boundary_out}
+        outs = {key: [0] * self.t + [self.latch.get(key, 0)] for key in self.boundary_out}
         records = []
         for _ in range(n_ticks):
             records += self.tick(lines)
             for key, line in outs.items():
-                line.append(self.written.get(key, 0))
+                line.append(self.latch.get(key, 0))
         return outs, records

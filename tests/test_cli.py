@@ -120,6 +120,23 @@ def test_intgcd_negative_bits_is_a_usage_error(capsys, mode, bits):
     assert err == "error: intgcd: --bits must not be negative\n"
 
 
+@pytest.mark.parametrize("mode", ["systolic", "precursor"])
+def test_intgcd_word_size_beyond_the_bound_is_a_usage_error(capsys, mode):
+    # refused before any range check, which compares bit lengths, so
+    # 2**99999999999 is never built
+    code, out, err = run_cli(capsys, "intgcd", "--a", "1", "--b", "1",
+                             "--bits", "99999999999", "--mode", mode)
+    assert code == 2 and out == ""
+    assert err.startswith("error: word size n must ") and err.endswith(" 1024, got 99999999999\n")
+    # a word size fitted to the operands is bounded too, and the bound itself runs
+    code, _, err = run_cli(capsys, "intgcd", "--a", str(2**1024 + 1), "--b", "3", "--mode", mode)
+    assert code == 2 and err.endswith(" 1024, got 1025\n")
+    if mode == "precursor":
+        code, out, _ = run_cli(capsys, "intgcd", "--a", "2", "--b", "4", "--bits", "1024",
+                               "--mode", mode)
+        assert code == 0 and out.startswith("gcd: 2\n")
+
+
 def test_eigen_command(tmp_path, capsys):
     mtx = tmp_path / "m.txt"
     mtx.write_text("2\n3\n1 3\n")
@@ -554,3 +571,28 @@ def test_trace_stats_delayed_jacobi_third_utilisation(tmp_path, capsys):
     diag = [v for key, v in stats["cells"].items()
             if key.split(",")[0] == key.split(",")[1]]
     assert diag and all(0.28 <= f <= 0.38 for f in diag)
+
+
+def test_trace_stats_on_a_delayed_jacobi_trace_matches_the_plan_s_utilisation(tmp_path, capsys):
+    # the mean utilisation trace-stats reads from a --trace file is the
+    # activations in the plan's schedule over the run's ticks, per cell and
+    # tick, as CI prints it at n = 32
+    import random
+    from systolic import eigen
+    n = 8
+    a = cli.gen_symmetric(random.Random(1), n)
+    mtx, trace = tmp_path / "m.txt", tmp_path / "jac.jsonl"
+    mtx.write_text(f"{n}\n" + "".join(" ".join(repr(float(a[i, j])) for j in range(i + 1)) + "\n"
+                                      for i in range(n)))
+    code, _, _ = run_cli(capsys, "--trace", str(trace), "eigen", "--matrix", str(mtx),
+                         "--mode", "delayed")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
+    stats = json.loads(out)
+    ticks = eigen.run_sweeps(a, mode="delayed").report.ticks
+    plan = eigen._delayed_inputs(n)[0].plan
+    activations = sum(len(on) for on, _ in plan.schedule[:ticks])
+    assert code == 0 and stats["ticks"] == ticks and len(stats["cells"]) == len(plan.cells)
+    assert stats["mean_utilisation"] == pytest.approx(activations / (len(plan.cells) * ticks),
+                                                      rel=1e-12)
+    assert 0.30 < stats["mean_utilisation"] < 0.36

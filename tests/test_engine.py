@@ -59,10 +59,10 @@ def in_order(spec, order):
     def permuted():
         lo = len(plan.schedule)
         expand()
-        plan.schedule[lo:] = [tuple(order(list(on), t))
-                              for t, on in enumerate(plan.schedule[lo:], lo)]
-        # a tick's cells write one run of slots only in the layout's order
-        plan.runs[lo:] = map(plan.run_of, plan.schedule[lo:])
+        for t in range(lo, len(plan.schedule)):
+            on = tuple(order(list(plan.schedule[t][0]), t))
+            # a tick's cells write one run of slots only in the layout's order
+            plan.schedule[t] = (on, plan.run_of(on))
 
     plan.expand = permuted
     return spec
@@ -406,7 +406,7 @@ def test_every_schedule_lists_a_tick_s_cells_in_ascending_order(monkeypatch):
     for name in ("systolic.intgcd", "systolic.toeplitz", "systolic.eigen"):
         for spec in specs[name]:
             schedule = spec.plan.schedule
-            assert all(a < b for on in schedule for a, b in zip(on, on[1:]))
+            assert all(a < b for on, _ in schedule for a, b in zip(on, on[1:]))
             longest[name] = max(longest.get(name, 0), len(schedule))
     assert longest["systolic.toeplitz"] > 256 and longest["systolic.eigen"] > 256
 
@@ -452,7 +452,8 @@ def test_undeclared_wired_port_raises(wire):
 
 
 def test_none_output_keeps_latch_and_is_untraced():
-    # cell 0 writes its wired port on even ticks and its boundary port on odd
+    # cell 0 writes its wired port on even ticks and its boundary port on
+    # odd: each port holds its last write, whether a wire or run reads it
     def sometimes(state, ins, tick):
         return state, ((tick + 10, None) if tick % 2 == 0 else (None, tick + 10))
 
@@ -465,7 +466,10 @@ def test_none_output_keeps_latch_and_is_untraced():
     assert seen == [None, 10, 10, 12, 12]  # unwritten at tick 0, then held over odd ticks
     assert [rec.outputs for rec in tr if rec.cell.col == 0] == [
         {"aout": 10}, {"bout": 11}, {"aout": 12}, {"bout": 13}, {"aout": 14}]
-    assert outs[(0, 0), "bout"] == [0, 0, 11, 0, 13, 0]
+    assert outs[(0, 0), "bout"] == [0, 0, 11, 11, 13, 13]
+    # a later run shows the port as it finds it at its first tick, and 0
+    # before that
+    assert run(arr, None, 2)[0][(0, 0), "bout"] == [0] * 5 + [13, 15, 15]
 
 
 def test_kind_guard_on_the_tuple_path():
@@ -1001,7 +1005,7 @@ def cell_by_cell(spec):
 
     def expand_without_runs():
         expand()
-        plan.runs[:] = [None] * len(plan.runs)
+        plan.schedule[:] = [(on, None) for on, _ in plan.schedule]
 
     plan.expand = expand_without_runs
     return spec
@@ -1043,8 +1047,7 @@ def both_ways(quirk, n_ticks=6, traced_from=0, windows=None, every_tick_a_run=Tr
         except Exception as e:
             err = (type(e), str(e))
         plan = arr.plan
-        runs = [plan.whole] if plan.schedule is None else [
-            r for r, on in zip(plan.runs, plan.schedule) if on]
+        runs = [plan.whole] if plan.schedule is None else [r for on, r in plan.schedule if on]
         assert all(r is not None for r in runs) == (one_run and every_tick_a_run)
         assert one_run or not any(runs)
         seen.append((err, arr.tick_count, to_jsonl(tr), arr._latch, arr._kinds, arr._first,
@@ -1112,7 +1115,7 @@ def test_a_kind_change_in_a_tick_of_scattered_cells_raises_as_cell_by_cell():
 
     plan = quirky_chain(scattered).plan
     plan.expand()
-    assert plan.runs[1] is not None and plan.runs[2] is None and plan.schedule[2] == (0, 1, 2, 3)
+    assert plan.schedule[1][1] is not None and plan.schedule[2] == ((0, 1, 2, 3), None)
 
     def floats(col, tick, outs):
         return (outs[0] + 0.5, outs[1]) if col == 2 and tick == 4 else outs
@@ -1198,15 +1201,14 @@ def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s(monkeypatch
     assert len(built) == 4
     for arr in built:
         plan = arr.plan
-        ticks = range(arr.tick_count)
         if plan.schedule is None:
             assert plan.whole == slice(0, plan.n_out)
         else:
-            assert all(plan.runs[t] is not None for t in ticks if plan.schedule[t])
+            assert all(r is not None for on, r in plan.schedule[:arr.tick_count] if on)
         assert arr.tick_count > 20 and arr.split == 0
     a = cli.gen_symmetric(random.Random(1), 8)
     eigen.run_sweeps(a, mode="delayed")
     arr = built[-1]
     schedule = arr.plan.schedule[:arr.tick_count]
-    assert sum(map(bool, schedule)) == 106 and arr.plan.runs[0] is None
-    assert arr.split == sum(bool(on) and r is None for on, r in zip(schedule, arr.plan.runs)) == 1
+    assert sum(bool(on) for on, _ in schedule) == 106 and schedule[0][1] is None
+    assert arr.split == sum(bool(on) and r is None for on, r in schedule) == 1

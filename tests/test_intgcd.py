@@ -11,6 +11,7 @@ from systolic.engine import (CellId, CellProgram, SimulationError, build_array, 
                              linear, run, to_jsonl)
 from systolic.intgcd import (
     CELL_PORTS,
+    MAX_BITS,
     PORTS,
     cell_count,
     encode_bitframe,
@@ -192,6 +193,26 @@ def test_systolic_rejects_nonpositive():
 def test_systolic_rejects_word_size_below_one(n):
     with pytest.raises(ValueError, match="at least 1"):
         systolic_int_gcd(3, 5, n)
+
+
+def test_word_sizes_are_bounded_and_range_checks_compare_bit_lengths():
+    # none of these builds 2**n: each returns or raises at once
+    huge = 99_999_999_999
+    for go in (systolic_int_gcd, pm_precursor):
+        with pytest.raises(ValueError, match=f" {MAX_BITS}, got {huge}"):
+            go(3, 5, huge)
+    assert pm_precursor(3, 5, MAX_BITS)[0] == 1
+    with pytest.raises(ValueError, match="must lie in"):
+        encode_bitframe(2**64, 3, 64)
+    # the bounds themselves: |x| <= 2**n for the precursor, x < 2**n for the pipeline
+    assert pm_precursor(3, 2**10, 10)[0] == 1
+    with pytest.raises(ValueError):
+        pm_precursor(3, 2**10 + 2, 10)
+    with pytest.raises(ValueError):
+        pm_precursor(-(2**10 + 1), 2, 10)
+    assert systolic_int_gcd(2**6 - 1, 2**6 - 3, 6).gcd == 1
+    with pytest.raises(ValueError, match="inputs must be < 2"):
+        systolic_int_gcd(2**6, 3, 6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
