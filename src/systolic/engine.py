@@ -27,8 +27,10 @@ A spec may declare each cell's activity windows: tick ranges outside which
 the cell is not clocked (its state stays as it is and it leaves no trace
 record).  The windows, which may be open-ended, are read once, on the
 spec's first build, and the plan expands them into a schedule a stretch of
-ticks at a time, only as far as a run reaches, so a tick visits only the
-cells that run on it.
+256 ticks at a time, only as far as a run reaches.  Every tick reads one
+entry, its cells and their run of output slots: its schedule entry or,
+past the schedule once no window is pending, the plan's rest entry, which
+clocks no cell with windows and every cell without them.
 
 A build has two parts.  Its :class:`Plan` is what the spec fixes: cells,
 ports, latch slots, input gathers, output spans, boundary slots and the
@@ -36,11 +38,11 @@ schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  The output slots of cells whose windows share
 phase and period lie side by side, in cell order, so the cells that one
 tick clocks usually write one run of slots; each schedule entry holds a
-tick's cells and that run, one entry per distinct tick.  Its
-:class:`Array` holds one run: steps and registers, taken from the programs
-it is built with, and latches, each written slot's payload kind and
-first-write tick (which decides the inputs a trace record shows), and the
-tick count.
+tick's cells and that run, and equal ticks of one stretch share an entry.
+Its :class:`Array` holds one run: steps and registers, taken from the
+programs it is built with, and latches, each written slot's payload kind
+and first-write tick (which decides the inputs a trace record shows), and
+the tick count.
 
 Every tick latches like the paper's arrays, on one clock edge: it steps
 all its cells in schedule order, then checks and writes their outputs, in
@@ -322,8 +324,9 @@ def _declared(cell: CellId, names, what: str) -> tuple[str, ...]:
 
 class Plan:
     """What a spec fixes, shared by every array built from it: cells, port
-    names, latch slots, input gathers, output spans, boundary slots and the
-    schedule, each tick's cells with their run of output slots.
+    names, latch slots, input gathers, output spans, boundary slots, the
+    schedule, each tick's cells with their run of output slots, and the
+    rest entry, which the ticks past the schedule read.
 
     Every declared output has a latch slot, a cell's output slots are
     contiguous, and every boundary input has one slot after them.  The
@@ -376,12 +379,9 @@ class Plan:
 
         self.cells = cells
         # per tick, the cells clocked on it in cell order and the output
-        # slots they write if they are one run, else None (no schedule:
-        # every cell on every tick), expanded from the windows that end
-        # after it as runs reach its end
-        self.schedule: list[tuple[tuple[int, ...], slice | None]] | None = None
-        if spec.activation is not None:
-            self.schedule = []
+        # slots they write if they are one run, else None, expanded from
+        # the windows that end after it as runs reach its end
+        self.schedule: list[tuple[tuple[int, ...], slice | None]] = []
         self.ins = tuple(ins_of[c] for c in cells)
         self.outs = tuple(outs_of[c] for c in cells)
         # boundary inputs take the slots after every output
@@ -409,8 +409,10 @@ class Plan:
         for k, i in enumerate(layout):
             self.place[i] = k
         self.counts = [len(outs_of[cells[i]]) for i in layout]
-        # the run of a tick that clocks every cell, on a plan without windows
-        self.whole = self.run_of(range(len(cells)))
+        # the entry of every tick past the schedule once no window is pending
+        self.rest: tuple[Sequence[int], slice | None] = ((), None)
+        if spec.activation is None:
+            self.rest = (range(len(cells)), self.run_of(range(len(cells))))
 
     def run_of(self, on: Sequence[int]) -> slice | None:
         """The output slots that the cells ``on`` write, in order, if they
@@ -423,11 +425,13 @@ class Plan:
             return None
         return slice(self.cellv[on[0]][1].start, self.cellv[on[-1]][1].stop)
 
-    def expand(self) -> None:
-        """Extend the schedule by up to 256 ticks, at most to the end of the
-        last window, and drop the windows that end within them.  Equal
-        ticks share one entry, so a periodic schedule costs a pointer a
-        tick."""
+    def expand(self, tick: int) -> tuple[Sequence[int], slice | None]:
+        """The entry of ``tick``, the first past the schedule: ``rest`` once
+        no window is pending, else extend the schedule by up to 256 ticks,
+        at most to the end of the last window, and drop the windows that
+        end within them.  Equal ticks of one stretch share one entry."""
+        if not self._pending:
+            return self.rest
         lo = len(self.schedule)
         hi = min(lo + 256, max(w[-1] for _, w in self._pending) + 1)
         by_tick: list[list[int]] = [[] for _ in range(hi - lo)]
@@ -444,6 +448,7 @@ class Plan:
                 entry = shared[on] = (on, self.run_of(on))
             self.schedule.append(entry)
         self._pending = [(i, w) for i, w in self._pending if w[-1] >= hi]
+        return self.schedule[tick]
 
 
 class Array:
@@ -519,12 +524,7 @@ class Array:
         for slot, line in lines:
             latch[slot] = line[t] if t < len(line) else 0
         schedule = plan.schedule
-        if schedule is None:
-            order, run = range(len(plan.cells)), plan.whole
-        else:
-            if t == len(schedule) and plan._pending:
-                plan.expand()
-            order, run = schedule[t] if t < len(schedule) else ((), None)
+        order, run = schedule[t] if t < len(schedule) else plan.expand(t)
         states = self._states
         cellv = self._cellv
         made: list = []

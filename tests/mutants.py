@@ -96,6 +96,12 @@ MUTANTS = (
     Mutant("expand stores every schedule entry with run None", ENGINE,
            "entry = shared[on] = (on, self.run_of(on))", "entry = shared[on] = (on, None)", CORE,
            "a run only reads the array"),
+    Mutant("a plan without windows rests with no cell", ENGINE,
+           "self.rest = (range(len(cells)), self.run_of(range(len(cells))))",
+           "self.rest = ((), None)", ("tests/test_polygcd.py",), "every tick reads one schedule entry"),
+    Mutant("a windowless plan's rest entry records no run", ENGINE,
+           "self.rest = (range(len(cells)), self.run_of(range(len(cells))))",
+           "self.rest = (range(len(cells)), None)", CORE, "every tick reads one schedule entry"),
     # one per family cell
     Mutant("the integer GCD cell's carry skips the minus bit", INTGCD,
            "carry = _majority(b, carry, a ^ minus)", "carry = _majority(b, carry, a)",

@@ -48,7 +48,8 @@ def in_order(spec, order):
     """``spec``, its plan made to step each tick's cells in the order
     ``order(cells, t)`` puts them, by permuting each per-tick tuple of its
     schedule as it is expanded; a spec without windows first gets an
-    always-on one, so that it has a schedule.  None keeps the plan's order."""
+    always-on one, so that its ticks are schedule entries and not its
+    plan's rest entry.  None keeps the plan's order."""
     if order is None:
         return spec
     if spec.activation is None:
@@ -56,13 +57,14 @@ def in_order(spec, order):
     plan = spec.plan
     expand = plan.expand
 
-    def permuted():
+    def permuted(tick):
         lo = len(plan.schedule)
-        expand()
+        entry = expand(tick)
         for t in range(lo, len(plan.schedule)):
             on = tuple(order(list(plan.schedule[t][0]), t))
             # a tick's cells write one run of slots only in the layout's order
             plan.schedule[t] = (on, plan.run_of(on))
+        return plan.schedule[tick] if tick < len(plan.schedule) else entry
 
     plan.expand = permuted
     return spec
@@ -399,8 +401,10 @@ def test_every_schedule_lists_a_tick_s_cells_in_ascending_order(monkeypatch):
         toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(rng, n), trace=False)
     m = np.random.default_rng(16).standard_normal((16, 16))
     assert eigen.run_sweeps(m + m.T, mode="delayed").report.ticks > 256
-    # polynomial GCD chains have no windows: every tick steps range(cells)
-    assert all(spec.plan.schedule is None for spec in specs["systolic.polygcd"])
+    # polynomial GCD chains have no windows: every tick reads the rest
+    # entry, which steps range(cells), and the schedule stays empty
+    assert all(spec.plan.schedule == [] and spec.plan.rest[0] == range(len(spec.plan.cells))
+               for spec in specs["systolic.polygcd"])
     assert len(specs["systolic.polygcd"]) == 2
     longest = {}
     for name in ("systolic.intgcd", "systolic.toeplitz", "systolic.eigen"):
@@ -1000,12 +1004,13 @@ def cell_by_cell(spec):
     """``spec``, its plan made to record no run for any tick, so that every
     tick checks and latches cell by cell."""
     plan = spec.plan
-    plan.whole = None
+    plan.rest = (plan.rest[0], None)
     expand = plan.expand
 
-    def expand_without_runs():
-        expand()
+    def expand_without_runs(tick):
+        on, _ = expand(tick)
         plan.schedule[:] = [(on, None) for on, _ in plan.schedule]
+        return on, None
 
     plan.expand = expand_without_runs
     return spec
@@ -1047,7 +1052,7 @@ def both_ways(quirk, n_ticks=6, traced_from=0, windows=None, every_tick_a_run=Tr
         except Exception as e:
             err = (type(e), str(e))
         plan = arr.plan
-        runs = [plan.whole] if plan.schedule is None else [r for on, r in plan.schedule if on]
+        runs = [r for on, r in [*plan.schedule, plan.rest] if on]
         assert all(r is not None for r in runs) == (one_run and every_tick_a_run)
         assert one_run or not any(runs)
         seen.append((err, arr.tick_count, to_jsonl(tr), arr._latch, arr._kinds, arr._first,
@@ -1114,7 +1119,7 @@ def test_a_kind_change_in_a_tick_of_scattered_cells_raises_as_cell_by_cell():
         return (range(0, 9, 1 + cell.col % 2),)
 
     plan = quirky_chain(scattered).plan
-    plan.expand()
+    plan.expand(0)
     assert plan.schedule[1][1] is not None and plan.schedule[2] == ((0, 1, 2, 3), None)
 
     def floats(col, tick, outs):
@@ -1201,8 +1206,8 @@ def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s(monkeypatch
     assert len(built) == 4
     for arr in built:
         plan = arr.plan
-        if plan.schedule is None:
-            assert plan.whole == slice(0, plan.n_out)
+        if not plan.schedule:
+            assert plan.rest == (range(len(plan.cells)), slice(0, plan.n_out))
         else:
             assert all(r is not None for on, r in plan.schedule[:arr.tick_count] if on)
         assert arr.tick_count > 20 and arr.split == 0

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from pm_model import pm_states, worst_steps
 from test_golden_traces import RUNS
 
 from systolic import intgcd
@@ -282,3 +283,56 @@ def test_a_reused_pipeline_gives_the_golden_trace():
         assert len(tr) == records
         assert hashlib.sha256(to_jsonl(tr).encode()).hexdigest() == digest
     assert spec.plan is plan
+
+
+# -- each cell against the plus-minus steps ------------------------------------
+
+
+def signed(bits) -> int:
+    """An LSB-first two's-complement word."""
+    value = sum(bit << i for i, bit in enumerate(bits))
+    return value - (1 << len(bits)) if bits[-1] else value
+
+
+def frames(run, n: int) -> list[tuple[int, int] | None]:
+    """Each cell's output frame in a traced pipeline run, in cell order:
+    its aout and bout words of n+2 bits, read from the tick on which its
+    startout is 1, or None if it writes no whole frame on consecutive
+    ticks."""
+    written = [[] for _ in range(run.cells)]
+    for r in run.trace:
+        written[r.cell.col].append((r.tick, r.outputs))
+    width = n + 2
+    words = []
+    for ticks in written:
+        start = next((j for j, (_, outs) in enumerate(ticks) if outs["startout"] == 1), len(ticks))
+        frame = ticks[start:start + width]
+        if len(frame) < width or frame[-1][0] - frame[0][0] != width - 1:
+            words.append(None)
+        else:
+            words.append((signed([outs["aout"] for _, outs in frame]),
+                          signed([outs["bout"] for _, outs in frame])))
+    return words
+
+
+def test_every_cell_takes_one_plus_minus_step():
+    # ROADMAP item 13: cell k's frame holds (|a|, |b|) after k+1 steps of
+    # the model, one halving of b or one reduction each, and (|g|, 0) once
+    # b is 0; every pair at every n <= 5
+    for n in range(1, 6):
+        for a in range(1, 2**n):
+            for b in range(1, 2**n):
+                run = systolic_int_gcd(a, b, n, trace=True)
+                states = pm_states(a, b)
+                for k, frame in enumerate(frames(run, n)):
+                    want = tuple(map(abs, states[min(k, len(states) - 1)]))
+                    if frame is None or tuple(map(abs, frame)) != want:
+                        pytest.fail(f"a = {a}, b = {b}, n = {n}: cell {k} of {run.cells} "
+                                    f"writes the frame {frame}, but the model holds {want} "
+                                    f"after step {k + 1}")
+
+
+def test_the_pipeline_has_a_cell_for_every_step_of_its_worst_pair():
+    # the slack, cell_count(n) - worst_steps(n), is 2 to 4 at n <= 8
+    for n in range(1, 9):
+        assert cell_count(n) > worst_steps(n), n
