@@ -38,11 +38,11 @@ schedule, which every array of the plan shares and which grows only as far
 as the longest run so far.  The output slots of cells whose windows share
 phase and period lie side by side, in cell order, so the cells that one
 tick clocks usually write one run of slots; each schedule entry holds a
-tick's cells and that run, and equal ticks of one stretch share an entry.
-Its :class:`Array` holds one run: steps and registers, taken from the
-programs it is built with, and latches, each written slot's payload kind
-and first-write tick (which decides the inputs a trace record shows), and
-the tick count.
+tick's cells and that run, and equal ticks share one entry, whatever their
+stretches, from a table of the plan's distinct ticks.  Its :class:`Array`
+holds one run: steps and registers, taken from the programs it is built
+with, and latches, each written slot's payload kind and first-write tick
+(which decides the inputs a trace record shows), and the tick count.
 
 Every tick latches like the paper's arrays, on one clock edge: it steps
 all its cells in schedule order, then checks and writes their outputs, in
@@ -341,17 +341,18 @@ class Plan:
     def __init__(self, spec: ArraySpec):
         _, rows, cols = spec.topology
         cells = [_cell(r, c) for r in range(rows) for c in range(cols)]
-        ins_of, outs_of = {}, {}
+        # per cell, by index as every table below: its port names
+        ins, outs = [], []
         for c in cells:
-            ins, outs = spec.ports(c) if spec.ports is not None else ((), ())
-            ins_of[c] = _declared(c, ins, "input")
-            outs_of[c] = _declared(c, outs, "output")
+            names = spec.ports(c) if spec.ports is not None else ((), ())
+            ins.append(_declared(c, names[0], "input"))
+            outs.append(_declared(c, names[1], "output"))
         self._pending: list[tuple[int, range]] = []
         if spec.activation is not None:
             self._pending = _windows(spec.activation, cells)
         # cells whose windows share phase and period take adjacent output
         # slots, in cell order within a group, so that the cells of a tick
-        # write one run of slots; cell c's are base[c], base[c] + 1, ...
+        # write one run of slots; cell i's are base[i], base[i] + 1, ...
         phases: list[set] = [set() for _ in cells]
         for i, w in self._pending:
             phases[i].add((w.start % w.step, w.step))
@@ -359,56 +360,49 @@ class Plan:
         for i, p in enumerate(phases):
             groups.setdefault(frozenset(p), []).append(i)
         layout = [i for group in groups.values() for i in group]
-        base: dict[CellId, int] = {}
+        # each cell's output base and its place in the slot layout
+        base, self.place = [0] * len(cells), [0] * len(cells)
         n_out = 0
-        for i in layout:
-            c = cells[i]
-            base[c] = n_out
-            n_out += len(outs_of[c])
-        src_of: dict[tuple[CellId, str], int] = {}
+        for k, i in enumerate(layout):
+            base[i], self.place[i] = n_out, k
+            n_out += len(outs[i])
+        # per cell, each input's slot: its wire's source, else None
+        in_slots = [[None] * len(names) for names in ins]
         for w in spec.wiring:
             _check_wire_geometry(spec, w)
-            if w.src_port not in outs_of[w.src]:
+            s, d = w.src.row * cols + w.src.col, w.dst.row * cols + w.dst.col
+            if w.src_port not in outs[s]:
                 raise ConstructionError(f"wire {w}: {w.src_port!r} is not an output of {tuple(w.src)}")
-            if w.dst_port not in ins_of[w.dst]:
+            if w.dst_port not in ins[d]:
                 raise ConstructionError(f"wire {w}: {w.dst_port!r} is not an input of {tuple(w.dst)}")
-            key = (w.dst, w.dst_port)
-            if key in src_of:
-                raise ConstructionError(f"two sources drive input port {key}")
-            src_of[key] = base[w.src] + outs_of[w.src].index(w.src_port)
+            k = ins[d].index(w.dst_port)
+            if in_slots[d][k] is not None:
+                raise ConstructionError(f"two sources drive input port {(w.dst, w.dst_port)}")
+            in_slots[d][k] = base[s] + outs[s].index(w.src_port)
 
         self.cells = cells
         # per tick, the cells clocked on it in cell order and the output
         # slots they write if they are one run, else None, expanded from
         # the windows that end after it as runs reach its end
         self.schedule: list[tuple[tuple[int, ...], slice | None]] = []
-        self.ins = tuple(ins_of[c] for c in cells)
-        self.outs = tuple(outs_of[c] for c in cells)
+        self.ins = tuple(ins)
+        self.outs = tuple(outs)
         # boundary inputs take the slots after every output
         self.boundary_in: dict[tuple[CellId, str], int] = {}
-        in_slots = []
-        for c in cells:
-            slots = []
-            for p in ins_of[c]:
-                slot = src_of.get((c, p))
-                if slot is None:
-                    slot = self.boundary_in[(c, p)] = n_out + len(self.boundary_in)
-                slots.append(slot)
-            in_slots.append(tuple(slots))
+        for c, names, slots in zip(cells, ins, in_slots):
+            for k, p in enumerate(names):
+                if slots[k] is None:
+                    slots[k] = self.boundary_in[(c, p)] = n_out + len(self.boundary_in)
         self.n_out = n_out
         self.n_slots = n_out + len(self.boundary_in)
         # per cell: input gather, output slots and input slots
-        self.cellv = tuple(_access(slots, base[c], base[c] + len(outs_of[c]))
-                           for c, slots in zip(cells, in_slots))
-        wired = set(src_of.values())
-        self.boundary_out = {(c, p): base[c] + k for c in cells
-                             for k, p in enumerate(outs_of[c]) if base[c] + k not in wired}
-        # each cell's place in the slot layout, and the output counts in
-        # layout order, which a run's output tuples must match
-        self.place = [0] * len(cells)
-        for k, i in enumerate(layout):
-            self.place[i] = k
-        self.counts = [len(outs_of[cells[i]]) for i in layout]
+        self.cellv = tuple(_access(tuple(slots), base[i], base[i] + len(outs[i]))
+                           for i, slots in enumerate(in_slots))
+        wired = {slot for slots in in_slots for slot in slots}
+        self.boundary_out = {(c, p): base[i] + k for i, c in enumerate(cells)
+                             for k, p in enumerate(outs[i]) if base[i] + k not in wired}
+        # output counts in layout order, which a run's output tuples match
+        self.counts = [len(outs[i]) for i in layout]
         # the entry of every tick past the schedule once no window is pending
         self.rest: tuple[Sequence[int], slice | None] = ((), None)
         if spec.activation is None:
@@ -425,11 +419,17 @@ class Plan:
             return None
         return slice(self.cellv[on[0]][1].start, self.cellv[on[-1]][1].stop)
 
+    @functools.cached_property
+    def _entries(self) -> dict[tuple, tuple]:
+        """Each distinct tick's ``(cells, run)`` entry, by its cells; made on first expand."""
+        return {}
+
     def expand(self, tick: int) -> tuple[Sequence[int], slice | None]:
         """The entry of ``tick``, the first past the schedule: ``rest`` once
         no window is pending, else extend the schedule by up to 256 ticks,
         at most to the end of the last window, and drop the windows that
-        end within them.  Equal ticks of one stretch share one entry."""
+        end within them.  Equal ticks share one entry, whichever stretches
+        hold them: a stretch looks its ticks up in ``_entries``."""
         if not self._pending:
             return self.rest
         lo = len(self.schedule)
@@ -441,7 +441,7 @@ class Plan:
                 on = by_tick[t]
                 if not on or on[-1] != i:  # overlapping windows clock a cell once
                     on.append(i)
-        shared: dict[tuple, tuple] = {}
+        shared = self._entries
         for on in map(tuple, by_tick):
             entry = shared.get(on)
             if entry is None:

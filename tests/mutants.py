@@ -52,6 +52,8 @@ EIGEN = "src/systolic/eigen.py"
 # the engine's own tests, its reference interpreter and the golden traces
 CORE = ("tests/test_engine.py", "tests/test_ref_engine.py", "tests/test_ref_engine_runs.py",
         "tests/test_golden_traces.py")
+# the integer GCD cell's pinned truth table
+TABLE = "tests/test_intgcd.py::test_the_cell_s_whole_truth_table_is_pinned"
 
 MUTANTS = (
     Mutant("a record shows an input first written on its own tick", ENGINE,
@@ -96,6 +98,9 @@ MUTANTS = (
     Mutant("expand stores every schedule entry with run None", ENGINE,
            "entry = shared[on] = (on, self.run_of(on))", "entry = shared[on] = (on, None)", CORE,
            "a run only reads the array"),
+    Mutant("expand shares an entry only among the ticks of one stretch", ENGINE,
+           "        shared = self._entries\n", "        shared = {}\n", CORE,
+           "ROADMAP item 8, one entry per distinct tick"),
     Mutant("a plan without windows rests with no cell", ENGINE,
            "self.rest = (range(len(cells)), self.run_of(range(len(cells))))",
            "self.rest = ((), None)", ("tests/test_polygcd.py",), "every tick reads one schedule entry"),
@@ -109,6 +114,11 @@ MUTANTS = (
     Mutant("the integer GCD cell's sign update ands where it ors", INTGCD,
            "neg = neg | (1 - eps2)", "neg = neg & (1 - eps2)",
            ("tests/test_intgcd.py", "tests/test_golden_traces.py"), "ROADMAP item 14"),
+    # no run tells these two from the cell; the whole truth table does
+    Mutant("the integer GCD cell's first odd bit shifts on b alone", INTGCD,
+           "shift = 1 - (a & b)", "shift = 1 - b", (TABLE,), "ROADMAP item 17"),
+    Mutant("the integer GCD cell's swap set-up keeps aout", INTGCD,
+           "aout = aout | swap", "aout = aout", (TABLE,), "ROADMAP item 17"),
     Mutant("the fig4 cell's quotient uses the wrong inverse power", POLYGCD,
            "pow(bin_, p - 2, p)", "pow(bin_, p - 3, p)", ("tests/test_polygcd.py",),
            "ROADMAP item 14"),

@@ -102,7 +102,7 @@ def test_trace_stats_empty_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["{}", "[1,2]", '{"tick":"a","row":0,"col":0}',
                                   '{"tick":-5,"row":0,"col":0}',
-                                  '{"tick":0,"row":-1,"col":-7}'])
+                                  '{"tick":0,"row":-1,"col":-7}', "not json"])
 def test_trace_stats_rejects_a_line_that_is_not_a_record(tmp_path, capsys, text):
     trace = tmp_path / "bad.jsonl"
     trace.write_text('{"tick":0,"row":0,"col":0}\n' + text + "\n")
@@ -388,6 +388,10 @@ def test_the_near_singular_family_breaks_down_alike_in_both_modes(tmp_path, caps
     pytest.param("polygcd --p 7 --a 1,x --b 3", "", "--a: 'x' is not an integer", id="coeffs-a"),
     pytest.param("polygcd --p 7 --a 1,2 --b 1,,2", "", "--b: '' is not an integer",
                  id="coeffs-b"),
+    pytest.param("intgcd --a 0 --b 5 --mode serial", "", "intgcd: inputs must be positive",
+                 id="intgcd-serial"),
+    pytest.param("intgcd --a 0 --b 5 --mode precursor", "", "intgcd: inputs must be positive",
+                 id="intgcd-precursor"),
 ])
 def test_a_bad_number_is_a_usage_error_naming_its_input(tmp_path, capsys, argv, text, message):
     paths = {"bad": tmp_path / "bad.txt", "ok": tmp_path / "ok.txt"}

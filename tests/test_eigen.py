@@ -195,6 +195,11 @@ def test_run_sweeps_rejects_nonsymmetric():
         run_sweeps(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_run_sweeps_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'serial'"):
+        run_sweeps(np.eye(2), mode="serial")
+
+
 @pytest.mark.parametrize("n", [4, 5, 16])
 def test_matches_serial_oracle(n):
     a = random_symmetric(n)
@@ -392,6 +397,7 @@ def test_trace_is_opt_in():
     (np.zeros((0, 0)), "must not be empty"),
     (np.array([[1.0, np.nan], [np.nan, 1.0]]), "must be finite"),
     (np.array([[np.inf]]), "must be finite"),
+    (np.zeros((2, 3)), "must be square"),
 ])
 def test_pack_grid_rejects_empty_and_nonfinite(bad, message):
     with pytest.raises(ValueError, match=message):

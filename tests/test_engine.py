@@ -322,6 +322,9 @@ def test_run_zero_ticks():
     arr = make_chain(2)
     outs, tr = run(arr, impulse_schedule(), 0)
     assert outs == {(CellId(0, 1), "aout"): [0]} and len(tr) == 0
+    with pytest.raises(ValueError, match="n_ticks must be >= 0"):
+        run(arr, impulse_schedule(), -1)
+    assert arr.tick_count == 0
 
 
 def test_rerun_identical_traces():
@@ -415,6 +418,32 @@ def test_every_schedule_lists_a_tick_s_cells_in_ascending_order(monkeypatch):
     assert longest["systolic.toeplitz"] > 256 and longest["systolic.eigen"] > 256
 
 
+def test_each_distinct_tick_keeps_one_schedule_entry(monkeypatch):
+    # a periodic schedule meets its ticks again in every 256-tick stretch
+    # (Toeplitz parities alternate, delayed Jacobi repeats every 3 ticks),
+    # and equal ticks share one entry whichever stretch made them; each
+    # family runs once on a fresh plan of its own
+    specs = {}
+    for module, cache in ((toeplitz, "_toeplitz_inputs"), (eigen, "_delayed_inputs"),
+                          (intgcd, "_gcd_pipeline")):
+        monkeypatch.setattr(module, cache, getattr(module, cache).__wrapped__)
+
+        def recording(spec, progs, real=module.build_array, name=module.__name__):
+            specs[name] = spec
+            return real(spec, progs)
+        monkeypatch.setattr(module, "build_array", recording)
+    rng = random.Random(1)
+    toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(rng, 128), trace=False)
+    m = np.random.default_rng(1).standard_normal((32, 32))
+    eigen.run_sweeps(m + m.T, mode="delayed")
+    intgcd.systolic_int_gcd(rng.randrange(1, 2**64), rng.randrange(1, 2**64), 64)
+    for name, distinct in (("systolic.toeplitz", 130), ("systolic.eigen", 16),
+                           ("systolic.intgcd", 338)):
+        schedule = specs[name].plan.schedule
+        assert len(schedule) > 256, name
+        assert len({on for on, _ in schedule}) == len({id(e) for e in schedule}) == distinct, name
+
+
 def test_trace_jsonl_fields_and_rendering():
     def cell(state, ins, tick):
         return (True, 3, 0.5), ins
@@ -452,6 +481,14 @@ def test_port_kind_is_stable():
 def test_undeclared_wired_port_raises(wire):
     spec = linear(2, [wire], ports=chain_cell)
     with pytest.raises(ConstructionError, match="is not an"):
+        build_array(spec, {CellId(0, k): CellProgram(passthrough) for k in range(2)})
+
+
+@pytest.mark.parametrize("ports, what", [((("ain", "ain"), ("aout",)), "input"),
+                                         ((("ain",), ("aout", "bout", "aout")), "output")])
+def test_a_port_declared_twice_raises(ports, what):
+    spec = linear(2, ports=lambda cell: ports)
+    with pytest.raises(ConstructionError, match=f"cell \\(0, 0\\) declares an {what} port twice"):
         build_array(spec, {CellId(0, k): CellProgram(passthrough) for k in range(2)})
 
 

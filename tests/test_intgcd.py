@@ -1,9 +1,12 @@
 """Integer GCD: plus-minus iteration, Appendix-B cell, bit-serial pipeline."""
 
+import functools
 import hashlib
+import inspect
 import random
 
 import pytest
+from mutants import MUTANTS
 from pm_model import pm_states, worst_steps
 from test_golden_traces import RUNS
 
@@ -294,13 +297,13 @@ def signed(bits) -> int:
     return value - (1 << len(bits)) if bits[-1] else value
 
 
-def frames(run, n: int) -> list[tuple[int, int] | None]:
-    """Each cell's output frame in a traced pipeline run, in cell order:
-    its aout and bout words of n+2 bits, read from the tick on which its
-    startout is 1, or None if it writes no whole frame on consecutive
-    ticks."""
-    written = [[] for _ in range(run.cells)]
-    for r in run.trace:
+def frames(records, cells: int, n: int) -> list[tuple[int, int] | None]:
+    """Each cell's output frame in the records of a traced run of a
+    pipeline of ``cells`` cells, in cell order: its aout and bout words of
+    n+2 bits, read from the tick on which its startout is 1, or None if it
+    writes no whole frame on consecutive ticks."""
+    written = [[] for _ in range(cells)]
+    for r in records:
         written[r.cell.col].append((r.tick, r.outputs))
     width = n + 2
     words = []
@@ -315,24 +318,108 @@ def frames(run, n: int) -> list[tuple[int, int] | None]:
     return words
 
 
+def met_pairs(records, cells: int) -> set[tuple[tuple, tuple]]:
+    """The (registers, inputs) pairs on which the cells stepped in the
+    records of a traced run of a pipeline of ``cells`` cells: a cell's
+    registers before a step are those of its record before, and an input a
+    record leaves out reads 0."""
+    regs = [tuple(gcd_cell_initial_state().values())] * cells
+    pairs = set()
+    for r in records:
+        pairs.add((regs[r.cell.col], tuple({**ZERO_IN, **r.inputs}.values())))
+        regs[r.cell.col] = tuple(r.state.values())
+    return pairs
+
+
+@functools.cache
+def small_word_runs() -> tuple[list, dict[int, set]]:
+    """Every pair at every n <= 5, run traced once: (n, a, b, the run's
+    cell frames) per run, and per n the pairs its runs met."""
+    runs, met = [], {}
+    for n in range(1, 6):
+        met[n] = set()
+        for a in range(1, 2**n):
+            for b in range(1, 2**n):
+                run = systolic_int_gcd(a, b, n, trace=True)
+                records = list(run.trace)
+                runs.append((n, a, b, frames(records, run.cells, n)))
+                met[n] |= met_pairs(records, run.cells)
+    return runs, met
+
+
 def test_every_cell_takes_one_plus_minus_step():
     # ROADMAP item 13: cell k's frame holds (|a|, |b|) after k+1 steps of
     # the model, one halving of b or one reduction each, and (|g|, 0) once
     # b is 0; every pair at every n <= 5
-    for n in range(1, 6):
-        for a in range(1, 2**n):
-            for b in range(1, 2**n):
-                run = systolic_int_gcd(a, b, n, trace=True)
-                states = pm_states(a, b)
-                for k, frame in enumerate(frames(run, n)):
-                    want = tuple(map(abs, states[min(k, len(states) - 1)]))
-                    if frame is None or tuple(map(abs, frame)) != want:
-                        pytest.fail(f"a = {a}, b = {b}, n = {n}: cell {k} of {run.cells} "
-                                    f"writes the frame {frame}, but the model holds {want} "
-                                    f"after step {k + 1}")
+    for n, a, b, cell_frames in small_word_runs()[0]:
+        states = pm_states(a, b)
+        for k, frame in enumerate(cell_frames):
+            want = tuple(map(abs, states[min(k, len(states) - 1)]))
+            if frame is None or tuple(map(abs, frame)) != want:
+                pytest.fail(f"a = {a}, b = {b}, n = {n}: cell {k} of {len(cell_frames)} "
+                            f"writes the frame {frame}, but the model holds {want} "
+                            f"after step {k + 1}")
 
 
 def test_the_pipeline_has_a_cell_for_every_step_of_its_worst_pair():
     # the slack, cell_count(n) - worst_steps(n), is 2 to 4 at n <= 8
     for n in range(1, 9):
         assert cell_count(n) > worst_steps(n), n
+
+
+# the cell's five branches, in the order its if/elif chain tries them: the
+# first nonzero bit of a frame, waiting for it, shifting b, the sign and
+# swap set-up of a reduction, and the reduction's serial add
+BRANCHES = ("odd", "wait", "shift", "swap", "add")
+
+
+def branch(regs, ins) -> str:
+    """The branch of ``gcd_cell_step`` that a (registers, inputs) pair takes."""
+    a, b, start, startodd = ins[:4]
+    wait = (regs[6] | start) & (1 - startodd)
+    if startodd or (wait and (a | b)):
+        return "odd"
+    return "wait" if wait else "shift" if regs[7] else "swap" if regs[3] else "add"
+
+
+# every register and input tuple of bits, by the value they spell LSB first
+REGS = [tuple((v >> k) & 1 for k in range(12)) for v in range(2**12)]
+INS = [tuple((v >> k) & 1 for k in range(6)) for v in range(2**6)]
+# sha256 of the cell's whole truth table, as the test below lays it out
+TABLE_DIGEST = "b571b3f0d84b64b7ecefb41b91a3868482d0429ec9c39175a845069764b4d743"
+
+
+def test_the_cell_s_whole_truth_table_is_pinned():
+    # ROADMAP item 17: all 2**18 (registers, inputs) pairs in index order,
+    # registers in the low 12 bits of the index and inputs in the high 6,
+    # each giving its 12 registers and 6 outputs one byte each; a rewrite
+    # of the cell is equal exactly when the digest is
+    table = bytearray()
+    for ins in INS:
+        for regs in REGS:
+            state, outs = gcd_cell_step(regs, ins, 0)
+            table += bytes(state + outs)
+    assert hashlib.sha256(table).hexdigest() == TABLE_DIGEST
+
+
+def mutated_cell(name: str):
+    """``gcd_cell_step`` with the substitution of the mutant ``name`` in
+    tests/mutants.py."""
+    mutant = next(m for m in MUTANTS if m.name == name)
+    source = inspect.getsource(gcd_cell_step)
+    assert source.count(mutant.old) == 1, name
+    scope = dict(vars(intgcd))
+    exec(source.replace(mutant.old, mutant.new), scope)
+    return scope["gcd_cell_step"]
+
+
+@pytest.mark.parametrize("name", ["the integer GCD cell's first odd bit shifts on b alone",
+                                  "the integer GCD cell's swap set-up keeps aout"])
+def test_the_mutants_only_the_table_kills_agree_on_every_met_pair(name):
+    # ROADMAP item 17: no run at n <= 5 tells these mutants from the cell,
+    # since they agree on every pair the runs meet, but the whole table
+    # does, so they are not equivalent
+    step = mutated_cell(name)
+    met = set().union(*small_word_runs()[1].values())
+    assert all(step(regs, ins, 0) == gcd_cell_step(regs, ins, 0) for regs, ins in met)
+    assert any(step(regs, ins, 0) != gcd_cell_step(regs, ins, 0) for ins in INS for regs in REGS)

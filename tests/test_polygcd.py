@@ -225,6 +225,14 @@ def test_zero_operand():
         systolic_poly_gcd(f, (), (), "fig4")
 
 
+def test_an_unknown_variant_is_refused():
+    f = Field(7)
+    with pytest.raises(ValueError, match="unknown variant 'fig5'"):
+        systolic_poly_gcd(f, (1, 1), (1,), "fig5")
+    with pytest.raises(ValueError, match="unknown variant 'fig5'"):
+        pipeline_batch(f, [((1, 1), (1,))], "fig5")
+
+
 @pytest.mark.parametrize("p", [2, 7, 257])
 def test_oracle_equivalence_sample(p):
     f = Field(p)
