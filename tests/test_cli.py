@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import figures
+
 from systolic import cli
 from systolic.engine import to_jsonl
 
@@ -72,6 +74,9 @@ def test_toeplitz_and_trace_stats(tmp_path, capsys):
     assert code == 0
     assert stats["ticks"] == 9
     assert 0.0 < stats["mean_utilisation"] <= 1.0
+    # blank lines between records are skipped
+    trace.write_text(trace.read_text().replace("\n", "\n\n  \n", 3))
+    assert run_cli(capsys, "--format", "json", "trace-stats", str(trace))[1] == out
 
 
 def test_trace_stats_sums_the_runs_of_a_verify_trace(tmp_path, capsys):
@@ -207,11 +212,26 @@ def test_verify_trace_covers_every_family(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
+    from systolic import toeplitz
+    from systolic.oracle import SingularMatrixError
+
     def failing(rng, count, trace):
         yield {"index": 0, "pass": False}, []
     monkeypatch.setitem(cli.VERIFIERS, "polygcd", (failing, {}))
     code, _, _ = run_cli(capsys, "verify", "polygcd", "--count", "1")
     assert code == 1
+    # a Toeplitz solve that returns on the singular probe fails the probe
+    solve = toeplitz.systolic_toeplitz_solve
+
+    def no_breakdown(bands, **kwargs):
+        try:
+            return solve(bands, **kwargs)
+        except SingularMatrixError:
+            return None
+
+    monkeypatch.setattr(toeplitz, "systolic_toeplitz_solve", no_breakdown)
+    code, out, _ = run_cli(capsys, "verify", "toeplitz", "--count", "1")
+    assert code == 1 and "note=singular instance did not raise" in out
 
 
 @pytest.mark.parametrize("family", ["polygcd", "intgcd", "toeplitz", "eigen"])
@@ -309,15 +329,39 @@ def test_numerical_breakdown_exit_3(tmp_path, capsys):
 
 
 def test_simulation_error_exit_3(capsys, monkeypatch):
-    from systolic import engine, polygcd
+    from systolic import engine, intgcd, polygcd
 
     def broken(*args, **kwargs):
         raise engine.SimulationError("no GCD emerged for pair 0")
 
-    monkeypatch.setattr(polygcd, "systolic_poly_gcd", broken)
-    code, _, err = run_cli(capsys, "polygcd", "--p", "7", "--a", "6,5,1", "--b", "3,0,1")
+    polygcd_args = ("polygcd", "--p", "7", "--a", "6,5,1", "--b", "3,0,1")
+    with monkeypatch.context() as m:
+        m.setattr(polygcd, "systolic_poly_gcd", broken)
+        code, _, err = run_cli(capsys, *polygcd_args)
     assert code == 3
     assert err == "simulation error: no GCD emerged for pair 0\n"
+    # stand-in cells, each the drivers' own check refuses: a fig4 cell that
+    # writes only zeros, so no start bit comes out; one that passes the
+    # start bit on but no coefficient; an integer GCD cell of zeros
+    _, init, lag = polygcd.DESIGNS["fig4"]
+    for step, message in (
+            (lambda state, ins, tick: (state, (0, 0, 0, 0)),
+             "expected 1 output frames, saw 0 start bits"),
+            (lambda state, ins, tick: (state, (0, 0) + ins[2:]), "no GCD emerged for pair 0")):
+        with monkeypatch.context() as m:
+            m.setitem(polygcd.DESIGNS, "fig4", (lambda field, step=step: step, init, lag))
+            code, _, err = run_cli(capsys, *polygcd_args)
+        assert (code, err) == (3, f"simulation error: {message}\n")
+    pipeline = intgcd._gcd_pipeline
+
+    def zeros(n_cells, frame_len):
+        spec, programs = pipeline(n_cells, frame_len)
+        step = lambda state, ins, tick: (state, (0,) * 6)
+        return spec, {cell: engine.CellProgram(step, p.init) for cell, p in programs.items()}
+
+    monkeypatch.setattr(intgcd, "_gcd_pipeline", zeros)
+    code, _, err = run_cli(capsys, "intgcd", "--a", "132", "--b", "36")
+    assert (code, err) == (3, "simulation error: start bit never reached the right edge\n")
 
 
 def _toeplitz_with_bands(tmp_path, capsys, bands_text, *args):
@@ -582,7 +626,6 @@ def test_trace_stats_on_a_delayed_jacobi_trace_matches_the_plan_s_utilisation(tm
     # activations in the plan's schedule over the run's ticks, per cell and
     # tick, as CI prints it at n = 32
     import random
-    from systolic import eigen
     n = 8
     a = cli.gen_symmetric(random.Random(1), n)
     mtx, trace = tmp_path / "m.txt", tmp_path / "jac.jsonl"
@@ -593,10 +636,7 @@ def test_trace_stats_on_a_delayed_jacobi_trace_matches_the_plan_s_utilisation(tm
     assert code == 0
     code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
     stats = json.loads(out)
-    ticks = eigen.run_sweeps(a, mode="delayed").report.ticks
-    plan = eigen._delayed_inputs(n)[0].plan
-    activations = sum(len(on) for on, _ in plan.schedule[:ticks])
-    assert code == 0 and stats["ticks"] == ticks and len(stats["cells"]) == len(plan.cells)
-    assert stats["mean_utilisation"] == pytest.approx(activations / (len(plan.cells) * ticks),
-                                                      rel=1e-12)
+    activations, ticks, cells, _ = figures.delayed_jacobi_activations(a)
+    assert code == 0 and stats["ticks"] == ticks and len(stats["cells"]) == cells
+    assert stats["mean_utilisation"] == pytest.approx(activations / (cells * ticks), rel=1e-12)
     assert 0.30 < stats["mean_utilisation"] < 0.36

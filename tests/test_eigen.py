@@ -126,6 +126,8 @@ def test_permutation_is_nearest_neighbour():
         assert sorted(sig) == list(range(size))
         assert all(abs(sig[p] - p) <= 2 for p in range(size))
         assert sig[0] == 0
+    with pytest.raises(ValueError, match="even sizes"):
+        position_permutation(3)
 
 
 def test_grid_step_diagonal_input_unchanged():

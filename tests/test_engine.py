@@ -6,10 +6,12 @@ import gc
 import json
 import random
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
+
+import figures
+from test_golden_traces import A, B
 
 from systolic import cli, eigen, engine, intgcd, polygcd, toeplitz
 from systolic.engine import (
@@ -385,37 +387,36 @@ def test_build_array_takes_no_evaluation_order():
         run(build_array(spec, progs), impulse_schedule(3), 2)[0]
 
 
-def test_every_schedule_lists_a_tick_s_cells_in_ascending_order(monkeypatch):
+def test_every_schedule_lists_a_tick_s_cells_in_ascending_order():
     # a tick's records come out in the order its cells are stepped, so only
     # the schedule's order keeps them in cell order; every family's plan is
     # checked after its runs, past the 256-tick stretch boundary where
     # windows reach it
-    specs = {}
-    for module in (polygcd, intgcd, toeplitz, eigen):
-        def recording(spec, progs, real=module.build_array, name=module.__name__):
-            specs.setdefault(name, []).append(spec)
-            return real(spec, progs)
-        monkeypatch.setattr(module, "build_array", recording)
-    for variant in polygcd.VARIANTS:
-        polygcd.systolic_poly_gcd(Field(7), [6, 5, 1, 2], [3, 0, 1], variant)
-    intgcd.systolic_int_gcd(132, 36, 8)
+    arrays = {}
+    with figures.counted_arrays() as arrays["polygcd"]:
+        for variant in polygcd.VARIANTS:
+            polygcd.systolic_poly_gcd(Field(7), [6, 5, 1, 2], [3, 0, 1], variant)
+    with figures.counted_arrays() as arrays["intgcd"]:
+        intgcd.systolic_int_gcd(132, 36, 8)
     rng = random.Random(4)
-    for n in range(64, 86):  # 4n ticks, from 256 to 340
-        toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(rng, n), trace=False)
+    with figures.counted_arrays() as arrays["toeplitz"]:
+        for n in range(64, 86):  # 4n ticks, from 256 to 340
+            toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(rng, n), trace=False)
     m = np.random.default_rng(16).standard_normal((16, 16))
-    assert eigen.run_sweeps(m + m.T, mode="delayed").report.ticks > 256
+    with figures.counted_arrays() as arrays["eigen"]:
+        assert eigen.run_sweeps(m + m.T, mode="delayed").report.ticks > 256
     # polynomial GCD chains have no windows: every tick reads the rest
     # entry, which steps range(cells), and the schedule stays empty
-    assert all(spec.plan.schedule == [] and spec.plan.rest[0] == range(len(spec.plan.cells))
-               for spec in specs["systolic.polygcd"])
-    assert len(specs["systolic.polygcd"]) == 2
+    assert all(arr.plan.schedule == [] and arr.plan.rest[0] == range(len(arr.plan.cells))
+               for arr in arrays["polygcd"])
+    assert len(arrays["polygcd"]) == 2
     longest = {}
-    for name in ("systolic.intgcd", "systolic.toeplitz", "systolic.eigen"):
-        for spec in specs[name]:
-            schedule = spec.plan.schedule
+    for name in ("intgcd", "toeplitz", "eigen"):
+        for arr in arrays[name]:
+            schedule = arr.plan.schedule
             assert all(a < b for on, _ in schedule for a, b in zip(on, on[1:]))
             longest[name] = max(longest.get(name, 0), len(schedule))
-    assert longest["systolic.toeplitz"] > 256 and longest["systolic.eigen"] > 256
+    assert longest["toeplitz"] > 256 and longest["eigen"] > 256
 
 
 def test_each_distinct_tick_keeps_one_schedule_entry(monkeypatch):
@@ -423,25 +424,13 @@ def test_each_distinct_tick_keeps_one_schedule_entry(monkeypatch):
     # (Toeplitz parities alternate, delayed Jacobi repeats every 3 ticks),
     # and equal ticks share one entry whichever stretch made them; each
     # family runs once on a fresh plan of its own
-    specs = {}
     for module, cache in ((toeplitz, "_toeplitz_inputs"), (eigen, "_delayed_inputs"),
                           (intgcd, "_gcd_pipeline")):
         monkeypatch.setattr(module, cache, getattr(module, cache).__wrapped__)
-
-        def recording(spec, progs, real=module.build_array, name=module.__name__):
-            specs[name] = spec
-            return real(spec, progs)
-        monkeypatch.setattr(module, "build_array", recording)
-    rng = random.Random(1)
-    toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(rng, 128), trace=False)
-    m = np.random.default_rng(1).standard_normal((32, 32))
-    eigen.run_sweeps(m + m.T, mode="delayed")
-    intgcd.systolic_int_gcd(rng.randrange(1, 2**64), rng.randrange(1, 2**64), 64)
-    for name, distinct in (("systolic.toeplitz", 130), ("systolic.eigen", 16),
-                           ("systolic.intgcd", 338)):
-        schedule = specs[name].plan.schedule
-        assert len(schedule) > 256, name
-        assert len({on for on, _ in schedule}) == len({id(e) for e in schedule}) == distinct, name
+    expected = {"Toeplitz, n = 128": 130, "delayed Jacobi, n = 32": 16, "intgcd, n = 64": 338}
+    for name, (ticks, entries, distinct) in figures.schedule_entries(expected).items():
+        assert ticks > 256, name
+        assert distinct == entries == expected[name], name
 
 
 def test_trace_jsonl_fields_and_rendering():
@@ -841,8 +830,8 @@ def test_a_trace_holds_one_array_s_run():
 
 def test_untraced_runs_of_one_input_give_equal_results():
     # a result's trace is left out of its comparison
-    assert polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, "appA") == \
-        polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, "appA")
+    assert polygcd.systolic_poly_gcd(Field(7), A, B, "appA") == \
+        polygcd.systolic_poly_gcd(Field(7), A, B, "appA")
     assert intgcd.systolic_int_gcd(46563, 31276, 16) == intgcd.systolic_int_gcd(46563, 31276, 16)
     a = cli.gen_symmetric(random.Random(1), 8)
     assert eigen.run_sweeps(a, mode="delayed").report == eigen.run_sweeps(a, mode="delayed").report
@@ -870,10 +859,6 @@ def test_a_build_runs_its_programs_as_they_are_now():
     assert fresh.states() == arr.states()
 
 
-GOLDEN_A = (2, 1, 5, 1, 6, 1, 6, 2, 4, 0, 2, 5, 3, 4)
-GOLDEN_B = (5, 6, 3, 0, 5, 5, 2, 6, 3, 5)
-
-
 def toeplitz_trace(n=32, seed=1):
     return toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(random.Random(seed), n)).trace
 
@@ -882,7 +867,7 @@ def toeplitz_trace(n=32, seed=1):
 # that use it, and delayed Jacobi's tick-by-tick Array.tick(trace)
 RUNS = {
     "intgcd": lambda trace: intgcd.systolic_int_gcd(46563, 31276, 16, trace=trace),
-    "polygcd": lambda trace: polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, "appA",
+    "polygcd": lambda trace: polygcd.systolic_poly_gcd(Field(7), A, B, "appA",
                                                        trace=trace),
     "toeplitz": lambda trace: toeplitz.systolic_toeplitz_solve(
         cli.gen_toeplitz(random.Random(1), 32), trace=trace),
@@ -1018,16 +1003,8 @@ def test_a_tick_that_raises_keeps_the_records_of_the_cells_stepped_before():
 def test_a_kept_traced_toeplitz_solve_holds_under_300_bytes_a_record():
     # a flat row tuple per record held 317 B a record, two flat lists per
     # trace hold 282 (tracemalloc, Python 3.11)
-    bands = cli.gen_toeplitz(random.Random(1), 128)
-    toeplitz.systolic_toeplitz_solve(bands)  # fills the drivers' caches
-    tracemalloc.start()
-    try:
-        run = toeplitz.systolic_toeplitz_solve(bands)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(run.trace) == 16641 and held / len(run.trace) < 300
+    records, _, per_record = figures.kept_toeplitz_trace(128)
+    assert records == 16641 and per_record < 300
 
 
 # Every tick steps all its cells, then checks and latches their outputs.
@@ -1215,31 +1192,18 @@ def test_a_refused_tick_fixes_no_kind_or_first_write_tick(joins):
     assert [latch[k] for k in unset] == [0] * len(unset)
 
 
-def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s(monkeypatch):
+def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s():
     # a slot layout that splits a tick's cells, or a run check that refuses
     # a clean tick, would only slow these runs, so both are pinned here:
     # none of their clocked ticks is checked cell by cell, which returns a
     # write per cell where a run returns one.  Delayed Jacobi's ramp ticks
     # clock cells whose slots are not adjacent, so those alone are checked
     # cell by cell
-    built = []
-
-    class Kept(engine.Array):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.split = 0
-            built.append(self)
-
-        def _check(self, t, order, run, made):
-            writes = super()._check(t, order, run, made)
-            self.split += len(writes) > 1
-            return writes
-
-    monkeypatch.setattr(engine, "Array", Kept)
-    for variant in polygcd.VARIANTS:
-        polygcd.systolic_poly_gcd(Field(7), GOLDEN_A, GOLDEN_B, variant)
-    intgcd.systolic_int_gcd(46563, 31276, 16)
-    toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(random.Random(1), 32))
+    with figures.counted_arrays() as built:
+        for variant in polygcd.VARIANTS:
+            polygcd.systolic_poly_gcd(Field(7), A, B, variant)
+        intgcd.systolic_int_gcd(46563, 31276, 16)
+        toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(random.Random(1), 32))
     assert len(built) == 4
     for arr in built:
         plan = arr.plan
@@ -1249,7 +1213,8 @@ def test_each_family_s_ticks_write_one_slot_run_but_delayed_jacobi_s(monkeypatch
             assert all(r is not None for on, r in plan.schedule[:arr.tick_count] if on)
         assert arr.tick_count > 20 and arr.split == 0
     a = cli.gen_symmetric(random.Random(1), 8)
-    eigen.run_sweeps(a, mode="delayed")
+    with figures.counted_arrays() as built:
+        eigen.run_sweeps(a, mode="delayed")
     arr = built[-1]
     schedule = arr.plan.schedule[:arr.tick_count]
     assert sum(bool(on) for on, _ in schedule) == 106 and schedule[0][1] is None

@@ -70,6 +70,8 @@ def test_poly_divmod_roundtrip():
         q, r = poly_divmod(f, a, b)
         assert poly_sub(f, a, poly_mul(f, q, b)) == r
         assert len(r) < len(b)
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        poly_divmod(f, (1, 2), ())
 
 
 def test_monic():

@@ -82,6 +82,13 @@ def test_lu_zero_pivot():
         dense_lu_solve_nopivot([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
 
 
+def test_oracles_refuse_a_wrong_shape():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dense_lu_solve_nopivot(np.eye(2), [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="must be square"):
+        serial_cyclic_jacobi(np.zeros((2, 3)))
+
+
 def test_jacobi_diagonal_is_fixed_point():
     vals, vecs, sweeps = serial_cyclic_jacobi(np.diag([3.0, 1.0, 2.0]))
     assert sweeps == 0

@@ -28,8 +28,9 @@ FORMS = (
 )
 # (kind, period) of an output port: period 1 writes on every activation,
 # 0 never, 2 and 3 skip the ticks t with t % period == 1; the cells of most
-# arrays write every port, since the first port left unwritten sends an
-# array's later ticks cell by cell
+# arrays write every port, so most runs' types equal their slots' kinds,
+# and a port left unwritten is checked within its run, by the position
+# walk that keeps its latched value
 WHOLE = st.tuples(st.integers(0, 2), st.just(1))
 ANY = st.tuples(st.integers(0, 2), st.sampled_from((1, 1, 2, 3, 0)))
 
