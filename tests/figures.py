@@ -1,6 +1,6 @@
-"""The counts and sizes CI's job summary records, one function a figure, which a
-tier-1 test pinning the figure calls too.  ``PYTHONPATH=src python tests/figures.py``
-prints each from a fresh interpreter, as runs fill caches that shrink later bytes."""
+"""CI's job summary figures, one function each, which the tier-1 tests pinning them call too.
+``PYTHONPATH=src python tests/figures.py`` prints each from a fresh interpreter, as an
+earlier figure's runs fill the caches that would shrink a later one's bytes."""
 
 import ast
 import contextlib
@@ -49,27 +49,30 @@ def polygcd_chain_bytes() -> list[str]:
     66-129 cells in both variants, once a collection empties the free lists."""
     gc.collect()
     tracemalloc.start()
-    for variant in polygcd.VARIANTS:
-        for n in range(66, 130):
+    try:
+        for n, variant in ((n, v) for v in polygcd.VARIANTS for n in range(66, 130)):
             polygcd._chain_spec(n, variant).plan
-    size = tracemalloc.get_traced_memory()[0]
-    tracemalloc.stop()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     return [f"polygcd chain spec plus plan: {size / (2 * sum(range(66, 130))):.0f} B a cell, "
             f"{size / 1e6:.2f} MB for 128 shapes of 66-129 cells (tracemalloc)"]
 
 
-def kept_toeplitz_trace(n: int = 128) -> tuple[int, int, float]:
-    """A kept traced Toeplitz solve, the drivers' caches full: its records, the
-    objects the collector tracks for it after one collection, bytes a record."""
-    bands = cli.gen_toeplitz(random.Random(1), n)
+def kept_toeplitz_trace() -> tuple[int, int, float]:
+    """A kept traced Toeplitz n = 128 solve, the drivers' caches full: its records,
+    the objects the collector tracks for it after one collection, bytes a record."""
+    bands = cli.gen_toeplitz(random.Random(1), 128)
     toeplitz.systolic_toeplitz_solve(bands)
     gc.collect()
     before = len(gc.get_objects())
     tracemalloc.start()
-    run = toeplitz.systolic_toeplitz_solve(bands)
-    gc.collect()
-    held = tracemalloc.get_traced_memory()[0]
-    tracemalloc.stop()
+    try:
+        run = toeplitz.systolic_toeplitz_solve(bands)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     return len(run.trace), len(gc.get_objects()) - before, held / len(run.trace)
 
 
@@ -82,36 +85,29 @@ def delayed_jacobi_activations(a=SYMMETRIC) -> tuple[int, int, int, float]:
     return activations, ticks, len(plan.cells), activations / (len(plan.cells) * ticks)
 
 
-def intgcd_branches() -> list[str]:
-    """Per n <= 5, the integer GCD cell's met (registers, inputs) pairs and their branches."""
-    return [f"integer GCD cell, n = {n}: {len(met)} met pairs, branches reached: "
-            + ", ".join(b for b in BRANCHES if any(branch(*pair) == b for pair in met))
-            for n, met in small_word_runs()[1].items()]
-
-
 @contextlib.contextmanager
 def counted_arrays():
     """Yields the arrays built in the block, each counting its ``clocked`` ticks,
     its ``split`` ones (checked cell by cell: more than one write) and the output
     positions ``walked`` one by one (in a run whose types differ from its slots'
-    kinds), on ``walked_ticks`` ticks."""
+    kinds), on ``walked_ticks`` ticks.  The walk count mirrors the ``types ==
+    have`` test in ``engine.Array._check`` and must change with it."""
     built = []
 
     class Counted(engine.Array):
+        clocked = split = walked = walked_ticks = 0
+
         def __init__(self, *args):
             super().__init__(*args)
-            self.clocked = self.split = self.walked = self.walked_ticks = 0
             built.append(self)
 
         def _check(self, t, order, run, made):
-            kinds, types = list(self._kinds), [type(v) for outs in made for v in outs]
+            kinds, types = list(self._kinds), iter([type(v) for outs in made for v in outs])
             writes = super()._check(t, order, run, made)
             self.clocked += bool(order)
             self.split += len(writes) > 1
-            walked = k = 0
-            for where, flat in writes:
-                walked += len(flat) if types[k:k + len(flat)] != kinds[where] else 0
-                k += len(flat)
+            walked = sum(len(flat) for where, flat in writes
+                         if [next(types) for _ in flat] != kinds[where])
             self.walked += walked
             self.walked_ticks += walked > 0
             return writes
@@ -128,7 +124,8 @@ def family_arrays(names=None) -> dict:
                 rng.randrange(1, 2**64), rng.randrange(1, 2**64), 64),
             "polygcd, fig4 and appA": lambda: [polygcd.systolic_poly_gcd(Field(7), A, B, v)
                                                for v in polygcd.VARIANTS],
-            "Toeplitz, n = 128": lambda: toeplitz.systolic_toeplitz_solve(cli.gen_toeplitz(rng, 128)),
+            "Toeplitz, n = 128": lambda: toeplitz.systolic_toeplitz_solve(
+                cli.gen_toeplitz(rng, 128), trace=False),
             "delayed Jacobi, n = 32": lambda: eigen.run_sweeps(SYMMETRIC, mode="delayed")}
     arrays = {}
     for name in names or runs:
@@ -139,23 +136,19 @@ def family_arrays(names=None) -> dict:
 
 def schedule_entries(names=("Toeplitz, n = 128", "delayed Jacobi, n = 32")) -> dict:
     """name -> schedule ticks, entry objects and distinct ticks of its last plan in family_arrays."""
-    schedules = {name: built[-1].plan.schedule for name, built in family_arrays(names).items()}
-    return {name: (len(s), len(set(map(id, s))), len({on for on, _ in s}))
-            for name, s in schedules.items()}
+    return {name: (len(s), len(set(map(id, s))), len({on for on, _ in s})) for name, s in
+            ((name, built[-1].plan.schedule) for name, built in family_arrays(names).items())}
 
 
-def run_ticks() -> list[str]:
-    """Per family run, its clocked ticks whose cells write one run of slots."""
-    return [f"{name}: {sum(a.clocked - a.split for a in built)} of {sum(a.clocked for a in built)}"
-            " clocked ticks write one run of latch slots" for name, built in family_arrays().items()]
-
-
-def walked_positions() -> list[str]:
-    """In one line, per family run, the output positions ``Array._check``
-    walks one by one and the clocked ticks they lie in."""
-    return ["positions Array._check walks one by one, on clocked ticks: " + "; ".join(
-        f"{name}: {sum(a.walked for a in built)} on {sum(a.walked_ticks for a in built)} of "
-        f"{sum(a.clocked for a in built)}" for name, built in family_arrays().items())]
+def family_counts() -> list[str]:
+    """Per family run, its clocked ticks whose cells write one run of slots, then in
+    one line the output positions ``Array._check`` walks one by one and their ticks."""
+    counts = {name: np.sum([[a.clocked, a.split, a.walked, a.walked_ticks] for a in built], axis=0)
+              for name, built in family_arrays().items()}
+    return [*(f"{name}: {c - s} of {c} clocked ticks write one run of latch slots"
+              for name, (c, s, _, _) in counts.items()),
+            "positions Array._check walks one by one, on clocked ticks: " + "; ".join(
+                f"{name}: {w} on {ticks} of {c}" for name, (c, _, w, ticks) in counts.items())]
 
 
 # each figure's lines, in the summary's order
@@ -163,14 +156,15 @@ FIGURES = {"code_lines": code_lines, "polygcd_chain_bytes": polygcd_chain_bytes,
            "kept_toeplitz_trace": lambda: [
                "kept traced Toeplitz solve, n = 128: {} records, {} objects tracked after "
                "gc.collect(), {:.0f} B a record (tracemalloc)".format(*kept_toeplitz_trace())],
-           "delayed_jacobi_activations": lambda: [
-               "delayed Jacobi, n = 32: {} activations in {} ticks on {} cells, "
-               "utilisation {:.4f}".format(*delayed_jacobi_activations())],
-           "schedule_entries": lambda: [
-               "{}: {} schedule ticks, {} entry objects, {} distinct ticks".format(name, *counts)
-               for name, counts in schedule_entries().items()],
-           "intgcd_branches": intgcd_branches, "run_ticks": run_ticks,
-           "walked_positions": walked_positions}
+           "delayed_jacobi_activations": lambda: ["delayed Jacobi, n = 32: {} activations in {} "
+               "ticks on {} cells, utilisation {:.4f}".format(*delayed_jacobi_activations())],
+           "schedule_entries": lambda: [f"{name}: {t} schedule ticks, {e} entry objects, {d} "
+               "distinct ticks" for name, (t, e, d) in schedule_entries().items()],
+           "intgcd_branches": lambda: [  # per n <= 5, the cell's met pairs and their branches
+               f"integer GCD cell, n = {n}: {len(met)} met pairs, branches reached: "
+               + ", ".join(b for b in BRANCHES if any(branch(*pair) == b for pair in met))
+               for n, met in small_word_runs()[1].items()],
+           "family_counts": family_counts}
 
 if __name__ == "__main__":
     if sys.argv[1:]:

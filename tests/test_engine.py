@@ -1003,7 +1003,7 @@ def test_a_tick_that_raises_keeps_the_records_of_the_cells_stepped_before():
 def test_a_kept_traced_toeplitz_solve_holds_under_300_bytes_a_record():
     # a flat row tuple per record held 317 B a record, two flat lists per
     # trace hold 282 (tracemalloc, Python 3.11)
-    records, _, per_record = figures.kept_toeplitz_trace(128)
+    records, _, per_record = figures.kept_toeplitz_trace()
     assert records == 16641 and per_record < 300
 
 
