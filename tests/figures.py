@@ -50,8 +50,8 @@ def polygcd_chain_bytes() -> list[str]:
     gc.collect()
     tracemalloc.start()
     try:
-        for n, variant in ((n, v) for v in polygcd.VARIANTS for n in range(66, 130)):
-            polygcd._chain_spec(n, variant).plan
+        for spec in (polygcd._chain_spec(n, v) for v in polygcd.VARIANTS for n in range(66, 130)):
+            spec.plan
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
