@@ -186,9 +186,9 @@ def _build_schedule(pairs, variant: str) -> tuple[dict[str, list], list[int]]:
 
 
 # at most 128 shapes, (cells, variant).  Sharing their wires, cells and
-# gathers, they take 145 B a cell (tracemalloc), 1.81 MB, when all 128 are
-# of 66 to 129 cells, and 216 B a cell, 1.11 MB, for the 122 shapes of 1 to
-# 118 cells of a pass of the polygcd-stream bench at seed 1
+# gathers, they take 143 B a cell (tracemalloc), 1.79 MB, when all 128 are
+# of 66 to 129 cells: the figure `python tests/figures.py polygcd_chain_bytes`
+# prints
 @functools.lru_cache(maxsize=128)
 def _chain_spec(n_cells: int, variant: str):
     """The spec of a chain of ``n_cells`` cells of ``variant``.

@@ -79,21 +79,44 @@ def test_toeplitz_and_trace_stats(tmp_path, capsys):
     assert run_cli(capsys, "--format", "json", "trace-stats", str(trace))[1] == out
 
 
-def test_trace_stats_sums_the_runs_of_a_verify_trace(tmp_path, capsys):
-    # five solves in one file: an order-n run takes 4n + 1 ticks, and cell 0
-    # is clocked on 2n + 1 of them
+@pytest.mark.parametrize("argv", [
+    "polygcd --p 7 --a 6,5,1 --b 3,0,1 --variant fig4",
+    "intgcd --a 132 --b 36 --bits 8 --mode systolic",
+    "toeplitz --n 2 --bands {bands} --rhs {rhs} --mode systolic",
+    "eigen --matrix {matrix} --mode delayed",
+], ids=["polygcd", "intgcd", "toeplitz", "eigen"])
+def test_each_command_that_runs_an_array_traces_its_ticks(tmp_path, capsys, argv):
+    # the usage lines under "Command line" in README.md, given --trace
+    paths = {"bands": tmp_path / "bands.txt", "rhs": tmp_path / "rhs.txt",
+             "matrix": tmp_path / "m.txt"}
+    paths["bands"].write_text("0 2 4 1 0\n")
+    paths["rhs"].write_text("5 7 6\n")
+    paths["matrix"].write_text("3\n4\n1 3\n0.5 -1 2\n")
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli(capsys, "--trace", str(trace), *argv.format(**paths).split())[0] == 0
+    code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
+    assert code == 0 and json.loads(out)["ticks"] > 0
+
+
+@pytest.mark.parametrize("family", ["polygcd", "intgcd", "toeplitz", "eigen"])
+def test_trace_stats_sums_the_runs_of_a_verify_trace(tmp_path, capsys, family):
+    # five runs in one file, on the one plan every family reuses: no cell is
+    # active on more ticks than the runs take
     trace = tmp_path / "vt.jsonl"
     code, out, _ = run_cli(capsys, "--trace", str(trace), "--format", "json",
-                           "verify", "toeplitz", "--count", "5", "--seed", "1")
+                           "verify", family, "--count", "5", "--seed", "1")
     assert code == 0
-    ns = [inst["n"] for inst in json.loads(out)["instances"] if "n" in inst]
-    assert len(set(ns)) > 1
-    code, out, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
-    stats = json.loads(out)
-    assert code == 0
-    assert stats["ticks"] == sum(4 * n + 1 for n in ns)
-    assert stats["cells"]["0,0"] == sum(2 * n + 1 for n in ns) / stats["ticks"]
+    code, text, _ = run_cli(capsys, "--format", "json", "trace-stats", str(trace))
+    stats = json.loads(text)
+    assert code == 0 and stats["cells"]
     assert all(0.0 < f <= 1.0 for f in stats["cells"].values())
+    if family == "toeplitz":
+        # an order-n solve takes 4n + 1 ticks, and cell 0 is clocked on
+        # 2n + 1 of them
+        ns = [inst["n"] for inst in json.loads(out)["instances"] if "n" in inst]
+        assert len(set(ns)) > 1
+        assert stats["ticks"] == sum(4 * n + 1 for n in ns)
+        assert stats["cells"]["0,0"] == sum(2 * n + 1 for n in ns) / stats["ticks"]
 
 
 def test_trace_stats_empty_file(tmp_path, capsys):
@@ -436,6 +459,7 @@ def test_the_near_singular_family_breaks_down_alike_in_both_modes(tmp_path, caps
                  id="intgcd-serial"),
     pytest.param("intgcd --a 0 --b 5 --mode precursor", "", "intgcd: inputs must be positive",
                  id="intgcd-precursor"),
+    pytest.param("polygcd --p 4 --a 1,1 --b 1", "", "modulus 4 is not prime", id="modulus"),
 ])
 def test_a_bad_number_is_a_usage_error_naming_its_input(tmp_path, capsys, argv, text, message):
     paths = {"bad": tmp_path / "bad.txt", "ok": tmp_path / "ok.txt"}
