@@ -16,6 +16,7 @@ from unittest import mock
 
 import numpy as np
 from test_golden_traces import A, B
+from pm_model import worst_steps
 from test_intgcd import BRANCHES, branch, small_word_runs
 
 from systolic import cli, eigen, engine, intgcd, polygcd, toeplitz
@@ -151,6 +152,16 @@ def family_counts() -> list[str]:
                 f"{name}: {w} on {ticks} of {c}" for name, (c, _, w, ticks) in counts.items())]
 
 
+def pm_steps() -> list[str]:
+    """Per n <= 10, the worst-case plus-minus steps of any pair below 2**n, the
+    pipeline's cells and their slack (counts, not a gate: a slack of 0 would be
+    a finding about the cell bound)."""
+    rows = ((n, worst_steps(n), intgcd.cell_count(n)) for n in range(1, 11))
+    return ["```", " n  steps  cells  slack",
+            *(f"{n:2d}  {steps:5d}  {cells:5d}  {cells - steps:5d}" for n, steps, cells in rows),
+            "```"]
+
+
 # each figure's lines, in the summary's order
 FIGURES = {"code_lines": code_lines, "polygcd_chain_bytes": polygcd_chain_bytes,
            "kept_toeplitz_trace": lambda: [
@@ -164,7 +175,7 @@ FIGURES = {"code_lines": code_lines, "polygcd_chain_bytes": polygcd_chain_bytes,
                f"integer GCD cell, n = {n}: {len(met)} met pairs, branches reached: "
                + ", ".join(b for b in BRANCHES if any(branch(*pair) == b for pair in met))
                for n, met in small_word_runs()[1].items()],
-           "family_counts": family_counts}
+           "family_counts": family_counts, "pm_steps": pm_steps}
 
 if __name__ == "__main__":
     if sys.argv[1:]:

@@ -1,5 +1,5 @@
-"""Mutations of the engine and of each family's cell that the tests must
-catch, and their runner.
+"""Mutations of the engine, of each family's cell and of the command line
+that the tests must catch, and their runner.
 
 Each mutant replaces one exact text of a source file with another, and
 names the test files that must fail on it and where it was first reported:
@@ -49,6 +49,7 @@ INTGCD = "src/systolic/intgcd.py"
 POLYGCD = "src/systolic/polygcd.py"
 TOEPLITZ = "src/systolic/toeplitz.py"
 EIGEN = "src/systolic/eigen.py"
+CLI = "src/systolic/cli.py"
 # the engine's own tests, its reference interpreter and the golden traces
 CORE = ("tests/test_engine.py", "tests/test_ref_engine.py", "tests/test_ref_engine_runs.py",
         "tests/test_golden_traces.py")
@@ -131,6 +132,24 @@ MUTANTS = (
     Mutant("rotate_block's row transform flips a sign", EIGEN,
            "t10 = si * b00 + ci * b10", "t10 = si * b00 - ci * b10", ("tests/test_eigen.py",),
            "ROADMAP item 14"),
+    # one test node of tests/test_cli.py each, which keeps the step's time down
+    Mutant("trace-stats never starts a new run", CLI,
+           "            if last is not None and at <= last:\n"
+           "                ticks += last[0] + 1\n",
+           "", ("tests/test_cli.py::test_trace_stats_sums_the_runs_of_a_verify_trace[eigen]",),
+           "CHANGES.md, the FOUND line on trace-stats"),
+    Mutant("eigen skips its --trace refusal", CLI,
+           '    if args.mode == "broadcast":\n'
+           '        _refuse_trace(args, "--mode delayed", "broadcast mode")\n', "",
+           ("tests/test_cli.py::test_trace_is_refused_where_no_array_runs[eigen-broadcast]",),
+           "a deleted duplicate CLI test"),
+    Mutant("a numerical breakdown exits 2", CLI,
+           '        print(f"numerical breakdown: {exc}", file=sys.stderr)\n        return 3\n',
+           '        print(f"numerical breakdown: {exc}", file=sys.stderr)\n        return 2\n',
+           ("tests/test_cli.py::test_zero_pivot_breaks_down_in_both_modes[a0-zero-systolic]",),
+           "a deleted duplicate CLI test"),
+    Mutant("verify drops every run's trace", CLI, "        traces.extend(run_traces)\n", "",
+           ("tests/test_cli.py::test_verify_bytes_are_pinned",), "a deleted duplicate CLI test"),
 )
 
 # reported mutations that have no code left to mutate, with the reason

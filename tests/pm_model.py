@@ -4,11 +4,8 @@ pipeline's cells take it, for the tests alone and sharing no code with
 
 A step is one halving of b or one reduction, and each cell of the pipeline
 takes one: cell k's output frame holds (|a|, |b|) after k+1 steps, and
-(|g|, 0) once b is 0.  Run from the repository root to print, for each
-word size n <= 10, the worst-case steps over every pair below 2**n, the
-pipeline's cells and their slack (counts, not a gate):
-
-    PYTHONPATH=src python tests/pm_model.py
+(|g|, 0) once b is 0.  ``tests/figures.py`` prints, for each word size
+n <= 10, the worst-case steps against the pipeline's cells.
 """
 
 from __future__ import annotations
@@ -42,15 +39,3 @@ def worst_steps(n: int) -> int:
     those are counted."""
     return max(len(pm_states(a, b)) for a in range(1, 2**n, 2) for b in range(1, 2**n))
 
-
-def main() -> None:
-    from systolic.intgcd import cell_count
-
-    print(" n  steps  cells  slack")
-    for n in range(1, 11):
-        steps, cells = worst_steps(n), cell_count(n)
-        print(f"{n:2d}  {steps:5d}  {cells:5d}  {cells - steps:5d}")
-
-
-if __name__ == "__main__":
-    main()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -51,13 +52,6 @@ def test_polygcd_reduces_coefficients_mod_p(capsys, fmt):
     assert raw == reduced and raw[0] == 0
 
 
-def test_polygcd_of_two_zero_polynomials_mod_p_is_a_usage_error(capsys):
-    # 0,7 and 14 are both zero mod 7
-    code, out, err = run_cli(capsys, "polygcd", "--p", "7", "--a", "0,7", "--b", "14")
-    assert code == 2 and out == ""
-    assert err == "error: gcd(0, 0) is undefined\n"
-
-
 def test_intgcd_modes(capsys):
     for mode in ("serial", "precursor", "systolic"):
         code, out, _ = run_cli(capsys, "intgcd", "--a", "12", "--b", "18", "--mode", mode)
@@ -100,8 +94,9 @@ def test_each_command_that_runs_an_array_traces_its_ticks(tmp_path, capsys, argv
 
 @pytest.mark.parametrize("family", ["polygcd", "intgcd", "toeplitz", "eigen"])
 def test_trace_stats_sums_the_runs_of_a_verify_trace(tmp_path, capsys, family):
-    # five runs in one file, on the one plan every family reuses: no cell is
-    # active on more ticks than the runs take
+    # five runs in one file, on the one plan every family reuses: the ticks
+    # are the runs' own lengths, each its last traced tick plus one, summed,
+    # and no cell is active on more ticks than the runs take
     trace = tmp_path / "vt.jsonl"
     code, out, _ = run_cli(capsys, "--trace", str(trace), "--format", "json",
                            "verify", family, "--count", "5", "--seed", "1")
@@ -110,6 +105,9 @@ def test_trace_stats_sums_the_runs_of_a_verify_trace(tmp_path, capsys, family):
     stats = json.loads(text)
     assert code == 0 and stats["cells"]
     assert all(0.0 < f <= 1.0 for f in stats["cells"].values())
+    runs = [run for _, runs in cli.VERIFIERS[family][0](random.Random(1), 5, True)
+            for run in runs if len(run)]
+    assert len(runs) > 1 and stats["ticks"] == sum([*run][-1].tick + 1 for run in runs)
     if family == "toeplitz":
         # an order-n solve takes 4n + 1 ticks, and cell 0 is clocked on
         # 2n + 1 of them
@@ -137,15 +135,6 @@ def test_trace_stats_rejects_a_line_that_is_not_a_record(tmp_path, capsys, text)
     code, out, err = run_cli(capsys, "trace-stats", str(trace))
     assert code == 2 and out == ""
     assert "line 2 is not a trace record" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("mode, bits", [("systolic", "-5"), ("precursor", "-2"),
-                                        ("serial", "-1")])
-def test_intgcd_negative_bits_is_a_usage_error(capsys, mode, bits):
-    code, out, err = run_cli(capsys, "intgcd", "--a", "3", "--b", "5",
-                             "--bits", bits, "--mode", mode)
-    assert code == 2 and out == ""
-    assert err == "error: intgcd: --bits must not be negative\n"
 
 
 @pytest.mark.parametrize("mode", ["systolic", "precursor"])
@@ -223,15 +212,6 @@ def test_verify_families_pass(capsys):
         code, out, _ = run_cli(capsys, "--seed", "5", "verify", family, "--count", "2")
         assert code == 0, (family, out)
         assert "pass" in out.splitlines()[-1]
-
-
-def test_verify_trace_covers_every_family(tmp_path, capsys):
-    for family in ("polygcd", "intgcd", "toeplitz", "eigen"):
-        trace = tmp_path / f"{family}.jsonl"
-        code, _, _ = run_cli(capsys, "--seed", "42", "--trace", str(trace),
-                             "verify", family, "--count", "2")
-        assert code == 0, family
-        assert trace.stat().st_size > 0, family
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -320,35 +300,11 @@ def test_verify_bytes_are_pinned(tmp_path, capsys, family):
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest, fmt
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_verify_count_below_one_is_a_usage_error(capsys, count):
-    code, out, err = run_cli(capsys, "verify", "intgcd", "--count", count)
-    assert code == 2 and out == "" and "--count must be at least 1" in err
-
-
-@pytest.mark.parametrize("sweeps", ["0", "-1"])
-def test_eigen_max_sweeps_below_one_is_a_usage_error(tmp_path, capsys, sweeps):
-    # no sweep would leave the diagonal of [[1, 2], [2, 3]] as its "eigenvalues"
-    mtx = tmp_path / "m.txt"
-    mtx.write_text("2\n1\n2 3\n")
-    for mode in ("broadcast", "delayed"):
-        code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx), "--mode", mode,
-                                 "--max-sweeps", sweeps)
-        assert code == 2 and out == "" and "max_sweeps must be at least 1" in err, mode
-
-
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "verify", "nosuchfamily")[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "toeplitz", "--n", "2", "--bands", "/nonexistent",
                    "--rhs", "/nonexistent")[0] == 2
-
-
-def test_numerical_breakdown_exit_3(tmp_path, capsys):
-    a0_zero = "1\n1\n0\n1\n1\n"
-    code, _, err = run_cli(capsys, *toeplitz_args(tmp_path, 2, a0_zero, "1\n1\n1\n"))
-    assert code == 3
-    assert "breakdown" in err
 
 
 def test_simulation_error_exit_3(capsys, monkeypatch):
@@ -387,143 +343,83 @@ def test_simulation_error_exit_3(capsys, monkeypatch):
     assert (code, err) == (3, "simulation error: start bit never reached the right edge\n")
 
 
-def _toeplitz_with_bands(tmp_path, capsys, bands_text, *args):
-    return run_cli(capsys, *toeplitz_args(tmp_path, 2, bands_text, "1\n1\n1\n"), *args)
-
-
 @pytest.mark.parametrize("bands_text, mode, why", [
-    pytest.param("0\n0\n0\n0\n0\n", "serial", "a_0 is (numerically) zero", id="all-zero-serial"),
-    pytest.param("0\n0\n0\n0\n0\n", "systolic", "a_0 is (numerically) zero",
-                 id="all-zero-systolic"),
-    pytest.param("1\n1\n0\n1\n1\n", "serial", "a_0 is (numerically) zero", id="a0-zero-serial"),
-    pytest.param("1\n1\n0\n1\n1\n", "systolic", "a_0 is (numerically) zero",
-                 id="a0-zero-systolic"),
-    pytest.param("1\n1\n1\n1\n1\n", "serial", "leading principal minor 1 is singular",
-                 id="minor-1-serial"),
-    pytest.param("1\n1\n1\n1\n1\n", "systolic", "leading principal minor 1 is singular",
-                 id="minor-1-systolic"),
-    # 1e-12 * 1e-320 underflows to a zero tolerance, and x_2 = 1 / 1e-320 to inf
-    pytest.param("0\n0\n1e-320\n0\n0\n", "serial", "x_2 is not finite", id="x-overflows-serial"),
-    pytest.param("0\n0\n1e-320\n0\n0\n", "systolic", "x_2 is not finite",
-                 id="x-overflows-systolic"),
-])
+    pytest.param(bands_text, mode, why, id=f"{name}-{mode}")
+    for name, bands_text, why in (
+        ("all-zero", "0\n0\n0\n0\n0\n", "a_0 is (numerically) zero"),
+        ("a0-zero", "1\n1\n0\n1\n1\n", "a_0 is (numerically) zero"),
+        ("minor-1", "1\n1\n1\n1\n1\n", "leading principal minor 1 is singular"),
+        # 1e-12 * 1e-320 underflows to a zero tolerance, and x_2 = 1 / 1e-320 to inf
+        ("x-overflows", "0\n0\n1e-320\n0\n0\n", "x_2 is not finite"))
+    for mode in ("serial", "systolic")])
 def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode, why):
     # the pivot rule 1e-12 * max|a_k| has no floor; a zero pivot still fails
     # it, and both modes name the failing step in the same words
-    code, out, err = _toeplitz_with_bands(tmp_path, capsys, bands_text, "--mode", mode)
-    assert code == 3 and out == ""
-    assert err == f"numerical breakdown: {why}\n"
+    args = toeplitz_args(tmp_path, 2, bands_text, "1\n1\n1\n")
+    assert run_cli(capsys, *args, "--mode", mode) == (3, "", f"numerical breakdown: {why}\n")
 
 
-GROWTH = "numerical breakdown: a multiplier of elimination step 1 exceeds 2^26\n"
-
-
-def near_singular_args(tmp_path, n, a0, seed):
-    """toeplitz arguments for a_0 = a0, a_{+-1} = 1, a_k = 0.1^|k| and a
-    seeded right-hand side."""
+@pytest.mark.parametrize("n, a0, seed", [(31, 1e-9, 31), (63, 1e-9, 63), (15, 1e-11, 15),
+                                         (15, 1e-9, 0)],
+                         ids=["31-1e-09", "63-1e-09", "15-1e-11", "15-1e-09"])
+def test_the_near_singular_family_breaks_down_alike_in_both_modes(tmp_path, capsys, n, a0, seed):
+    # a_0 = a0, a_{+-1} = 1, a_k = 0.1^|k| and a seeded right-hand side: a_0
+    # passes the pivot rule 1e-12 * max|a_k|, but the first multiplier, 1 / a0,
+    # exceeds the growth bound, on the array and serially alike.  Unchecked,
+    # the first three rows' multipliers reach 1e18 to 1e29, and both modes
+    # solved to an x with a relative error of 1e5 to 1e14
     col = [a0, 1.0] + [0.1 ** k for k in range(2, n + 1)]
-    return toeplitz_args(tmp_path, n, "\n".join(repr(col[abs(k)]) for k in range(-n, n + 1)),
+    args = toeplitz_args(tmp_path, n, "\n".join(repr(col[abs(k)]) for k in range(-n, n + 1)),
                          "\n".join(map(str, np.random.default_rng(seed).uniform(-1.0, 1.0, n + 1))))
-
-
-@pytest.mark.parametrize("mode", ["serial", "systolic"])
-def test_near_singular_leading_minor_breaks_down_in_both_modes(tmp_path, capsys, mode):
-    # a_0 = 1e-9 (n = 15, kappa = 12): a_0 passes the pivot rule
-    # 1e-12 * max|a_k|, but the first multiplier, 1e9, exceeds the growth
-    # bound, on the array and serially alike
-    code, out, err = run_cli(capsys, *near_singular_args(tmp_path, 15, 1e-9, 0), "--mode", mode)
-    assert code == 3 and out == ""
-    assert err == GROWTH
-
-
-@pytest.mark.parametrize("n, a0", [(31, 1e-9), (63, 1e-9), (15, 1e-11)])
-def test_the_near_singular_family_breaks_down_alike_in_both_modes(tmp_path, capsys, n, a0):
-    # multipliers reach 1e18 to 1e29, and unchecked both modes solved to an
-    # x with a relative error of 1e5 to 1e14
-    args = near_singular_args(tmp_path, n, a0, n)
+    growth = "numerical breakdown: a multiplier of elimination step 1 exceeds 2^26\n"
     for mode in ("serial", "systolic"):
-        assert run_cli(capsys, *args, "--mode", mode) == (3, "", GROWTH)
+        assert run_cli(capsys, *args, "--mode", mode) == (3, "", growth)
 
 
-@pytest.mark.parametrize("argv, text, message", [
-    pytest.param("toeplitz --n 1 --bands {bad} --rhs {ok}", "1 x 2",
-                 "--bands file {bad}: 'x' is not a number", id="bands"),
-    pytest.param("toeplitz --n 1 --bands {ok} --rhs {bad}", "1 1e",
-                 "--rhs file {bad}: '1e' is not a number", id="rhs"),
-    pytest.param("eigen --matrix {bad}", "2\n1\n2 y\n",
-                 "--matrix file {bad}: 'y' is not a number", id="matrix"),
-    pytest.param("polygcd --p 7 --a 1,x --b 3", "", "--a: 'x' is not an integer", id="coeffs-a"),
-    pytest.param("polygcd --p 7 --a 1,2 --b 1,,2", "", "--b: '' is not an integer",
+# argv, the texts of the files {0}, {1}, ... it names, and the error line
+@pytest.mark.parametrize("argv, texts, message", [
+    pytest.param("toeplitz --n 1 --bands {0} --rhs {1}", ("1 x 2", "1 2 3\n"),
+                 "--bands file {0}: 'x' is not a number", id="bands"),
+    pytest.param("toeplitz --n 1 --bands {0} --rhs {1}", ("1 2 3\n", "1 1e"),
+                 "--rhs file {1}: '1e' is not a number", id="rhs"),
+    pytest.param("toeplitz --n -1 --bands {0} --rhs {1}", ("", ""),
+                 "n must be at least 0, got -1", id="order"),
+    *(pytest.param("toeplitz --n 2 --bands {0} --rhs {1}", (f"0\n2\n{x}\n1\n0\n", "1\n1\n1\n"),
+                   "diagonals and rhs must be finite", id=f"{x}-band") for x in ("nan", "inf")),
+    pytest.param("eigen --matrix {0}", ("2\n1\n2 y\n",),
+                 "--matrix file {0}: 'y' is not a number", id="matrix"),
+    pytest.param("eigen --matrix {0}", ("2\n1\nnan 3\n",), "matrix entries must be finite",
+                 id="nan-matrix"),
+    *(pytest.param("eigen --matrix {0}", (text,), "matrix size n must be a positive integer",
+                   id="matrix-size-" + (text.split("\n")[0] or "empty"))
+      for text in ("", "0\n", "-1\n", "2.5\n1\n0 3\n", "nan\n", "inf\n", "-inf\n", "1e400\n")),
+    pytest.param("eigen --matrix {0}", ("2\n1\n0 3\n9 9\n",),
+                 "matrix file needs 3 entries, found 5", id="extra-matrix-entries"),
+    # no sweep would leave the diagonal of [[1, 2], [2, 3]] as its "eigenvalues"
+    *(pytest.param(f"eigen --matrix {{0}} --mode {mode} --max-sweeps {sweeps}", ("2\n1\n2 3\n",),
+                   f"max_sweeps must be at least 1, got {sweeps}", id=f"max-sweeps={sweeps}-{mode}")
+      for sweeps in (0, -1) for mode in ("broadcast", "delayed")),
+    pytest.param("polygcd --p 7 --a 1,x --b 3", (), "--a: 'x' is not an integer", id="coeffs-a"),
+    pytest.param("polygcd --p 7 --a 1,2 --b 1,,2", (), "--b: '' is not an integer",
                  id="coeffs-b"),
-    pytest.param("intgcd --a 0 --b 5 --mode serial", "", "intgcd: inputs must be positive",
-                 id="intgcd-serial"),
-    pytest.param("intgcd --a 0 --b 5 --mode precursor", "", "intgcd: inputs must be positive",
-                 id="intgcd-precursor"),
-    pytest.param("polygcd --p 4 --a 1,1 --b 1", "", "modulus 4 is not prime", id="modulus"),
+    pytest.param("polygcd --p 4 --a 1,1 --b 1", (), "modulus 4 is not prime", id="modulus"),
+    # 0,7 and 14 are both zero mod 7
+    pytest.param("polygcd --p 7 --a 0,7 --b 14", (), "gcd(0, 0) is undefined", id="zero-gcd"),
+    *(pytest.param(f"intgcd --a 0 --b 5 --mode {mode}", (), "intgcd: inputs must be positive",
+                   id=f"intgcd-{mode}") for mode in ("serial", "precursor")),
+    *(pytest.param(f"intgcd --a 3 --b 5 --bits {bits} --mode {mode}", (),
+                   "intgcd: --bits must not be negative", id=f"bits={bits}-{mode}")
+      for mode, bits in (("systolic", -5), ("precursor", -2), ("serial", -1))),
+    *(pytest.param(f"verify intgcd --count {count}", (), f"--count must be at least 1, got {count}",
+                   id=f"count={count}") for count in (0, -3)),
 ])
-def test_a_bad_number_is_a_usage_error_naming_its_input(tmp_path, capsys, argv, text, message):
-    paths = {"bad": tmp_path / "bad.txt", "ok": tmp_path / "ok.txt"}
-    paths["bad"].write_text(text)
-    paths["ok"].write_text("1 2 3\n")
-    code, out, err = run_cli(capsys, *argv.format(**paths).split())
-    assert code == 2 and out == ""
-    assert err == f"error: {message.format(**paths)}\n"
-
-
-def test_negative_order_is_a_usage_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, *toeplitz_args(tmp_path, -1, "", ""))
-    assert code == 2 and out == ""
-    assert err == "error: n must be at least 0, got -1\n"
-
-
-def test_nan_band_is_a_usage_error(tmp_path, capsys):
-    code, out, err = _toeplitz_with_bands(tmp_path, capsys, "0\n2\nnan\n1\n0\n")
-    assert code == 2 and out == ""
-    assert err == "error: diagonals and rhs must be finite\n"
-
-
-def test_inf_band_is_a_usage_error(tmp_path, capsys):
-    code, out, err = _toeplitz_with_bands(tmp_path, capsys, "0\n2\ninf\n1\n0\n")
-    assert code == 2 and out == ""
-    assert err == "error: diagonals and rhs must be finite\n"
-
-
-def test_nan_matrix_is_a_usage_error(tmp_path, capsys):
-    mtx = tmp_path / "m.txt"
-    mtx.write_text("2\n1\nnan 3\n")
-    code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx))
-    assert code == 2 and out == ""
-    assert err == "error: matrix entries must be finite\n"
-
-
-@pytest.mark.parametrize("text", ["", "0\n", "-1\n", "2.5\n1\n0 3\n", "nan\n", "inf\n",
-                                  "-inf\n", "1e400\n"])
-def test_bad_matrix_size_is_a_usage_error(tmp_path, capsys, text):
-    mtx = tmp_path / "m.txt"
-    mtx.write_text(text)
-    code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx))
-    assert code == 2 and out == ""
-    assert err == "error: matrix size n must be a positive integer\n"
-
-
-def test_extra_matrix_entries_are_a_usage_error(tmp_path, capsys):
-    mtx = tmp_path / "m.txt"
-    mtx.write_text("2\n1\n0 3\n9 9\n")
-    code, out, err = run_cli(capsys, "eigen", "--matrix", str(mtx))
-    assert code == 2 and out == ""
-    assert err == "error: matrix file needs 3 entries, found 5\n"
-
-
-def test_eigen_trace_needs_delayed_mode(tmp_path, capsys):
-    mtx = tmp_path / "m.txt"
-    mtx.write_text("2\n3\n1 3\n")
-    trace = tmp_path / "t.jsonl"
-    code, out, err = run_cli(capsys, "--trace", str(trace), "eigen", "--matrix", str(mtx))
-    assert code == 2 and out == "" and not trace.exists()
-    assert "--mode delayed" in err
-    code, _, _ = run_cli(capsys, "--trace", str(trace), "eigen", "--matrix", str(mtx),
-                         "--mode", "delayed")
-    assert code == 0 and trace.read_text()
+def test_a_malformed_invocation_exits_2_with_one_error_line(tmp_path, capsys, argv, texts,
+                                                           message):
+    paths = [tmp_path / f"{i}.txt" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *argv.format(*paths).split())
+    assert (code, out, err) == (2, "", f"error: {message.format(*paths)}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -649,7 +545,6 @@ def test_trace_stats_on_a_delayed_jacobi_trace_matches_the_plan_s_utilisation(tm
     # the mean utilisation trace-stats reads from a --trace file is the
     # activations in the plan's schedule over the run's ticks, per cell and
     # tick, as CI prints it at n = 32
-    import random
     n = 8
     a = cli.gen_symmetric(random.Random(1), n)
     mtx, trace = tmp_path / "m.txt", tmp_path / "jac.jsonl"
