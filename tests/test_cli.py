@@ -359,21 +359,32 @@ def test_zero_pivot_breaks_down_in_both_modes(tmp_path, capsys, bands_text, mode
     assert run_cli(capsys, *args, "--mode", mode) == (3, "", f"numerical breakdown: {why}\n")
 
 
-@pytest.mark.parametrize("n, a0, seed", [(31, 1e-9, 31), (63, 1e-9, 63), (15, 1e-11, 15),
-                                         (15, 1e-9, 0)],
-                         ids=["31-1e-09", "63-1e-09", "15-1e-11", "15-1e-09"])
-def test_the_near_singular_family_breaks_down_alike_in_both_modes(tmp_path, capsys, n, a0, seed):
+def near_singular_args(tmp_path, n, a0, seed):
     # a_0 = a0, a_{+-1} = 1, a_k = 0.1^|k| and a seeded right-hand side: a_0
     # passes the pivot rule 1e-12 * max|a_k|, but the first multiplier, 1 / a0,
-    # exceeds the growth bound, on the array and serially alike.  Unchecked,
-    # the first three rows' multipliers reach 1e18 to 1e29, and both modes
-    # solved to an x with a relative error of 1e5 to 1e14
+    # exceeds the growth bound, on the array and serially alike
     col = [a0, 1.0] + [0.1 ** k for k in range(2, n + 1)]
-    args = toeplitz_args(tmp_path, n, "\n".join(repr(col[abs(k)]) for k in range(-n, n + 1)),
+    return toeplitz_args(tmp_path, n, "\n".join(repr(col[abs(k)]) for k in range(-n, n + 1)),
                          "\n".join(map(str, np.random.default_rng(seed).uniform(-1.0, 1.0, n + 1))))
-    growth = "numerical breakdown: a multiplier of elimination step 1 exceeds 2^26\n"
+
+
+GROWTH = "numerical breakdown: a multiplier of elimination step 1 exceeds 2^26\n"
+
+
+@pytest.mark.parametrize("mode", ["serial", "systolic"])
+def test_near_singular_leading_minor_breaks_down_in_both_modes(tmp_path, capsys, mode):
+    # a_0 = 1e-9 (n = 15): the first multiplier, 1e9, exceeds the growth bound
+    assert run_cli(capsys, *near_singular_args(tmp_path, 15, 1e-9, 0), "--mode", mode) == (3, "", GROWTH)
+
+
+@pytest.mark.parametrize("n, a0", [(31, 1e-9), (63, 1e-9), (15, 1e-11)],
+                         ids=["31-1e-09", "63-1e-09", "15-1e-11"])
+def test_the_near_singular_family_breaks_down_alike_in_both_modes(tmp_path, capsys, n, a0):
+    # unchecked, the first three rows' multipliers reach 1e18 to 1e29, and
+    # both modes solved to an x with a relative error of 1e5 to 1e14
+    args = near_singular_args(tmp_path, n, a0, n)
     for mode in ("serial", "systolic"):
-        assert run_cli(capsys, *args, "--mode", mode) == (3, "", growth)
+        assert run_cli(capsys, *args, "--mode", mode) == (3, "", GROWTH)
 
 
 # argv, the texts of the files {0}, {1}, ... it names, and the error line
